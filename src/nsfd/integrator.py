@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import LinAlgError, fd_jacobian, lu_solve, lu_solve_batch
+from .linalg import LinAlgError, _column_slack, fd_jacobian, lu_solve, lu_solve_batch
 from .model import (
     GeneralSplitSystem,
     MassActionModel,
@@ -161,12 +161,9 @@ def _check_h(h: float) -> float:
 
 
 def _require_dominance(m: np.ndarray, what: str) -> None:
-    mag = np.abs(m)
-    diag = np.diag(mag).copy()
-    off = mag.copy()
-    np.fill_diagonal(off, 0.0)
-    if not np.all(diag > off.sum(axis=0)):
-        col = int(np.argmin(diag - off.sum(axis=0)))
+    slack = _column_slack(m)
+    if not np.all(slack > 0.0):
+        col = int(np.argmin(slack))
         raise DominanceError(
             f"{what} solve matrix lost strict column dominance in column {col}; "
             "reduce h below the safe step bound for this state"
@@ -237,10 +234,7 @@ def _step_matrix_batch(model: MassActionModel, xs: np.ndarray) -> np.ndarray:
 
 
 def _require_dominance_batch(mats: np.ndarray, what: str) -> None:
-    mag = np.abs(mats)
-    diag = np.diagonal(mag, axis1=1, axis2=2)
-    off = mag.sum(axis=1) - diag
-    ok = np.all(diag > off, axis=1)
+    ok = np.all(_column_slack(mats) > 0.0, axis=1)
     if not np.all(ok):
         first = int(np.argmin(ok))
         raise DominanceError(

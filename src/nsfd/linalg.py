@@ -1,10 +1,12 @@
-"""Dense linear algebra for small systems.
+"""Dense linear algebra for small systems, on numpy's LAPACK.
 
-Self-contained routines used by the integrator and the analysis tools:
-LU solves with partial pivoting (scalar and batched), diagonal-dominance
-and Metzler predicates, a Hessenberg / double-shift QR eigensolver, and
-central finite-difference Jacobians.  Everything is written for matrices
-of modest size (n <= 32); the algorithms are unblocked O(n^3).
+Linear solves run LAPACK ``gesv`` (LU with partial pivoting) through one
+stacked ``np.linalg.solve`` call, behind a guard that refuses
+numerically singular systems, which ``gesv`` would solve without
+complaint.  Eigenvalues come from LAPACK ``geev`` through
+``np.linalg.eigvals``.  Also here: the column dominance slack that the
+guard and the integrator's dominance checks share, the dominance and
+Metzler predicates, and central finite-difference Jacobians.
 """
 
 from __future__ import annotations
@@ -25,15 +27,9 @@ __all__ = [
     "fd_jacobian",
 ]
 
-# A pivot below PIVOT_RTOL * ||A||_inf is treated as structural
-# singularity rather than accumulated round-off.
+# A system whose reciprocal 1-norm condition number is below PIVOT_RTOL
+# is treated as structurally singular rather than solved.
 PIVOT_RTOL = 1e-14
-
-# The QR iteration here is unblocked and unshifted-restart-free; keep it
-# to the small systems this package is built for.
-MAX_EIGEN_DIM = 32
-
-_EPS = float(np.finfo(float).eps)
 
 
 class LinAlgError(ArithmeticError):
@@ -41,11 +37,11 @@ class LinAlgError(ArithmeticError):
 
 
 class SingularMatrixError(LinAlgError):
-    """A pivot fell below the structural-singularity threshold."""
+    """The reciprocal condition number fell below the singularity threshold."""
 
 
 class EigenConvergenceError(LinAlgError):
-    """The QR iteration failed to deflate within its sweep budget."""
+    """LAPACK's QR iteration failed to converge."""
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -55,8 +51,53 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _column_slack(a) -> np.ndarray:
+    """Column dominance slack ``|a[j, j]| - sum_{i != j} |a[i, j]|``.
+
+    Works on a square matrix or on a stack of them, and returns one value
+    per column, shape ``a.shape[:-1]``.  The matrix is strictly column
+    diagonally dominant iff every slack is positive.
+    """
+    off = np.abs(a)
+    i = np.arange(off.shape[-1])
+    diag = off[..., i, i]
+    off[..., i, i] = 0.0
+    return diag - off.sum(axis=-2)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a[k] @ x[k] = b[k]`` over an (m, n, n) stack in one LAPACK call.
+
+    Each system must have reciprocal 1-norm condition at least
+    PIVOT_RTOL.  Varah's bound certifies most of them without an
+    inverse: a strictly column dominant ``a`` has
+    ``||a^-1||_1 <= 1 / min slack``, so ``min slack / ||a||_1`` bounds the
+    reciprocal condition from below.  Only the systems it leaves below
+    PIVOT_RTOL, zero matrices among them, get the exact inverse-based
+    check.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = _column_slack(a).min(axis=-1, initial=np.inf) / norms
+    unsure = np.flatnonzero(~(rcond >= PIVOT_RTOL))
+    if unsure.size:
+        rcond[unsure] = 1.0 / np.linalg.cond(a[unsure], 1)
+        bad = rcond < PIVOT_RTOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            detail = (
+                "matrix is identically zero"
+                if norms[k] == 0.0
+                else f"reciprocal condition {rcond[k]:.3e} is below {PIVOT_RTOL:.0e}"
+            )
+            raise SingularMatrixError(f"system {k}: {detail}")
+    # The explicit trailing axis keeps b a stack of vectors under both the
+    # numpy 1.x and 2.x broadcasting rules of solve.
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
 def lu_solve(a, rhs):
-    """Solve ``a @ x = rhs`` by LU factorization with partial pivoting.
+    """Solve ``a @ x = rhs`` with LAPACK ``gesv``.
 
     Parameters
     ----------
@@ -68,47 +109,26 @@ def lu_solve(a, rhs):
     Returns
     -------
     (n,) ndarray
-        Solution ``x`` with back-substitution residual at the round-off
-        level of the factorization.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below ``PIVOT_RTOL * ||a||_inf``.
+        If ``a`` is zero or its reciprocal 1-norm condition number is
+        below ``PIVOT_RTOL``.
     """
-    a = _as_square(a).copy()
+    a = _as_square(a)
     n = a.shape[0]
-    b = np.asarray(rhs, dtype=float).copy()
+    b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    norm = float(np.abs(a).sum(axis=1).max()) if n else 0.0
-    if norm == 0.0:
-        raise SingularMatrixError("matrix is identically zero")
-    tol = PIVOT_RTOL * norm
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < tol:
-            raise SingularMatrixError(
-                f"pivot {abs(a[piv, col]):.3e} in column {col} is below {tol:.3e}"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        if col + 1 < n:
-            f = a[col + 1 :, col] / a[col, col]
-            a[col + 1 :, col + 1 :] -= np.outer(f, a[col, col + 1 :])
-            b[col + 1 :] -= f * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+    return _solve_stack(a[None], b[None])[0]
 
 
 def lu_solve_batch(a, rhs):
     """Solve a stack of square systems ``a[m] @ x[m] = rhs[m]``.
 
-    Same elimination as :func:`lu_solve`, vectorized over the leading
-    axis so that audits over thousands of states cost one pass.
+    One stacked LAPACK call, so that audits over thousands of states cost
+    one pass.
 
     Parameters
     ----------
@@ -122,48 +142,17 @@ def lu_solve_batch(a, rhs):
     Raises
     ------
     SingularMatrixError
-        On the first system whose pivot falls below the threshold; the
-        message names the failing batch index.
+        As :func:`lu_solve`, for the first such system; the message names
+        its batch index.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(rhs, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     m, n, _ = a.shape
     if b.shape != (m, n):
         raise ValueError(f"rhs shape {b.shape} does not match stack shape {(m, n)}")
-    if m == 0:
-        return b
-    norms = np.abs(a).sum(axis=2).max(axis=1)
-    if np.any(norms == 0.0):
-        first = int(np.argmax(norms == 0.0))
-        raise SingularMatrixError(f"system {first}: matrix is identically zero")
-    tols = PIVOT_RTOL * norms
-    rows = np.arange(m)
-    for col in range(n):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        pmag = np.abs(a[rows, piv, col])
-        if np.any(pmag < tols):
-            first = int(np.argmax(pmag < tols))
-            raise SingularMatrixError(
-                f"system {first}: pivot {pmag[first]:.3e} in column {col} "
-                f"is below {tols[first]:.3e}"
-            )
-        tmp_a = a[rows, col].copy()
-        a[rows, col] = a[rows, piv]
-        a[rows, piv] = tmp_a
-        tmp_b = b[rows, col].copy()
-        b[rows, col] = b[rows, piv]
-        b[rows, piv] = tmp_b
-        if col + 1 < n:
-            f = a[:, col + 1 :, col] / a[:, col, col][:, None]
-            a[:, col + 1 :, col + 1 :] -= f[:, :, None] * a[:, col, col + 1 :][:, None, :]
-            b[:, col + 1 :] -= f * b[:, col][:, None]
-    x = np.empty((m, n))
-    for row in range(n - 1, -1, -1):
-        dot = (a[:, row, row + 1 :] * x[:, row + 1 :]).sum(axis=1)
-        x[:, row] = (b[:, row] - dot) / a[:, row, row]
-    return x
+    return _solve_stack(a, b)
 
 
 def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool:
@@ -176,14 +165,10 @@ def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool
     a = _as_square(a)
     if mode not in ("row", "column"):
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
-    mag = np.abs(a)
-    diag = np.diag(mag).copy()
-    off = mag.copy()
-    np.fill_diagonal(off, 0.0)
-    offsum = off.sum(axis=1) if mode == "row" else off.sum(axis=0)
+    slack = _column_slack(a if mode == "column" else a.T)
     if strict:
-        return bool(np.all(diag > offsum))
-    return bool(np.all(diag >= offsum))
+        return bool(np.all(slack > 0.0))
+    return bool(np.all(slack >= 0.0))
 
 
 def is_metzler(a) -> bool:
@@ -194,158 +179,28 @@ def is_metzler(a) -> bool:
     return bool(np.all(off >= 0.0))
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    h = np.array(a, dtype=float)
-    n = h.shape[0]
-    for col in range(n - 2):
-        x = h[col + 1 :, col]
-        nx = float(np.sqrt((x * x).sum()))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(nx, v[0])
-        vn2 = float((v * v).sum())
-        if vn2 == 0.0:
-            continue
-        beta = 2.0 / vn2
-        w = beta * (v @ h[col + 1 :, col:])
-        h[col + 1 :, col:] -= np.outer(v, w)
-        w = beta * (h[:, col + 1 :] @ v)
-        h[:, col + 1 :] -= np.outer(w, v)
-        h[col + 2 :, col] = 0.0
-    return h
-
-
-def _eig2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of the 2x2 block [[a, b], [c, d]]."""
-    mean = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + b * c
-    if disc >= 0.0:
-        r = float(np.sqrt(disc))
-        l1 = mean + r if mean >= 0.0 else mean - r
-        if l1 == 0.0:
-            return 0j, 0j
-        # second root from the determinant to avoid cancellation
-        l2 = (a * d - b * c) / l1
-        return complex(l1), complex(l2)
-    r = float(np.sqrt(-disc))
-    return complex(mean, r), complex(mean, -r)
-
-
-def _francis_sweep(h: np.ndarray, lo: int, hi: int, tr: float, det: float) -> None:
-    """One implicit double-shift sweep on the active block ``lo..hi``.
-
-    ``tr`` and ``det`` are the trace and determinant of the (possibly
-    exceptional) shift pair; the bulge is chased down the subdiagonal
-    with 3x3 Householder reflections and a final 2x2 one.
-    """
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - tr * h[lo, lo] + det
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - tr)
-    z = h[lo + 2, lo + 1] * h[lo + 1, lo]
-    for k in range(lo, hi):
-        three = k < hi - 1
-        if k > lo:
-            x = h[k, k - 1]
-            y = h[k + 1, k - 1]
-            z = h[k + 2, k - 1] if three else 0.0
-        v = np.array([x, y, z]) if three else np.array([x, y])
-        scale = float(np.abs(v).sum())
-        if scale == 0.0:
-            continue
-        v /= scale
-        nv = float(np.sqrt((v * v).sum()))
-        s = float(np.copysign(nv, v[0]))
-        if k > lo:
-            h[k, k - 1] = -s * scale
-            h[k + 1, k - 1] = 0.0
-            if three:
-                h[k + 2, k - 1] = 0.0
-        v[0] += s
-        vn2 = float((v * v).sum())
-        if vn2 == 0.0:
-            continue
-        beta = 2.0 / vn2
-        rend = k + 3 if three else k + 2
-        w = beta * (v @ h[k:rend, k : hi + 1])
-        h[k:rend, k : hi + 1] -= np.outer(v, w)
-        rtop = min(hi, k + 3) + 1
-        w = beta * (h[lo:rtop, k:rend] @ v)
-        h[lo:rtop, k:rend] -= np.outer(w, v)
-
-
 def eigenvalues(a) -> list[complex]:
-    """All eigenvalues of a real square matrix (n <= 32).
-
-    Householder reduction to Hessenberg form followed by the implicit
-    double-shift QR iteration.  Real eigenvalues deflate from 1x1 blocks,
-    complex conjugate pairs from trailing 2x2 blocks.  Every 10 sweeps
-    without a deflation an exceptional shift built from the trailing
-    subdiagonals is injected to break symmetry stalls.
+    """All eigenvalues of a real square matrix, by LAPACK ``geev``.
 
     Returns
     -------
     list of complex
-        The n eigenvalues, in deflation order.
+        The n eigenvalues in LAPACK's order; complex conjugate pairs are
+        adjacent.
 
     Raises
     ------
     EigenConvergenceError
-        If no deflation chain completes within ``100 * n`` sweeps.
+        If the QR iteration fails to converge.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise ValueError(f"matrix size {n} exceeds the supported limit {MAX_EIGEN_DIM}")
-    if n == 0:
-        return []
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    h = _hessenberg(a)
-    hnorm = max(float(np.abs(h).sum(axis=1).max()), np.finfo(float).tiny)
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    max_sweeps = 100 * n
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(h[0, 0]))
-            hi -= 1
-            continue
-        lo = 0
-        for l in range(hi, 0, -1):
-            s = abs(h[l - 1, l - 1]) + abs(h[l, l])
-            if s == 0.0:
-                s = hnorm
-            if abs(h[l, l - 1]) <= _EPS * s:
-                h[l, l - 1] = 0.0
-                lo = l
-                break
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            e1, e2 = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-            eigs.extend((e1, e2))
-            hi -= 2
-            stall = 0
-            continue
-        sweeps += 1
-        stall += 1
-        if sweeps > max_sweeps:
-            raise EigenConvergenceError(f"no deflation after {max_sweeps} sweeps")
-        if stall % 10 == 0:
-            sd = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            sh = h[hi, hi] + 0.75 * sd
-            tr, det = 2.0 * sh, sh * sh
-        else:
-            tr = h[hi - 1, hi - 1] + h[hi, hi]
-            det = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-        _francis_sweep(h, lo, hi, tr, det)
-    return eigs
+    try:
+        lams = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    return [complex(lam) for lam in lams]
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, eps: float | None = None):

@@ -292,6 +292,20 @@ def test_stability_host_vector_dfe(capsys):
     assert doc["all_consistent"] is True
 
 
+def test_stability_above_32_dimensions(tmp_path, capsys, metapop_sir):
+    # 11 patches in a ring, each infected by itself and its predecessor
+    sources = [((p, 0.02), ((p - 1) % 11, 0.01)) for p in range(11)]
+    path = tmp_path / "sir33.json"
+    path.write_text(dump_model(metapop_sir(sources, mu=0.1)))
+    dfe = ",".join(["10,0,0"] * 11)
+    code, out, err = run_cli(capsys, "stability", "--model", str(path), "--x0", dfe, "--h", "0.5")
+    assert code == 0, err
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 33
+    assert doc["all_consistent"] is True
+
+
 def test_invariance_json_sections(capsys):
     code, out, _ = run_cli(
         capsys, "invariance", "--builtin", "host-vector", "--h", "0.5",

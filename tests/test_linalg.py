@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nsfd.linalg import (
-    MAX_EIGEN_DIM,
     EigenConvergenceError,
     LinAlgError,
     SingularMatrixError,
@@ -18,6 +17,7 @@ from nsfd.linalg import (
     lu_solve,
     lu_solve_batch,
 )
+from nsfd.model import f_jacobian
 
 SOLVE_RTOL = 1e-10
 EIG_ATOL = 1e-7
@@ -77,6 +77,22 @@ def test_lu_solve_batch_singular_member_raises(rng):
         lu_solve_batch(mats, np.ones((2, 2)))
 
 
+# The two rows are parallel up to 1e-15: a bare LAPACK solve returns
+# entries near 2.4e16 for it without an error.
+NEAR_SINGULAR = np.array([[0.1, 0.3], [1.0, 3.0 + 1e-15]])
+
+
+def test_lu_solve_near_singular_raises():
+    with pytest.raises(SingularMatrixError):
+        lu_solve(NEAR_SINGULAR, np.ones(2))
+
+
+def test_lu_solve_batch_names_first_near_singular_system():
+    mats = np.stack([np.eye(2), 3.0 * np.eye(2), NEAR_SINGULAR])
+    with pytest.raises(SingularMatrixError, match="system 2"):
+        lu_solve_batch(mats, np.ones((3, 2)))
+
+
 @seed(7)
 @given(
     a=arrays(np.float64, (4, 4), elements=st.floats(-10, 10)),
@@ -131,10 +147,27 @@ def test_eigenvalues_symmetric_are_real(rng):
     _match_eigenvalues(lams, np.linalg.eigvalsh(sym), atol=1e-8 * (1 + np.max(np.abs(sym))))
 
 
-def test_eigenvalues_dimension_cap():
-    big = np.eye(MAX_EIGEN_DIM + 1)
-    with pytest.raises(ValueError):
-        eigenvalues(big)
+# Infection sources (patch, beta) of a 4-patch metapopulation SIR: each
+# patch infects itself and two random others, generator seed 293.
+COMMON_MU_SOURCES = (
+    ((0, 0.012448980093960126), (1, 0.010903197662149297), (3, 0.028056901125393947)),
+    ((1, 0.009011228435649664), (2, 0.01491507286477118), (0, 0.02126777655838738)),
+    ((2, 0.02023139548957675), (1, 0.010654417977599107), (0, 0.01613496594496979)),
+    ((3, 0.016381114750460953), (1, 0.019782024462476292), (0, 0.009798863491561744)),
+)
+
+
+def test_eigenvalues_repeated_eigenvalues_of_common_mu_network(metapop_sir):
+    # With one mortality for every patch, -mu and -(mu + gamma) are each
+    # eigenvalues four times over at the disease-free equilibrium, which
+    # stalls a plain Francis double-shift QR iteration.
+    model = metapop_sir(COMMON_MU_SOURCES, mu=0.1)
+    dfe = np.tile([10.0, 0.0, 0.0], 4)
+    jac = f_jacobian(model, dfe)
+    assert jac.shape == (12, 12)
+    lams = eigenvalues(jac)
+    assert len(lams) == 12
+    _match_eigenvalues(lams, np.linalg.eigvals(jac), atol=EIG_ATOL)
 
 
 def test_eigen_convergence_error_is_linalg_error():
