@@ -171,7 +171,7 @@ def _warn_step_size(model: MassActionModel, h: float, scheme: str) -> None:
     if scheme != "nsfd":
         return
     bound = step_bound(model)
-    if not bound.capped and h >= bound.h_bar:
+    if not bound.admits(h):
         print(
             f"warning: h={h:g} is not below the safe step bound h_bar={bound.h_bar:g}",
             file=sys.stderr,
@@ -285,7 +285,7 @@ def _cmd_invariance(args) -> int:
     h_safe = True
     if args.scheme == "nsfd":
         bound = step_bound(model)
-        h_safe = bound.capped or args.h < bound.h_bar
+        h_safe = bound.admits(args.h)
         if not h_safe:
             message = f"h={args.h:g} is not below the safe step bound h_bar={bound.h_bar:g}"
             if args.strict:

@@ -9,10 +9,11 @@ so running it with step -h from x' recovers x: the map is its own inverse
 up to round-off.  For a mass-action model the rule is linear in x', which
 turns each step into one linear solve:
 
-    forward   (I - h S(x)) x' = (I + (h/2) L) x + h b
-    backward  (I + h S(x)) y  = (I - (h/2) L) x - h b
+    (I - h S(x)) x' = (I + (h/2) L) x + h b
 
-with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  Both solve matrices
+with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
+the same system at -h.  Scalar and batched, forward and backward steps
+all assemble it in one place, one row per state.  Both solve matrices
 are strictly column diagonally dominant, hence safely invertible, for
 every state in the domain box whenever h stays below the bound computed
 by :func:`step_bound`.
@@ -32,8 +33,9 @@ from .model import (
     MassActionModel,
     SpecError,
     _check_state,
+    _jacobian_rows,
+    _phi_rows,
     eval_f,
-    eval_phi,
     f_jacobian,
 )
 
@@ -110,6 +112,10 @@ class StepBoundReport:
     limiting_column: int
     capped: bool
 
+    def admits(self, h: float) -> bool:
+        """True when h is safe: below h_bar, or any h when the bound is capped."""
+        return self.capped or h < self.h_bar
+
     def as_dict(self) -> dict:
         return {
             "h_bar": self.h_bar,
@@ -160,14 +166,27 @@ def _check_h(h: float) -> float:
     return h
 
 
-def _require_dominance(m: np.ndarray, what: str) -> None:
-    slack = _column_slack(m)
-    if not np.all(slack > 0.0):
-        col = int(np.argmin(slack))
+def _step_system(model: MassActionModel, xs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve matrices ``I - h S(x)`` and right-hand sides ``(I + (h/2) L) x + h b``.
+
+    One system per row of ``xs`` with its signed step size ``h[r]``; the
+    backward step is the system at -h.  The only dominance check: the
+    DominanceError names the column and, for more than one row, the row.
+    """
+    hv = h[:, None]
+    mats = np.eye(model.n) - hv[:, :, None] * (0.5 * _jacobian_rows(model, xs))
+    slack = _column_slack(mats)
+    bad = ~np.all(slack > 0.0, axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        col = int(np.argmin(slack[row]))
+        where = f" of batch state {row}" if xs.shape[0] > 1 else ""
         raise DominanceError(
-            f"{what} solve matrix lost strict column dominance in column {col}; "
-            "reduce h below the safe step bound for this state"
+            f"{'forward' if h[row] > 0.0 else 'backward'} solve matrix lost strict column "
+            f"dominance in column {col}{where}; reduce h below the safe step bound for this state"
         )
+    rhs = xs + (0.5 * hv) * (xs @ model.linear.T) + hv * model.constant
+    return mats, rhs
 
 
 def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -183,11 +202,8 @@ def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
         at this state, which signals h at or above the safe regime.
     """
     x = _check_state(model, x)
-    h = _check_h(h)
-    m = np.eye(model.n) - h * step_matrix(model, x)
-    _require_dominance(m, "forward")
-    rhs = x + (0.5 * h) * (model.linear @ x) + h * model.constant
-    return lu_solve(m, rhs)
+    mats, rhs = _step_system(model, x[None], np.array([_check_h(h)]))
+    return lu_solve(mats[0], rhs[0])
 
 
 def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -197,11 +213,8 @@ def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
     the forward step returns the starting state up to round-off.
     """
     x = _check_state(model, x)
-    h = _check_h(h)
-    m = np.eye(model.n) + h * step_matrix(model, x)
-    _require_dominance(m, "backward")
-    rhs = x - (0.5 * h) * (model.linear @ x) - h * model.constant
-    return lu_solve(m, rhs)
+    mats, rhs = _step_system(model, x[None], np.array([-_check_h(h)]))
+    return lu_solve(mats[0], rhs[0])
 
 
 def _batch_states(model: MassActionModel, xs) -> np.ndarray:
@@ -222,27 +235,6 @@ def _batch_h(h, m: int) -> np.ndarray:
     return h
 
 
-def _step_matrix_batch(model: MassActionModel, xs: np.ndarray) -> np.ndarray:
-    m = xs.shape[0]
-    s = np.broadcast_to(0.5 * model.linear, (m, model.n, model.n)).copy()
-    ti, tj, tk, tc = model._term_arrays
-    for t in range(ti.size):
-        half_c = 0.5 * tc[t]
-        s[:, ti[t], tk[t]] += half_c * xs[:, tj[t]]
-        s[:, ti[t], tj[t]] += half_c * xs[:, tk[t]]
-    return s
-
-
-def _require_dominance_batch(mats: np.ndarray, what: str) -> None:
-    ok = np.all(_column_slack(mats) > 0.0, axis=1)
-    if not np.all(ok):
-        first = int(np.argmin(ok))
-        raise DominanceError(
-            f"{what} solve matrix lost strict column dominance for batch state {first}; "
-            "reduce h below the safe step bound"
-        )
-
-
 def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_forward` over rows of ``xs``.
 
@@ -250,22 +242,14 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     where a million scalar solves would dominate the runtime.
     """
     xs = _batch_states(model, xs)
-    hv = _batch_h(h, xs.shape[0])
-    s = _step_matrix_batch(model, xs)
-    mats = np.eye(model.n) - hv[:, None, None] * s
-    _require_dominance_batch(mats, "forward")
-    rhs = xs + (0.5 * hv)[:, None] * (xs @ model.linear.T) + hv[:, None] * model.constant
+    mats, rhs = _step_system(model, xs, _batch_h(h, xs.shape[0]))
     return lu_solve_batch(mats, rhs)
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
-    hv = _batch_h(h, xs.shape[0])
-    s = _step_matrix_batch(model, xs)
-    mats = np.eye(model.n) + hv[:, None, None] * s
-    _require_dominance_batch(mats, "backward")
-    rhs = xs - (0.5 * hv)[:, None] * (xs @ model.linear.T) - hv[:, None] * model.constant
+    mats, rhs = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
     return lu_solve_batch(mats, rhs)
 
 
@@ -387,12 +371,13 @@ def step_bound(
     )
 
 
-def _rk4_step(model: MassActionModel, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = eval_f(model, x)
-    k2 = eval_f(model, x + (0.5 * h) * k1)
-    k3 = eval_f(model, x + (0.5 * h) * k2)
-    k4 = eval_f(model, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
+    """One classical 4-stage explicit step of size h from every row of ``xs``."""
+    k1 = _phi_rows(model, xs)
+    k2 = _phi_rows(model, xs + (0.5 * h) * k1)
+    k3 = _phi_rows(model, xs + (0.5 * h) * k2)
+    k4 = _phi_rows(model, xs + h * k3)
+    return xs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:
@@ -430,7 +415,7 @@ def integrate(
         raise SpecError(f"unknown scheme {scheme!r} (choose from {', '.join(SCHEMES)})")
     if scheme == "nsfd":
         bound = step_bound(model)
-        if not bound.capped and h >= bound.h_bar:
+        if not bound.admits(h):
             warnings.warn(
                 f"step size h={h:g} is not below the safe bound h_bar={bound.h_bar:g}; "
                 "dominance of the solve matrices is no longer guaranteed",
@@ -447,7 +432,7 @@ def integrate(
             elif scheme == "euler":
                 x = x + h * eval_f(model, x)
             elif scheme == "rk4":
-                x = _rk4_step(model, x, h)
+                x = _rk4_rows(model, x[None], h)[0]
             else:
                 x = step_implicit_general(trap, x, h)
         except (LinAlgError, NewtonDivergenceError) as exc:

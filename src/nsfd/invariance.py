@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, eval_f
+from .integrator import _rk4_rows, step_backward_batch, step_bound, step_forward_batch
+from .model import Domain, MassActionModel, SpecError, _phi_rows, eval_f
 
 __all__ = [
     "Facet",
@@ -348,45 +348,17 @@ def discrete_tangent(
     values, scale = _facet_values(dom, points, deltas)
     tolerance = TANGENT_TOL * scale if tol is None else float(tol)
     worst_value, worst_p, _ = min(values)
-    fs = facets(dom)
-    violations = []
-    for p, (x, _) in enumerate(points):
-        if dom.margin(ys[p]) > tolerance:
-            for fi in _active_facets(dom, fs, x):
-                violations.append((_freeze_point(x), fi, float(fs[fi].normal @ deltas[p])))
+    inside = dom.margin(ys) > tolerance
+    violations = tuple(
+        (_freeze_point(points[p][0]), fi, v) for v, p, fi in values if inside[p]
+    )
     return TangentReport(
         samples=len(points),
         worst_value=worst_value,
         worst_point=_freeze_point(points[worst_p][0]),
-        violations=tuple(violations),
+        violations=violations,
         tolerance=tolerance,
     )
-
-
-def _eval_f_batch(model: MassActionModel, xs: np.ndarray) -> np.ndarray:
-    out = xs @ model.linear.T + model.constant
-    ti, tj, tk, tc = model._term_arrays
-    for t in range(ti.size):
-        out[:, ti[t]] += tc[t] * xs[:, tj[t]] * xs[:, tk[t]]
-    return out
-
-
-def _rk4_batch(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
-    k1 = _eval_f_batch(model, xs)
-    k2 = _eval_f_batch(model, xs + (0.5 * h) * k1)
-    k3 = _eval_f_batch(model, xs + (0.5 * h) * k2)
-    k4 = _eval_f_batch(model, xs + h * k3)
-    return xs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _margins(domain: Domain, xs: np.ndarray) -> np.ndarray:
-    m = np.full(xs.shape[0], np.inf)
-    for i, flag in enumerate(domain.nonnegative):
-        if flag:
-            m = np.minimum(m, xs[:, i])
-    for con in domain.constraints:
-        m = np.minimum(m, con.bound - xs @ con.normal_array)
-    return m
 
 
 def invariance_audit(
@@ -426,7 +398,7 @@ def invariance_audit(
         if live.size == 0:
             return
         rows = xs[live]
-        margins = _margins(dom, rows)
+        margins = dom.margin(rows)
         finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
         margins = np.where(finite, margins, -np.inf)
         j = int(np.argmin(margins))
@@ -451,9 +423,9 @@ def invariance_audit(
         if scheme == "nsfd":
             xs[live] = step_forward_batch(model, xs[live], h)
         elif scheme == "euler":
-            xs[live] = xs[live] + h * _eval_f_batch(model, xs[live])
+            xs[live] = xs[live] + h * _phi_rows(model, xs[live])
         else:
-            xs[live] = _rk4_batch(model, xs[live], h)
+            xs[live] = _rk4_rows(model, xs[live], h)
         scan(step)
     return AuditReport(
         trials=trials,

@@ -5,7 +5,7 @@ stacked ``np.linalg.solve`` call, behind a guard that refuses
 numerically singular systems, which ``gesv`` would solve without
 complaint.  Eigenvalues come from LAPACK ``geev`` through
 ``np.linalg.eigvals``.  Also here: the column dominance slack that the
-guard and the integrator's dominance checks share, the dominance and
+guard and the integrator's dominance check share, the dominance and
 Metzler predicates, and central finite-difference Jacobians.
 """
 

@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import is_metzler
+
 __all__ = [
     "SpecError",
     "BilinearTerm",
@@ -164,16 +166,20 @@ class Domain:
     def is_compact(self) -> bool:
         return all(self.nonnegative) and bool(np.all(np.isfinite(self.box_upper)))
 
-    def margin(self, x) -> float:
-        """Smallest slack of ``x`` against all facets (negative = outside)."""
+    def margin(self, x) -> float | np.ndarray:
+        """Smallest slack of ``x`` against all facets (negative = outside).
+
+        States stack on the leading axes of ``x``, one margin each; a
+        single state gives a float.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.inf
+        out = np.full(x.shape[:-1], np.inf)
         for i, flag in enumerate(self.nonnegative):
             if flag:
-                out = min(out, float(x[i]))
+                out = np.minimum(out, x[..., i])
         for con in self.constraints:
-            out = min(out, con.bound - float(con.normal_array @ x))
-        return out
+            out = np.minimum(out, con.bound - x @ con.normal_array)
+        return float(out) if out.ndim == 0 else out
 
     def contains(self, x, slack: float = 0.0) -> bool:
         return self.margin(x) >= -slack
@@ -227,8 +233,8 @@ class MassActionModel:
         if not isinstance(self.name, str) or not self.name:
             raise SpecError("model name must be a nonempty string")
 
-    # Term index arrays for vectorized evaluation; cached because the
-    # model is immutable.
+    # Term index arrays and the two linear maps of B for vectorized
+    # evaluation; cached because the model is immutable.
     @cached_property
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         ti = np.array([t.i for t in self.bilinear], dtype=np.intp)
@@ -236,6 +242,26 @@ class MassActionModel:
         tk = np.array([t.k for t in self.bilinear], dtype=np.intp)
         tc = np.array([t.c for t in self.bilinear], dtype=float)
         return ti, tj, tk, tc
+
+    @cached_property
+    def _scatter(self) -> np.ndarray:
+        # (terms, n): row t is the unit vector of term t's component i.
+        return np.eye(self.n)[self._term_arrays[0]]
+
+    @cached_property
+    def _pq_map(self) -> tuple[np.ndarray, np.ndarray]:
+        # (entries, G): the flat entries of P(x) + Q(x) that some term
+        # touches, and the (n, len(entries)) map with x @ G their values;
+        # every other entry is zero.  Keeping only touched entries holds G
+        # at n by at most 2 * terms instead of n by n^2.  A dict numbers
+        # them because np.unique's first call costs about 1 MB of memory.
+        ti, tj, tk, tc = self._term_arrays
+        cols: dict[int, int] = {}
+        flat = np.concatenate([ti * self.n + tk, ti * self.n + tj]).tolist()
+        col = np.array([cols.setdefault(e, len(cols)) for e in flat], dtype=np.intp)
+        g = np.zeros((self.n, len(cols)))
+        np.add.at(g, (np.concatenate([tj, tk]), col), np.concatenate([tc, tc]))
+        return np.array(list(cols), dtype=np.intp), g
 
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
@@ -247,6 +273,28 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     return arr
 
 
+def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked split field over row stacks: row r is ``phi(ys[r], zs[r])``.
+
+    Sums ``B(y, z)``, then ``(L/2)(y + z)``, then ``b``.  Without ``zs``
+    it is the field ``f(ys[r]) = phi(ys[r], ys[r])``.
+    """
+    zs = ys if zs is None else zs
+    ti, tj, tk, tc = model._term_arrays
+    out = (tc * ys[:, tj] * zs[:, tk]) @ model._scatter
+    out += 0.5 * ((ys + zs) @ model.linear.T)
+    out += model.constant
+    return out
+
+
+def _jacobian_rows(model: MassActionModel, xs: np.ndarray) -> np.ndarray:
+    """Unchecked field Jacobians ``P(x) + Q(x) + L`` of the rows of ``xs``."""
+    entries, g = model._pq_map
+    out = np.zeros((xs.shape[0], model.n * model.n))
+    out[:, entries] = xs @ g
+    return out.reshape(-1, model.n, model.n) + model.linear
+
+
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
     """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b``.
 
@@ -255,13 +303,7 @@ def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
     """
     y = _check_state(model, y, "first argument")
     z = _check_state(model, z, "second argument")
-    ti, tj, tk, tc = model._term_arrays
-    out = np.zeros(model.n)
-    if ti.size:
-        np.add.at(out, ti, tc * y[tj] * z[tk])
-    out += 0.5 * (model.linear @ (y + z))
-    out += model.constant
-    return out
+    return _phi_rows(model, y[None], z[None])[0]
 
 
 def eval_f(model: MassActionModel, x) -> np.ndarray:
@@ -274,8 +316,7 @@ def assemble_P(model: MassActionModel, y) -> np.ndarray:
     y = _check_state(model, y)
     ti, tj, tk, tc = model._term_arrays
     out = np.zeros((model.n, model.n))
-    if ti.size:
-        np.add.at(out, (ti, tk), tc * y[tj])
+    np.add.at(out, (ti, tk), tc * y[tj])
     return out
 
 
@@ -284,14 +325,13 @@ def assemble_Q(model: MassActionModel, z) -> np.ndarray:
     z = _check_state(model, z)
     ti, tj, tk, tc = model._term_arrays
     out = np.zeros((model.n, model.n))
-    if ti.size:
-        np.add.at(out, (ti, tj), tc * z[tk])
+    np.add.at(out, (ti, tj), tc * z[tk])
     return out
 
 
 def f_jacobian(model: MassActionModel, x) -> np.ndarray:
     """Analytic field Jacobian ``P(x) + Q(x) + L``."""
-    return assemble_P(model, x) + assemble_Q(model, x) + model.linear
+    return _jacobian_rows(model, _check_state(model, x)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -321,9 +361,7 @@ def validate(model: MassActionModel, probes: int = PQ_PROBES, seed: int = 0) -> 
     """
     issues: list[str] = []
 
-    off = np.array(model.linear)
-    np.fill_diagonal(off, 0.0)
-    metzler = bool(np.all(off >= 0.0))
+    metzler = is_metzler(model.linear)
     if not metzler:
         issues.append("linear part has a negative off-diagonal entry")
     for t in model.bilinear:

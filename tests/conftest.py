@@ -84,3 +84,15 @@ def _metapop_sir(sources, mu: float) -> MassActionModel:
 @pytest.fixture(scope="session")
 def metapop_sir():
     return _metapop_sir
+
+
+@pytest.fixture(scope="session")
+def sir_network(metapop_sir):
+    """4-patch SIR where each patch is infected by three patches.
+
+    The rows of S_p and I_p gather three bilinear terms each, so paths
+    that sum term contributions in different orders can disagree in the
+    last bits.
+    """
+    sources = tuple(((p, 0.02), ((p + 1) % 4, 0.01), ((p + 2) % 4, 0.015)) for p in range(4))
+    return metapop_sir(sources, mu=0.1)

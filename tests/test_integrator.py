@@ -49,6 +49,11 @@ def _interior_states(model, rng, count):
     return lo + (hi - lo) * (0.05 + 0.9 * rng.random((count, model.n)))
 
 
+def _row_steps(model, count):
+    # one step size per row, spread over (0, h_bar)
+    return np.linspace(0.1, 0.9, count) * step_bound(model).h_bar
+
+
 def _linear_decay():
     return MassActionModel(
         n=1,
@@ -133,30 +138,46 @@ def test_backward_loses_dominance_above_bound(host_vector):
         step_backward(host_vector, host_vector_dfe(), 3.0)
 
 
-def test_batch_forward_matches_scalar(all_models, h_bars, rng):
-    for model in all_models:
-        h = 0.4 * h_bars[model.name]
+def test_batch_forward_matches_scalar(all_models, sir_network, h_bars, rng):
+    cases = [(model, np.full(12, 0.4 * h_bars[model.name])) for model in all_models]
+    cases.append((sir_network, _row_steps(sir_network, 12)))
+    for model, hs in cases:
         xs = _interior_states(model, rng, 12)
-        batch = step_forward_batch(model, xs, h)
+        batch = step_forward_batch(model, xs, hs)
         for r in range(xs.shape[0]):
-            single = step_forward(model, xs[r], h)
+            single = step_forward(model, xs[r], hs[r])
             assert np.allclose(batch[r], single, rtol=0, atol=BATCH_ATOL)
 
 
-def test_batch_backward_matches_scalar(host_vector, h_bars, rng):
-    h = 0.4 * h_bars["host-vector"]
-    xs = _interior_states(host_vector, rng, 12)
-    batch = step_backward_batch(host_vector, xs, h)
-    for r in range(xs.shape[0]):
-        assert np.allclose(batch[r], step_backward(host_vector, xs[r], h), rtol=0, atol=BATCH_ATOL)
+def test_batch_backward_matches_scalar(host_vector, sir_network, h_bars, rng):
+    cases = (
+        (host_vector, np.full(12, 0.4 * h_bars["host-vector"])),
+        (sir_network, _row_steps(sir_network, 12)),
+    )
+    for model, hs in cases:
+        xs = _interior_states(model, rng, 12)
+        batch = step_backward_batch(model, xs, hs)
+        for r in range(xs.shape[0]):
+            assert np.allclose(batch[r], step_backward(model, xs[r], hs[r]), rtol=0, atol=BATCH_ATOL)
 
 
-def test_batch_accepts_per_row_step_sizes(logistic, rng):
-    xs = _interior_states(logistic, rng, 6)
-    hs = np.linspace(0.1, 1.0, 6)
-    batch = step_forward_batch(logistic, xs, hs)
-    for r in range(6):
-        assert np.allclose(batch[r], step_forward(logistic, xs[r], hs[r]), rtol=0, atol=BATCH_ATOL)
+def test_batch_accepts_per_row_step_sizes(logistic, sir_network, rng):
+    cases = ((logistic, np.linspace(0.1, 1.0, 6)), (sir_network, _row_steps(sir_network, 6)))
+    for model, hs in cases:
+        xs = _interior_states(model, rng, 6)
+        batch = step_forward_batch(model, xs, hs)
+        for r in range(6):
+            assert np.allclose(batch[r], step_forward(model, xs[r], hs[r]), rtol=0, atol=BATCH_ATOL)
+
+
+def test_batch_dominance_error_names_row_and_column(host_vector, h_bars):
+    from nsfd.models import host_vector_dfe
+
+    # only the last row steps above h_bar; at the DFE it fails in column 3
+    xs = np.tile(host_vector_dfe(), (4, 1))
+    hs = np.append(np.array([0.25, 0.5, 0.75]) * h_bars["host-vector"], 3.0)
+    with pytest.raises(DominanceError, match="column 3 of batch state 3"):
+        step_forward_batch(host_vector, xs, hs)
 
 
 def test_step_bound_reports(logistic, si, host_vector):

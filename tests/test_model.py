@@ -56,6 +56,9 @@ def test_domain_margin_hand_values(host_vector):
     assert dom.margin(on_face) == 0.0
     outside = np.array([-1.0, 2.0, 3.0, 1.0, 0.5])
     assert dom.margin(outside) == pytest.approx(-1.0, abs=1e-15)
+    # states stacked on the leading axis get one margin each
+    stacked = dom.margin(np.stack([x, on_face, outside]))
+    assert np.allclose(stacked, [0.5, 0.0, -1.0], rtol=0, atol=1e-15)
 
 
 def test_domain_contains_uses_slack(host_vector):
@@ -103,14 +106,18 @@ def test_eval_f_rejects_wrong_length(logistic):
         eval_phi(logistic, np.array([1.0]), np.array([1.0, 2.0]))
 
 
-def test_slot_matrices_reproduce_bilinear_part(all_models, rng):
-    for model in all_models:
+def test_slot_matrices_reproduce_bilinear_part(all_models, sir_network, rng):
+    # the slot matrices sum term by term, eval_phi through the cached
+    # scatter map; the two agree up to summation order
+    for model in (*all_models, sir_network):
         ys = _random_states(model, rng, 10)
         zs = _random_states(model, rng, 10)
         for y, z in zip(ys, zs):
             left = assemble_P(model, y) @ z
             right = assemble_Q(model, z) @ y
             assert np.allclose(left, right, rtol=0, atol=PQ_ATOL)
+            field = left + 0.5 * (model.linear @ (y + z)) + model.constant
+            assert np.allclose(eval_phi(model, y, z), field, rtol=0, atol=PQ_ATOL)
 
 
 def test_slot_matrix_entries_host_vector(host_vector):
@@ -124,12 +131,14 @@ def test_slot_matrix_entries_host_vector(host_vector):
     assert Q[3, 1] == pytest.approx(0.03 * 3.0, abs=1e-16)
 
 
-def test_f_jacobian_matches_finite_differences(all_models, rng):
-    for model in all_models:
+def test_f_jacobian_matches_finite_differences(all_models, sir_network, rng):
+    for model in (*all_models, sir_network):
         for x in _random_states(model, rng, 5):
             jac = f_jacobian(model, x)
             num = fd_jacobian(lambda v: eval_f(model, v), x)
             assert np.allclose(jac, num, rtol=0, atol=JAC_ATOL)
+            slots = assemble_P(model, x) + assemble_Q(model, x) + model.linear
+            assert np.allclose(jac, slots, rtol=0, atol=PQ_ATOL)
 
 
 @seed(11)
