@@ -163,10 +163,6 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{float(value):.{precision}g}"
-
-
 def _warn_step_size(model: MassActionModel, h: float, scheme: str) -> None:
     if scheme != "nsfd":
         return
@@ -185,9 +181,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = integrate(model, np.array(cfg.x0), cfg.h, steps, scheme=cfg.scheme)
+    # fmt % v prints v as f"{v:.{precision}g}" does.  Rows go through
+    # tolist one at a time, so that the whole trajectory is never held as
+    # Python floats, and are joined, not formatted whole, because a join
+    # allocates each line at its exact size.
+    fmt = f"%.{cfg.precision}g"
     lines = ["t," + ",".join(model.labels)]
     for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(_fmt(v, cfg.precision) for v in (t, *row)))
+        lines.append(",".join([fmt % v for v in (t, *row.tolist())]))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 

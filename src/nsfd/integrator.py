@@ -13,14 +13,17 @@ turns each step into one linear solve:
 
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
 the same system at -h.  Scalar and batched, forward and backward steps
-all assemble it in one place, one row per state.  Both solve matrices
-are strictly column diagonally dominant, hence safely invertible, for
+all assemble it in one place, one row per state, and check there that
+it is strictly column diagonally dominant: one reduction over the
+column slacks, with the failing row and column worked out only when it
+fails.  Both solve matrices are dominant, hence safely invertible, for
 every state in the domain box whenever h stays below the bound computed
-by :func:`step_bound`.
+by :func:`step_bound`.  Batch states must be finite, as scalar ones are.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,7 +164,7 @@ def step_matrix(model: MassActionModel, x) -> np.ndarray:
 
 def _check_h(h: float) -> float:
     h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
+    if not (math.isfinite(h) and h > 0.0):
         raise SpecError(f"step size must be positive and finite, got {h}")
     return h
 
@@ -170,15 +173,17 @@ def _step_system(model: MassActionModel, xs: np.ndarray, h: np.ndarray) -> tuple
     """Solve matrices ``I - h S(x)`` and right-hand sides ``(I + (h/2) L) x + h b``.
 
     One system per row of ``xs`` with its signed step size ``h[r]``; the
-    backward step is the system at -h.  The only dominance check: the
-    DominanceError names the column and, for more than one row, the row.
+    backward step is the system at -h.  The only dominance check: one
+    reduction over the column slacks of the whole stack, which a NaN
+    slack fails too.  Only on failure is the offending row found, so that
+    the DominanceError names the column and, for more than one row, the
+    row.
     """
     hv = h[:, None]
-    mats = np.eye(model.n) - hv[:, :, None] * (0.5 * _jacobian_rows(model, xs))
+    mats = model._identity - hv[:, :, None] * (0.5 * _jacobian_rows(model, xs))
     slack = _column_slack(mats)
-    bad = ~np.all(slack > 0.0, axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    if not slack.min(initial=np.inf) > 0.0:
+        row = int(np.argmax(~np.all(slack > 0.0, axis=1)))
         col = int(np.argmin(slack[row]))
         where = f" of batch state {row}" if xs.shape[0] > 1 else ""
         raise DominanceError(
@@ -221,6 +226,9 @@ def _batch_states(model: MassActionModel, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.n:
         raise SpecError(f"expected a (m, {model.n}) state batch, got shape {xs.shape}")
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise SpecError(f"batch state {int(np.argmin(finite))} must have finite entries")
     return xs
 
 

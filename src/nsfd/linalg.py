@@ -2,8 +2,11 @@
 
 Linear solves run LAPACK ``gesv`` (LU with partial pivoting) through one
 stacked ``np.linalg.solve`` call, behind a guard that refuses
-numerically singular systems, which ``gesv`` would solve without
-complaint.  Eigenvalues come from LAPACK ``geev`` through
+numerically singular and non-finite systems, which ``gesv`` would solve
+without complaint.  The guard's usual case costs one ``abs`` pass and a
+few reductions: Varah's bound certifies a strictly column dominant stack
+at once, and the exact condition number is computed only for what it
+leaves uncertain.  Eigenvalues come from LAPACK ``geev`` through
 ``np.linalg.eigvals``.  Also here: the column dominance slack that the
 guard and the integrator's dominance check share, the dominance and
 Metzler predicates, and central finite-difference Jacobians.
@@ -51,6 +54,20 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _abs_parts(a) -> tuple[np.ndarray, np.ndarray]:
+    """``|a[j, j]|`` and ``sum_{i != j} |a[i, j]|`` per column, from one ``abs`` pass.
+
+    Works on a square matrix or on a stack of them; both results have
+    shape ``a.shape[:-1]``.  The diagonal is read through a strided view
+    of the flattened matrices and zeroed in place before the column sums.
+    """
+    n = a.shape[-1]
+    flat = np.abs(a).reshape(a.shape[:-2] + (n * n,))
+    diag = flat[..., :: n + 1].copy()
+    flat[..., :: n + 1] = 0.0
+    return diag, flat.reshape(a.shape).sum(axis=-2)
+
+
 def _column_slack(a) -> np.ndarray:
     """Column dominance slack ``|a[j, j]| - sum_{i != j} |a[i, j]|``.
 
@@ -58,42 +75,62 @@ def _column_slack(a) -> np.ndarray:
     per column, shape ``a.shape[:-1]``.  The matrix is strictly column
     diagonally dominant iff every slack is positive.
     """
-    off = np.abs(a)
-    i = np.arange(off.shape[-1])
-    diag = off[..., i, i]
-    off[..., i, i] = 0.0
-    return diag - off.sum(axis=-2)
+    diag, off = _abs_parts(a)
+    return diag - off
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a[k] @ x[k] = b[k]`` over an (m, n, n) stack in one LAPACK call.
+    """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems in one LAPACK call.
 
-    Each system must have reciprocal 1-norm condition at least
-    PIVOT_RTOL.  Varah's bound certifies most of them without an
-    inverse: a strictly column dominant ``a`` has
+    ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
+    vector or (m, n) stack.  Each system must have reciprocal 1-norm
+    condition at least PIVOT_RTOL.  Varah's bound certifies most of them
+    without an inverse: a strictly column dominant ``a`` has
     ``||a^-1||_1 <= 1 / min slack``, so ``min slack / ||a||_1`` bounds the
-    reciprocal condition from below.  Only the systems it leaves below
-    PIVOT_RTOL, zero matrices among them, get the exact inverse-based
-    check.
+    reciprocal condition from below.  One test over the whole stack, the
+    smallest slack against the largest 1-norm, certifies the usual case.
+    Otherwise the bound is taken system by system, and only the systems
+    it leaves below PIVOT_RTOL, zero and non-finite matrices among them,
+    get the exact inverse-based check.
     """
-    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = _column_slack(a).min(axis=-1, initial=np.inf) / norms
-    unsure = np.flatnonzero(~(rcond >= PIVOT_RTOL))
-    if unsure.size:
-        rcond[unsure] = 1.0 / np.linalg.cond(a[unsure], 1)
-        bad = rcond < PIVOT_RTOL
-        if bad.any():
-            k = int(np.argmax(bad))
-            detail = (
-                "matrix is identically zero"
-                if norms[k] == 0.0
-                else f"reciprocal condition {rcond[k]:.3e} is below {PIVOT_RTOL:.0e}"
-            )
-            raise SingularMatrixError(f"system {k}: {detail}")
+    diag, off = _abs_parts(a)
+    slack = diag - off
+    colsum = diag + off
+    smin = slack.min(initial=np.inf)
+    # smin < inf keeps a stack whose every diagonal is infinite, where the
+    # ratio is inf / inf, from certifying itself.
+    if not (0.0 < smin < np.inf and smin >= PIVOT_RTOL * colsum.max(initial=0.0)):
+        _check_condition(a.reshape(-1, *a.shape[-2:]), slack, colsum)
     # The explicit trailing axis keeps b a stack of vectors under both the
     # numpy 1.x and 2.x broadcasting rules of solve.
     return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> None:
+    """The guard's slow path, over an (m, n, n) stack.
+
+    Raises SingularMatrixError for the first system whose reciprocal
+    1-norm condition is below PIVOT_RTOL or undefined (NaN).
+    """
+    n = a.shape[-1]
+    norms = colsum.reshape(-1, n).max(axis=-1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = slack.reshape(-1, n).min(axis=-1, initial=np.inf) / norms
+    unsure = np.flatnonzero(~(rcond >= PIVOT_RTOL))
+    if not unsure.size:
+        return
+    rcond[unsure] = 1.0 / np.linalg.cond(a[unsure], 1)
+    # Written so that a NaN condition number counts as bad.
+    bad = ~(rcond >= PIVOT_RTOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(a[k]).all():
+            detail = "matrix entries are not finite"
+        elif norms[k] == 0.0:
+            detail = "matrix is identically zero"
+        else:
+            detail = f"reciprocal condition {rcond[k]:.3e} is below {PIVOT_RTOL:.0e}"
+        raise SingularMatrixError(f"system {k}: {detail}")
 
 
 def lu_solve(a, rhs):
@@ -113,15 +150,15 @@ def lu_solve(a, rhs):
     Raises
     ------
     SingularMatrixError
-        If ``a`` is zero or its reciprocal 1-norm condition number is
-        below ``PIVOT_RTOL``.
+        If ``a`` is zero, has a non-finite entry, or its reciprocal 1-norm
+        condition number is below ``PIVOT_RTOL``.
     """
     a = _as_square(a)
     n = a.shape[0]
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    return _solve_stack(a[None], b[None])[0]
+    return _solve_stack(a, b)
 
 
 def lu_solve_batch(a, rhs):

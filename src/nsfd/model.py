@@ -244,9 +244,16 @@ class MassActionModel:
         return ti, tj, tk, tc
 
     @cached_property
+    def _identity(self) -> np.ndarray:
+        # Read-only, because every step of this model shares it.
+        eye = np.eye(self.n)
+        eye.setflags(write=False)
+        return eye
+
+    @cached_property
     def _scatter(self) -> np.ndarray:
         # (terms, n): row t is the unit vector of term t's component i.
-        return np.eye(self.n)[self._term_arrays[0]]
+        return self._identity[self._term_arrays[0]]
 
     @cached_property
     def _pq_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +275,7 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (model.n,):
         raise SpecError(f"{what} must have shape ({model.n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SpecError(f"{what} must have finite entries")
     return arr
 

@@ -13,12 +13,14 @@ import pytest
 
 import nsfd
 from nsfd.cli import main
+from nsfd.integrator import integrate
 from nsfd.model import (
     BilinearTerm,
     Constraint,
     Domain,
     MassActionModel,
     dump_model,
+    load_model,
     model_from_dict,
 )
 
@@ -108,6 +110,41 @@ def test_simulate_precision_flag(capsys):
     )
     assert len(short) < len(full)
     assert "0.3" in short
+
+
+def test_simulate_csv_rows_format_each_value(tmp_path, capsys):
+    # a zero component, values near 1e-300 and times up to 5e6
+    slow = MassActionModel(
+        n=3,
+        bilinear=(),
+        linear=np.diag([0.0, -1e-6, -3e-7]),
+        constant=np.zeros(3),
+        domain=Domain(nonnegative=(True,) * 3, constraints=(Constraint((1.0, 1.0, 1.0), 10.0),)),
+        labels=("zero", "tiny", "x"),
+        name="slow-decay",
+    )
+    path = tmp_path / "slow.json"
+    path.write_text(dump_model(slow))
+    x0 = np.array([0.0, 1e-300, 2.0])
+    traj = integrate(load_model(path), x0, 1e5, 50)
+    assert traj.times[-1] == 5e6
+    for p in (1, 6, 17):
+        target = tmp_path / f"traj{p}.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--model", str(path), "--x0", "0,1e-300,2", "--h", "1e5",
+            "--steps", "50", "--precision", str(p), "--out", str(target),
+        )
+        assert code == 0 and out == ""
+        lines = target.read_text().split("\n")
+        assert lines[0] == "t,zero,tiny,x" and lines[-1] == ""
+        expected = [
+            ",".join(format(float(v), f".{p}g") for v in (t, *row))
+            for t, row in zip(traj.times, traj.states)
+        ]
+        assert lines[1:-1] == expected
+        if p == 17:
+            parsed = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:-1]])
+            assert np.array_equal(parsed, traj.states)
 
 
 def test_simulate_header_uses_model_labels(capsys):
@@ -384,6 +421,15 @@ def test_reversibility_fixed_point_is_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("x0", ["nan,0.1", "0.9,inf"])
+def test_reversibility_non_finite_x0_exits_one(capsys, x0):
+    code, out, err = run_cli(capsys, "reversibility", "--builtin", "si", "--h", "0.4", "--x0", x0)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert "numerical failure" not in err
 
 
 def test_reversibility_seed_from_environment(capsys, monkeypatch):

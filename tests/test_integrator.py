@@ -180,6 +180,16 @@ def test_batch_dominance_error_names_row_and_column(host_vector, h_bars):
         step_forward_batch(host_vector, xs, hs)
 
 
+@pytest.mark.parametrize("step", [step_forward_batch, step_backward_batch])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batch_steps_reject_non_finite_states(host_vector, h_bars, rng, step, bad):
+    # an input error, not a lost-dominance numerical failure
+    xs = _interior_states(host_vector, rng, 3)
+    xs[1, 2] = bad
+    with pytest.raises(SpecError, match="batch state 1 must have finite entries"):
+        step(host_vector, xs, 0.4 * h_bars["host-vector"])
+
+
 def test_step_bound_reports(logistic, si, host_vector):
     rl = step_bound(logistic)
     assert rl.h_bar == pytest.approx(2.0, abs=1e-12)

@@ -93,6 +93,66 @@ def test_lu_solve_batch_names_first_near_singular_system():
         lu_solve_batch(mats, np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lu_solve_non_finite_matrix_raises(bad):
+    # NaN fails every comparison, so the guard must not read it as a pass
+    with pytest.raises(SingularMatrixError, match="system 0: matrix entries are not finite"):
+        lu_solve([[bad, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+
+def test_lu_solve_batch_names_non_finite_system():
+    mats = np.stack([np.eye(2), 2.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+    with pytest.raises(SingularMatrixError, match="system 2: matrix entries are not finite"):
+        lu_solve_batch(mats, np.ones((3, 2)))
+
+
+def _dominant_systems(rng, m, n):
+    a = rng.standard_normal((m, n, n))
+    i = np.arange(n)
+    a[:, i, i] = 0.0
+    margin = 0.5 + rng.random((m, n))
+    a[:, i, i] = rng.choice([-1.0, 1.0], (m, n)) * (np.abs(a).sum(axis=1) + margin)
+    return a
+
+
+def _forbid_cond(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called on a certified system")
+
+    monkeypatch.setattr(np.linalg, "cond", fail)
+
+
+def test_dominant_but_ill_conditioned_system_gets_exact_check(monkeypatch):
+    # column dominant, yet Varah's bound 1e-15 / 1 is below PIVOT_RTOL
+    a = np.diag([1.0, 1e-15])
+    assert is_diagonally_dominant(a)
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(args) or cond(*args))
+    with pytest.raises(SingularMatrixError, match="system 0: reciprocal condition"):
+        lu_solve(a, np.ones(2))
+    assert len(calls) == 1
+
+
+def test_dominant_batch_is_certified_without_exact_check(rng, monkeypatch):
+    a = _dominant_systems(rng, 1000, 5)
+    b = rng.standard_normal((1000, 5))
+    _forbid_cond(monkeypatch)
+    xs = lu_solve_batch(a, b)
+    assert np.allclose(xs, np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-13, atol=1e-14)
+
+
+def test_dominant_batch_of_mixed_scales_is_certified_system_by_system(rng, monkeypatch):
+    # the smallest slack over the stack is far below PIVOT_RTOL times the
+    # largest norm, but each system on its own is well conditioned
+    a = _dominant_systems(rng, 6, 5) * np.array([1e-10, 1.0, 1e10, 1e-10, 1.0, 1e10])[:, None, None]
+    b = rng.standard_normal((6, 5))
+    _forbid_cond(monkeypatch)
+    xs = lu_solve_batch(a, b)
+    for k in range(6):
+        assert np.allclose(a[k] @ xs[k], b[k], rtol=1e-12, atol=1e-12)
+
+
 @seed(7)
 @given(
     a=arrays(np.float64, (4, 4), elements=st.floats(-10, 10)),
