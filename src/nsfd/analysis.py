@@ -221,7 +221,8 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     """
     x = _check_state(model, x_bar)
     fnorm = float(np.abs(eval_f(model, x)).max())
-    if fnorm > EQUILIBRIUM_RTOL * (1.0 + float(np.abs(x).max())):
+    # Written so that a NaN residual, from an overflowing field, fails too.
+    if not fnorm <= EQUILIBRIUM_RTOL * (1.0 + float(np.abs(x).max())):
         raise SpecError(
             f"x_bar is not an equilibrium: ||f||={fnorm:.3e} exceeds the tolerance"
         )

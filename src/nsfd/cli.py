@@ -32,13 +32,14 @@ from .integrator import (
 )
 from .invariance import (
     AUDIT_SCHEMES,
+    MEMBERSHIP_SLACK,
     continuous_tangent,
     discrete_tangent,
     invariance_audit,
     sample_interior,
 )
 from .linalg import LinAlgError
-from .model import MassActionModel, SpecError, dump_model, load_model, validate
+from .model import MassActionModel, SpecError, _check_state, dump_model, load_model, validate
 from .models import BUILTIN_NAMES, make_builtin
 
 __all__ = ["RunConfig", "cmd_simulate", "main"]
@@ -174,13 +175,27 @@ def _warn_step_size(model: MassActionModel, h: float, scheme: str) -> None:
         )
 
 
+def _warn_outside_domain(model: MassActionModel, x0: np.ndarray) -> None:
+    # The same relative slack as the audit's membership test, so that
+    # round-off in a start read from text does not warn.
+    margin = model.domain.margin(x0)
+    if margin < -MEMBERSHIP_SLACK * (1.0 + float(np.abs(x0).max())):
+        print(
+            f"warning: x0 lies outside the model's domain (margin {margin:.6g}); "
+            "the invariance guarantees do not cover this run",
+            file=sys.stderr,
+        )
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     model = _resolve_model(cfg.model_path, cfg.builtin, cfg.params)
     steps = cfg.steps if cfg.steps is not None else max(0, round(cfg.t_final / cfg.h))
     _warn_step_size(model, cfg.h, cfg.scheme)
+    x0 = _check_state(model, np.array(cfg.x0))
+    _warn_outside_domain(model, x0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        traj = integrate(model, np.array(cfg.x0), cfg.h, steps, scheme=cfg.scheme)
+        traj = integrate(model, x0, cfg.h, steps, scheme=cfg.scheme)
     # fmt % v prints v as f"{v:.{precision}g}" does.  Rows go through
     # tolist one at a time, so that the whole trajectory is never held as
     # Python floats, and are joined, not formatted whole, because a join
@@ -473,7 +488,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The package's own guards turn non-finite values into exit codes,
+        # so numpy's floating-point warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

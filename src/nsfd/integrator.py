@@ -13,10 +13,12 @@ turns each step into one linear solve:
 
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
 the same system at -h.  Scalar and batched, forward and backward steps
-all assemble it in one place, one row per state, and check there that
-it is strictly column diagonally dominant: one reduction over the
-column slacks, with the failing row and column worked out only when it
-fails.  Both solve matrices are dominant, hence safely invertible, for
+all assemble it in one place, one matrix for a single state and a stack
+for a batch, and check there that it is strictly column diagonally
+dominant.  That check makes the step's one ``abs`` pass over the
+matrices, and the solve guard certifies from the same pass instead of
+making its own; the failing row and column are worked out only when
+the check fails.  Both solve matrices are dominant, hence safely invertible, for
 every state in the domain box whenever h stays below the bound computed
 by :func:`step_bound`.  Batch states must be finite, as scalar ones are.
 """
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import LinAlgError, _column_slack, fd_jacobian, lu_solve, lu_solve_batch
+from .linalg import LinAlgError, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
 from .model import (
     GeneralSplitSystem,
     MassActionModel,
@@ -130,7 +132,11 @@ class StepBoundReport:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Discrete orbit with uniform spacing h, produced by one scheme."""
+    """Discrete orbit with uniform spacing h, produced by one scheme.
+
+    ``states`` is held as a read-only view: a float64 array is not
+    copied, and the caller's own array keeps its write flag.
+    """
 
     t0: float
     h: float
@@ -138,7 +144,7 @@ class Trajectory:
     scheme: str
 
     def __post_init__(self) -> None:
-        states = np.array(self.states, dtype=float)
+        states = np.asarray(self.states, dtype=float).view()
         if states.ndim != 2 or states.shape[0] < 1:
             raise SpecError(f"states must be a nonempty (steps+1, n) array, got shape {states.shape}")
         states.setflags(write=False)
@@ -169,29 +175,36 @@ def _check_h(h: float) -> float:
     return h
 
 
-def _step_system(model: MassActionModel, xs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve matrices ``I - h S(x)`` and right-hand sides ``(I + (h/2) L) x + h b``.
+def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Solve matrices ``I - h S(x)``, right-hand sides ``(I + (h/2) L) x + h b`` and their slacks.
 
-    One system per row of ``xs`` with its signed step size ``h[r]``; the
-    backward step is the system at -h.  The only dominance check: one
-    reduction over the column slacks of the whole stack, which a NaN
-    slack fails too.  Only on failure is the offending row found, so that
-    the DominanceError names the column and, for more than one row, the
-    row.
+    ``x`` is one (n,) state with a float ``h``, or an (m, n) stack with
+    one signed step size per row in the (m,) array ``h``; the backward
+    step is the system at -h.  The systems keep the rank of ``x``, so a
+    single step builds one (n, n) matrix.  The only dominance check: one
+    ``abs`` pass over the matrices (``linalg._slack_parts``), whose
+    smallest slack a NaN fails too.  The same parts go on to the solve
+    guard, which certifies from them instead of a second pass.  Only on
+    failure is the offending row found, so that the DominanceError names
+    the column and, for more than one row, the row.
     """
-    hv = h[:, None]
-    mats = model._identity - hv[:, :, None] * (0.5 * _jacobian_rows(model, xs))
-    slack = _column_slack(mats)
-    if not slack.min(initial=np.inf) > 0.0:
+    if x.ndim == 1:
+        hv = hm = h
+    else:
+        hv, hm = h[:, None], h[:, None, None]
+    mats = model._identity - hm * (0.5 * _jacobian_rows(model, x))
+    parts = _slack_parts(mats)
+    if not parts[2] > 0.0:
+        slack = parts[0].reshape(-1, model.n)
         row = int(np.argmax(~np.all(slack > 0.0, axis=1)))
         col = int(np.argmin(slack[row]))
-        where = f" of batch state {row}" if xs.shape[0] > 1 else ""
+        where = f" of batch state {row}" if slack.shape[0] > 1 else ""
         raise DominanceError(
-            f"{'forward' if h[row] > 0.0 else 'backward'} solve matrix lost strict column "
-            f"dominance in column {col}{where}; reduce h below the safe step bound for this state"
+            f"{'forward' if np.reshape(h, -1)[row] > 0.0 else 'backward'} solve matrix lost strict "
+            f"column dominance in column {col}{where}; reduce h below the safe step bound for this state"
         )
-    rhs = xs + (0.5 * hv) * (xs @ model.linear.T) + hv * model.constant
-    return mats, rhs
+    rhs = x + (0.5 * hv) * (x @ model.linear.T) + hv * model.constant
+    return mats, rhs, parts
 
 
 def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -206,9 +219,8 @@ def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
         When the solve matrix is not strictly column diagonally dominant
         at this state, which signals h at or above the safe regime.
     """
-    x = _check_state(model, x)
-    mats, rhs = _step_system(model, x[None], np.array([_check_h(h)]))
-    return lu_solve(mats[0], rhs[0])
+    mats, rhs, parts = _step_system(model, _check_state(model, x), _check_h(h))
+    return lu_solve(mats, rhs, _parts=parts)
 
 
 def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -217,9 +229,8 @@ def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
     Solves ``(I + h S(x)) y = (I - (h/2) L) x - h b``; composing it with
     the forward step returns the starting state up to round-off.
     """
-    x = _check_state(model, x)
-    mats, rhs = _step_system(model, x[None], np.array([-_check_h(h)]))
-    return lu_solve(mats[0], rhs[0])
+    mats, rhs, parts = _step_system(model, _check_state(model, x), -_check_h(h))
+    return lu_solve(mats, rhs, _parts=parts)
 
 
 def _batch_states(model: MassActionModel, xs) -> np.ndarray:
@@ -250,15 +261,15 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     where a million scalar solves would dominate the runtime.
     """
     xs = _batch_states(model, xs)
-    mats, rhs = _step_system(model, xs, _batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs)
+    mats, rhs, parts = _step_system(model, xs, _batch_h(h, xs.shape[0]))
+    return lu_solve_batch(mats, rhs, _parts=parts)
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
-    mats, rhs = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs)
+    mats, rhs, parts = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
+    return lu_solve_batch(mats, rhs, _parts=parts)
 
 
 def _norm_inf(v: np.ndarray) -> float:

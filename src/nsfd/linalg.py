@@ -6,10 +6,12 @@ numerically singular and non-finite systems, which ``gesv`` would solve
 without complaint.  The guard's usual case costs one ``abs`` pass and a
 few reductions: Varah's bound certifies a strictly column dominant stack
 at once, and the exact condition number is computed only for what it
-leaves uncertain.  Eigenvalues come from LAPACK ``geev`` through
-``np.linalg.eigvals``.  Also here: the column dominance slack that the
-guard and the integrator's dominance check share, the dominance and
-Metzler predicates, and central finite-difference Jacobians.
+leaves uncertain.  The integrator makes that pass for its own dominance
+check and hands it on to the solve, so a step makes it once.
+Eigenvalues come from LAPACK ``geev`` through ``np.linalg.eigvals``.
+Also here: the column dominance slack that the guard and the
+integrator's dominance check share, the dominance and Metzler
+predicates, and central finite-difference Jacobians.
 """
 
 from __future__ import annotations
@@ -59,50 +61,66 @@ def _abs_parts(a) -> tuple[np.ndarray, np.ndarray]:
 
     Works on a square matrix or on a stack of them; both results have
     shape ``a.shape[:-1]``.  The diagonal is read through a strided view
-    of the flattened matrices and zeroed in place before the column sums.
+    of the flattened matrices and zeroed in place before the column sums,
+    which add the rows in order.  A stack adds them one at a time, so
+    that each addition runs over the whole stack: numpy's own reduction
+    over axis -2 would loop over n entries at a time.
     """
     n = a.shape[-1]
     flat = np.abs(a).reshape(a.shape[:-2] + (n * n,))
     diag = flat[..., :: n + 1].copy()
     flat[..., :: n + 1] = 0.0
-    return diag, flat.reshape(a.shape).sum(axis=-2)
+    cols = flat.reshape(a.shape)
+    if a.ndim == 2:
+        return diag, np.add.reduce(cols, 0)
+    off = np.zeros(a.shape[:-1])
+    for i in range(n):
+        off += cols[..., i, :]
+    return diag, off
 
 
-def _column_slack(a) -> np.ndarray:
-    """Column dominance slack ``|a[j, j]| - sum_{i != j} |a[i, j]|``.
+def _slack_parts(a) -> tuple[np.ndarray, np.ndarray, float]:
+    """Column slacks, column 1-norms and the smallest slack of a matrix or a stack.
 
-    Works on a square matrix or on a stack of them, and returns one value
-    per column, shape ``a.shape[:-1]``.  The matrix is strictly column
-    diagonally dominant iff every slack is positive.
-    """
-    diag, off = _abs_parts(a)
-    return diag - off
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems in one LAPACK call.
-
-    ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
-    vector or (m, n) stack.  Each system must have reciprocal 1-norm
-    condition at least PIVOT_RTOL.  Varah's bound certifies most of them
-    without an inverse: a strictly column dominant ``a`` has
-    ``||a^-1||_1 <= 1 / min slack``, so ``min slack / ||a||_1`` bounds the
-    reciprocal condition from below.  One test over the whole stack, the
-    smallest slack against the largest 1-norm, certifies the usual case.
-    Otherwise the bound is taken system by system, and only the systems
-    it leaves below PIVOT_RTOL, zero and non-finite matrices among them,
-    get the exact inverse-based check.
+    The slack ``|a[j, j]| - sum_{i != j} |a[i, j]|`` and the 1-norm
+    ``sum_i |a[i, j]|`` come from one :func:`_abs_parts` pass and have
+    shape ``a.shape[:-1]``; the smallest slack is inf for an empty
+    stack.  A matrix is strictly column diagonally dominant iff its
+    smallest slack is positive, which a NaN slack fails.  These are the
+    parts the solve guard certifies from, so a caller that has already
+    made them for its own check hands them on to :func:`lu_solve`.
     """
     diag, off = _abs_parts(a)
     slack = diag - off
-    colsum = diag + off
-    smin = slack.min(initial=np.inf)
+    return slack, diag + off, slack.min(initial=np.inf)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None) -> np.ndarray:
+    """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems in one LAPACK call.
+
+    ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
+    vector or (m, n) stack, and ``parts`` the :func:`_slack_parts` of
+    ``a`` when the caller has them, made here otherwise.  Each system
+    must have reciprocal 1-norm condition at least PIVOT_RTOL.  Varah's
+    bound certifies most of them without an inverse: a strictly column
+    dominant ``a`` has ``||a^-1||_1 <= 1 / min slack``, so
+    ``min slack / ||a||_1`` bounds the reciprocal condition from below.
+    One test over the whole stack, the smallest slack against the largest
+    1-norm, certifies the usual case.  Otherwise the bound is taken system
+    by system, and only the systems it leaves below PIVOT_RTOL, zero and
+    non-finite matrices among them, get the exact inverse-based check.
+    """
+    slack, colsum, smin = _slack_parts(a) if parts is None else parts
     # smin < inf keeps a stack whose every diagonal is infinite, where the
-    # ratio is inf / inf, from certifying itself.
-    if not (0.0 < smin < np.inf and smin >= PIVOT_RTOL * colsum.max(initial=0.0)):
+    # ratio is inf / inf, from certifying itself; it also means the stack
+    # is not empty, so colsum has a maximum.
+    if not (0.0 < smin < np.inf and smin >= PIVOT_RTOL * colsum.max()):
         _check_condition(a.reshape(-1, *a.shape[-2:]), slack, colsum)
+    if b.ndim == 1:
+        return np.linalg.solve(a, b)
     # The explicit trailing axis keeps b a stack of vectors under both the
-    # numpy 1.x and 2.x broadcasting rules of solve.
+    # numpy 1.x and 2.x broadcasting rules of solve.  A single vector is
+    # one under both, and numpy solves it as it is with less overhead.
     return np.linalg.solve(a, b[..., None])[..., 0]
 
 
@@ -133,8 +151,11 @@ def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> No
         raise SingularMatrixError(f"system {k}: {detail}")
 
 
-def lu_solve(a, rhs):
+def lu_solve(a, rhs, *, _parts=None):
     """Solve ``a @ x = rhs`` with LAPACK ``gesv``.
+
+    The private ``_parts`` takes the :func:`_slack_parts` of ``a`` from a
+    caller that has already made them, so that the guard need not.
 
     Parameters
     ----------
@@ -158,14 +179,14 @@ def lu_solve(a, rhs):
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    return _solve_stack(a, b)
+    return _solve_stack(a, b, _parts)
 
 
-def lu_solve_batch(a, rhs):
+def lu_solve_batch(a, rhs, *, _parts=None):
     """Solve a stack of square systems ``a[m] @ x[m] = rhs[m]``.
 
     One stacked LAPACK call, so that audits over thousands of states cost
-    one pass.
+    one pass.  ``_parts`` is private, as in :func:`lu_solve`.
 
     Parameters
     ----------
@@ -189,7 +210,7 @@ def lu_solve_batch(a, rhs):
     m, n, _ = a.shape
     if b.shape != (m, n):
         raise ValueError(f"rhs shape {b.shape} does not match stack shape {(m, n)}")
-    return _solve_stack(a, b)
+    return _solve_stack(a, b, _parts)
 
 
 def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool:
@@ -202,7 +223,7 @@ def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool
     a = _as_square(a)
     if mode not in ("row", "column"):
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
-    slack = _column_slack(a if mode == "column" else a.T)
+    slack = _slack_parts(a if mode == "column" else a.T)[0]
     if strict:
         return bool(np.all(slack > 0.0))
     return bool(np.all(slack >= 0.0))

@@ -294,12 +294,18 @@ def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = No
     return out
 
 
-def _jacobian_rows(model: MassActionModel, xs: np.ndarray) -> np.ndarray:
-    """Unchecked field Jacobians ``P(x) + Q(x) + L`` of the rows of ``xs``."""
+def _jacobian_rows(model: MassActionModel, x: np.ndarray) -> np.ndarray:
+    """Unchecked field Jacobians ``P(x) + Q(x) + L``.
+
+    One (n, n) matrix for an (n,) state, an (m, n, n) stack for the rows
+    of an (m, n) array.  The touched entries are scattered through the
+    transposed views, which index the entry axis first for either rank.
+    """
     entries, g = model._pq_map
-    out = np.zeros((xs.shape[0], model.n * model.n))
-    out[:, entries] = xs @ g
-    return out.reshape(-1, model.n, model.n) + model.linear
+    n = model.n
+    out = np.zeros(x.shape[:-1] + (n * n,))
+    out.T[entries] = (x @ g).T
+    return out.reshape(x.shape[:-1] + (n, n)) + model.linear
 
 
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
@@ -338,7 +344,7 @@ def assemble_Q(model: MassActionModel, z) -> np.ndarray:
 
 def f_jacobian(model: MassActionModel, x) -> np.ndarray:
     """Analytic field Jacobian ``P(x) + Q(x) + L``."""
-    return _jacobian_rows(model, _check_state(model, x)[None])[0]
+    return _jacobian_rows(model, _check_state(model, x))
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,10 @@ def test_stability_flags_zero_eigenvalue(si):
 
 
 def test_stability_rejects_non_equilibrium(logistic):
-    with pytest.raises(SpecError):
-        stability_report(logistic, np.array([0.4]), 0.1)
+    # at 1e308 the field overflows to a NaN residual, which must fail too
+    for x_bar in (0.4, 1e308):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SpecError):
+            stability_report(logistic, np.array([x_bar]), 0.1)
 
 
 def test_rk4_reference_logistic_closed_form(logistic):

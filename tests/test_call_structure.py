@@ -58,6 +58,17 @@ def test_integrate_solves_each_step_with_one_scalar_solve(host_vector, count):
     assert batch["calls"] == 0
 
 
+@pytest.mark.parametrize("name", ["step_forward", "step_backward", "step_forward_batch", "step_backward_batch"])
+def test_each_step_makes_one_abs_pass(host_vector, count, name):
+    # the dominance check and the solve guard share one pass over |I -+ h S(x)|
+    x = np.array([9.0, 0.5, 9.0, 0.5, 0.0])
+    if name.endswith("_batch"):
+        x = np.tile(x, (3, 1))
+    passes = count(nsfd.linalg, "_abs_parts")
+    getattr(nsfd.integrator, name)(host_vector, x, 0.5)
+    assert passes["calls"] == 1
+
+
 def test_discrete_tangent_solves_one_batch_without_the_forward_batch(host_vector, count):
     samples = 24
     forward_batch = count(nsfd.integrator, "step_forward_batch", rows_arg=1)

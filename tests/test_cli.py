@@ -70,6 +70,20 @@ def test_simulate_runs_are_byte_identical(capsys):
     assert first == second
 
 
+def test_simulate_warns_when_x0_is_outside_the_domain(capsys):
+    argv = ("simulate", "--builtin", "logistic", "--h", "0.1", "--steps", "200", "--x0")
+    code, out, err = run_cli(capsys, *argv, "-1")
+    assert code == 0
+    assert len(out.splitlines()) == 202
+    assert err.startswith("warning: x0 lies outside the model's domain")
+    assert len(err.splitlines()) == 1
+    # an interior start and one on the boundary x = 0 do not warn
+    for x0 in ("0.5", "0"):
+        code, _, err = run_cli(capsys, *argv, x0)
+        assert code == 0
+        assert err == ""
+
+
 def test_simulate_zero_steps_single_row(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "0.1", "--steps", "0"
@@ -503,6 +517,23 @@ def _check_exit_status_wiring(*prefix):
     assert bad.stdout == ""
     assert len(bad.stderr.splitlines()) == 1
     assert bad.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stability", "--builtin", "logistic", "--x0", "1e308", "--h", "0.1"),
+        ("reversibility", "--builtin", "logistic", "--h", "0.1", "--x0", "1e308"),
+        ("order", "--builtin", "logistic", "--x0", "1e308", "--t-final", "1", "--h", "0.1"),
+    ],
+)
+def test_overflowing_x0_ends_in_one_line(argv):
+    # numpy's floating-point warnings would add lines before the message
+    done = _run_entry_point(sys.executable, "-m", "nsfd", *argv)
+    assert done.returncode in (1, 2)
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(("error:", "numerical failure:"))
 
 
 def test_console_script_entry_point():

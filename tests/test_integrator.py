@@ -1,6 +1,7 @@
 """Step maps, reversibility, safe step bounds, implicit fallback, integration."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from nsfd.integrator import (
     step_implicit_general,
     step_matrix,
 )
+from nsfd.linalg import SingularMatrixError
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -159,6 +161,30 @@ def test_batch_backward_matches_scalar(host_vector, sir_network, h_bars, rng):
         batch = step_backward_batch(model, xs, hs)
         for r in range(xs.shape[0]):
             assert np.allclose(batch[r], step_backward(model, xs[r], hs[r]), rtol=0, atol=BATCH_ATOL)
+
+
+@pytest.mark.parametrize("step, direction", [(step_forward, "forward"), (step_backward, "backward")])
+def test_scalar_dominance_error_names_the_column(host_vector, step, direction):
+    # a single state's message names no batch row
+    with pytest.raises(DominanceError) as info:
+        step(host_vector, [9.0, 0.5, 9.0, 0.5, 0.0], 5.0)
+    assert str(info.value) == (
+        f"{direction} solve matrix lost strict column dominance in column 3; "
+        "reduce h below the safe step bound for this state"
+    )
+
+
+@pytest.mark.parametrize("step", [step_forward, step_backward, step_forward_batch, step_backward_batch])
+def test_overflowing_solve_matrix_is_refused(logistic, step):
+    # The state is finite but h S(x) overflows to an infinite diagonal,
+    # whose infinite slack passes the dominance check; the solve guard
+    # refuses it through the smin < inf clause of its certificate.
+    x = np.array([1e308])
+    if step in (step_forward_batch, step_backward_batch):
+        x = x[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularMatrixError, match="matrix entries are not finite"):
+            step(logistic, x, 0.1)
 
 
 def test_batch_accepts_per_row_step_sizes(logistic, sir_network, rng):
@@ -327,6 +353,34 @@ def test_integrate_shapes_and_times(logistic):
     assert np.allclose(traj.times, 0.1 * np.arange(11), rtol=0, atol=1e-15)
     assert traj.final[0] == traj.states[-1, 0]
     assert traj.states.flags.writeable is False
+
+
+def test_integrate_holds_the_states_once(host_vector):
+    x0 = np.array([9.0, 0.5, 9.0, 0.5, 0.0])
+    integrate(host_vector, x0, 0.5, 2)  # fills the model's caches
+    tracemalloc.start()
+    try:
+        traj = integrate(host_vector, x0, 0.5, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the states in Trajectory would double the peak
+    assert peak < 1.25 * traj.states.nbytes
+
+
+def test_trajectory_views_a_float_array_without_freezing_it():
+    states = np.zeros((3, 2))
+    traj = Trajectory(t0=0.0, h=0.1, states=states, scheme="nsfd")
+    assert np.shares_memory(traj.states, states)
+    assert traj.states.flags.writeable is False
+    assert states.flags.writeable is True
+    # other inputs are converted into an array of their own
+    ints = np.zeros((3, 2), dtype=int)
+    for given in (ints, ints.tolist()):
+        traj = Trajectory(t0=0.0, h=0.1, states=given, scheme="nsfd")
+        assert traj.states.dtype == np.float64
+        assert traj.states.flags.writeable is False
+    assert ints.flags.writeable is True
 
 
 def test_integrate_zero_steps(logistic):
