@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import Trajectory, integrate, step_forward
+from .integrator import Trajectory, _horizon_steps, integrate, step_forward
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
 
@@ -184,23 +184,27 @@ def mu_of_lambda(lam, h: float) -> complex:
 
 
 def _pair_eigenvalues(predicted, measured) -> list[tuple[int, int, bool]]:
-    # Greedy globally-nearest matching in the mu plane; a runner-up at
-    # less than twice the chosen distance marks the pair ambiguous.
+    """Greedy globally-nearest matching in the mu plane.
+
+    Returns (predicted index, measured index, ambiguous) in the order
+    taken.  Each round takes the ``argmin`` of the distance matrix, whose
+    row-major order breaks ties by the smaller (row, column), and sets
+    the taken row and column to inf.  A free runner-up in the same row
+    at less than twice the chosen distance marks the pair ambiguous.
+    The distances must be finite, so that inf marks only taken entries.
+    """
     predicted = np.asarray(predicted, dtype=complex)
     measured = np.asarray(measured, dtype=complex)
     n = predicted.size
     dist = np.abs(predicted[:, None] - measured[None, :])
-    free_p = set(range(n))
-    free_m = set(range(n))
     pairs: list[tuple[int, int, bool]] = []
-    while free_p:
-        best = min(((dist[i, j], i, j) for i in free_p for j in free_m))
-        d, i, j = best
-        others = [dist[i, jj] for jj in free_m if jj != j]
-        ambiguous = bool(others) and min(others) < 2.0 * d
-        pairs.append((i, j, ambiguous))
-        free_p.remove(i)
-        free_m.remove(j)
+    for _ in range(n):
+        i, j = divmod(int(dist.argmin()), n)
+        d = dist[i, j]
+        dist[i, j] = np.inf
+        pairs.append((i, j, bool(dist[i].min() < 2.0 * d)))
+        dist[i] = np.inf
+        dist[:, j] = np.inf
     return pairs
 
 
@@ -216,6 +220,9 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     ------
     SpecError
         If x_bar is not an equilibrium to the required residual.
+    LinAlgError
+        If a predicted step-map eigenvalue is not finite, which happens
+        only when h * lambda overflows.
     EigenConvergenceError
         Propagated from the eigensolver.
     """
@@ -233,6 +240,8 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     step_jac = fd_jacobian(lambda v: step_forward(model, v, h), x)
     mus_measured = eigenvalues(step_jac)
     mus_predicted = np.array([mu_of_lambda(lam, h) for lam in lams])
+    if not np.isfinite(mus_predicted).all():
+        raise LinAlgError(f"a predicted step-map eigenvalue is not finite at h={h:g}")
     rows = []
     for i, j, ambiguous in _pair_eigenvalues(mus_predicted, mus_measured):
         lam = complex(lams[i])
@@ -260,7 +269,7 @@ def rk4_reference(model: MassActionModel, x0, h_ref: float, T: float) -> Traject
     """Reference trajectory from the classical 4-stage explicit scheme."""
     if not (math.isfinite(T) and T > 0.0):
         raise SpecError(f"T must be positive and finite, got {T}")
-    steps = max(1, round(T / h_ref))
+    steps = max(1, _horizon_steps(T, h_ref))
     return integrate(model, x0, h_ref, steps, scheme="rk4")
 
 
@@ -284,7 +293,7 @@ def observed_order(
         raise SpecError(f"T must be positive and finite, got {T}")
     if not (math.isfinite(h) and h > 0.0):
         raise SpecError(f"h must be positive and finite, got {h}")
-    steps = max(1, round(T / h))
+    steps = max(1, _horizon_steps(T, h))
     t_effective = steps * h
     coarse = integrate(model, x0, h, steps, scheme=scheme)
     fine = integrate(model, x0, 0.5 * h, 2 * steps, scheme=scheme)

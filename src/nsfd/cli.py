@@ -25,6 +25,7 @@ from .analysis import find_equilibria, observed_order, stability_report
 from .integrator import (
     SCHEMES,
     NewtonDivergenceError,
+    _horizon_steps,
     integrate,
     step_bound,
     step_forward_batch,
@@ -70,6 +71,7 @@ class RunConfig:
     scheme: str = "nsfd"
     out: str | None = None
     precision: int = 17
+    strict: bool = False
 
     def __post_init__(self) -> None:
         if (self.model_path is None) == (self.builtin is None):
@@ -121,13 +123,16 @@ def _model_from_args(args) -> MassActionModel:
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    raw = os.environ.get("NSFD_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SpecError(f"NSFD_SEED must be an integer, got {raw!r}") from exc
+    what = "--seed"
+    if value is None:
+        what, raw = "NSFD_SEED", os.environ.get("NSFD_SEED", "0")
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise SpecError(f"NSFD_SEED must be an integer, got {raw!r}") from exc
+    if value < 0:
+        raise SpecError(f"{what} must be a nonnegative integer, got {value}")
+    return value
 
 
 def _jsonable(value):
@@ -164,35 +169,43 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def _warn_step_size(model: MassActionModel, h: float, scheme: str) -> None:
+def _caution(message: str, strict: bool) -> None:
+    # A run the guarantees do not cover: refused under --strict, else
+    # one warning line on stderr.
+    if strict:
+        raise SpecError(message)
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _check_step_size(model: MassActionModel, h: float, scheme: str, strict: bool) -> bool:
+    """True when ``h`` is safe for ``scheme``; only nsfd has a bound."""
     if scheme != "nsfd":
-        return
+        return True
     bound = step_bound(model)
-    if not bound.admits(h):
-        print(
-            f"warning: h={h:g} is not below the safe step bound h_bar={bound.h_bar:g}",
-            file=sys.stderr,
-        )
+    if bound.admits(h):
+        return True
+    _caution(f"h={h:g} is not below the safe step bound h_bar={bound.h_bar:g}", strict)
+    return False
 
 
-def _warn_outside_domain(model: MassActionModel, x0: np.ndarray) -> None:
+def _check_inside_domain(model: MassActionModel, x0: np.ndarray, strict: bool) -> None:
     # The same relative slack as the audit's membership test, so that
     # round-off in a start read from text does not warn.
     margin = model.domain.margin(x0)
     if margin < -MEMBERSHIP_SLACK * (1.0 + float(np.abs(x0).max())):
-        print(
-            f"warning: x0 lies outside the model's domain (margin {margin:.6g}); "
+        _caution(
+            f"x0 lies outside the model's domain (margin {margin:.6g}); "
             "the invariance guarantees do not cover this run",
-            file=sys.stderr,
+            strict,
         )
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     model = _resolve_model(cfg.model_path, cfg.builtin, cfg.params)
-    steps = cfg.steps if cfg.steps is not None else max(0, round(cfg.t_final / cfg.h))
-    _warn_step_size(model, cfg.h, cfg.scheme)
+    steps = cfg.steps if cfg.steps is not None else max(0, _horizon_steps(cfg.t_final, cfg.h))
+    _check_step_size(model, cfg.h, cfg.scheme, cfg.strict)
     x0 = _check_state(model, np.array(cfg.x0))
-    _warn_outside_domain(model, x0)
+    _check_inside_domain(model, x0, cfg.strict)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = integrate(model, x0, cfg.h, steps, scheme=cfg.scheme)
@@ -221,6 +234,7 @@ def _cmd_simulate(args) -> int:
             scheme=args.scheme,
             out=args.out,
             precision=args.precision,
+            strict=args.strict,
         )
     )
 
@@ -298,15 +312,7 @@ def _tangent_doc(report) -> dict:
 def _cmd_invariance(args) -> int:
     model = _model_from_args(args)
     seed = _default_seed(args.seed)
-    h_safe = True
-    if args.scheme == "nsfd":
-        bound = step_bound(model)
-        h_safe = bound.admits(args.h)
-        if not h_safe:
-            message = f"h={args.h:g} is not below the safe step bound h_bar={bound.h_bar:g}"
-            if args.strict:
-                raise SpecError(message)
-            print(f"warning: {message}", file=sys.stderr)
+    h_safe = _check_step_size(model, args.h, args.scheme, args.strict)
     audit = invariance_audit(
         model, h=args.h, trials=args.trials, steps=args.steps, seed=seed, scheme=args.scheme
     )
@@ -415,6 +421,11 @@ def _build_parser() -> _Parser:
     g.add_argument("--t-final", type=float, help="integrate to this time (steps rounded)")
     p.add_argument("--scheme", choices=SCHEMES, default="nsfd")
     p.add_argument("--precision", type=int, default=17, help="significant digits (default 17)")
+    p.add_argument(
+        "--strict",
+        action="store_true",
+        help="refuse, with exit 1, an x0 outside the domain or an h not below the safe bound",
+    )
     _add_out(p)
     p.set_defaults(func=_cmd_simulate)
 

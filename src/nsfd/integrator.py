@@ -390,8 +390,20 @@ def step_bound(
     )
 
 
+def _horizon_steps(T: float, h: float) -> int:
+    """``round(T / h)``, refusing a horizon whose step count overflows."""
+    ratio = T / h
+    if not math.isfinite(ratio):
+        raise SpecError(f"horizon {T:g} holds too many steps of size {h:g}")
+    return round(ratio)
+
+
 def _rk4_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4-stage explicit step of size h from every row of ``xs``."""
+    """One classical 4-stage explicit step of size h, unchecked.
+
+    ``xs`` is one (n,) state or an (m, n) stack stepped row by row; the
+    result has its rank, and a single state gets no stack axis.
+    """
     k1 = _phi_rows(model, xs)
     k2 = _phi_rows(model, xs + (0.5 * h) * k1)
     k3 = _phi_rows(model, xs + (0.5 * h) * k2)
@@ -424,7 +436,10 @@ def integrate(
 
     Emits a RuntimeWarning when the reversible scheme is asked to run at
     h at or above its safe bound.  Numerical failures are re-raised with
-    the step index prepended.
+    the step index prepended.  The explicit schemes step unchecked, so
+    the orbit is checked once at the end: a state that is not finite,
+    from an overflow, raises LinAlgError naming the step that made it.
+    A step count whose states cannot be held raises SpecError.
     """
     x = _check_state(model, x0)
     h = _check_h(h)
@@ -441,7 +456,10 @@ def integrate(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    states = np.empty((steps + 1, model.n))
+    try:
+        states = np.empty((steps + 1, model.n))
+    except (ValueError, MemoryError) as exc:
+        raise SpecError("the orbit's states do not fit in memory; take fewer steps") from exc
     states[0] = x
     trap = _trapezoidal_system(model) if scheme == "trapezoidal" else None
     for k in range(steps):
@@ -449,14 +467,17 @@ def integrate(
             if scheme == "nsfd":
                 x = step_forward(model, x, h)
             elif scheme == "euler":
-                x = x + h * eval_f(model, x)
+                x = x + h * _phi_rows(model, x)
             elif scheme == "rk4":
-                x = _rk4_rows(model, x[None], h)[0]
+                x = _rk4_rows(model, x, h)
             else:
                 x = step_implicit_general(trap, x, h)
         except (LinAlgError, NewtonDivergenceError) as exc:
             raise type(exc)(f"step {k}: {exc}") from exc
         states[k + 1] = x
+    if not np.isfinite(states).all():
+        k = int(np.argmin(np.isfinite(states).all(axis=1))) - 1
+        raise LinAlgError(f"step {k}: state is not finite")
     return Trajectory(t0=t0, h=h, states=states, scheme=scheme)
 
 

@@ -223,7 +223,10 @@ def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
     rows: list[np.ndarray] = []
     have = 0
     for _ in range(_SAMPLE_ATTEMPTS):
-        draw = lo + rng.random((max(count, 64), domain.n)) * span
+        try:
+            draw = lo + rng.random((max(count, 64), domain.n)) * span
+        except (ValueError, MemoryError) as exc:
+            raise SpecError(f"{count} points of dimension {domain.n} do not fit in memory") from exc
         keep = np.ones(draw.shape[0], dtype=bool)
         for con in domain.constraints:
             keep &= draw @ con.normal_array <= con.bound

@@ -281,14 +281,23 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
 
 
 def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = None) -> np.ndarray:
-    """Unchecked split field over row stacks: row r is ``phi(ys[r], zs[r])``.
+    """Unchecked split field ``phi(y, z)``, for one state or a row stack.
 
-    Sums ``B(y, z)``, then ``(L/2)(y + z)``, then ``b``.  Without ``zs``
-    it is the field ``f(ys[r]) = phi(ys[r], ys[r])``.
+    ``ys`` is one (n,) state, giving an (n,) result, or an (m, n) stack,
+    whose row r is ``phi(ys[r], zs[r])``; ``zs`` has the rank of ``ys``.
+    A single state gets no stack axis: its term factors are gathered
+    with a plain index array, and its row equals row 0 of the (1, n)
+    call bit for bit.  Sums ``B(y, z)``, through the one-hot scatter
+    matrix, then ``(L/2)(y + z)``, then ``b``.  Without ``zs`` it is the
+    field ``f(y) = phi(y, y)``.
     """
     zs = ys if zs is None else zs
     ti, tj, tk, tc = model._term_arrays
-    out = (tc * ys[:, tj] * zs[:, tk]) @ model._scatter
+    if ys.ndim == 1:
+        prods = tc * ys[tj] * zs[tk]
+    else:
+        prods = tc * ys[:, tj] * zs[:, tk]
+    out = prods @ model._scatter
     out += 0.5 * ((ys + zs) @ model.linear.T)
     out += model.constant
     return out
@@ -311,12 +320,13 @@ def _jacobian_rows(model: MassActionModel, x: np.ndarray) -> np.ndarray:
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
     """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b``.
 
-    ``eval_phi(m, x, x)`` follows the same floating-point path as
+    Both states are checked, then evaluated as vectors, with no stack
+    axis.  ``eval_phi(m, x, x)`` follows the same floating-point path as
     :func:`eval_f` (it is the definition of it), so the two agree exactly.
     """
     y = _check_state(model, y, "first argument")
     z = _check_state(model, z, "second argument")
-    return _phi_rows(model, y[None], z[None])[0]
+    return _phi_rows(model, y, z)
 
 
 def eval_f(model: MassActionModel, x) -> np.ndarray:

@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from nsfd import analysis
 from nsfd.analysis import (
     EquilibriumResult,
     OrderEstimate,
@@ -14,8 +15,9 @@ from nsfd.analysis import (
     observed_order,
     rk4_reference,
     stability_report,
+    _pair_eigenvalues,
 )
-from nsfd.linalg import LinAlgError
+from nsfd.linalg import LinAlgError, eigenvalues
 from nsfd.model import SpecError
 from nsfd.models import host_vector_dfe
 
@@ -167,6 +169,69 @@ def test_stability_rejects_non_equilibrium(logistic):
             stability_report(logistic, np.array([x_bar]), 0.1)
 
 
+def _pair_by_generator(predicted, measured):
+    # The earlier pairing, kept as the oracle: the tuple-min over free
+    # (distance, i, j) and the runner-up among the free columns of row i.
+    predicted = np.asarray(predicted, dtype=complex)
+    measured = np.asarray(measured, dtype=complex)
+    n = predicted.size
+    dist = np.abs(predicted[:, None] - measured[None, :])
+    free_p, free_m = set(range(n)), set(range(n))
+    pairs = []
+    while free_p:
+        d, i, j = min((dist[i, j], i, j) for i in free_p for j in free_m)
+        others = [dist[i, jj] for jj in free_m if jj != j]
+        pairs.append((i, j, bool(others) and min(others) < 2.0 * d))
+        free_p.remove(i)
+        free_m.remove(j)
+    return pairs
+
+
+def _pairing_cases(rng):
+    for n in (1, 2, 3, 5, 8, 30):
+        for _ in range(20):
+            predicted = rng.normal(size=n) + 1j * rng.normal(size=n)
+            yield predicted, predicted + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    # exact ties: repeated values on both sides and equal distances
+    yield np.zeros(4), np.zeros(4)
+    yield np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.5, 0.5, 0.5, 0.5])
+    yield np.array([1.0, -1.0, 1j, -1j]), np.zeros(4)
+    for _ in range(20):
+        yield rng.integers(-2, 3, size=6).astype(float), rng.integers(-2, 3, size=6).astype(float)
+    # conjugate pairs, as a real matrix's eigenvalues come
+    for _ in range(20):
+        half = rng.normal(size=3) + 1j * rng.normal(size=3)
+        predicted = np.concatenate([half, half.conj()])
+        yield predicted, predicted[::-1] + 1e-9 * rng.normal(size=6)
+    yield np.array([0.3 + 0.0j]), np.array([-0.7 + 0.2j])
+
+
+def test_pairing_equals_the_generator_oracle(rng):
+    cases = 0
+    for predicted, measured in _pairing_cases(rng):
+        assert _pair_eigenvalues(predicted, measured) == _pair_by_generator(predicted, measured)
+        cases += 1
+    assert cases == 164
+
+
+def test_stability_refuses_an_overflowing_prediction(logistic, monkeypatch):
+    # |lambda| is at most the Jacobian's 1-norm, so an h at which
+    # h * lambda / 2 overflows brings the step matrix's column norms to
+    # the float limit too, and the solve guard refused it first in every
+    # case tried; the field eigenvalue is scaled past it here instead:
+    # lambda = -1e308 at h = 4 gives mu = -inf / inf, a NaN
+    calls = []
+
+    def scaled(a):
+        lams = eigenvalues(a)
+        calls.append(lams)
+        return [1e308 * lam for lam in lams] if len(calls) == 1 else lams
+
+    monkeypatch.setattr(analysis, "eigenvalues", scaled)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinAlgError, match="not finite"):
+        stability_report(logistic, np.array([1.0]), 4.0)
+
+
 def test_rk4_reference_logistic_closed_form(logistic):
     traj = rk4_reference(logistic, np.array([0.5]), 1e-3, 1.0)
     exact = 1.0 / (1.0 + np.exp(-1.0))
@@ -214,3 +279,8 @@ def test_observed_order_validates_inputs(logistic):
         observed_order(logistic, np.array([0.5]), T=1.0, h=0.0)
     with pytest.raises(SpecError):
         observed_order(logistic, np.array([0.5]), T=1.0, h=0.1, scheme="leapfrog")
+    # T / h overflows: no step count exists
+    with pytest.raises(SpecError, match="too many steps"):
+        observed_order(logistic, np.array([0.5]), T=1e308, h=0.1)
+    with pytest.raises(SpecError, match="too many steps"):
+        rk4_reference(logistic, np.array([0.5]), 0.1, 1e308)

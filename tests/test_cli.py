@@ -84,6 +84,45 @@ def test_simulate_warns_when_x0_is_outside_the_domain(capsys):
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "x0, h, refusal",
+    [
+        ("-1", "0.1", "error: x0 lies outside the model's domain (margin -1); "),
+        ("0.5", "3", "error: h=3 is not below the safe step bound h_bar=2\n"),
+    ],
+)
+def test_simulate_strict_refuses_what_it_would_warn_about(capsys, tmp_path, x0, h, refusal):
+    argv = ("simulate", "--builtin", "logistic", "--x0", x0, "--h", h, "--steps", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 7
+    assert err.startswith("warning: " + refusal[len("error: "):])
+    target = tmp_path / "traj.csv"
+    code, out, err = run_cli(capsys, *argv, "--strict", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(refusal)
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_simulate_strict_leaves_a_covered_run_unchanged(capsys):
+    argv = ("simulate", "--builtin", "host-vector", "--x0", "9,0.5,9,0.5,0", "--h", "0.5", "--steps", "50")
+    plain = run_cli(capsys, *argv)
+    assert plain == run_cli(capsys, *argv, "--strict")
+    assert plain[0] == 0 and plain[2] == ""
+    # the comparison schemes have no step bound to refuse
+    argv = ("simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "3", "--steps", "5")
+    assert run_cli(capsys, *argv, "--scheme", "rk4", "--strict")[0] == 0
+
+
+def test_simulate_and_invariance_refuse_an_oversized_step_alike(capsys):
+    sim = run_cli(capsys, "simulate", "--builtin", "host-vector", "--x0", "9,0.5,9,0.5,0",
+                  "--h", "2", "--steps", "5", "--strict")
+    inv = run_cli(capsys, "invariance", "--builtin", "host-vector", "--h", "2", "--strict")
+    assert sim == inv == (1, "", "error: h=2 is not below the safe step bound h_bar=1.33333\n")
+
+
 def test_simulate_zero_steps_single_row(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "0.1", "--steps", "0"
@@ -459,10 +498,37 @@ def test_seed_flag_overrides_environment(capsys, monkeypatch):
 
 
 def test_invalid_seed_environment_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("NSFD_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "reversibility", "--builtin", "si", "--h", "0.4")
+    for raw in ("not-a-number", "-1"):
+        monkeypatch.setenv("NSFD_SEED", raw)
+        code, _, err = run_cli(capsys, "reversibility", "--builtin", "si", "--h", "0.4")
+        assert code == 1
+        assert "NSFD_SEED" in err
+        assert len(err.splitlines()) == 1
+
+
+TOO_MANY = "1000000000000000000"  # 10**18 five-state rows: above 2**63 bytes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "0.1", "--t-final", "1e308"),
+        ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "1e308", "--h", "0.1"),
+        ("simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "1e-300", "--t-final", "1"),
+        ("invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", TOO_MANY),
+        ("reversibility", "--builtin", "host-vector", "--h", "0.5", "--trials", TOO_MANY),
+        ("invariance", "--builtin", "host-vector", "--h", "0.5", "--seed", "-1"),
+        ("reversibility", "--builtin", "host-vector", "--h", "0.5", "--seed", "-1"),
+    ],
+)
+def test_unrunnable_sizes_and_seeds_exit_one(capsys, argv):
+    # each is refused before anything is allocated: numpy refuses arrays
+    # above 2**63 bytes without trying
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "NSFD_SEED" in err
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_validate_builtin(capsys):
@@ -525,6 +591,11 @@ def _check_exit_status_wiring(*prefix):
         ("stability", "--builtin", "logistic", "--x0", "1e308", "--h", "0.1"),
         ("reversibility", "--builtin", "logistic", "--h", "0.1", "--x0", "1e308"),
         ("order", "--builtin", "logistic", "--x0", "1e308", "--t-final", "1", "--h", "0.1"),
+        # the explicit schemes overflow at this h, and both refuse the orbit
+        ("simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "1e200", "--steps", "3",
+         "--scheme", "euler"),
+        ("simulate", "--builtin", "logistic", "--x0", "0.5", "--h", "1e200", "--steps", "3",
+         "--scheme", "rk4"),
     ],
 )
 def test_overflowing_x0_ends_in_one_line(argv):

@@ -25,8 +25,9 @@ from nsfd.integrator import (
     step_forward_batch,
     step_implicit_general,
     step_matrix,
+    _rk4_rows,
 )
-from nsfd.linalg import SingularMatrixError
+from nsfd.linalg import LinAlgError, SingularMatrixError
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -430,6 +431,32 @@ def test_integrate_failure_names_the_step(host_vector):
 def test_euler_scheme_single_step(logistic):
     traj = integrate(logistic, np.array([0.2]), 0.1, 1, scheme="euler")
     assert traj.final[0] == pytest.approx(0.2 + 0.1 * (0.2 - 0.04), abs=1e-15)
+
+
+def test_rk4_orbit_equals_a_loop_of_stacked_steps(all_models, sir_network, rng):
+    # integrate steps a vector; a (1, n) stack must give the same bits
+    for model in (*all_models, sir_network):
+        x0 = _interior_states(model, rng, 1)[0]
+        traj = integrate(model, x0, 0.05, 40, scheme="rk4")
+        xs = x0[None]
+        for k in range(40):
+            xs = _rk4_rows(model, xs, 0.05)
+            assert traj.states[k + 1].tobytes() == xs[0].tobytes()
+
+
+@pytest.mark.parametrize("scheme, step", [("euler", 1), ("rk4", 0)])
+def test_explicit_overflow_names_its_step(logistic, scheme, step):
+    # at h = 1e200 euler's second step and rk4's first overflow; both
+    # schemes refuse the orbit the same way
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LinAlgError, match=f"^step {step}: state is not finite$"):
+            integrate(logistic, np.array([0.5]), 1e200, 3, scheme=scheme)
+
+
+def test_integrate_refuses_a_step_count_numpy_cannot_hold(logistic):
+    # far above 2**63 bytes, so numpy refuses it before allocating anything
+    with pytest.raises(SpecError, match="do not fit in memory"):
+        integrate(logistic, np.array([0.5]), 0.1, 2**70)
 
 
 def test_rk4_scheme_is_high_accuracy():

@@ -27,6 +27,7 @@ from nsfd.model import (
     model_from_dict,
     model_to_dict,
     validate,
+    _phi_rows,
 )
 
 JAC_ATOL = 1e-7
@@ -97,6 +98,20 @@ def test_eval_phi_diagonal_equals_field(all_models, rng):
     for model in all_models:
         for x in _random_states(model, rng, 20):
             assert np.array_equal(eval_phi(model, x, x), eval_f(model, x))
+
+
+def test_single_state_field_equals_the_one_row_stack(all_models, sir_network, rng):
+    # a vector takes the plain gather and vector products; the bits must
+    # be those of row 0 of the (1, n) stack, with and without a second slot
+    for model in (*all_models, sir_network):
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            y, z = scale * rng.normal(size=(2, model.n))
+            for args in ((y,), (y, z)):
+                vector = _phi_rows(model, *args)
+                stacked = _phi_rows(model, *(a[None] for a in args))
+                assert vector.shape == (model.n,)
+                assert vector.tobytes() == stacked[0].tobytes()
 
 
 def test_eval_f_rejects_wrong_length(logistic):
