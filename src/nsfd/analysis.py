@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import Trajectory, _horizon_steps, integrate, step_forward
+from .integrator import NewtonOptions, Trajectory, _damped_newton, _horizon_steps, integrate, step_forward
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
 
@@ -128,31 +128,11 @@ def find_equilibria(
         raise SpecError("tol must be positive")
     results: list[EquilibriumResult] = []
     for seed_index, seed in enumerate(seeds):
-        x = _check_state(model, seed).copy()
-        status = "no-convergence"
-        r = eval_f(model, x)
-        rnorm = float(np.abs(r).max())
-        for _ in range(max_iter):
-            if rnorm <= tol * (1.0 + float(np.abs(x).max())):
-                status = "converged"
-                break
-            try:
-                delta = lu_solve(f_jacobian(model, x), -r)
-            except SingularMatrixError:
-                status = "singular"
-                break
-            alpha = 1.0
-            while True:
-                x_trial = x + alpha * delta
-                r_trial = eval_f(model, x_trial)
-                rnorm_trial = float(np.abs(r_trial).max())
-                if rnorm_trial < rnorm or alpha <= 1.0 / 64.0:
-                    break
-                alpha *= 0.5
-            x, r, rnorm = x_trial, r_trial, rnorm_trial
-        else:
-            if rnorm <= tol * (1.0 + float(np.abs(x).max())):
-                status = "converged"
+        x, rnorm, outcome = _damped_newton(
+            lambda v: eval_f(model, v), lambda v: f_jacobian(model, v),
+            _check_state(model, seed), tol, max_iter, NewtonOptions.min_damping,
+        )
+        status = "singular" if isinstance(outcome, SingularMatrixError) else outcome
         if status == "converged":
             try:
                 lu_solve(f_jacobian(model, x), np.zeros(model.n))
@@ -297,7 +277,7 @@ def observed_order(
     t_effective = steps * h
     coarse = integrate(model, x0, h, steps, scheme=scheme)
     fine = integrate(model, x0, 0.5 * h, 2 * steps, scheme=scheme)
-    ref = integrate(model, x0, h / 200.0, 200 * steps, scheme="rk4")
+    ref = rk4_reference(model, x0, h / 200.0, t_effective)
     error_h = float(np.abs(coarse.final - ref.final).max())
     error_h2 = float(np.abs(fine.final - ref.final).max())
     scale = 1.0 + float(np.abs(ref.final).max())

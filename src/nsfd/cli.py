@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .linalg import LinAlgError
 from .model import MassActionModel, SpecError, _check_state, dump_model, load_model, validate
 from .models import BUILTIN_NAMES, make_builtin
 
-__all__ = ["RunConfig", "cmd_simulate", "main"]
+__all__ = ["main"]
 
 # Relative reversibility tolerance: residual / (1 + |x|) must stay below.
 REV_RTOL = 1e-11
@@ -55,39 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise SpecError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of a simulate run."""
-
-    x0: tuple[float, ...]
-    h: float
-    model_path: str | None = None
-    builtin: str | None = None
-    params: tuple[tuple[str, float], ...] = ()
-    steps: int | None = None
-    t_final: float | None = None
-    scheme: str = "nsfd"
-    out: str | None = None
-    precision: int = 17
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if (self.model_path is None) == (self.builtin is None):
-            raise SpecError("exactly one of model_path/builtin is required")
-        if (self.steps is None) == (self.t_final is None):
-            raise SpecError("exactly one of steps/t_final is required")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise SpecError(f"h must be positive and finite, got {self.h}")
-        if self.steps is not None and self.steps < 0:
-            raise SpecError("steps must be nonnegative")
-        if self.t_final is not None and not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise SpecError("t_final must be positive and finite")
-        if self.scheme not in SCHEMES:
-            raise SpecError(f"scheme must be one of {', '.join(SCHEMES)}")
-        if not 1 <= self.precision <= 17:
-            raise SpecError("precision must be between 1 and 17 significant digits")
 
 
 def _parse_x0(text: str) -> tuple[float, ...]:
@@ -177,6 +144,12 @@ def _caution(message: str, strict: bool) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _check_h(h: float) -> float:
+    if not (math.isfinite(h) and h > 0.0):
+        raise SpecError(f"h must be positive and finite, got {h}")
+    return h
+
+
 def _check_step_size(model: MassActionModel, h: float, scheme: str, strict: bool) -> bool:
     """True when ``h`` is safe for ``scheme``; only nsfd has a bound."""
     if scheme != "nsfd":
@@ -200,43 +173,32 @@ def _check_inside_domain(model: MassActionModel, x0: np.ndarray, strict: bool) -
         )
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg.model_path, cfg.builtin, cfg.params)
-    steps = cfg.steps if cfg.steps is not None else max(0, _horizon_steps(cfg.t_final, cfg.h))
-    _check_step_size(model, cfg.h, cfg.scheme, cfg.strict)
-    x0 = _check_state(model, np.array(cfg.x0))
-    _check_inside_domain(model, x0, cfg.strict)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = integrate(model, x0, cfg.h, steps, scheme=cfg.scheme)
+def _cmd_simulate(args) -> int:
+    x0 = _parse_x0(args.x0)
+    params = _parse_params(args.param)
+    h = _check_h(args.h)
+    if args.steps is not None and args.steps < 0:
+        raise SpecError("steps must be nonnegative")
+    if args.t_final is not None and not (math.isfinite(args.t_final) and args.t_final > 0.0):
+        raise SpecError("t_final must be positive and finite")
+    if not 1 <= args.precision <= 17:
+        raise SpecError("precision must be between 1 and 17 significant digits")
+    model = _resolve_model(args.model, args.builtin, params)
+    steps = args.steps if args.steps is not None else max(0, _horizon_steps(args.t_final, h))
+    _check_step_size(model, h, args.scheme, args.strict)
+    x0 = _check_state(model, np.array(x0))
+    _check_inside_domain(model, x0, args.strict)
+    traj = integrate(model, x0, h, steps, scheme=args.scheme)
     # fmt % v prints v as f"{v:.{precision}g}" does.  Rows go through
     # tolist one at a time, so that the whole trajectory is never held as
     # Python floats, and are joined, not formatted whole, because a join
     # allocates each line at its exact size.
-    fmt = f"%.{cfg.precision}g"
+    fmt = f"%.{args.precision}g"
     lines = ["t," + ",".join(model.labels)]
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join([fmt % v for v in (t, *row.tolist())]))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _cmd_simulate(args) -> int:
-    return cmd_simulate(
-        RunConfig(
-            x0=_parse_x0(args.x0),
-            h=args.h,
-            model_path=args.model,
-            builtin=args.builtin,
-            params=_parse_params(args.param),
-            steps=args.steps,
-            t_final=args.t_final,
-            scheme=args.scheme,
-            out=args.out,
-            precision=args.precision,
-            strict=args.strict,
-        )
-    )
 
 
 def _cmd_step_bound(args) -> int:
@@ -251,17 +213,9 @@ def _cmd_step_bound(args) -> int:
 def _cmd_order(args) -> int:
     model = _model_from_args(args)
     est = observed_order(model, np.array(_parse_x0(args.x0)), args.t_final, args.h, scheme=args.scheme)
-    doc = {
-        "model": model.name,
-        "scheme": est.scheme,
-        "h": est.h,
-        "t_effective": est.t_effective,
-        "error_h": est.error_h,
-        "error_h2": est.error_h2,
-        "p_hat": est.p_hat,
-        "defined": est.defined,
-    }
-    _emit_json(doc, args.out)
+    # After the run, so that a run that fails prints only its error line.
+    _check_step_size(model, args.h, args.scheme, strict=False)
+    _emit_json({"model": model.name, **asdict(est)}, args.out)
     return 3 if args.strict and not est.defined else 0
 
 
@@ -312,6 +266,7 @@ def _tangent_doc(report) -> dict:
 def _cmd_invariance(args) -> int:
     model = _model_from_args(args)
     seed = _default_seed(args.seed)
+    _check_h(args.h)
     h_safe = _check_step_size(model, args.h, args.scheme, args.strict)
     audit = invariance_audit(
         model, h=args.h, trials=args.trials, steps=args.steps, seed=seed, scheme=args.scheme
@@ -373,17 +328,7 @@ def _cmd_export_model(args) -> int:
 def _cmd_validate(args) -> int:
     model = _model_from_args(args)
     report = validate(model)
-    doc = {
-        "model": model.name,
-        "metzler": report.metzler,
-        "constant_nonnegative": report.constant_nonnegative,
-        "compact_domain": report.compact_domain,
-        "pq_identity": report.pq_identity,
-        "max_pq_deviation": report.max_pq_deviation,
-        "issues": list(report.issues),
-        "passed": report.passed,
-    }
-    _emit_json(doc, args.out)
+    _emit_json({"model": model.name, **asdict(report), "passed": report.passed}, args.out)
     return 3 if args.strict and not report.passed else 0
 
 
@@ -500,8 +445,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         # The package's own guards turn non-finite values into exit codes,
-        # so numpy's floating-point warnings would only add stderr lines.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # so numpy's floating-point warnings would only add stderr lines;
+        # integrate's step-size warning is printed as one caution line by
+        # the commands that run above the bound.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "step size h=", RuntimeWarning)
             return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import LinAlgError, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
+from .linalg import LinAlgError, SingularMatrixError, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
 from .model import (
     GeneralSplitSystem,
     MassActionModel,
@@ -276,6 +276,40 @@ def _norm_inf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int, min_damping: float):
+    """Damped Newton iteration for ``residual(y) = 0`` from y0.
+
+    Each of at most max_iter passes first tests ``||r||_inf <= tol (1 +
+    ||y||_inf)``, then solves with ``jacobian(y)`` and takes the full
+    step, halving it while the residual does not drop, down to
+    min_damping; the test is made once more after the last pass.
+    Returns the last iterate, its residual norm and the outcome:
+    'converged', 'no-convergence', or the SingularMatrixError of the
+    Newton solve.  An error raised by ``jacobian`` itself propagates.
+    """
+    y = y0
+    r = residual(y)
+    rnorm = _norm_inf(r)
+    for _ in range(max_iter):
+        if rnorm <= tol * (1.0 + _norm_inf(y)):
+            return y, rnorm, "converged"
+        jac = jacobian(y)
+        try:
+            delta = lu_solve(jac, -r)
+        except SingularMatrixError as exc:
+            return y, rnorm, exc
+        alpha = 1.0
+        while True:
+            y_trial = y + alpha * delta
+            r_trial = residual(y_trial)
+            rnorm_trial = _norm_inf(r_trial)
+            if rnorm_trial < rnorm or alpha <= min_damping:
+                break
+            alpha *= 0.5
+        y, r, rnorm = y_trial, r_trial, rnorm_trial
+    return y, rnorm, "converged" if rnorm <= tol * (1.0 + _norm_inf(y)) else "no-convergence"
+
+
 def step_implicit_general(
     sys: GeneralSplitSystem,
     x,
@@ -315,34 +349,22 @@ def step_implicit_general(
     else:
         dphi_dz = lambda y, z: fd_jacobian(lambda v: np.asarray(phi(z, v), dtype=float), y)
 
-    y = x + h * np.asarray(phi(x, x), dtype=float)
-    r = residual(y)
-    rnorm = _norm_inf(r)
     eye = np.eye(sys.n)
-    for _ in range(opts.max_iter):
-        if rnorm <= opts.tol * (1.0 + _norm_inf(y)):
-            return y
-        jac = eye - (0.5 * h) * (
+
+    def jacobian(y: np.ndarray) -> np.ndarray:
+        return eye - (0.5 * h) * (
             np.asarray(dphi_dy(y, x), dtype=float) + np.asarray(dphi_dz(x, y), dtype=float)
         )
-        try:
-            delta = lu_solve(jac, -r)
-        except LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Newton matrix: {exc}") from exc
-        alpha = 1.0
-        while True:
-            y_trial = y + alpha * delta
-            r_trial = residual(y_trial)
-            rnorm_trial = _norm_inf(r_trial)
-            if rnorm_trial < rnorm or alpha <= opts.min_damping:
-                break
-            alpha *= 0.5
-        y, r, rnorm = y_trial, r_trial, rnorm_trial
-    if rnorm <= opts.tol * (1.0 + _norm_inf(y)):
-        return y
-    raise NewtonDivergenceError(
-        f"no convergence after {opts.max_iter} iterations (residual {rnorm:.3e})"
-    )
+
+    y0 = x + h * np.asarray(phi(x, x), dtype=float)
+    y, rnorm, outcome = _damped_newton(residual, jacobian, y0, opts.tol, opts.max_iter, opts.min_damping)
+    if isinstance(outcome, SingularMatrixError):
+        raise NewtonDivergenceError(f"singular Newton matrix: {outcome}") from outcome
+    if outcome == "no-convergence":
+        raise NewtonDivergenceError(
+            f"no convergence after {opts.max_iter} iterations (residual {rnorm:.3e})"
+        )
+    return y
 
 
 def step_bound(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import _rk4_rows, step_backward_batch, step_bound, step_forward_batch
+from .integrator import _check_h, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
 from .model import Domain, MassActionModel, SpecError, _phi_rows, eval_f
 
 __all__ = [
@@ -53,11 +53,16 @@ _SAMPLE_ATTEMPTS = 1000
 
 @dataclass(frozen=True)
 class Facet:
-    """One face of the domain polyhedron with its outward normal."""
+    """One face ``normal . x = bound`` of the domain polyhedron, normal outward.
+
+    bound is 0 for the coordinate facets and the constraint's bound for
+    the others.
+    """
 
     kind: str
     index: int
     normal: np.ndarray
+    bound: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("coordinate", "constraint"):
@@ -142,7 +147,7 @@ def facets(domain: Domain) -> tuple[Facet, ...]:
             normal[i] = -1.0
             out.append(Facet(kind="coordinate", index=i, normal=normal))
     for c, con in enumerate(domain.constraints):
-        out.append(Facet(kind="constraint", index=c, normal=con.normal_array))
+        out.append(Facet(kind="constraint", index=c, normal=con.normal_array, bound=con.bound))
     return tuple(out)
 
 
@@ -178,8 +183,7 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
                 x[facet.index] = 0.0
                 skip = None
             else:
-                con = domain.constraints[facet.index]
-                u = con.normal_array
+                u = facet.normal
                 if np.any(u < 0.0):
                     raise SpecError(
                         "boundary sampling supports constraint normals with nonnegative entries only"
@@ -190,7 +194,7 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
                 if total == 0.0:
                     continue
                 x = np.zeros(domain.n)
-                x[pos] = con.bound * (weights / total) / u[pos]
+                x[pos] = facet.bound * (weights / total) / u[pos]
                 rest = np.flatnonzero(u == 0.0)
                 x[rest] = lo[rest] + rng.random(rest.size) * span[rest]
                 skip = facet.index
@@ -242,41 +246,47 @@ def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
     )
 
 
-def _active_facets(domain: Domain, fs: tuple[Facet, ...], x: np.ndarray) -> list[int]:
-    atol = ACTIVITY_ATOL * (1.0 + float(np.abs(x).max()))
-    active = []
-    for fi, facet in enumerate(fs):
-        if facet.kind == "coordinate":
-            if abs(float(x[facet.index])) <= atol:
-                active.append(fi)
-        else:
-            con = domain.constraints[facet.index]
-            if abs(float(con.normal_array @ x) - con.bound) <= atol:
-                active.append(fi)
-    return active
-
-
-def _facet_values(
-    domain: Domain,
-    points: list[tuple[np.ndarray, int]],
-    deltas: np.ndarray,
-) -> tuple[list[tuple[float, int, int]], float]:
-    # (normal . delta, point index, facet index) for every facet active
-    # at each sample, plus the common 1 + |x| scale of the sample set.
-    fs = facets(domain)
-    values: list[tuple[float, int, int]] = []
-    scale = 1.0
-    for p, (x, _) in enumerate(points):
-        scale = max(scale, 1.0 + float(np.abs(x).max()))
-        for fi in _active_facets(domain, fs, x):
-            values.append((float(fs[fi].normal @ deltas[p]), p, fi))
-    return values, scale
-
-
 def _freeze_point(x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out.setflags(write=False)
     return out
+
+
+def _tangent_report(
+    domain: Domain,
+    points: list[tuple[np.ndarray, int]],
+    deltas: np.ndarray,
+    tol: float | None,
+    pick,
+    excess,
+) -> TangentReport:
+    """The report of a tangent check from its boundary samples.
+
+    A facet value ``normal . delta`` is taken at every facet active at
+    each sample; worst_value is ``pick`` (max or min) of them, and an
+    entry violates when ``excess(value, point index)`` exceeds the
+    tolerance, TANGENT_TOL times the largest 1 + |x| unless tol is given.
+    """
+    fs = facets(domain)
+    values: list[tuple[float, int, int]] = []
+    scale = 1.0
+    for p, (x, _) in enumerate(points):
+        size = 1.0 + float(np.abs(x).max())
+        scale = max(scale, size)
+        for fi, facet in enumerate(fs):
+            if abs(float(facet.normal @ x) - facet.bound) <= ACTIVITY_ATOL * size:
+                values.append((float(facet.normal @ deltas[p]), p, fi))
+    tolerance = TANGENT_TOL * scale if tol is None else float(tol)
+    worst_value, worst_p, _ = pick(values)
+    return TangentReport(
+        samples=len(points),
+        worst_value=worst_value,
+        worst_point=_freeze_point(points[worst_p][0]),
+        violations=tuple(
+            (_freeze_point(points[p][0]), fi, v) for v, p, fi in values if excess(v, p) > tolerance
+        ),
+        tolerance=tolerance,
+    )
 
 
 def continuous_tangent(
@@ -296,19 +306,7 @@ def continuous_tangent(
     _require_compact(dom, "the continuous tangent check")
     points = sample_boundary(dom, count, seed)
     deltas = np.stack([eval_f(model, x) for x, _ in points])
-    values, scale = _facet_values(dom, points, deltas)
-    tolerance = TANGENT_TOL * scale if tol is None else float(tol)
-    worst_value, worst_p, _ = max(values)
-    violations = tuple(
-        (_freeze_point(points[p][0]), fi, v) for v, p, fi in values if v > tolerance
-    )
-    return TangentReport(
-        samples=len(points),
-        worst_value=worst_value,
-        worst_point=_freeze_point(points[worst_p][0]),
-        violations=violations,
-        tolerance=tolerance,
-    )
+    return _tangent_report(dom, points, deltas, tol, max, lambda v, p: v)
 
 
 def discrete_tangent(
@@ -347,21 +345,8 @@ def discrete_tangent(
     points = sample_boundary(dom, count, seed)
     xs = np.stack([x for x, _ in points])
     ys = step_backward_batch(model, xs, h)
-    deltas = ys - xs
-    values, scale = _facet_values(dom, points, deltas)
-    tolerance = TANGENT_TOL * scale if tol is None else float(tol)
-    worst_value, worst_p, _ = min(values)
-    inside = dom.margin(ys) > tolerance
-    violations = tuple(
-        (_freeze_point(points[p][0]), fi, v) for v, p, fi in values if inside[p]
-    )
-    return TangentReport(
-        samples=len(points),
-        worst_value=worst_value,
-        worst_point=_freeze_point(points[worst_p][0]),
-        violations=violations,
-        tolerance=tolerance,
-    )
+    margins = dom.margin(ys)
+    return _tangent_report(dom, points, ys - xs, tol, min, lambda v, p: margins[p])
 
 
 def invariance_audit(
@@ -378,8 +363,9 @@ def invariance_audit(
     Each trial records at most its first exit (step index and margin at
     that step); an exited trajectory is frozen afterwards.  Membership
     uses slack MEMBERSHIP_SLACK * (1 + |x|) so round-off alone cannot
-    register as an exit; non-finite states count as exits.  The report
-    is deterministic in (seed, trials, steps, h, scheme).
+    register as an exit; non-finite states count as exits.  h must be
+    positive and finite for every scheme.  The report is deterministic
+    in (seed, trials, steps, h, scheme).
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the invariance audit")
@@ -387,6 +373,7 @@ def invariance_audit(
         raise SpecError(f"audit scheme must be one of {', '.join(AUDIT_SCHEMES)}, got {scheme!r}")
     if trials < 1 or steps < 0:
         raise SpecError("audit needs trials >= 1 and steps >= 0")
+    h = _check_h(h)
     xs = sample_interior(dom, trials, seed)
     alive = np.ones(trials, dtype=bool)
     exits: list[tuple[int, int, float]] = []
@@ -433,7 +420,7 @@ def invariance_audit(
     return AuditReport(
         trials=trials,
         steps=steps,
-        h=float(h),
+        h=h,
         scheme=scheme,
         seed=seed,
         exit_count=exit_count,

@@ -100,6 +100,14 @@ def test_find_equilibria_no_convergence(logistic):
     assert results[0].status == "no-convergence"
 
 
+def test_find_equilibria_without_iterations_only_tests_the_seed(logistic):
+    # max_iter=0 takes no Newton step: an exact equilibrium converges at
+    # once, any other seed ends unconverged where it started
+    at_rest, moving = find_equilibria(logistic, [np.array([1.0]), np.array([0.5])], max_iter=0)
+    assert (at_rest.status, at_rest.point.tolist(), at_rest.residual) == ("converged", [1.0], 0.0)
+    assert (moving.status, moving.point.tolist(), moving.residual) == ("no-convergence", [0.5], 0.25)
+
+
 def test_stability_logistic_interior_equilibrium(logistic):
     rows = stability_report(logistic, np.array([1.0]), 0.1)
     assert len(rows) == 1

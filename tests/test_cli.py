@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import nsfd
+from nsfd.analysis import observed_order
 from nsfd.cli import main
 from nsfd.integrator import integrate
 from nsfd.model import (
@@ -23,6 +25,7 @@ from nsfd.model import (
     load_model,
     model_from_dict,
 )
+from nsfd.models import make_logistic
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +353,31 @@ def test_order_json_and_band(capsys):
     assert doc["scheme"] == "nsfd"
 
 
+def test_order_above_the_bound_warns_in_one_line(capsys):
+    # the library's RuntimeWarning, with its source lines, must not reach stderr
+    argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "1", "--h", "5")
+    done = _run_entry_point(sys.executable, "-m", "nsfd", *argv)
+    assert done.returncode == 0
+    assert done.stderr == "warning: h=5 is not below the safe step bound h_bar=2\n"
+    # the caution only warns, so --strict still judges the estimate alone
+    code, out, err = run_cli(capsys, *argv, "--strict")
+    assert (code, err) == (0, done.stderr)
+    assert done.stdout == out
+    # the library still warns; the report is its estimate, unchanged
+    with pytest.warns(RuntimeWarning, match="not below the safe bound"):
+        est = observed_order(make_logistic(), np.array([0.5]), 1.0, 5.0)
+    assert json.loads(out) == {
+        "defined": True,
+        "error_h": est.error_h,
+        "error_h2": est.error_h2,
+        "h": 5.0,
+        "model": "logistic",
+        "p_hat": est.p_hat,
+        "scheme": "nsfd",
+        "t_effective": 5.0,
+    }
+
+
 def test_order_degenerate_strict_exits_three(capsys):
     argv = ("order", "--builtin", "logistic", "--x0", "1.0", "--t-final", "1.0", "--h", "0.1")
     code, out, _ = run_cli(capsys, *argv)
@@ -444,6 +472,17 @@ def test_invariance_euler_strict_exits_three(capsys):
     )
     assert code == 3
     assert json.loads(out)["audit"]["exit_count"] > 0
+
+
+@pytest.mark.parametrize("scheme", ["nsfd", "euler", "rk4"])
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+def test_invariance_refuses_a_step_size_that_is_not_positive_and_finite(capsys, scheme, h):
+    code, out, err = run_cli(
+        capsys, "invariance", "--builtin", "host-vector", "--h", h, "--trials", "5",
+        "--steps", "5", "--scheme", scheme,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: h must be positive and finite, got {float(h)}\n"
 
 
 def test_invariance_same_seed_is_byte_identical(capsys):
@@ -558,6 +597,28 @@ def test_validate_flags_bad_model_file(tmp_path, capsys):
     assert doc["issues"]
     code, _, _ = run_cli(capsys, "validate", "--model", str(path), "--strict")
     assert code == 3
+
+
+def _readme_commands():
+    # the nsfd lines of the README's fenced blocks, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("nsfd ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # export-model writes the hv.json that the validate example reads
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands[-2:]] == ["export-model", "validate"]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def _run_entry_point(*command):

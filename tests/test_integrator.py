@@ -329,6 +329,20 @@ def test_implicit_diverges_when_no_solution_exists():
         step_implicit_general(sys, np.array([0.0]), 1.0)
 
 
+def test_singular_error_of_a_slot_jacobian_propagates():
+    # only a singular Newton solve becomes NewtonDivergenceError; an error
+    # the caller's own Jacobian raises reaches the caller unchanged
+    failure = SingularMatrixError("slot Jacobian undefined here")
+
+    def dphi_dy(y, z):
+        raise failure
+
+    sys = GeneralSplitSystem(n=1, phi=lambda y, z: -y * z, dphi_dy=dphi_dy)
+    with pytest.raises(SingularMatrixError) as caught:
+        step_implicit_general(sys, np.array([1.0]), 1.0)
+    assert caught.value is failure
+
+
 def test_newton_options_are_validated():
     with pytest.raises(SpecError):
         NewtonOptions(tol=0.0)

@@ -249,6 +249,13 @@ def test_audit_rejects_unknown_scheme(host_vector):
         invariance_audit(host_vector, h=0.5, trials=5, steps=5, seed=0, scheme="leapfrog")
 
 
+@pytest.mark.parametrize("scheme", AUDIT_SCHEMES)
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+def test_audit_refuses_a_step_size_that_is_not_positive_and_finite(host_vector, scheme, h):
+    with pytest.raises(SpecError, match="step size must be positive and finite"):
+        invariance_audit(host_vector, h=h, trials=5, steps=5, seed=0, scheme=scheme)
+
+
 def test_audit_as_dict_is_json_ready(host_vector):
     import json
 
