@@ -185,8 +185,8 @@ def _cmd_simulate(args) -> int:
         raise SpecError("precision must be between 1 and 17 significant digits")
     model = _resolve_model(args.model, args.builtin, params)
     steps = args.steps if args.steps is not None else max(0, _horizon_steps(args.t_final, h))
-    _check_step_size(model, h, args.scheme, args.strict)
     x0 = _check_state(model, np.array(x0))
+    _check_step_size(model, h, args.scheme, args.strict)
     _check_inside_domain(model, x0, args.strict)
     traj = integrate(model, x0, h, steps, scheme=args.scheme)
     # fmt % v prints v as f"{v:.{precision}g}" does.  Rows go through

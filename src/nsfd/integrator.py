@@ -15,12 +15,16 @@ with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
 the same system at -h.  Scalar and batched, forward and backward steps
 all assemble it in one place, one matrix for a single state and a stack
 for a batch, and check there that it is strictly column diagonally
-dominant.  That check makes the step's one ``abs`` pass over the
-matrices, and the solve guard certifies from the same pass instead of
-making its own; the failing row and column are worked out only when
-the check fails.  Both solve matrices are dominant, hence safely invertible, for
-every state in the domain box whenever h stays below the bound computed
-by :func:`step_bound`.  Batch states must be finite, as scalar ones are.
+dominant.  A stack starts from the entries no bilinear term touches,
+``I - h (L/2)``, and writes only the touched ones per row, with the bits
+that the stacked field Jacobians would give; a batch with one step size
+shares it as a float.  That check makes the step's one ``abs`` pass over
+the matrices, and the solve guard certifies from the same pass instead
+of making its own; the failing row and column are worked out only when
+the check fails.  Both solve matrices are dominant, hence safely
+invertible, for every state in the domain box whenever h stays below
+the bound computed by :func:`step_bound`.  Batch states must be finite,
+as scalar ones are.
 """
 
 from __future__ import annotations
@@ -179,20 +183,26 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
     """Solve matrices ``I - h S(x)``, right-hand sides ``(I + (h/2) L) x + h b`` and their slacks.
 
     ``x`` is one (n,) state with a float ``h``, or an (m, n) stack with
-    one signed step size per row in the (m,) array ``h``; the backward
-    step is the system at -h.  The systems keep the rank of ``x``, so a
-    single step builds one (n, n) matrix.  The only dominance check: one
-    ``abs`` pass over the matrices (``linalg._slack_parts``), whose
-    smallest slack a NaN fails too.  The same parts go on to the solve
-    guard, which certifies from them instead of a second pass.  Only on
-    failure is the offending row found, so that the DominanceError names
-    the column and, for more than one row, the row.
+    a float ``h`` shared by every row or one signed step size per row in
+    the (m,) array ``h``; the backward step is the system at -h.  The
+    systems keep the rank of ``x``, so a single step builds one (n, n)
+    matrix from the field Jacobian.  A stack starts from the entries no
+    bilinear term touches, ``I - h (L/2)``, broadcast over the rows,
+    and overwrites only the touched ones (:func:`_stack_matrices`); each
+    entry keeps the bits of ``I - h (0.5 J)`` with the stacked field
+    Jacobians J.  The only dominance check: one ``abs`` pass over the
+    matrices (``linalg._slack_parts``), whose smallest slack a NaN fails
+    too.  The same parts go on to the solve guard, which certifies from
+    them instead of a second pass.  Only on failure is the offending row
+    found, so that the DominanceError names the column and, for more
+    than one row, the row.
     """
     if x.ndim == 1:
-        hv = hm = h
+        hv = h
+        mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
     else:
-        hv, hm = h[:, None], h[:, None, None]
-    mats = model._identity - hm * (0.5 * _jacobian_rows(model, x))
+        hv = h if np.ndim(h) == 0 else h[:, None]
+        mats = _stack_matrices(model, x, h)
     parts = _slack_parts(mats)
     if not parts[2] > 0.0:
         slack = parts[0].reshape(-1, model.n)
@@ -200,11 +210,34 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
         col = int(np.argmin(slack[row]))
         where = f" of batch state {row}" if slack.shape[0] > 1 else ""
         raise DominanceError(
-            f"{'forward' if np.reshape(h, -1)[row] > 0.0 else 'backward'} solve matrix lost strict "
-            f"column dominance in column {col}{where}; reduce h below the safe step bound for this state"
+            f"{'forward' if np.broadcast_to(h, slack.shape[:1])[row] > 0.0 else 'backward'} solve "
+            f"matrix lost strict column dominance in column {col}{where}; reduce h below the safe "
+            "step bound for this state"
         )
     rhs = x + (0.5 * hv) * (x @ model.linear.T) + hv * model.constant
     return mats, rhs, parts
+
+
+def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
+    """``I - h (0.5 (P(x) + Q(x) + L))`` for the rows of ``xs``: an (m, n, n) stack.
+
+    ``h`` is a float or an (m,) array.  The untouched entries are
+    ``I - h (0.5 L)``, which is what the Jacobian's ``0 + L`` gives
+    there.  The stack is laid out entry by entry with the stack axis
+    innermost, and returned as an (m, n, n) view of that: each entry is
+    then one contiguous pass over the stack, here and in the ``abs``
+    pass of ``linalg._abs_parts``.  LAPACK gets each matrix copied in
+    its own order whatever the layout.
+    """
+    entries, g = model._pq_map
+    n = model.n
+    eye, lin = model._identity.reshape(-1, 1), model.linear.reshape(-1, 1)
+    ent = np.empty((n * n, xs.shape[0]))
+    ent[...] = eye - h * (0.5 * lin)
+    # The touched values are transposed to (entries, m) first, so that
+    # each of them, too, is one contiguous pass over the stack.
+    ent[entries] = eye[entries] - h * (0.5 * ((xs @ g).T.copy() + lin[entries]))
+    return ent.reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -237,16 +270,20 @@ def _batch_states(model: MassActionModel, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.n:
         raise SpecError(f"expected a (m, {model.n}) state batch, got shape {xs.shape}")
-    finite = np.isfinite(xs).all(axis=1)
-    if not finite.all():
-        raise SpecError(f"batch state {int(np.argmin(finite))} must have finite entries")
+    if not np.isfinite(xs).all():
+        row = int(np.argmin(np.isfinite(xs).all(axis=1)))
+        raise SpecError(f"batch state {row} must have finite entries")
     return xs
 
 
-def _batch_h(h, m: int) -> np.ndarray:
+def _batch_h(h, m: int):
+    """A checked float for a scalar ``h``, else a checked (m,) array of step sizes."""
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
-        h = np.full(m, float(h))
+        h = float(h)
+        if not (math.isfinite(h) and h > 0.0):
+            raise SpecError("step sizes must be positive and finite")
+        return h
     if h.shape != (m,):
         raise SpecError(f"step sizes must be scalar or shape ({m},), got {h.shape}")
     if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
@@ -257,8 +294,10 @@ def _batch_h(h, m: int) -> np.ndarray:
 def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_forward` over rows of ``xs``.
 
-    ``h`` may be a scalar or one step size per row.  Used by the audits,
-    where a million scalar solves would dominate the runtime.
+    ``h`` may be a scalar or one step size per row.  A scalar is checked
+    once and shared by every row as a float, with the same bits as the
+    per-row array ``np.full(m, h)``.  Used by the audits, where a
+    million scalar solves would dominate the runtime.
     """
     xs = _batch_states(model, xs)
     mats, rhs, parts = _step_system(model, xs, _batch_h(h, xs.shape[0]))
@@ -328,6 +367,8 @@ def step_implicit_general(
     NewtonDivergenceError
         If the residual does not reach ``tol * (1 + ||y||_inf)`` within
         max_iter iterations, or the Newton matrix becomes singular.
+    LinAlgError
+        If the first guess or a Newton iterate is not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
@@ -336,6 +377,10 @@ def step_implicit_general(
     phi = sys.phi
 
     def residual(y: np.ndarray) -> np.ndarray:
+        # An overflowed guess or iterate is a numerical failure, as in
+        # the explicit schemes, not a bad argument to phi.
+        if not np.isfinite(y).all():
+            raise LinAlgError("state is not finite")
         return y - x - (0.5 * h) * (
             np.asarray(phi(y, x), dtype=float) + np.asarray(phi(x, y), dtype=float)
         )

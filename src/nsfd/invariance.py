@@ -364,8 +364,12 @@ def invariance_audit(
     that step); an exited trajectory is frozen afterwards.  Membership
     uses slack MEMBERSHIP_SLACK * (1 + |x|) so round-off alone cannot
     register as an exit; non-finite states count as exits.  h must be
-    positive and finite for every scheme.  The report is deterministic
-    in (seed, trials, steps, h, scheme).
+    positive and finite for every scheme.  While every trial is alive
+    the whole stack is stepped and scanned in place, in one
+    :func:`step_forward_batch` call per step for nsfd; after the first
+    exit the live rows are gathered, stepped and scattered back.  Both
+    give the same report.  The report is deterministic in (seed,
+    trials, steps, h, scheme).
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the invariance audit")
@@ -382,41 +386,63 @@ def invariance_audit(
     worst_trial = -1
     worst_step = -1
 
-    def scan(step: int) -> None:
+    def advance(rows: np.ndarray) -> np.ndarray:
+        if scheme == "nsfd":
+            return step_forward_batch(model, rows, h)
+        if scheme == "euler":
+            return rows + h * _phi_rows(model, rows)
+        return _rk4_rows(model, rows, h)
+
+    def scan(step: int, rows: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+        """Record the worst margin and the exits among ``rows``; return the exited trials.
+
+        ``rows`` are the states of the trials in ``live``, or of every
+        trial when ``live`` is None.  Rows are sanitized, so that a
+        non-finite state exits at margin -inf, only when some margin or
+        row size is not finite.
+        """
         nonlocal exit_count, worst_margin, worst_trial, worst_step
-        live = np.flatnonzero(alive)
-        if live.size == 0:
-            return
-        rows = xs[live]
         margins = dom.margin(rows)
-        finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
-        margins = np.where(finite, margins, -np.inf)
+        # max |x_i| per row, taken column by column: a reduction over each
+        # short row would loop over n entries at a time.
+        size = np.abs(rows[:, 0])
+        for col in rows.T[1:]:
+            np.maximum(size, np.abs(col), out=size)
+        if not (np.isfinite(margins).all() and np.isfinite(size).all()):
+            finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
+            margins = np.where(finite, margins, -np.inf)
+            size = np.abs(np.where(np.isfinite(rows), rows, 0.0)).max(axis=1)
         j = int(np.argmin(margins))
         if margins[j] < worst_margin:
             worst_margin = float(margins[j])
-            worst_trial = int(live[j])
+            worst_trial = j if live is None else int(live[j])
             worst_step = step
-        slack = MEMBERSHIP_SLACK * (1.0 + np.abs(np.where(np.isfinite(rows), rows, 0.0)).max(axis=1))
-        out = margins < -slack
-        for idx in np.flatnonzero(out):
-            trial = int(live[idx])
+        out = np.flatnonzero(margins < -(MEMBERSHIP_SLACK * (1.0 + size)))
+        trials_out = out if live is None else live[out]
+        for idx, trial in zip(out.tolist(), trials_out.tolist()):
             exit_count += 1
             if len(exits) < MAX_STORED_EXITS:
                 exits.append((trial, step, float(margins[idx])))
-            alive[trial] = False
+        return trials_out
 
-    scan(0)
+    # While every trial is alive (live is None) the whole stack steps and
+    # is scanned as it is; after the first exit the live rows are gathered
+    # and scattered back.
+    live = None
+    exited = scan(0, xs, live)
     for step in range(1, steps + 1):
-        live = np.flatnonzero(alive)
-        if live.size == 0:
-            break
-        if scheme == "nsfd":
-            xs[live] = step_forward_batch(model, xs[live], h)
-        elif scheme == "euler":
-            xs[live] = xs[live] + h * _phi_rows(model, xs[live])
+        if exited.size:
+            alive[exited] = False
+            live = np.flatnonzero(alive)
+            if live.size == 0:
+                break
+        if live is None:
+            xs = advance(xs)
+            exited = scan(step, xs, live)
         else:
-            xs[live] = _rk4_rows(model, xs[live], h)
-        scan(step)
+            rows = advance(xs[live])
+            xs[live] = rows
+            exited = scan(step, rows, live)
     return AuditReport(
         trials=trials,
         steps=steps,

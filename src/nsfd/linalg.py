@@ -59,24 +59,28 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 def _abs_parts(a) -> tuple[np.ndarray, np.ndarray]:
     """``|a[j, j]|`` and ``sum_{i != j} |a[i, j]|`` per column, from one ``abs`` pass.
 
-    Works on a square matrix or on a stack of them; both results have
-    shape ``a.shape[:-1]``.  The diagonal is read through a strided view
-    of the flattened matrices and zeroed in place before the column sums,
-    which add the rows in order.  A stack adds them one at a time, so
-    that each addition runs over the whole stack: numpy's own reduction
-    over axis -2 would loop over n entries at a time.
+    Works on a square matrix or on an (m, n, n) stack of them; both
+    results have shape ``a.shape[:-1]``.  The diagonal is read through a
+    strided view of the flattened entries and zeroed in place before the
+    column sums, which add the rows in order.  A stack is read entry by
+    entry, through a view with the stack axis innermost, and its rows
+    are added one at a time onto a copy of row 0: on a stack laid out
+    that way, as the integrator lays out its own, each operation is one
+    contiguous pass over the stack.
     """
     n = a.shape[-1]
-    flat = np.abs(a).reshape(a.shape[:-2] + (n * n,))
-    diag = flat[..., :: n + 1].copy()
-    flat[..., :: n + 1] = 0.0
-    cols = flat.reshape(a.shape)
     if a.ndim == 2:
-        return diag, np.add.reduce(cols, 0)
-    off = np.zeros(a.shape[:-1])
-    for i in range(n):
-        off += cols[..., i, :]
-    return diag, off
+        flat = np.abs(a).reshape(n * n)
+        diag = flat[:: n + 1].copy()
+        flat[:: n + 1] = 0.0
+        return diag, np.add.reduce(flat.reshape(n, n), 0)
+    ent = np.abs(a).transpose(1, 2, 0).reshape(n * n, -1)
+    diag = ent[:: n + 1].copy()
+    ent[:: n + 1] = 0.0
+    off = ent[:n].copy()
+    for i in range(1, n):
+        off += ent[i * n : (i + 1) * n]
+    return diag.T, off.T
 
 
 def _slack_parts(a) -> tuple[np.ndarray, np.ndarray, float]:

@@ -101,8 +101,9 @@ class Constraint:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "bound", _finite_float(self.bound, "constraint bound"))
 
-    @property
+    @cached_property
     def normal_array(self) -> np.ndarray:
+        # Cached, because Domain.margin reads it on every audit step.
         out = np.array(self.normal, dtype=float)
         out.setflags(write=False)
         return out

@@ -220,6 +220,31 @@ def test_simulate_warns_above_bound_but_runs(capsys):
     assert len(out.strip().split("\n")) == 5
 
 
+def test_simulate_checks_x0_before_the_step_size_caution(capsys):
+    # a malformed x0 is refused in its one error line, with no caution
+    # about an h the run never takes
+    code, out, err = run_cli(
+        capsys, "simulate", "--builtin", "logistic", "--x0", "0.5,1", "--h", "5", "--steps", "3"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: state must have shape (1,), got (2,)"]
+
+
+def test_simulate_trapezoidal_overflow_is_a_numerical_failure(capsys):
+    # the overflowing first Newton guess fails as euler's and rk4's
+    # overflows do, after the caution about the start outside the domain
+    code, out, err = run_cli(
+        capsys, "simulate", "--builtin", "logistic", "--x0", "1e200", "--h", "1", "--steps", "3",
+        "--scheme", "trapezoidal",
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: x0 lies outside the model's domain (margin -1e+200); "
+        "the invariance guarantees do not cover this run",
+        "numerical failure: step 0: state is not finite",
+    ]
+
+
 def test_simulate_euler_scheme_has_no_bound_warning(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--builtin", "logistic", "--x0", "0.9", "--h", "2.5",

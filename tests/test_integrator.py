@@ -26,6 +26,7 @@ from nsfd.integrator import (
     step_implicit_general,
     step_matrix,
     _rk4_rows,
+    _step_system,
 )
 from nsfd.linalg import LinAlgError, SingularMatrixError
 from nsfd.model import (
@@ -35,6 +36,7 @@ from nsfd.model import (
     GeneralSplitSystem,
     MassActionModel,
     SpecError,
+    _jacobian_rows,
     as_split_system,
     eval_f,
     f_jacobian,
@@ -195,6 +197,34 @@ def test_batch_accepts_per_row_step_sizes(logistic, sir_network, rng):
         batch = step_forward_batch(model, xs, hs)
         for r in range(6):
             assert np.allclose(batch[r], step_forward(model, xs[r], hs[r]), rtol=0, atol=BATCH_ATOL)
+
+
+@pytest.mark.parametrize("step", [step_forward_batch, step_backward_batch])
+def test_batch_scalar_step_size_matches_per_row_bits(all_models, sir_network, rng, step):
+    # a scalar h is shared by the rows as a float; it must give the bits
+    # of the same h spelled out once per row
+    for model in (*all_models, sir_network):
+        h = 0.4 * step_bound(model).h_bar
+        xs = _interior_states(model, rng, 9)
+        shared = step(model, xs, h)
+        per_row = step(model, xs, np.full(len(xs), h))
+        assert shared.tobytes() == per_row.tobytes(), model.name
+
+
+def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_network, rng):
+    # the stack assembly writes only the touched entries over a shared
+    # base; each matrix must still be I - h (0.5 J(x)) with the stacked
+    # field Jacobian, bit for bit, for a shared and a per-row h
+    for model in (*all_models, sir_network):
+        h_bar = step_bound(model).h_bar
+        xs = _interior_states(model, rng, 7)
+        for h in (0.4 * h_bar, -0.4 * h_bar, np.linspace(-0.9, 0.9, 7) * h_bar):
+            hv, hm = (h, h) if np.ndim(h) == 0 else (h[:, None], h[:, None, None])
+            mats, rhs, _ = _step_system(model, xs, h)
+            expected = np.eye(model.n) - hm * (0.5 * _jacobian_rows(model, xs))
+            assert np.ascontiguousarray(mats).tobytes() == expected.tobytes(), model.name
+            expected = xs + (0.5 * hv) * (xs @ model.linear.T) + hv * model.constant
+            assert rhs.tobytes() == expected.tobytes(), model.name
 
 
 def test_batch_dominance_error_names_row_and_column(host_vector, h_bars):
@@ -465,6 +495,14 @@ def test_explicit_overflow_names_its_step(logistic, scheme, step):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(LinAlgError, match=f"^step {step}: state is not finite$"):
             integrate(logistic, np.array([0.5]), 1e200, 3, scheme=scheme)
+
+
+def test_trapezoidal_overflow_is_a_numerical_failure(logistic):
+    # the explicit first guess x + h f(x) overflows to -inf; that is the
+    # explicit schemes' failure, not an invalid argument to the field
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LinAlgError, match="^step 0: state is not finite$"):
+            integrate(logistic, np.array([1e200]), 1.0, 3, scheme="trapezoidal")
 
 
 def test_integrate_refuses_a_step_count_numpy_cannot_hold(logistic):

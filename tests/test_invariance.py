@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsfd.integrator import step_backward, step_bound
+from nsfd.integrator import _rk4_rows, step_backward, step_bound, step_forward_batch
 from nsfd.invariance import (
     AUDIT_SCHEMES,
     MAX_STORED_EXITS,
@@ -19,7 +19,7 @@ from nsfd.invariance import (
     sample_boundary,
     sample_interior,
 )
-from nsfd.model import Constraint, Domain, SpecError
+from nsfd.model import Constraint, Domain, SpecError, _phi_rows
 from nsfd.models import HostVectorParameters, make_host_vector
 
 ACTIVITY_TOL = 1e-12
@@ -241,6 +241,68 @@ def test_audit_reversible_map_exits_above_bound(logistic):
     assert rep.worst_margin < 0.0
     assert rep.worst_trial is not None
     assert rep.worst_step is not None
+
+
+def _gathered_audit(model, dom, h, trials, steps, seed, scheme):
+    """Reference audit loop: gathers and scans the live rows on every step."""
+    xs = sample_interior(dom, trials, seed)
+    alive = np.ones(trials, dtype=bool)
+    exits, exit_count = [], 0
+    worst = (np.inf, -1, -1)
+    for step in range(steps + 1):
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            break
+        if step:
+            rows = xs[live]
+            if scheme == "nsfd":
+                xs[live] = step_forward_batch(model, rows, h)
+            elif scheme == "euler":
+                xs[live] = rows + h * _phi_rows(model, rows)
+            else:
+                xs[live] = _rk4_rows(model, rows, h)
+        rows = xs[live]
+        margins = dom.margin(rows)
+        finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
+        margins = np.where(finite, margins, -np.inf)
+        j = int(np.argmin(margins))
+        if margins[j] < worst[0]:
+            worst = (float(margins[j]), int(live[j]), step)
+        slack = MEMBERSHIP_SLACK * (1.0 + np.abs(np.where(np.isfinite(rows), rows, 0.0)).max(axis=1))
+        for idx in np.flatnonzero(margins < -slack):
+            exit_count += 1
+            if len(exits) < MAX_STORED_EXITS:
+                exits.append((int(live[idx]), step, float(margins[idx])))
+            alive[live[idx]] = False
+    return AuditReport(
+        trials=trials, steps=steps, h=h, scheme=scheme, seed=seed, exit_count=exit_count,
+        exits=tuple(exits), worst_margin=worst[0], worst_trial=worst[1], worst_step=worst[2],
+    )
+
+
+@pytest.mark.parametrize("scheme", AUDIT_SCHEMES)
+def test_audit_matches_the_gathered_loop_while_trials_exit(host_vector, scheme):
+    # Caps of 9 sit below the carrying capacities, so trials leave at
+    # steps from 1 upward: the run steps the whole stack while every
+    # trial lives, then gathers the live rows.
+    dom = Domain(
+        nonnegative=(True,) * 5,
+        constraints=(Constraint((1, 1, 0, 0, 0), 9.0), Constraint((0, 0, 1, 1, 1), 9.0)),
+    )
+    args = (0.5, 200, 200, 0, scheme)
+    rep = invariance_audit(host_vector, domain=dom, h=0.5, trials=200, steps=200, seed=0, scheme=scheme)
+    assert rep == _gathered_audit(host_vector, dom, *args)
+    steps = [step for _, step, _ in rep.exits]
+    assert min(steps) == 1 and max(steps) > 1
+
+
+def test_audit_matches_the_gathered_loop_on_overflow(logistic):
+    # rk4's first step at this h overflows every trial to a non-finite
+    # state, which the scan counts as an exit at margin -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = invariance_audit(logistic, h=1e200, trials=50, steps=4, seed=2, scheme="rk4")
+        assert rep == _gathered_audit(logistic, logistic.domain, 1e200, 50, 4, 2, "rk4")
+    assert rep.worst_margin == -np.inf
 
 
 def test_audit_rejects_unknown_scheme(host_vector):
