@@ -122,16 +122,20 @@ def find_equilibria(
     point, yields status 'singular': on an equilibrium continuum the
     Jacobian is rank-deficient and a single point is not an isolated
     answer.  Converged results within DEDUP_ATOL of an earlier one are
-    dropped.
+    dropped.  A Newton iterate that overflows raises LinAlgError naming
+    its seed.
     """
     if not (tol > 0.0):
         raise SpecError("tol must be positive")
     results: list[EquilibriumResult] = []
     for seed_index, seed in enumerate(seeds):
-        x, rnorm, outcome = _damped_newton(
-            lambda v: eval_f(model, v), lambda v: f_jacobian(model, v),
-            _check_state(model, seed), tol, max_iter, NewtonOptions.min_damping,
-        )
+        try:
+            x, rnorm, outcome = _damped_newton(
+                lambda v: eval_f(model, v), lambda v: f_jacobian(model, v),
+                _check_state(model, seed), tol, max_iter, NewtonOptions.min_damping,
+            )
+        except LinAlgError as exc:
+            raise LinAlgError(f"Newton iteration from seed {seed_index}: {exc}") from exc
         status = "singular" if isinstance(outcome, SingularMatrixError) else outcome
         if status == "converged":
             try:

@@ -37,6 +37,7 @@ from .invariance import (
     continuous_tangent,
     discrete_tangent,
     invariance_audit,
+    sample_boundary,
     sample_interior,
 )
 from .linalg import LinAlgError
@@ -271,13 +272,16 @@ def _cmd_invariance(args) -> int:
     audit = invariance_audit(
         model, h=args.h, trials=args.trials, steps=args.steps, seed=seed, scheme=args.scheme
     )
-    cont = continuous_tangent(model, count=args.tangent_samples, seed=seed)
+    # Both tangent checks draw the same boundary points from the seed: draw
+    # them once.
+    points = sample_boundary(model.domain, args.tangent_samples, seed)
+    cont = continuous_tangent(model, _points=points)
     # The discrete tangent condition concerns the reversible map below its
     # safe bound; a comparison scheme has no backward step to check, and an
     # oversized h has no meaningful one.
     disc = None
     if args.scheme == "nsfd" and h_safe:
-        disc = discrete_tangent(model, h=args.h, count=args.tangent_samples, seed=seed)
+        disc = discrete_tangent(model, h=args.h, _points=points)
     doc = {
         "model": model.name,
         "audit": audit.as_dict(),
@@ -300,6 +304,9 @@ def _cmd_reversibility(args) -> int:
         xs = sample_interior(model.domain, trials, seed)
     ys = step_forward_batch(model, xs, args.h)
     back = step_backward_batch(model, ys, args.h)
+    if args.x0 is not None:
+        # After the run, so that a run that fails prints only its error line.
+        _check_inside_domain(model, xs[0], args.strict)
     residuals = np.abs(back - xs).max(axis=1)
     relative = residuals / (1.0 + np.abs(xs).max(axis=1))
     worst = int(np.argmax(relative))
@@ -415,7 +422,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="default NSFD_SEED or 0")
     p.add_argument("--x0", help="check this single state instead of sampling")
-    _add_strict(p)
+    p.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit 3 when violations are found; refuse, with exit 1, an x0 outside the domain",
+    )
     _add_out(p)
     p.set_defaults(func=_cmd_reversibility)
 

@@ -214,7 +214,14 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
             f"matrix lost strict column dominance in column {col}{where}; reduce h below the safe "
             "step bound for this state"
         )
-    rhs = x + (0.5 * hv) * (x @ model.linear.T) + hv * model.constant
+    if x.ndim == 1:
+        rhs = x + (0.5 * hv) * (x @ model.linear.T) + hv * model.constant
+    else:
+        # The same operations, worked in place.
+        rhs = x @ model.linear.T
+        rhs *= 0.5 * hv
+        rhs += x
+        rhs += hv * model.constant
     return mats, rhs, parts
 
 
@@ -227,7 +234,13 @@ def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
     innermost, and returned as an (m, n, n) view of that: each entry is
     then one contiguous pass over the stack, here and in the ``abs``
     pass of ``linalg._abs_parts``.  LAPACK gets each matrix copied in
-    its own order whatever the layout.
+    its own order whatever the layout.  The rule of the stack path, for
+    a shared h: no stack-sized temporary besides the solve matrices, so
+    that the transient memory of a step stays well below twice the
+    stack.  The base is one (n*n, 1) column broadcast into the stack,
+    and the touched entries are worked in place in one buffer.  A
+    per-row h, which no caller in the package steps with, makes the
+    base a stack-sized temporary.
     """
     entries, g = model._pq_map
     n = model.n
@@ -236,7 +249,11 @@ def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
     ent[...] = eye - h * (0.5 * lin)
     # The touched values are transposed to (entries, m) first, so that
     # each of them, too, is one contiguous pass over the stack.
-    ent[entries] = eye[entries] - h * (0.5 * ((xs @ g).T.copy() + lin[entries]))
+    touched = (xs @ g).T.copy()
+    touched += lin[entries]
+    touched *= 0.5
+    touched *= h
+    ent[entries] = np.subtract(eye[entries], touched, out=touched)
     return ent.reshape(n, n, -1).transpose(2, 0, 1)
 
 
@@ -324,11 +341,20 @@ def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int
     min_damping; the test is made once more after the last pass.
     Returns the last iterate, its residual norm and the outcome:
     'converged', 'no-convergence', or the SingularMatrixError of the
-    Newton solve.  An error raised by ``jacobian`` itself propagates.
+    Newton solve.  An iterate that is not finite, from an overflow,
+    raises LinAlgError before ``residual`` sees it: a numerical failure,
+    not a bad argument.  An error raised by ``jacobian`` itself
+    propagates.
     """
+
+    def evaluate(y: np.ndarray):
+        if not np.isfinite(y).all():
+            raise LinAlgError("state is not finite")
+        r = residual(y)
+        return r, _norm_inf(r)
+
     y = y0
-    r = residual(y)
-    rnorm = _norm_inf(r)
+    r, rnorm = evaluate(y)
     for _ in range(max_iter):
         if rnorm <= tol * (1.0 + _norm_inf(y)):
             return y, rnorm, "converged"
@@ -340,8 +366,7 @@ def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int
         alpha = 1.0
         while True:
             y_trial = y + alpha * delta
-            r_trial = residual(y_trial)
-            rnorm_trial = _norm_inf(r_trial)
+            r_trial, rnorm_trial = evaluate(y_trial)
             if rnorm_trial < rnorm or alpha <= min_damping:
                 break
             alpha *= 0.5
@@ -377,10 +402,6 @@ def step_implicit_general(
     phi = sys.phi
 
     def residual(y: np.ndarray) -> np.ndarray:
-        # An overflowed guess or iterate is a numerical failure, as in
-        # the explicit schemes, not a bad argument to phi.
-        if not np.isfinite(y).all():
-            raise LinAlgError("state is not finite")
         return y - x - (0.5 * h) * (
             np.asarray(phi(y, x), dtype=float) + np.asarray(phi(x, y), dtype=float)
         )

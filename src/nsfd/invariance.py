@@ -295,16 +295,20 @@ def continuous_tangent(
     count: int = 256,
     seed: int = 0,
     tol: float | None = None,
+    *,
+    _points=None,
 ) -> TangentReport:
     """Check ``n(x) . f(x) <= tol`` at sampled boundary points.
 
     A positive value means the field pushes outward across that facet.
     worst_value is the largest value seen; the check passes when no
-    evaluation exceeds the tolerance.
+    evaluation exceeds the tolerance.  The private ``_points`` takes a
+    :func:`sample_boundary` draw from a caller that has already made it,
+    in place of drawing ``count`` points from ``seed``.
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the continuous tangent check")
-    points = sample_boundary(dom, count, seed)
+    points = sample_boundary(dom, count, seed) if _points is None else _points
     deltas = np.stack([eval_f(model, x) for x, _ in points])
     return _tangent_report(dom, points, deltas, tol, max, lambda v, p: v)
 
@@ -316,6 +320,8 @@ def discrete_tangent(
     count: int = 256,
     seed: int = 0,
     tol: float | None = None,
+    *,
+    _points=None,
 ) -> TangentReport:
     """Check that no boundary point has a strictly interior backward image.
 
@@ -335,6 +341,7 @@ def discrete_tangent(
     values are routine at points whose backward image exits elsewhere.
     The step size must lie strictly inside (0, h_bar) for the model, so
     the backward solves are meaningful everywhere on the boundary.
+    ``_points`` is private, as in :func:`continuous_tangent`.
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the discrete tangent check")
@@ -342,7 +349,7 @@ def discrete_tangent(
     h_bar = step_bound(model).h_bar
     if not 0.0 < h < h_bar:
         raise SpecError(f"step size {h} is outside the checkable range (0, {h_bar})")
-    points = sample_boundary(dom, count, seed)
+    points = sample_boundary(dom, count, seed) if _points is None else _points
     xs = np.stack([x for x, _ in points])
     ys = step_backward_batch(model, xs, h)
     margins = dom.margin(ys)

@@ -62,11 +62,14 @@ def _abs_parts(a) -> tuple[np.ndarray, np.ndarray]:
     Works on a square matrix or on an (m, n, n) stack of them; both
     results have shape ``a.shape[:-1]``.  The diagonal is read through a
     strided view of the flattened entries and zeroed in place before the
-    column sums, which add the rows in order.  A stack is read entry by
-    entry, through a view with the stack axis innermost, and its rows
-    are added one at a time onto a copy of row 0: on a stack laid out
-    that way, as the integrator lays out its own, each operation is one
-    contiguous pass over the stack.
+    column sums, which add the rows in order.  A stack keeps the rule of
+    the integrator's stack path, no stack-sized temporary besides the
+    solve matrices: it is read one matrix row at a time, through an
+    entries-first view with the stack axis innermost, as an (n, m) block
+    of ``abs`` values.  The block's diagonal entry is copied out
+    and zeroed there, and the block is added onto row 0's block, which
+    becomes the column sums.  On a stack laid out entries first, as the
+    integrator lays out its own, each operation is one contiguous pass.
     """
     n = a.shape[-1]
     if a.ndim == 2:
@@ -74,12 +77,17 @@ def _abs_parts(a) -> tuple[np.ndarray, np.ndarray]:
         diag = flat[:: n + 1].copy()
         flat[:: n + 1] = 0.0
         return diag, np.add.reduce(flat.reshape(n, n), 0)
-    ent = np.abs(a).transpose(1, 2, 0).reshape(n * n, -1)
-    diag = ent[:: n + 1].copy()
-    ent[:: n + 1] = 0.0
-    off = ent[:n].copy()
+    rows = a.transpose(1, 2, 0)
+    diag = np.empty((n, a.shape[0]))
+    off = np.abs(rows[0], out=np.empty_like(diag))
+    diag[0] = off[0]
+    off[0] = 0.0
+    block = np.empty_like(diag)
     for i in range(1, n):
-        off += ent[i * n : (i + 1) * n]
+        np.abs(rows[i], out=block)
+        diag[i] = block[i]
+        block[i] = 0.0
+        off += block
     return diag.T, off.T
 
 
@@ -88,15 +96,16 @@ def _slack_parts(a) -> tuple[np.ndarray, np.ndarray, float]:
 
     The slack ``|a[j, j]| - sum_{i != j} |a[i, j]|`` and the 1-norm
     ``sum_i |a[i, j]|`` come from one :func:`_abs_parts` pass and have
-    shape ``a.shape[:-1]``; the smallest slack is inf for an empty
-    stack.  A matrix is strictly column diagonally dominant iff its
-    smallest slack is positive, which a NaN slack fails.  These are the
-    parts the solve guard certifies from, so a caller that has already
-    made them for its own check hands them on to :func:`lu_solve`.
+    shape ``a.shape[:-1]``; the 1-norm is formed in the diagonal's own
+    buffer.  The smallest slack is inf for an empty stack.  A matrix is
+    strictly column diagonally dominant iff its smallest slack is
+    positive, which a NaN slack fails.  These are the parts the solve
+    guard certifies from, so a caller that has already made them for its
+    own check hands them on to :func:`lu_solve`.
     """
     diag, off = _abs_parts(a)
     slack = diag - off
-    return slack, diag + off, slack.min(initial=np.inf)
+    return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None) -> np.ndarray:

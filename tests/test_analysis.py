@@ -100,6 +100,13 @@ def test_find_equilibria_no_convergence(logistic):
     assert results[0].status == "no-convergence"
 
 
+def test_find_equilibria_newton_overflow_is_a_numerical_failure(logistic):
+    # the second seed's first Newton step overflows; the error names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LinAlgError, match="^Newton iteration from seed 1: state is not finite$"):
+            find_equilibria(logistic, [np.array([0.5]), np.array([1e200])])
+
+
 def test_find_equilibria_without_iterations_only_tests_the_seed(logistic):
     # max_iter=0 takes no Newton step: an exact equilibrium converges at
     # once, any other seed ends unconverged where it started

@@ -25,7 +25,8 @@ from nsfd.model import (
     load_model,
     model_from_dict,
 )
-from nsfd.models import make_logistic
+from nsfd.invariance import continuous_tangent, discrete_tangent
+from nsfd.models import make_builtin, make_logistic
 
 
 @pytest.fixture(autouse=True)
@@ -425,6 +426,15 @@ def test_stability_refines_seed_and_reports(capsys):
     assert row["consistent"] is True
 
 
+def test_stability_newton_overflow_is_a_numerical_failure(capsys):
+    # the overflowing Newton iterate is the run's failure, not a bad argument
+    code, out, err = run_cli(
+        capsys, "stability", "--builtin", "logistic", "--x0", "1e200", "--h", "0.1"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["numerical failure: Newton iteration from seed 0: state is not finite"]
+
+
 def test_stability_host_vector_dfe(capsys):
     code, out, _ = run_cli(
         capsys, "stability", "--builtin", "host-vector", "--x0", "10,0,10,0,0", "--h", "0.5"
@@ -510,6 +520,35 @@ def test_invariance_refuses_a_step_size_that_is_not_positive_and_finite(capsys, 
     assert err == f"error: h must be positive and finite, got {float(h)}\n"
 
 
+def test_invariance_draws_the_boundary_sample_once(capsys, monkeypatch):
+    # both tangent checks take the same points from the seed, drawn once
+    # whichever module draws them
+    import nsfd.cli
+    import nsfd.invariance
+
+    calls = []
+    draw = nsfd.invariance.sample_boundary
+    for module in (nsfd.cli, nsfd.invariance):
+        monkeypatch.setattr(
+            module, "sample_boundary", lambda *args: calls.append(args) or draw(*args)
+        )
+    code, out, _ = run_cli(
+        capsys, "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "5",
+        "--steps", "5", "--tangent-samples", "40", "--seed", "3",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    host_vector = make_builtin("host-vector")
+    for key, report in (
+        ("continuous_tangent", continuous_tangent(host_vector, count=40, seed=3)),
+        ("discrete_tangent", discrete_tangent(host_vector, h=0.5, count=40, seed=3)),
+    ):
+        assert doc[key]["samples"] == 40
+        assert doc[key]["worst_value"] == report.worst_value
+        assert doc[key]["worst_point"] == report.worst_point.tolist()
+
+
 def test_invariance_same_seed_is_byte_identical(capsys):
     argv = (
         "invariance", "--builtin", "si", "--h", "0.5", "--trials", "8", "--steps", "8",
@@ -538,6 +577,31 @@ def test_reversibility_fixed_point_is_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_residual"] == 0.0
+
+
+def test_reversibility_warns_when_x0_is_outside_the_domain(capsys):
+    argv = ("reversibility", "--builtin", "logistic", "--h", "0.1", "--x0")
+    _, inside, _ = run_cli(capsys, *argv, "0.5")
+    code, out, err = run_cli(capsys, *argv, "2")
+    assert code == 0
+    assert json.loads(out)["worst_state"] == [2.0]
+    assert err.splitlines() == [
+        "warning: x0 lies outside the model's domain (margin -1); "
+        "the invariance guarantees do not cover this run"
+    ]
+    # a start inside stays silent
+    assert run_cli(capsys, *argv, "0.5") == (0, inside, "")
+
+
+def test_reversibility_strict_refuses_x0_outside_the_domain(capsys):
+    code, out, err = run_cli(
+        capsys, "reversibility", "--builtin", "logistic", "--h", "0.1", "--x0", "2", "--strict"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: x0 lies outside the model's domain (margin -1); "
+        "the invariance guarantees do not cover this run"
+    ]
 
 
 @pytest.mark.parametrize("x0", ["nan,0.1", "0.9,inf"])

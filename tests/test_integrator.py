@@ -413,6 +413,26 @@ def test_integrate_holds_the_states_once(host_vector):
     assert peak < 1.25 * traj.states.nbytes
 
 
+@pytest.mark.parametrize("step", [step_forward_batch, step_backward_batch])
+def test_batch_step_makes_no_second_stack(host_vector, h_bars, rng, step):
+    # Beside its (m, n, n) solve matrices a step with a shared h holds only
+    # row-sized arrays.  Another stack-sized temporary would take the transient heap
+    # of each audit step past twice the stack, where the allocator hands
+    # the top of the heap back to the system and the next step faults it in
+    # again.
+    m = 1000
+    xs = _interior_states(host_vector, rng, m)
+    h = 0.4 * h_bars["host-vector"]
+    step(host_vector, xs, h)  # fills the model's caches
+    tracemalloc.start()
+    try:
+        step(host_vector, xs, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * m * host_vector.n**2 * 8
+
+
 def test_trajectory_views_a_float_array_without_freezing_it():
     states = np.zeros((3, 2))
     traj = Trajectory(t0=0.0, h=0.1, states=states, scheme="nsfd")

@@ -10,6 +10,7 @@ from nsfd.linalg import (
     EigenConvergenceError,
     LinAlgError,
     SingularMatrixError,
+    _slack_parts,
     eigenvalues,
     fd_jacobian,
     is_diagonally_dominant,
@@ -151,6 +152,36 @@ def test_dominant_batch_of_mixed_scales_is_certified_system_by_system(rng, monke
     xs = lu_solve_batch(a, b)
     for k in range(6):
         assert np.allclose(a[k] @ xs[k], b[k], rtol=1e-12, atol=1e-12)
+
+
+def _awkward_stack(rng, m, n):
+    # entries with NaN, +-inf and -0.0 scattered in, and one all-zero system
+    a = rng.standard_normal((m, n, n))
+    a[np.abs(a) < 0.3] = -0.0
+    if a.size:
+        for value in (np.nan, np.inf, -np.inf):
+            a.flat[rng.integers(a.size, size=2)] = value
+        a[0] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("layout", ["C-ordered", "entries-first"])
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 1), (9, 1), (7, 2), (11, 5), (5, 12)])
+def test_stack_slack_parts_match_each_matrix_bits(rng, layout, m, n):
+    # the stack pass goes row block by row block; each system must still get
+    # the slacks and 1-norms of its own 2-D pass, bit for bit
+    a = _awkward_stack(rng, m, n)
+    if layout == "entries-first":
+        # as the integrator lays its stacks out, stack axis innermost
+        a = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+    slack, colsum, smin = _slack_parts(a)
+    assert slack.shape == colsum.shape == (m, n)
+    parts = [_slack_parts(np.array(a[k])) for k in range(m)]
+    for got, k in ((slack, 0), (colsum, 1)):
+        want = np.array([p[k] for p in parts]).reshape(m, n)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    smallest = np.array([p[2] for p in parts]).min(initial=np.inf)
+    assert np.array(smin).tobytes() == smallest.tobytes()
 
 
 @seed(7)
