@@ -192,6 +192,14 @@ def _pair_eigenvalues(predicted, measured) -> list[tuple[int, int, bool]]:
     return pairs
 
 
+def _is_equilibrium(x: np.ndarray, fnorm: float) -> bool:
+    """Whether ``fnorm = ||f(x)||_inf`` is within EQUILIBRIUM_RTOL (1 + ||x||_inf).
+
+    Written so that a NaN residual, from an overflowing field, fails.
+    """
+    return fnorm <= EQUILIBRIUM_RTOL * (1.0 + float(np.abs(x).max()))
+
+
 def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityRow]:
     """Compare field eigenvalues with measured step-map eigenvalues at x_bar.
 
@@ -212,8 +220,7 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     """
     x = _check_state(model, x_bar)
     fnorm = float(np.abs(eval_f(model, x)).max())
-    # Written so that a NaN residual, from an overflowing field, fails too.
-    if not fnorm <= EQUILIBRIUM_RTOL * (1.0 + float(np.abs(x).max())):
+    if not _is_equilibrium(x, fnorm):
         raise SpecError(
             f"x_bar is not an equilibrium: ||f||={fnorm:.3e} exceeds the tolerance"
         )

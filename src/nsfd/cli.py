@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import find_equilibria, observed_order, stability_report
+from .analysis import _is_equilibrium, find_equilibria, observed_order, stability_report
 from .integrator import (
     SCHEMES,
     NewtonDivergenceError,
@@ -151,6 +151,12 @@ def _check_h(h: float) -> float:
     return h
 
 
+def _check_count(value: int, flag: str) -> int:
+    if value < 1:
+        raise SpecError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _check_step_size(model: MassActionModel, h: float, scheme: str, strict: bool) -> bool:
     """True when ``h`` is safe for ``scheme``; only nsfd has a bound."""
     if scheme != "nsfd":
@@ -224,6 +230,13 @@ def _cmd_stability(args) -> int:
     model = _model_from_args(args)
     seed_point = np.array(_parse_x0(args.x0))
     result = find_equilibria(model, [seed_point])[0]
+    # A Newton run that stopped away from an equilibrium found none: a
+    # numerical failure, not an input error about a point the user never gave.
+    if not _is_equilibrium(result.point, result.residual):
+        raise NewtonDivergenceError(
+            f"no equilibrium found from --x0: Newton status {result.status!r}, "
+            f"residual {result.residual:.3e}"
+        )
     rows = stability_report(model, result.point, args.h)
     doc = {
         "model": model.name,
@@ -267,6 +280,7 @@ def _tangent_doc(report) -> dict:
 def _cmd_invariance(args) -> int:
     model = _model_from_args(args)
     seed = _default_seed(args.seed)
+    _check_count(args.tangent_samples, "--tangent-samples")
     _check_h(args.h)
     h_safe = _check_step_size(model, args.h, args.scheme, args.strict)
     audit = invariance_audit(
@@ -300,7 +314,7 @@ def _cmd_reversibility(args) -> int:
         xs = np.array(_parse_x0(args.x0))[None, :]
         trials = 1
     else:
-        trials = args.trials
+        trials = _check_count(args.trials, "--trials")
         xs = sample_interior(model.domain, trials, seed)
     ys = step_forward_batch(model, xs, args.h)
     back = step_backward_batch(model, ys, args.h)

@@ -435,6 +435,31 @@ def test_stability_newton_overflow_is_a_numerical_failure(capsys):
     assert err.splitlines() == ["numerical failure: Newton iteration from seed 0: state is not finite"]
 
 
+@pytest.mark.parametrize(
+    "x0, ending",
+    [
+        # the field Jacobian is singular at the seed itself
+        ("0.5", "status 'singular', residual 2.500e-01"),
+        # the field overflows at the seed, and so does its Jacobian
+        ("1e308", "status 'singular', residual nan"),
+        ("1e154", "status 'no-convergence', residual 7.889e+277"),
+    ],
+)
+def test_stability_without_an_equilibrium_is_a_numerical_failure(capsys, x0, ending):
+    code, out, err = run_cli(capsys, "stability", "--builtin", "logistic", "--x0", x0, "--h", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: no equilibrium found from --x0: Newton {ending}\n"
+
+
+def test_stability_on_an_equilibrium_continuum_still_reports(capsys):
+    # every (S, 0) is an equilibrium: Newton reports 'singular' at residual 0
+    code, out, err = run_cli(capsys, "stability", "--builtin", "si", "--x0", "1,0", "--h", "0.1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["equilibrium_status"] == "singular"
+    assert doc["equilibrium"] == [1.0, 0.0]
+
+
 def test_stability_host_vector_dfe(capsys):
     code, out, _ = run_cli(
         capsys, "stability", "--builtin", "host-vector", "--x0", "10,0,10,0,0", "--h", "0.5"
@@ -547,6 +572,37 @@ def test_invariance_draws_the_boundary_sample_once(capsys, monkeypatch):
         assert doc[key]["samples"] == 40
         assert doc[key]["worst_value"] == report.worst_value
         assert doc[key]["worst_point"] == report.worst_point.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("invariance", "--builtin", "host-vector", "--h", "0.5", "--tangent-samples", "0"),
+         "--tangent-samples"),
+        (("reversibility", "--builtin", "si", "--h", "0.4", "--trials", "0"), "--trials"),
+    ],
+)
+def test_count_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, passed",
+    [
+        (("invariance", "--h", "0.5", "--trials", "50", "--steps", "50"),
+         lambda doc: doc["audit"]["exit_count"] == 0 and doc["discrete_tangent"]["passed"]),
+        (("reversibility", "--h", "0.5", "--trials", "100"), lambda doc: doc["passed"]),
+    ],
+)
+def test_checks_run_on_a_capped_network(tmp_path, capsys, sir_network, argv, passed):
+    # Box rejection accepts about (1/6)^4 of draws on these 4 capped patches.
+    path = tmp_path / "sir4.json"
+    path.write_text(dump_model(sir_network))
+    code, out, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert (code, err) == (0, ""), err
+    assert passed(json.loads(out)) is True
 
 
 def test_invariance_same_seed_is_byte_identical(capsys):

@@ -1,12 +1,16 @@
 """Boundary sampling, tangent conditions, and long-run domain audits."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from nsfd.integrator import _rk4_rows, step_backward, step_bound, step_forward_batch
 from nsfd.invariance import (
+    ACTIVITY_ATOL,
     AUDIT_SCHEMES,
     MAX_STORED_EXITS,
     MEMBERSHIP_SLACK,
@@ -101,6 +105,101 @@ def test_sample_interior_stays_strictly_inside(host_vector):
     assert xs.shape == (200, 5)
     margins = np.array([host_vector.domain.margin(x) for x in xs])
     assert np.all(margins > 0.0)
+
+
+def test_sample_interior_block_marginals_follow_beta(host_vector):
+    # In a block u . x <= c of support size d, each u_i x_i / c of a
+    # uniform point follows Beta(1, d), with CDF 1 - (1 - v)^d.  The
+    # Kolmogorov-Smirnov statistic of n = 20 000 draws stays below the
+    # asymptotic 1% critical value 1.628 / sqrt(n) = 0.0115.
+    n = 20_000
+    xs = sample_interior(host_vector.domain, n, seed=0)
+    for con in host_vector.domain.constraints:
+        u = con.normal_array
+        support = np.flatnonzero(u > 0.0)
+        for i in support:
+            v = np.sort(u[i] * xs[:, i] / con.bound)
+            cdf = 1.0 - (1.0 - v) ** support.size
+            ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+            assert ks < 1.628 / np.sqrt(n), (con.normal, i, ks)
+
+
+@st.composite
+def _capped_domains(draw):
+    """A compact domain: disjoint caps over a partition of the coordinates,
+    plus, by kind, a cap overlapping them or one with a negative normal entry."""
+    kind = draw(st.sampled_from(["disjoint", "overlapping", "negative"]))
+    n = draw(st.integers(1 if kind == "disjoint" else 2, 5))
+    part = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if kind == "overlapping":
+        part[:2] = [0, 1]  # so that the overlapping cap spans two disjoint ones
+    caps = []
+    for block in sorted(set(part)):
+        normal = [draw(st.floats(0.5, 2.0)) if part[i] == block else 0.0 for i in range(n)]
+        caps.append(Constraint(tuple(normal), draw(st.floats(0.5, 10.0))))
+    upper = Domain(nonnegative=(True,) * n, constraints=tuple(caps)).box_upper
+    if kind == "overlapping":
+        # No tiny entries: a face far longer than the box is rejected almost surely.
+        entries = st.sampled_from([0.0]) | st.floats(0.25, 2.0)
+        u = np.array([1.0, 1.0] + [draw(entries) for _ in range(n - 2)])
+        # Over the disjoint caps, u . x peaks at `top`; on the face of cap
+        # c it is at least c.bound * min u_i / normal_i.  A bound between
+        # the largest such minimum and `top` leaves every face nonempty.
+        ratios = [[u[i] / c.normal[i] for i in range(n) if c.normal[i]] for c in caps]
+        top = sum(c.bound * max(r) for c, r in zip(caps, ratios))
+        low = max(c.bound * min(r) for c, r in zip(caps, ratios))
+        extra = Constraint(tuple(u), low + draw(st.floats(0.3, 0.95)) * (top - low))
+    elif kind == "negative":
+        a, b = draw(st.permutations(range(n)))[:2]
+        normal = [1.0 if i == a else -1.0 if i == b else 0.0 for i in range(n)]
+        extra = Constraint(tuple(normal), draw(st.floats(0.2, 1.0)) * upper[a])
+    if kind != "disjoint":
+        caps.insert(draw(st.integers(0, len(caps))), extra)
+    return Domain(nonnegative=(True,) * n, constraints=tuple(caps))
+
+
+@seed(11)
+@given(dom=_capped_domains(), draw_seed=st.integers(0, 2**32 - 1))
+def test_samples_lie_inside_and_on_their_facets(dom, draw_seed):
+    xs = sample_interior(dom, 16, draw_seed)
+    assert xs.shape == (16, dom.n)
+    assert np.all(dom.margin(xs) > 0.0)
+    fs = facets(dom)
+    if any(np.any(f.normal < 0.0) for f in fs if f.kind == "constraint"):
+        with pytest.raises(SpecError, match="nonnegative entries only"):
+            sample_boundary(dom, 2 * len(fs), draw_seed)
+        return
+    points = sample_boundary(dom, 2 * len(fs), draw_seed)
+    assert [fi for _, fi in points] == [s % len(fs) for s in range(2 * len(fs))]
+    for x, fi in points:
+        scale = ACTIVITY_ATOL * (1.0 + np.abs(x).max())
+        assert abs(fs[fi].normal @ x - fs[fi].bound) <= scale
+        assert dom.margin(x) >= -scale
+
+
+def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
+    # The first cap's simplex reaches x_2 = 1.5e12 while the box stops at
+    # 1: drawn as a block, it would pass the other caps about once in 1e12.
+    dom = Domain(
+        nonnegative=(True,) * 3,
+        constraints=(
+            Constraint((1.0, 1.0, 1e-12), 1.5),
+            Constraint((1.0, 0.0, 1.0), 1.0),
+            Constraint((0.0, 1.0, 0.0), 1.0),
+        ),
+    )
+    assert np.all(dom.margin(sample_interior(dom, 100, seed=0)) > 0.0)
+
+
+def test_sample_interior_draws_a_ten_patch_network_quickly(metapop_sir):
+    # 10 capped patches: box rejection would accept about (1/6)^10 of draws
+    model = metapop_sir([((p, 0.02), ((p - 1) % 10, 0.01)) for p in range(10)], mu=0.1)
+    start = time.perf_counter()
+    xs = sample_interior(model.domain, 10_000, seed=0)
+    elapsed = time.perf_counter() - start
+    assert xs.shape == (10_000, 30)
+    assert np.all(model.domain.margin(xs) > 0.0)
+    assert elapsed < 0.5
 
 
 def test_continuous_tangent_passes_on_canonical_model(host_vector):
