@@ -37,7 +37,6 @@ from .invariance import (
     continuous_tangent,
     discrete_tangent,
     invariance_audit,
-    sample_boundary,
     sample_interior,
 )
 from .linalg import LinAlgError
@@ -286,16 +285,13 @@ def _cmd_invariance(args) -> int:
     audit = invariance_audit(
         model, h=args.h, trials=args.trials, steps=args.steps, seed=seed, scheme=args.scheme
     )
-    # Both tangent checks draw the same boundary points from the seed: draw
-    # them once.
-    points = sample_boundary(model.domain, args.tangent_samples, seed)
-    cont = continuous_tangent(model, _points=points)
+    cont = continuous_tangent(model, count=args.tangent_samples, seed=seed)
     # The discrete tangent condition concerns the reversible map below its
     # safe bound; a comparison scheme has no backward step to check, and an
     # oversized h has no meaningful one.
     disc = None
     if args.scheme == "nsfd" and h_safe:
-        disc = discrete_tangent(model, h=args.h, _points=points)
+        disc = discrete_tangent(model, h=args.h, count=args.tangent_samples, seed=seed)
     doc = {
         "model": model.name,
         "audit": audit.as_dict(),
@@ -316,8 +312,9 @@ def _cmd_reversibility(args) -> int:
     else:
         trials = _check_count(args.trials, "--trials")
         xs = sample_interior(model.domain, trials, seed)
-    ys = step_forward_batch(model, xs, args.h)
-    back = step_backward_batch(model, ys, args.h)
+    h = _check_h(args.h)
+    ys = step_forward_batch(model, xs, h)
+    back = step_backward_batch(model, ys, h)
     if args.x0 is not None:
         # After the run, so that a run that fails prints only its error line.
         _check_inside_domain(model, xs[0], args.strict)
@@ -327,7 +324,7 @@ def _cmd_reversibility(args) -> int:
     passed = bool(relative[worst] <= REV_RTOL)
     doc = {
         "model": model.name,
-        "h": args.h,
+        "h": h,
         "trials": trials,
         "seed": seed,
         "max_residual": float(residuals.max()),

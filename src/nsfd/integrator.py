@@ -198,10 +198,8 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
     than one row, the row.
     """
     if x.ndim == 1:
-        hv = h
         mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
     else:
-        hv = h if np.ndim(h) == 0 else h[:, None]
         mats = _stack_matrices(model, x, h)
     parts = _slack_parts(mats)
     if not parts[2] > 0.0:
@@ -214,14 +212,11 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
             f"matrix lost strict column dominance in column {col}{where}; reduce h below the safe "
             "step bound for this state"
         )
-    if x.ndim == 1:
-        rhs = x + (0.5 * hv) * (x @ model.linear.T) + hv * model.constant
-    else:
-        # The same operations, worked in place.
-        rhs = x @ model.linear.T
-        rhs *= 0.5 * hv
-        rhs += x
-        rhs += hv * model.constant
+    hv = h if np.ndim(h) == 0 else h[:, None]
+    rhs = x @ model.linear.T
+    rhs *= 0.5 * hv
+    rhs += x
+    rhs += hv * model.constant
     return mats, rhs, parts
 
 

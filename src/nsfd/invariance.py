@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import _check_h, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, _phi_rows, eval_f
+from .model import Domain, MassActionModel, SpecError, _phi_rows
 
 __all__ = [
     "Facet",
@@ -226,15 +226,27 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
 
     Facets are visited round-robin, and each facet's share is drawn in
     one batch, uniform over its face of the domain (a constraint facet
-    needs a nonnegative normal).  Deterministic in seed.
+    needs a nonnegative normal).  A facet gets no samples when its face
+    is found to miss the domain, as a redundant cap's does; the test is
+    sufficient, not necessary.  Deterministic in seed.
     """
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
     _require_compact(domain, "boundary sampling")
     rng = np.random.default_rng(seed)
-    nf = len(facets(domain))
-    shares = [_draw(domain, rng, len(range(fi, count, nf)), fi) for fi in range(min(nf, count))]
-    return [(shares[s % nf][s // nf], s % nf) for s in range(count)]
+    fs = facets(domain)
+    # The face of a cap u . x <= c with u >= 0 misses the domain when another
+    # such cap v . x <= d is broken at each vertex (c / u_i) e_i of its
+    # simplex: v_i c > d u_i, which no round-off makes true of a cap's copy.
+    caps = [fi for fi, f in enumerate(fs) if np.all(f.normal >= 0.0)]
+    empty = {
+        fi for fi in caps for ci in caps
+        if np.all((fs[ci].normal * fs[fi].bound > fs[ci].bound * fs[fi].normal)[fs[fi].normal > 0.0])
+    }
+    live = [fi for fi in range(len(fs)) if fi not in empty]
+    k = len(live)
+    shares = [_draw(domain, rng, len(range(s, count, k)), fi) for s, fi in enumerate(live[:count])]
+    return [(shares[s % k][s // k], live[s % k]) for s in range(count)]
 
 
 def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
@@ -252,37 +264,32 @@ def _freeze_point(x: np.ndarray) -> np.ndarray:
 
 
 def _tangent_report(
-    domain: Domain,
-    points: list[tuple[np.ndarray, int]],
-    deltas: np.ndarray,
-    tol: float | None,
-    pick,
-    excess,
+    domain: Domain, xs: np.ndarray, deltas: np.ndarray, tol: float | None, pick, excess
 ) -> TangentReport:
-    """The report of a tangent check from its boundary samples.
+    """The report of a tangent check from its stacked boundary samples ``xs``, shape (P, n).
 
     A facet value ``normal . delta`` is taken at every facet active at
-    each sample; worst_value is ``pick`` (max or min) of them, and an
-    entry violates when ``excess(value, point index)`` exceeds the
-    tolerance, TANGENT_TOL times the largest 1 + |x| unless tol is given.
+    each sample, in sample-then-facet order; worst_value is the one at
+    index ``pick(values)``, and an entry violates when ``excess(values,
+    sample indices)`` exceeds the tolerance, TANGENT_TOL times the
+    largest 1 + |x| unless tol is given.
     """
     fs = facets(domain)
-    values: list[tuple[float, int, int]] = []
-    scale = 1.0
-    for p, (x, _) in enumerate(points):
-        size = 1.0 + float(np.abs(x).max())
-        scale = max(scale, size)
-        for fi, facet in enumerate(fs):
-            if abs(float(facet.normal @ x) - facet.bound) <= ACTIVITY_ATOL * size:
-                values.append((float(facet.normal @ deltas[p]), p, fi))
-    tolerance = TANGENT_TOL * scale if tol is None else float(tol)
-    worst_value, worst_p, _ = pick(values)
+    normals = np.array([f.normal for f in fs])
+    size = 1.0 + np.abs(xs).max(axis=1)
+    active = np.abs(xs @ normals.T - [f.bound for f in fs]) <= ACTIVITY_ATOL * size[:, None]
+    ps, fis = np.nonzero(active)
+    values = (deltas @ normals.T)[ps, fis]
+    tolerance = TANGENT_TOL * float(size.max()) if tol is None else float(tol)
+    worst = pick(values)
+    bad = np.flatnonzero(excess(values, ps) > tolerance)
     return TangentReport(
-        samples=len(points),
-        worst_value=worst_value,
-        worst_point=_freeze_point(points[worst_p][0]),
+        samples=xs.shape[0],
+        worst_value=float(values[worst]),
+        worst_point=_freeze_point(xs[ps[worst]]),
         violations=tuple(
-            (_freeze_point(points[p][0]), fi, v) for v, p, fi in values if excess(v, p) > tolerance
+            (_freeze_point(xs[p]), fi, v)
+            for p, fi, v in zip(ps[bad].tolist(), fis[bad].tolist(), values[bad].tolist())
         ),
         tolerance=tolerance,
     )
@@ -294,22 +301,20 @@ def continuous_tangent(
     count: int = 256,
     seed: int = 0,
     tol: float | None = None,
-    *,
-    _points=None,
 ) -> TangentReport:
     """Check ``n(x) . f(x) <= tol`` at sampled boundary points.
 
     A positive value means the field pushes outward across that facet.
-    worst_value is the largest value seen; the check passes when no
-    evaluation exceeds the tolerance.  The private ``_points`` takes a
-    :func:`sample_boundary` draw from a caller that has already made it,
-    in place of drawing ``count`` points from ``seed``.
+    worst_value is the largest value seen, the last of equal ones in
+    sample-then-facet order; the check passes when no evaluation exceeds
+    the tolerance.
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the continuous tangent check")
-    points = sample_boundary(dom, count, seed) if _points is None else _points
-    deltas = np.stack([eval_f(model, x) for x, _ in points])
-    return _tangent_report(dom, points, deltas, tol, max, lambda v, p: v)
+    xs = np.stack([x for x, _ in sample_boundary(dom, count, seed)])
+    return _tangent_report(
+        dom, xs, _phi_rows(model, xs), tol, lambda v: v.size - 1 - np.argmax(v[::-1]), lambda v, p: v
+    )
 
 
 def discrete_tangent(
@@ -319,8 +324,6 @@ def discrete_tangent(
     count: int = 256,
     seed: int = 0,
     tol: float | None = None,
-    *,
-    _points=None,
 ) -> TangentReport:
     """Check that no boundary point has a strictly interior backward image.
 
@@ -332,15 +335,15 @@ def discrete_tangent(
     the backward flow is not expected to stay in the domain.
 
     Facet values ``n(x) . (F(-h, x) - x)`` are still evaluated at every
-    active facet: worst_value is the smallest one, each violation entry
-    carries its facet's value, and as h -> 0 the values recover
-    ``-h n(x) . f(x)``.  Every reported violation has a negative value
-    on each of its facets (strictly interior implies inward on all of
-    them); the converse fails at finite h, where inward-pointing facet
-    values are routine at points whose backward image exits elsewhere.
-    The step size must lie strictly inside (0, h_bar) for the model, so
-    the backward solves are meaningful everywhere on the boundary.
-    ``_points`` is private, as in :func:`continuous_tangent`.
+    active facet: worst_value is the smallest one, the first of equal
+    ones in sample-then-facet order, each violation entry carries its
+    facet's value, and as h -> 0 the values recover ``-h n(x) . f(x)``.
+    Every reported violation has a negative value on each of its facets
+    (strictly interior implies inward on all of them); the converse
+    fails at finite h, where inward-pointing facet values are routine at
+    points whose backward image exits elsewhere.  The step size must lie
+    strictly inside (0, h_bar) for the model, so the backward solves are
+    meaningful everywhere on the boundary.
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the discrete tangent check")
@@ -348,11 +351,10 @@ def discrete_tangent(
     h_bar = step_bound(model).h_bar
     if not 0.0 < h < h_bar:
         raise SpecError(f"step size {h} is outside the checkable range (0, {h_bar})")
-    points = sample_boundary(dom, count, seed) if _points is None else _points
-    xs = np.stack([x for x, _ in points])
+    xs = np.stack([x for x, _ in sample_boundary(dom, count, seed)])
     ys = step_backward_batch(model, xs, h)
     margins = dom.margin(ys)
-    return _tangent_report(dom, points, ys - xs, tol, min, lambda v, p: margins[p])
+    return _tangent_report(dom, xs, ys - xs, tol, np.argmin, lambda v, p: margins[p])
 
 
 def invariance_audit(

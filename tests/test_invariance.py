@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from nsfd.integrator import _rk4_rows, step_backward, step_bound, step_forward_batch
+from nsfd.integrator import (
+    _rk4_rows,
+    step_backward,
+    step_backward_batch,
+    step_bound,
+    step_forward_batch,
+)
 from nsfd.invariance import (
     ACTIVITY_ATOL,
     AUDIT_SCHEMES,
     MAX_STORED_EXITS,
     MEMBERSHIP_SLACK,
+    TANGENT_TOL,
     AuditReport,
     TangentReport,
     continuous_tangent,
@@ -23,7 +30,7 @@ from nsfd.invariance import (
     sample_boundary,
     sample_interior,
 )
-from nsfd.model import Constraint, Domain, SpecError, _phi_rows
+from nsfd.model import Constraint, Domain, MassActionModel, SpecError, _phi_rows, eval_f
 from nsfd.models import HostVectorParameters, make_host_vector
 
 ACTIVITY_TOL = 1e-12
@@ -177,6 +184,28 @@ def test_samples_lie_inside_and_on_their_facets(dom, draw_seed):
         assert dom.margin(x) >= -scale
 
 
+@pytest.mark.parametrize(
+    "caps",
+    [
+        (Constraint((1.0,), 0.5), Constraint((1.0,), 1.0)),
+        (Constraint((1.0, 1.0), 1.0), Constraint((1.0, 1.0), 2.0)),
+    ],
+    ids=["x<=0.5,x<=1", "x+y<=1,x+y<=2"],
+)
+def test_the_face_of_a_redundant_cap_gets_no_samples(caps):
+    # The second cap's face lies outside the domain: it stays a facet, and
+    # the round robin skips it.
+    dom = Domain(nonnegative=(True,) * len(caps[0].normal), constraints=caps)
+    fs = facets(dom)
+    assert len(fs) == dom.n + 2
+    live = list(range(len(fs) - 1))
+    points = sample_boundary(dom, 5 * len(live), seed=0)
+    assert [fi for _, fi in points] == live * 5
+    for x, fi in points:
+        assert abs(fs[fi].normal @ x - fs[fi].bound) <= ACTIVITY_ATOL
+        assert dom.margin(x) >= -ACTIVITY_ATOL
+
+
 def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
     # The first cap's simplex reaches x_2 = 1.5e12 while the box stops at
     # 1: drawn as a block, it would pass the other caps about once in 1e12.
@@ -287,6 +316,103 @@ def test_backward_displacement_shrinks_linearly_with_h():
         assert abs(rate / (-flux) - 1.0) <= 0.05
         checked += 1
     assert checked >= 50
+
+
+def _looped_tangent_report(domain, points, deltas, tol, pick, excess):
+    """Reference tangent report: a Python loop over every sample and every facet.
+
+    Values are (value, sample, facet) tuples in sample-then-facet order,
+    so ``pick`` = max takes the last of equal largest values and min the
+    first of equal smallest ones.
+    """
+    fs = facets(domain)
+    values = []
+    scale = 1.0
+    for p, (x, _) in enumerate(points):
+        size = 1.0 + float(np.abs(x).max())
+        scale = max(scale, size)
+        for fi, facet in enumerate(fs):
+            if abs(float(facet.normal @ x) - facet.bound) <= ACTIVITY_ATOL * size:
+                values.append((float(facet.normal @ deltas[p]), p, fi))
+    tolerance = TANGENT_TOL * scale if tol is None else float(tol)
+    worst_value, worst_p, _ = pick(values)
+    return TangentReport(
+        samples=len(points),
+        worst_value=worst_value,
+        worst_point=points[worst_p][0].copy(),
+        violations=tuple(
+            (points[p][0].copy(), fi, v) for v, p, fi in values if excess(v, p) > tolerance
+        ),
+        tolerance=tolerance,
+    )
+
+
+def _looped_tangent_reports(model, h, count, seed, tol):
+    """Both reference reports, the field taken point by point as :func:`eval_f` gives it."""
+    points = sample_boundary(model.domain, count, seed)
+    xs = np.stack([x for x, _ in points])
+    ys = step_backward_batch(model, xs, h)
+    margins = model.domain.margin(ys)
+    fields = np.stack([eval_f(model, x) for x in xs])
+    return (
+        _looped_tangent_report(model.domain, points, fields, tol, max, lambda v, p: v),
+        _looped_tangent_report(model.domain, points, ys - xs, tol, min, lambda v, p: margins[p]),
+    )
+
+
+@pytest.mark.parametrize("name", ["host-vector", "tight-cap", "sir-network"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tangent_reports_match_the_looped_reference(host_vector, sir_network, name, seed):
+    model = {"host-vector": host_vector, "tight-cap": _shrunk_vector_cap(), "sir-network": sir_network}[name]
+    h = 0.5 * step_bound(model).h_bar
+    reports = (
+        continuous_tangent(model, count=256, seed=seed),
+        discrete_tangent(model, h=h, count=256, seed=seed),
+    )
+    # At tol = -inf every active (sample, facet) pair is a violation entry.
+    every = (
+        continuous_tangent(model, count=256, seed=seed, tol=-np.inf),
+        discrete_tangent(model, h=h, count=256, seed=seed, tol=-np.inf),
+    )
+    for rep, ref, all_rep, all_ref in zip(
+        reports, _looped_tangent_reports(model, h, 256, seed, None),
+        every, _looped_tangent_reports(model, h, 256, seed, -np.inf),
+    ):
+        assert rep.samples == ref.samples == 256
+        assert rep.tolerance == ref.tolerance
+        assert [fi for _, fi, _ in rep.violations] == [fi for _, fi, _ in ref.violations]
+        assert len(all_rep.violations) == len(all_ref.violations) >= 256
+        scale = 1e-15 * max(abs(v) for _, _, v in all_ref.violations)
+        for (x, fi, v), (x_ref, fi_ref, v_ref) in zip(all_rep.violations, all_ref.violations):
+            assert np.array_equal(x, x_ref) and fi == fi_ref
+            assert abs(v - v_ref) <= scale
+        assert abs(rep.worst_value - ref.worst_value) <= scale
+    # The tie rule, on each report's own values: the last of equal largest
+    # values for the continuous check, the first of equal smallest ones for
+    # the discrete check.
+    for rep, all_rep, pick in zip(reports, every, (max, min)):
+        v, p, _ = pick((v, p, fi) for p, (_, fi, v) in enumerate(all_rep.violations))
+        assert rep.worst_value == v
+        assert np.array_equal(rep.worst_point, all_rep.violations[p][0])
+
+
+def test_tangent_ties_go_to_the_last_largest_and_the_first_smallest_value():
+    # A zero field ties every facet value at 0: the continuous check reports
+    # the last sample, the discrete check the first.
+    still = MassActionModel(
+        n=2,
+        bilinear=(),
+        linear=np.zeros((2, 2)),
+        constant=np.zeros(2),
+        domain=Domain(nonnegative=(True, True), constraints=(Constraint((1.0, 1.0), 1.0),)),
+        labels=("x", "y"),
+    )
+    points = sample_boundary(still.domain, 7, seed=4)
+    cont = continuous_tangent(still, count=7, seed=4)
+    disc = discrete_tangent(still, h=0.5, count=7, seed=4)
+    assert cont.worst_value == disc.worst_value == 0.0
+    assert np.array_equal(cont.worst_point, points[-1][0])
+    assert np.array_equal(disc.worst_point, points[0][0])
 
 
 def test_audit_clean_below_bound(host_vector, h_bars):
