@@ -193,9 +193,10 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
     Jacobians J.  The only dominance check: one ``abs`` pass over the
     matrices (``linalg._slack_parts``), whose smallest slack a NaN fails
     too.  The same parts go on to the solve guard, which certifies from
-    them instead of a second pass.  Only on failure is the offending row
-    found, so that the DominanceError names the column and, for more
-    than one row, the row.
+    them instead of a second pass; the batch steps let the solve
+    overwrite the matrices and right-hand sides made here.  Only on
+    failure is the offending row found, so that the DominanceError names
+    the column and, for more than one row, the row.
     """
     if x.ndim == 1:
         mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
@@ -227,9 +228,11 @@ def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
     ``I - h (0.5 L)``, which is what the Jacobian's ``0 + L`` gives
     there.  The stack is laid out entry by entry with the stack axis
     innermost, and returned as an (m, n, n) view of that: each entry is
-    then one contiguous pass over the stack, here and in the ``abs``
-    pass of ``linalg._abs_parts``.  LAPACK gets each matrix copied in
-    its own order whatever the layout.  The rule of the stack path, for
+    then one contiguous pass over the stack, here, in the ``abs`` pass
+    of ``linalg._abs_parts`` and in the elimination that solves a large
+    dominant stack in place (``linalg._eliminate``).  A stack that goes
+    to LAPACK instead is copied matrix by matrix in LAPACK's own order
+    whatever the layout.  The rule of the stack path, for
     a shared h: no stack-sized temporary besides the solve matrices, so
     that the transient memory of a step stays well below twice the
     stack.  The base is one (n*n, 1) column broadcast into the stack,
@@ -313,14 +316,14 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """
     xs = _batch_states(model, xs)
     mats, rhs, parts = _step_system(model, xs, _batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts)
+    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True)
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
     mats, rhs, parts = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts)
+    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True)
 
 
 def _norm_inf(v: np.ndarray) -> float:

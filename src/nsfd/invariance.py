@@ -227,22 +227,31 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
     Facets are visited round-robin, and each facet's share is drawn in
     one batch, uniform over its face of the domain (a constraint facet
     needs a nonnegative normal).  A facet gets no samples when its face
-    is found to miss the domain, as a redundant cap's does; the test is
-    sufficient, not necessary.  Deterministic in seed.
+    is found to meet the domain in a set of measure zero, such as the
+    face of a redundant cap or one that touches the domain in a single
+    point; the test is sufficient, not necessary.  Deterministic in seed.
     """
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
     _require_compact(domain, "boundary sampling")
     rng = np.random.default_rng(seed)
     fs = facets(domain)
-    # The face of a cap u . x <= c with u >= 0 misses the domain when another
-    # such cap v . x <= d is broken at each vertex (c / u_i) e_i of its
-    # simplex: v_i c > d u_i, which no round-off makes true of a cap's copy.
+    # The face of a cap u . x <= c with u >= 0 meets the domain in a set of
+    # measure zero, which no draw hits, when another such cap v . x <= d
+    # holds v . x >= d on all of it: v_i c >= d u_i at each vertex
+    # (c / u_i) e_i of its simplex, strictly at one of them or with v > 0
+    # off u's support, so that v . x = d only on a lower-dimensional part.
+    # A cap and its exact copy give equality everywhere and are not flagged.
     caps = [fi for fi, f in enumerate(fs) if np.all(f.normal >= 0.0)]
-    empty = {
-        fi for fi in caps for ci in caps
-        if np.all((fs[ci].normal * fs[fi].bound > fs[ci].bound * fs[fi].normal)[fs[fi].normal > 0.0])
-    }
+    empty = set()
+    for fi in caps:
+        u, c = fs[fi].normal, fs[fi].bound
+        support = u > 0.0
+        for ci in caps:
+            v, d = fs[ci].normal, fs[ci].bound
+            lhs, rhs = v[support] * c, d * u[support]
+            if np.all(lhs >= rhs) and (np.any(lhs > rhs) or np.any(v[~support] > 0.0)):
+                empty.add(fi)
     live = [fi for fi in range(len(fs)) if fi not in empty]
     k = len(live)
     shares = [_draw(domain, rng, len(range(s, count, k)), fi) for s, fi in enumerate(live[:count])]

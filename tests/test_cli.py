@@ -599,6 +599,32 @@ def test_checks_run_on_a_capped_network(tmp_path, capsys, sir_network, argv, pas
     assert passed(json.loads(out)) is True
 
 
+def test_invariance_runs_on_a_cap_whose_face_touches_the_domain_in_one_point(tmp_path, capsys):
+    # The face x = 1 of the second cap meets x + y <= 1 only at (1, 0):
+    # the boundary sample skips it instead of failing the run.
+    decay = MassActionModel(
+        n=2,
+        bilinear=(),
+        linear=np.diag([-1.0, -0.5]),
+        constant=np.zeros(2),
+        domain=Domain(
+            nonnegative=(True, True),
+            constraints=(Constraint((1.0, 1.0), 1.0), Constraint((1.0, 0.0), 1.0)),
+        ),
+        labels=("x", "y"),
+        name="capped-decay",
+    )
+    path = tmp_path / "decay.json"
+    path.write_text(dump_model(decay))
+    code, out, err = run_cli(
+        capsys, "invariance", "--model", str(path), "--h", "0.1", "--trials", "8",
+        "--steps", "8", "--tangent-samples", "12", "--seed", "0",
+    )
+    assert (code, err) == (0, ""), err
+    doc = json.loads(out)
+    assert doc["continuous_tangent"]["passed"] and doc["discrete_tangent"]["passed"]
+
+
 def test_invariance_same_seed_is_byte_identical(capsys):
     argv = (
         "invariance", "--builtin", "si", "--h", "0.5", "--trials", "8", "--steps", "8",
@@ -760,17 +786,18 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert (code, err) == (0, ""), argv
 
 
-def _run_entry_point(*command):
+def _run_entry_point(*command, **environ):
     """Run an nsfd entry point as its own process on the code under test.
 
     The directory holding the imported package goes first on PYTHONPATH,
     so the child neither depends on the working directory nor picks up
-    some other installed nsfd.
+    some other installed nsfd.  Keyword arguments are set in the child's
+    environment.
     """
     package_root = str(Path(nsfd.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, inherited))))
-    return subprocess.run(command, capture_output=True, text=True, env=env)
+    return subprocess.run(command, capture_output=True, text=True, env={**env, **environ})
 
 
 def _check_exit_status_wiring(*prefix):
@@ -805,6 +832,43 @@ def test_overflowing_x0_ends_in_one_line(argv):
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith(("error:", "numerical failure:"))
+
+
+def _blas_kernel_skip_reason():
+    """Why OpenBLAS cannot be made to run two kernels here, or None when it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS library"
+    if "openblas" not in blas.lower():
+        return f"numpy's BLAS is {blas}, not OpenBLAS"
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "no /proc/cpuinfo to read the CPU flags from"
+    if "avx512f" not in cpuinfo.split():
+        return "the CPU lacks avx512f, so OpenBLAS has no SkylakeX kernel to run"
+    return None
+
+
+def test_invariance_output_does_not_depend_on_the_blas_kernel():
+    # The audit's 1000-row stacks and the 256-sample discrete tangent are
+    # dominant stacks past the elimination rule of linalg._solve_stack, so
+    # their rows get the same bits under every OpenBLAS kernel.  Solved by
+    # LAPACK, this worst_margin read 7.034373084024992e-13 under Haswell and
+    # 7.016609515630989e-13 under SkylakeX.  simulate still solves each step
+    # with LAPACK and may differ by kernel; this test does not cover it.
+    reason = _blas_kernel_skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    argv = (
+        sys.executable, "-m", "nsfd", "invariance", "--builtin", "host-vector", "--h", "0.5",
+        "--trials", "1000", "--steps", "200", "--seed", "5",
+    )
+    runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in ("Haswell", "SkylakeX")]
+    for done in runs:
+        assert (done.returncode, done.stderr) == (0, "")
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_console_script_entry_point():

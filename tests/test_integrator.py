@@ -28,7 +28,7 @@ from nsfd.integrator import (
     _rk4_rows,
     _step_system,
 )
-from nsfd.linalg import LinAlgError, SingularMatrixError
+from nsfd.linalg import LinAlgError, SingularMatrixError, lu_solve_batch
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -431,6 +431,20 @@ def test_batch_step_makes_no_second_stack(host_vector, h_bars, rng, step):
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * m * host_vector.n**2 * 8
+
+
+@pytest.mark.parametrize("count", [100, 1000])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(host_vector, h_bars, rng, count, sign):
+    # The step hands its stack and right-hand sides to the solve to be
+    # overwritten; the answer must be the one a solve on copies gives, on
+    # both sides of the elimination rule (250 rows for n = 5).
+    xs = _interior_states(host_vector, rng, count)
+    h = 0.4 * h_bars["host-vector"]
+    mats, rhs, _ = _step_system(host_vector, xs, sign * h)
+    want = lu_solve_batch(mats, rhs)
+    step = step_forward_batch if sign > 0 else step_backward_batch
+    assert step(host_vector, xs, h).tobytes() == want.tobytes()
 
 
 def test_trajectory_views_a_float_array_without_freezing_it():

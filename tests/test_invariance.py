@@ -206,6 +206,30 @@ def test_the_face_of_a_redundant_cap_gets_no_samples(caps):
         assert dom.margin(x) >= -ACTIVITY_ATOL
 
 
+@pytest.mark.parametrize(
+    "caps, live",
+    [
+        # The face x = 1 meets x + y <= 1 only at the point (1, 0).
+        ((Constraint((1.0, 1.0), 1.0), Constraint((1.0, 0.0), 1.0)), [0, 1, 2]),
+        # The face x + y = 1 meets x + y + z <= 1 only on the edge z = 0.
+        ((Constraint((1.0, 1.0, 1.0), 1.0), Constraint((1.0, 1.0, 0.0), 1.0)), [0, 1, 2, 3]),
+        # A cap's exact copy shares its face, and neither is skipped.
+        ((Constraint((1.0, 1.0), 1.0), Constraint((1.0, 1.0), 1.0)), [0, 1, 2, 3]),
+    ],
+    ids=["x+y<=1,x<=1", "x+y+z<=1,x+y<=1", "x+y<=1,x+y<=1"],
+)
+def test_a_face_that_meets_the_domain_in_measure_zero_gets_no_samples(caps, live):
+    # No uniform draw on the face lands in the domain, so its facet must be
+    # skipped rather than drawn until the attempts run out.
+    dom = Domain(nonnegative=(True,) * len(caps[0].normal), constraints=caps)
+    fs = facets(dom)
+    points = sample_boundary(dom, 4 * len(live), seed=0)
+    assert [fi for _, fi in points] == live * 4
+    for x, fi in points:
+        assert abs(fs[fi].normal @ x - fs[fi].bound) <= ACTIVITY_ATOL
+        assert dom.margin(x) >= -ACTIVITY_ATOL
+
+
 def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
     # The first cap's simplex reaches x_2 = 1.5e12 while the box stops at
     # 1: drawn as a block, it would pass the other caps about once in 1e12.

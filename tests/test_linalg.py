@@ -154,6 +154,80 @@ def test_dominant_batch_of_mixed_scales_is_certified_system_by_system(rng, monke
         assert np.allclose(a[k] @ xs[k], b[k], rtol=1e-12, atol=1e-12)
 
 
+def _count_lapack_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+ELIMINATION_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_dominant_stack_is_eliminated_from_two_n_cubed_rows(rng, monkeypatch, n, side):
+    # Below 2 n^3 rows the stack goes to LAPACK; from there on it is solved
+    # by elimination without pivoting, within a few ulps of LAPACK's answer.
+    m = 2 * n**3 - (side == "below")
+    a = _dominant_systems(rng, m, n)
+    b = rng.standard_normal((m, n))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    calls = _count_lapack_solves(monkeypatch)
+    xs = lu_solve_batch(a, b)
+    assert len(calls) == (side == "below")
+    gap = np.abs(xs - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert gap.max() <= ELIMINATION_RTOL
+
+
+def test_eliminated_rows_do_not_depend_on_the_stack(rng):
+    # every operation is elementwise across the stack, so a system gets the
+    # same bits in any stack that takes the elimination
+    a = _dominant_systems(rng, 1000, 5)
+    b = rng.standard_normal((1000, 5))
+    whole = lu_solve_batch(a, b)
+    part = lu_solve_batch(a[700:], b[700:])
+    assert whole[700:].tobytes() == part.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C-ordered", "entries-first"])
+def test_lu_solve_batch_leaves_its_inputs_unchanged(rng, layout):
+    a = _dominant_systems(rng, 300, 5)
+    if layout == "entries-first":
+        # the layout the elimination works in place
+        a = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+    b = rng.standard_normal((300, 5))
+    a_bytes, b_bytes = a.tobytes(), b.tobytes()
+    lu_solve_batch(a, b)
+    assert a.tobytes() == a_bytes and b.tobytes() == b_bytes
+
+
+def test_lu_solve_batch_needs_pivoting():
+    # a stack past the rule whose zero top-left pivots force row swaps
+    a = np.tile([[0.0, 1.0], [1.0, 0.0]], (16, 1, 1))
+    b = np.tile([2.0, 5.0], (16, 1))
+    assert np.allclose(lu_solve_batch(a, b), [5.0, 2.0], rtol=0, atol=1e-15)
+
+
+def test_stack_with_one_non_dominant_member_goes_to_lapack(rng, monkeypatch):
+    a = _dominant_systems(rng, 300, 5)
+    a[123] = rng.standard_normal((5, 5))
+    b = rng.standard_normal((300, 5))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    calls = _count_lapack_solves(monkeypatch)
+    xs = lu_solve_batch(a, b)
+    assert len(calls) == 1
+    assert xs.tobytes() == want.tobytes()
+
+
+def test_dominant_stack_past_the_rule_keeps_the_condition_check():
+    # every member is dominant, but one is numerically singular
+    a = np.tile(np.eye(2), (20, 1, 1))
+    a[13] = np.diag([1.0, 1e-15])
+    with pytest.raises(SingularMatrixError, match="system 13: reciprocal condition"):
+        lu_solve_batch(a, np.ones((20, 2)))
+
+
 def _awkward_stack(rng, m, n):
     # entries with NaN, +-inf and -0.0 scattered in, and one all-zero system
     a = rng.standard_normal((m, n, n))
