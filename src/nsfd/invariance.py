@@ -172,6 +172,11 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
     weight for coordinate i on the facet ``x_i = 0``.  The other
     coordinates are uniform in the box.  So disjoint caps reject
     nothing, and no domain accepts fewer draws than under box rejection.
+    A facet's own cap whose simplex is not inside the box is no block:
+    its support is covered all the same, its coordinate of largest
+    weight is solved from ``u . x = c``, and rows where that one is
+    negative are rejected.  The face is an affine image of the box's
+    projection beside that coordinate, so the draw stays uniform.
     """
     own = None
     free = np.ones(domain.n, dtype=bool)
@@ -184,15 +189,19 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
         else:
             own = face.index
     blocks = []
+    solved = None
     covered = np.zeros(domain.n, dtype=bool)
     for c in sorted(range(len(domain.constraints)), key=lambda c: c != own):
         u, bound = domain.constraints[c].normal_array, domain.constraints[c].bound
         support = u > 0.0
-        in_box = c == own or np.all(bound / u[support] <= domain.box_upper[support])
-        if np.all(u >= 0.0) and not np.any(covered & support) and in_box:
+        in_box = np.all(bound / u[support] <= domain.box_upper[support])
+        if np.all(u >= 0.0) and not np.any(covered & support) and (in_box or c == own):
             covered |= support
-            coords = np.flatnonzero(support & free)
-            blocks.append((coords, bound / u[coords], coords.size + (c != own)))
+            if in_box:
+                coords = np.flatnonzero(support & free)
+                blocks.append((coords, bound / u[coords], coords.size + (c != own)))
+            else:
+                solved = (int(np.argmax(u)), u, bound)
     size = max(count, 64)
     rows: list[np.ndarray] = []
     try:
@@ -206,6 +215,10 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
                 keep &= total[:, 0] > 0.0
                 draw[:, coords] = w[:, : coords.size] / total * scale
             draw[:, ~free] = 0.0
+            if solved is not None:
+                i, u, bound = solved
+                draw[:, i] += (bound - draw @ u) / u[i]
+                keep &= draw[:, i] >= 0.0
             for c, con in enumerate(domain.constraints):
                 if c != own:
                     keep &= draw @ con.normal_array <= con.bound
@@ -381,12 +394,11 @@ def invariance_audit(
     that step); an exited trajectory is frozen afterwards.  Membership
     uses slack MEMBERSHIP_SLACK * (1 + |x|) so round-off alone cannot
     register as an exit; non-finite states count as exits.  h must be
-    positive and finite for every scheme.  While every trial is alive
-    the whole stack is stepped and scanned in place, in one
-    :func:`step_forward_batch` call per step for nsfd; after the first
-    exit the live rows are gathered, stepped and scattered back.  Both
-    give the same report.  The report is deterministic in (seed,
-    trials, steps, h, scheme).
+    positive and finite for every scheme.  Each step advances and scans
+    the stack of live trials, in one :func:`step_forward_batch` call per
+    step for nsfd; the trials that exit on a step are recorded and then
+    dropped from the stack, which keeps the others in trial order.  The
+    report is deterministic in (seed, trials, steps, h, scheme).
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the invariance audit")
@@ -396,70 +408,42 @@ def invariance_audit(
         raise SpecError("audit needs trials >= 1 and steps >= 0")
     h = _check_h(h)
     xs = sample_interior(dom, trials, seed)
-    alive = np.ones(trials, dtype=bool)
+    # The live stack: xs[r] is the state of trial ids[r].
+    ids = np.arange(trials)
     exits: list[tuple[int, int, float]] = []
     exit_count = 0
-    worst_margin = np.inf
-    worst_trial = -1
-    worst_step = -1
-
-    def advance(rows: np.ndarray) -> np.ndarray:
-        if scheme == "nsfd":
-            return step_forward_batch(model, rows, h)
-        if scheme == "euler":
-            return rows + h * _phi_rows(model, rows)
-        return _rk4_rows(model, rows, h)
-
-    def scan(step: int, rows: np.ndarray, live: np.ndarray | None) -> np.ndarray:
-        """Record the worst margin and the exits among ``rows``; return the exited trials.
-
-        ``rows`` are the states of the trials in ``live``, or of every
-        trial when ``live`` is None.  Rows are sanitized, so that a
-        non-finite state exits at margin -inf, only when some margin or
-        row size is not finite.
-        """
-        nonlocal exit_count, worst_margin, worst_trial, worst_step
-        margins = dom.margin(rows)
+    worst_margin, worst_trial, worst_step = np.inf, -1, -1
+    for step in range(steps + 1):
+        if step:
+            if scheme == "nsfd":
+                xs = step_forward_batch(model, xs, h)
+            elif scheme == "euler":
+                xs = xs + h * _phi_rows(model, xs)
+            else:
+                xs = _rk4_rows(model, xs, h)
+        margins = dom.margin(xs)
         # max |x_i| per row, taken column by column: a reduction over each
         # short row would loop over n entries at a time.
-        size = np.abs(rows[:, 0])
-        for col in rows.T[1:]:
+        size = np.abs(xs[:, 0])
+        for col in xs.T[1:]:
             np.maximum(size, np.abs(col), out=size)
+        # Rows are sanitized, so that a non-finite state exits at margin
+        # -inf, only when some margin or row size is not finite.
         if not (np.isfinite(margins).all() and np.isfinite(size).all()):
-            finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
+            finite = np.isfinite(xs).all(axis=1) & np.isfinite(margins)
             margins = np.where(finite, margins, -np.inf)
-            size = np.abs(np.where(np.isfinite(rows), rows, 0.0)).max(axis=1)
+            size = np.abs(np.where(np.isfinite(xs), xs, 0.0)).max(axis=1)
         j = int(np.argmin(margins))
         if margins[j] < worst_margin:
-            worst_margin = float(margins[j])
-            worst_trial = j if live is None else int(live[j])
-            worst_step = step
-        out = np.flatnonzero(margins < -(MEMBERSHIP_SLACK * (1.0 + size)))
-        trials_out = out if live is None else live[out]
-        for idx, trial in zip(out.tolist(), trials_out.tolist()):
-            exit_count += 1
-            if len(exits) < MAX_STORED_EXITS:
-                exits.append((trial, step, float(margins[idx])))
-        return trials_out
-
-    # While every trial is alive (live is None) the whole stack steps and
-    # is scanned as it is; after the first exit the live rows are gathered
-    # and scattered back.
-    live = None
-    exited = scan(0, xs, live)
-    for step in range(1, steps + 1):
-        if exited.size:
-            alive[exited] = False
-            live = np.flatnonzero(alive)
-            if live.size == 0:
+            worst_margin, worst_trial, worst_step = float(margins[j]), int(ids[j]), step
+        out = margins < -(MEMBERSHIP_SLACK * (1.0 + size))
+        if out.any():
+            rows = np.flatnonzero(out)[: MAX_STORED_EXITS - len(exits)]
+            exits += [(trial, step, m) for trial, m in zip(ids[rows].tolist(), margins[rows].tolist())]
+            exit_count += int(np.count_nonzero(out))
+            xs, ids = xs[~out], ids[~out]
+            if not ids.size:
                 break
-        if live is None:
-            xs = advance(xs)
-            exited = scan(step, xs, live)
-        else:
-            rows = advance(xs[live])
-            xs[live] = rows
-            exited = scan(step, rows, live)
     return AuditReport(
         trials=trials,
         steps=steps,

@@ -61,7 +61,10 @@ class SpecError(ValueError):
 def _finite_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{what} must be a real number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = np.inf
     if not np.isfinite(out):
         raise SpecError(f"{what} must be finite, got {out!r}")
     return out
@@ -187,7 +190,10 @@ class Domain:
 
 
 def _readonly_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"{what} must be an array of real numbers with shape {shape}") from exc
     if arr.shape != shape:
         raise SpecError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -531,6 +537,8 @@ def model_from_dict(doc: dict) -> MassActionModel:
         flags = tuple(nn)
     else:
         raise SpecError("nonnegative must be true or a list of booleans")
+    if not isinstance(dom.get("constraints", []), list):
+        raise SpecError("constraints must be a list")
     constraints = []
     for idx, item in enumerate(dom.get("constraints", [])):
         _require_keys(item, _CONSTRAINT_KEYS, _CONSTRAINT_KEYS, f"constraints[{idx}]")
@@ -584,6 +592,7 @@ def load_model(path) -> MassActionModel:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Also undecodable bytes and integers beyond Python's digit limit.
         raise SpecError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)

@@ -1,16 +1,22 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import contextlib
+import copy
 import importlib
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import nsfd
 from nsfd.analysis import observed_order
@@ -24,9 +30,10 @@ from nsfd.model import (
     dump_model,
     load_model,
     model_from_dict,
+    model_to_dict,
 )
 from nsfd.invariance import continuous_tangent, discrete_tangent
-from nsfd.models import make_builtin, make_logistic
+from nsfd.models import BUILTIN_NAMES, make_builtin, make_logistic
 
 
 @pytest.fixture(autouse=True)
@@ -300,6 +307,40 @@ def test_malformed_model_file_exits_one_without_output(tmp_path, capsys):
     assert code == 1
     assert "error:" in err
     assert not target.exists()
+
+
+_SI_TEXT = dump_model(make_builtin("si")).encode()
+_LINEAR = "linear part must be an array of real numbers with shape (2, 2)"
+_CONSTANT = "constant part must be an array of real numbers with shape (2,)"
+
+
+def _si_with(**fields):
+    return json.dumps({**model_to_dict(make_builtin("si")), **fields}).encode()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_si_with(linear=[[0.0, 0.0], [0.0]]), _LINEAR),
+        (_si_with(linear=[[0.0, "x"], [0.0, 0.0]]), _LINEAR),
+        (_si_with(constant=[0.0, {"a": 1}]), _CONSTANT),
+        (_si_with(constant="abc"), _CONSTANT),
+        (_si_with(domain={"nonnegative": True, "constraints": 1}), "constraints must be a list"),
+        (_SI_TEXT.replace(b'"c": -1.0', b'"c": ' + b"1" * 400, 1), "bilinear[0].c must be finite, got inf"),
+        (_SI_TEXT.replace(b'"c": -1.0', b'"c": ' + b"1" * 5000, 1), "is not valid JSON"),
+        (_SI_TEXT.replace(b'"name": "si"', b'"name": "s\xff"'), "is not valid JSON"),
+    ],
+    ids=[
+        "ragged-row", "string-entry", "object-entry", "string-array", "constraints-not-a-list",
+        "int-beyond-float", "int-beyond-digit-limit", "undecodable-bytes",
+    ],
+)
+def test_malformed_model_files_exit_one_in_one_line(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "validate", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_numerical_failure_exits_two(capsys):
@@ -733,6 +774,126 @@ def test_unrunnable_sizes_and_seeds_exit_one(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    # Exit 1 or 2 ends stderr in its one error line; any other line, and
+    # every line of a run that exits 0 or 3, is a caution.
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    failures = [line for line in lines if line.startswith(("error:", "numerical failure:"))]
+    assert len(failures) == (code in (1, 2))
+    assert all(line.startswith("warning:") for line in lines[: len(lines) - len(failures)])
+    assert "Traceback" not in err
+
+
+# Each value is drawn from the odd or the plain list with equal odds, so
+# that many runs get past their input checks.
+_ODD_H = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300"]
+_H = st.sampled_from(_ODD_H) | st.sampled_from(["0.1", "0.5", "4"])
+_VALUES = st.sampled_from(["-1", "1e308", "1e-300", "nan", "inf"]) | st.sampled_from(["0", "0.5", "1", "10"])
+_COMMANDS = ("simulate", "order", "stability", "invariance", "reversibility", "validate", "step-bound")
+_PARAMS = {"logistic": ("r", "K"), "si": ("beta", "N"), "host-vector": ("mu", "M_v")}
+
+
+def _command_args(draw, command, dim):
+    """The arguments of ``command`` after its model, small enough to run fast."""
+    length = draw(st.sampled_from([dim, dim, dim + 1, dim + 2]))
+    x0 = ",".join(draw(st.lists(_VALUES, min_size=length, max_size=length)))
+    h = draw(_H)
+    if command == "simulate":
+        scheme = draw(st.sampled_from(["nsfd", "euler", "rk4", "trapezoidal"]))
+        return [f"--x0={x0}", f"--h={h}", f"--steps={draw(st.integers(0, 3))}", f"--scheme={scheme}"]
+    if command == "order":
+        return [f"--x0={x0}", "--t-final=0.2", f"--h={h}"]
+    if command == "stability":
+        return [f"--x0={x0}", f"--h={h}"]
+    if command == "invariance":
+        scheme = draw(st.sampled_from(["nsfd", "euler", "rk4"]))
+        return [f"--h={h}", "--trials=3", "--steps=3", "--tangent-samples=4", f"--scheme={scheme}"]
+    if command == "reversibility":
+        return [f"--h={h}", f"--x0={x0}"] if draw(st.booleans()) else [f"--h={h}", "--trials=3"]
+    return []
+
+
+@st.composite
+def _flag_argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    argv = [command, f"--builtin={name}"]
+    names = st.sampled_from(_PARAMS[name] + ("bogus",))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.append(f"--param={draw(names)}={draw(_VALUES)}")
+    argv += _command_args(draw, command, make_builtin(name).n)
+    if command not in ("validate", "step-bound") and draw(st.booleans()):
+        argv.append("--strict")
+    return argv
+
+
+@seed(61)
+@settings(max_examples=60)
+@given(argv=_flag_argv())
+def test_generated_flags_end_in_an_exit_code_and_at_most_one_error_line(argv):
+    code, _, err = _run_in_process(argv)
+    _assert_clean_exit(code, err)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+# Copied on each draw, because a later mutation may edit a drawn list.
+_JUNK = st.sampled_from(
+    ["x", "", 1, -1, 0.5, 10**400, float("nan"), True, None]
+    + [[], {}, [[0.0, 0.0], [0.0]], [0.0, "a"], {"k": 1}]
+).map(copy.deepcopy)
+
+
+@st.composite
+def _mutated_model(draw):
+    """A built-in's model document with one or two keys or entries broken."""
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    doc = model_to_dict(make_builtin(name))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else doc
+        kind = draw(st.sampled_from(["replace", "delete", "add"]))
+        # A list that loses or gains an entry may be a ragged row.
+        if kind == "add" and isinstance(node, dict):
+            node["unknown"] = draw(_JUNK)
+        elif kind == "add" and isinstance(node, list):
+            node.append(draw(_JUNK))
+        elif kind == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = draw(_JUNK)
+    return name, doc
+
+
+@seed(62)
+@settings(max_examples=60)
+@given(model=_mutated_model(), command=st.sampled_from(_COMMANDS), data=st.data())
+def test_generated_model_files_end_in_an_exit_code_and_at_most_one_error_line(model, command, data):
+    name, doc = model
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        args = _command_args(data.draw, command, make_builtin(name).n)
+        code, _, err = _run_in_process([command, f"--model={path}", *args])
+    _assert_clean_exit(code, err)
 
 
 def test_validate_builtin(capsys):

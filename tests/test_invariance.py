@@ -146,8 +146,8 @@ def _capped_domains(draw):
         caps.append(Constraint(tuple(normal), draw(st.floats(0.5, 10.0))))
     upper = Domain(nonnegative=(True,) * n, constraints=tuple(caps)).box_upper
     if kind == "overlapping":
-        # No tiny entries: a face far longer than the box is rejected almost surely.
-        entries = st.sampled_from([0.0]) | st.floats(0.25, 2.0)
+        # Entries down to 1e-12 make faces far longer than the box.
+        entries = st.sampled_from([0.0]) | st.floats(1e-12, 2.0)
         u = np.array([1.0, 1.0] + [draw(entries) for _ in range(n - 2)])
         # Over the disjoint caps, u . x peaks at `top`; on the face of cap
         # c it is at least c.bound * min u_i / normal_i.  A bound between
@@ -242,6 +242,22 @@ def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
         ),
     )
     assert np.all(dom.margin(sample_interior(dom, 100, seed=0)) > 0.0)
+
+
+def test_sample_boundary_draws_a_face_longer_than_the_box():
+    # The first cap's face reaches x_2 = 1.5e12 while the box stops at 1:
+    # drawn as a block, it would pass the second cap about once in 1e12.
+    # Its points project onto the triangle 0.5 <= x_1 <= 1.5,
+    # 0 <= x_2 <= x_1 - 0.5, so a uniform draw has mean (1/3, 7/6, 1/3).
+    dom = Domain(
+        nonnegative=(True,) * 3,
+        constraints=(Constraint((1.0, 1.0, 1e-12), 1.5), Constraint((1.0, 0.0, 1.0), 1.0)),
+    )
+    xs = np.array([x for x, fi in sample_boundary(dom, 2000, seed=0) if fi == 3])
+    assert xs.shape == (400, 3)
+    assert np.all(np.abs(xs @ facets(dom)[3].normal - 1.5) <= 2 * ACTIVITY_ATOL)
+    assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
+    assert np.allclose(xs.mean(axis=0), [1 / 3, 7 / 6, 1 / 3], atol=0.05)
 
 
 def test_sample_interior_draws_a_ten_patch_network_quickly(metapop_sir):
@@ -532,8 +548,7 @@ def _gathered_audit(model, dom, h, trials, steps, seed, scheme):
 @pytest.mark.parametrize("scheme", AUDIT_SCHEMES)
 def test_audit_matches_the_gathered_loop_while_trials_exit(host_vector, scheme):
     # Caps of 9 sit below the carrying capacities, so trials leave at
-    # steps from 1 upward: the run steps the whole stack while every
-    # trial lives, then gathers the live rows.
+    # steps from 1 upward and the stack of live trials shrinks over the run.
     dom = Domain(
         nonnegative=(True,) * 5,
         constraints=(Constraint((1, 1, 0, 0, 0), 9.0), Constraint((0, 0, 1, 1, 1), 9.0)),
@@ -547,11 +562,15 @@ def test_audit_matches_the_gathered_loop_while_trials_exit(host_vector, scheme):
 
 def test_audit_matches_the_gathered_loop_on_overflow(logistic):
     # rk4's first step at this h overflows every trial to a non-finite
-    # state, which the scan counts as an exit at margin -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = invariance_audit(logistic, h=1e200, trials=50, steps=4, seed=2, scheme="rk4")
-        assert rep == _gathered_audit(logistic, logistic.domain, 1e200, 50, 4, 2, "rk4")
-    assert rep.worst_margin == -np.inf
+    # state, which the scan counts as an exit at margin -inf.  With 300
+    # trials, more than MAX_STORED_EXITS of them exit on that one step.
+    for trials in (50, 300):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = invariance_audit(logistic, h=1e200, trials=trials, steps=4, seed=2, scheme="rk4")
+            assert rep == _gathered_audit(logistic, logistic.domain, 1e200, trials, 4, 2, "rk4")
+        assert rep.worst_margin == -np.inf
+        assert rep.exit_count == trials
+        assert len(rep.exits) == min(trials, MAX_STORED_EXITS)
 
 
 def test_audit_rejects_unknown_scheme(host_vector):
