@@ -7,155 +7,25 @@ has exactly the ODE's equilibria as fixed points, with matching local
 stability.  Around it: safe step-bound computation, boundary tangent
 checks and trajectory audits, equilibrium and stability analysis, and a
 CLI reading declarative model specs.
+
+The public names are the ``__all__`` lists of the layers ``model``,
+``models``, ``linalg``, ``integrator``, ``invariance`` and ``analysis``.
 """
 
-from .analysis import (
-    EquilibriumResult,
-    OrderEstimate,
-    StabilityRow,
-    find_equilibria,
-    mu_of_lambda,
-    observed_order,
-    rk4_reference,
-    stability_report,
-)
-from .integrator import (
-    SCHEMES,
-    DominanceError,
-    NewtonDivergenceError,
-    NewtonOptions,
-    StepBoundReport,
-    Trajectory,
-    integrate,
-    reversibility_residual,
-    step_backward,
-    step_backward_batch,
-    step_bound,
-    step_forward,
-    step_forward_batch,
-    step_implicit_general,
-    step_matrix,
-)
-from .invariance import (
-    AuditReport,
-    Facet,
-    TangentReport,
-    continuous_tangent,
-    discrete_tangent,
-    facets,
-    invariance_audit,
-    sample_boundary,
-    sample_interior,
-)
-from .linalg import (
-    EigenConvergenceError,
-    LinAlgError,
-    SingularMatrixError,
-    eigenvalues,
-    fd_jacobian,
-    is_diagonally_dominant,
-    is_metzler,
-    lu_solve,
-    lu_solve_batch,
-)
-from .model import (
-    BilinearTerm,
-    Constraint,
-    Domain,
-    GeneralSplitSystem,
-    MassActionModel,
-    SpecError,
-    ValidationReport,
-    as_split_system,
-    assemble_P,
-    assemble_Q,
-    dump_model,
-    eval_f,
-    eval_phi,
-    f_jacobian,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    validate,
-)
-from .models import (
-    BUILTIN_NAMES,
-    HostVectorParameters,
-    host_vector_dfe,
-    make_builtin,
-    make_host_vector,
-    make_logistic,
-    make_si,
-)
+from . import analysis, integrator, invariance, linalg, model, models
+from .model import *
+from .models import *
+from .linalg import *
+from .integrator import *
+from .invariance import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SpecError",
-    "BilinearTerm",
-    "Constraint",
-    "Domain",
-    "MassActionModel",
-    "GeneralSplitSystem",
-    "ValidationReport",
-    "eval_f",
-    "eval_phi",
-    "assemble_P",
-    "assemble_Q",
-    "f_jacobian",
-    "as_split_system",
-    "validate",
-    "model_from_dict",
-    "model_to_dict",
-    "dump_model",
-    "load_model",
-    "BUILTIN_NAMES",
-    "HostVectorParameters",
-    "make_builtin",
-    "make_logistic",
-    "make_si",
-    "make_host_vector",
-    "host_vector_dfe",
-    "LinAlgError",
-    "SingularMatrixError",
-    "EigenConvergenceError",
-    "lu_solve",
-    "lu_solve_batch",
-    "eigenvalues",
-    "fd_jacobian",
-    "is_diagonally_dominant",
-    "is_metzler",
-    "SCHEMES",
-    "DominanceError",
-    "NewtonDivergenceError",
-    "NewtonOptions",
-    "StepBoundReport",
-    "Trajectory",
-    "step_matrix",
-    "step_forward",
-    "step_backward",
-    "step_forward_batch",
-    "step_backward_batch",
-    "step_implicit_general",
-    "step_bound",
-    "integrate",
-    "reversibility_residual",
-    "Facet",
-    "TangentReport",
-    "AuditReport",
-    "facets",
-    "sample_boundary",
-    "sample_interior",
-    "continuous_tangent",
-    "discrete_tangent",
-    "invariance_audit",
-    "EquilibriumResult",
-    "StabilityRow",
-    "OrderEstimate",
-    "find_equilibria",
-    "mu_of_lambda",
-    "stability_report",
-    "rk4_reference",
-    "observed_order",
-]
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += models.__all__
+__all__ += linalg.__all__
+__all__ += integrator.__all__
+__all__ += invariance.__all__
+__all__ += analysis.__all__

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import NewtonOptions, Trajectory, _damped_newton, _horizon_steps, integrate, step_forward
+from .integrator import (
+    NewtonOptions, Trajectory, _check_h, _damped_newton, _horizon_steps, integrate, step_forward
+)
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
 
@@ -224,9 +226,7 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
         raise SpecError(
             f"x_bar is not an equilibrium: ||f||={fnorm:.3e} exceeds the tolerance"
         )
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise SpecError(f"h must be positive and finite, got {h}")
+    h = _check_h(h)
     lams = eigenvalues(f_jacobian(model, x))
     step_jac = fd_jacobian(lambda v: step_forward(model, v, h), x)
     mus_measured = eigenvalues(step_jac)
@@ -282,8 +282,7 @@ def observed_order(
     """
     if not (math.isfinite(T) and T > 0.0):
         raise SpecError(f"T must be positive and finite, got {T}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise SpecError(f"h must be positive and finite, got {h}")
+    h = _check_h(h)
     steps = max(1, _horizon_steps(T, h))
     t_effective = steps * h
     coarse = integrate(model, x0, h, steps, scheme=scheme)

@@ -25,6 +25,7 @@ from .analysis import _is_equilibrium, find_equilibria, observed_order, stabilit
 from .integrator import (
     SCHEMES,
     NewtonDivergenceError,
+    _check_h,
     _horizon_steps,
     integrate,
     step_bound,
@@ -142,12 +143,6 @@ def _caution(message: str, strict: bool) -> None:
     if strict:
         raise SpecError(message)
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _check_h(h: float) -> float:
-    if not (math.isfinite(h) and h > 0.0):
-        raise SpecError(f"h must be positive and finite, got {h}")
-    return h
 
 
 def _check_count(value: int, flag: str) -> int:

@@ -175,7 +175,7 @@ def step_matrix(model: MassActionModel, x) -> np.ndarray:
 def _check_h(h: float) -> float:
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
-        raise SpecError(f"step size must be positive and finite, got {h}")
+        raise SpecError(f"h must be positive and finite, got {h}")
     return h
 
 
@@ -295,10 +295,7 @@ def _batch_h(h, m: int):
     """A checked float for a scalar ``h``, else a checked (m,) array of step sizes."""
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
-        h = float(h)
-        if not (math.isfinite(h) and h > 0.0):
-            raise SpecError("step sizes must be positive and finite")
-        return h
+        return _check_h(h)
     if h.shape != (m,):
         raise SpecError(f"step sizes must be scalar or shape ({m},), got {h.shape}")
     if not np.all(np.isfinite(h)) or np.any(h <= 0.0):

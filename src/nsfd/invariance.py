@@ -17,6 +17,7 @@ is active there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +165,19 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
     ``u . x <= c`` other than the facet's own are rejected.  Caps are
     taken in constraint order, the facet's own first; one with a
     nonnegative normal, a support no earlier block covers and a simplex
-    inside the box (so that the product set lies in the box) is a block,
-    drawn exactly as ``x_i = c w_i / u_i`` from normalized standard
+    no larger than the box over the same coordinates is a block, drawn
+    exactly as ``x_i = c w_i / u_i`` from normalized standard
     exponentials w (Devroye, *Non-Uniform Random Variate Generation*,
     1986, ch. V §2): d + 1 weights for a support of size d, the extra
     one being the slack, none of it on the block's own face, and no
     weight for coordinate i on the facet ``x_i = 0``.  The other
-    coordinates are uniform in the box.  So disjoint caps reject
-    nothing, and no domain accepts fewer draws than under box rejection.
-    A facet's own cap whose simplex is not inside the box is no block:
-    its support is covered all the same, its coordinate of largest
-    weight is solved from ``u . x = c``, and rows where that one is
+    coordinates are uniform in the box.  Block rows past the box break
+    the cap that set the box there, and are rejected with it.  So
+    disjoint caps reject nothing, and no domain accepts fewer draws than
+    under box rejection.  On its own face a cap's simplex and box leave
+    out the coordinate of largest weight; when that simplex is larger,
+    the cap is no block: its support is covered all the same, that
+    coordinate is solved from ``u . x = c``, and rows where it is
     negative are rejected.  The face is an affine image of the box's
     projection beside that coordinate, so the draw stays uniform.
     """
@@ -194,14 +197,20 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
     for c in sorted(range(len(domain.constraints)), key=lambda c: c != own):
         u, bound = domain.constraints[c].normal_array, domain.constraints[c].bound
         support = u > 0.0
-        in_box = np.all(bound / u[support] <= domain.box_upper[support])
-        if np.all(u >= 0.0) and not np.any(covered & support) and (in_box or c == own):
+        if np.any(u < 0.0) or np.any(covered & support):
+            continue
+        coords, i = np.flatnonzero(support & free), int(np.argmax(u))
+        span = coords[coords != i] if c == own else coords
+        # Log volumes over span, quietly: a zero bound gives -inf, a negative one NaN.
+        with np.errstate(all="ignore"):
+            box = np.log(domain.box_upper[span]).sum()
+            small = np.log(bound / u[span]).sum() - math.lgamma(span.size + 1) <= box
+        if small or c == own:
             covered |= support
-            if in_box:
-                coords = np.flatnonzero(support & free)
+            if small:
                 blocks.append((coords, bound / u[coords], coords.size + (c != own)))
             else:
-                solved = (int(np.argmax(u)), u, bound)
+                solved = (i, u, bound)
     size = max(count, 64)
     rows: list[np.ndarray] = []
     try:

@@ -19,6 +19,7 @@ satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -190,10 +191,16 @@ class Domain:
 
 
 def _readonly_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    message = f"{what} must be an array of real numbers with shape {shape}"
     try:
+        entries = np.array(values, dtype=object)
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"{what} must be an array of real numbers with shape {shape}") from exc
+        raise SpecError(message) from exc
+    # Each entry type once, since large models have many entries of few types.
+    kinds = {type(v) for v in entries.flat}
+    if not all(issubclass(k, numbers.Real) and not issubclass(k, (bool, np.bool_)) for k in kinds):
+        raise SpecError(message)
     if arr.shape != shape:
         raise SpecError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -325,13 +325,16 @@ def _si_with(**fields):
         (_si_with(linear=[[0.0, "x"], [0.0, 0.0]]), _LINEAR),
         (_si_with(constant=[0.0, {"a": 1}]), _CONSTANT),
         (_si_with(constant="abc"), _CONSTANT),
+        (_si_with(constant=["1.5", "0"]), _CONSTANT),
+        (_si_with(linear=[[True, 0.0], [0.0, 0.0]]), _LINEAR),
         (_si_with(domain={"nonnegative": True, "constraints": 1}), "constraints must be a list"),
         (_SI_TEXT.replace(b'"c": -1.0', b'"c": ' + b"1" * 400, 1), "bilinear[0].c must be finite, got inf"),
         (_SI_TEXT.replace(b'"c": -1.0', b'"c": ' + b"1" * 5000, 1), "is not valid JSON"),
         (_SI_TEXT.replace(b'"name": "si"', b'"name": "s\xff"'), "is not valid JSON"),
     ],
     ids=[
-        "ragged-row", "string-entry", "object-entry", "string-array", "constraints-not-a-list",
+        "ragged-row", "string-entry", "object-entry", "string-array", "numeric-strings",
+        "boolean-entry", "constraints-not-a-list",
         "int-beyond-float", "int-beyond-digit-limit", "undecodable-bytes",
     ],
 )
@@ -925,13 +928,16 @@ def test_validate_flags_bad_model_file(tmp_path, capsys):
     assert code == 3
 
 
+def _readme_blocks():
+    # the README's fenced blocks, in order
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+
+
 def _readme_commands():
     # the nsfd lines of the README's fenced blocks, in order
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = readme.split("```")[1::2]
     return [
         shlex.split(line, comments=True)[1:]
-        for block in blocks
+        for block in _readme_blocks()
         for line in block.splitlines()
         if line.startswith("nsfd ")
     ]
@@ -945,6 +951,16 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+def test_readme_library_quick_start_runs():
+    # the README's python block, run as its own process on the package under test
+    (block,) = [b.removeprefix("python\n") for b in _readme_blocks() if b.startswith("python\n")]
+    done = _run_entry_point(sys.executable, "-c", block)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "1.3333333333333333 3"  # h_bar and its limiting column
+    assert lines[2] == "0"  # the audit's exit_count
 
 
 def _run_entry_point(*command, **environ):

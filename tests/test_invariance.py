@@ -23,6 +23,7 @@ from nsfd.invariance import (
     TANGENT_TOL,
     AuditReport,
     TangentReport,
+    _draw,
     continuous_tangent,
     discrete_tangent,
     facets,
@@ -258,6 +259,39 @@ def test_sample_boundary_draws_a_face_longer_than_the_box():
     assert np.all(np.abs(xs @ facets(dom)[3].normal - 1.5) <= 2 * ACTIVITY_ATOL)
     assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
     assert np.allclose(xs.mean(axis=0), [1 / 3, 7 / 6, 1 / 3], atol=0.05)
+
+
+def _tightened_simplex():
+    # The cap x_0 <= 0.5 pulls the box below the vertex x_0 = 1 of the
+    # simplex sum x <= 1, which is still far smaller than the box.
+    return Domain(
+        nonnegative=(True,) * 10,
+        constraints=(Constraint((1.0,) * 10, 1.0), Constraint((1.0,) + (0.0,) * 9, 0.5)),
+    )
+
+
+def test_sample_interior_makes_a_block_of_a_simplex_that_another_cap_tightens():
+    # Box rejection would accept about 1 draw in 10! / 2.  x_0 of a uniform
+    # point has the law of Beta(1, 10) conditioned on x_0 <= 0.5, with CDF
+    # (1 - (1 - v)^10) / (1 - 2^-10); the KS bound is as in the test above.
+    dom = _tightened_simplex()
+    n = 20_000
+    xs = sample_interior(dom, n, seed=0)
+    assert np.all(dom.margin(xs) > 0.0)
+    v = np.sort(xs[:, 0])
+    cdf = (1.0 - (1.0 - v) ** 10) / (1.0 - 2.0**-10)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.628 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("facet", range(11))
+def test_draw_makes_a_block_of_a_simplex_that_another_cap_tightens_on_its_faces(facet):
+    dom = _tightened_simplex()
+    xs = _draw(dom, np.random.default_rng(0), 50, facet)
+    f = facets(dom)[facet]
+    assert xs.shape == (50, 10)
+    assert np.all(np.abs(xs @ f.normal - f.bound) <= ACTIVITY_ATOL)
+    assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
 
 
 def test_sample_interior_draws_a_ten_patch_network_quickly(metapop_sir):
@@ -582,7 +616,7 @@ def test_audit_rejects_unknown_scheme(host_vector):
 @pytest.mark.parametrize("scheme", AUDIT_SCHEMES)
 @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
 def test_audit_refuses_a_step_size_that_is_not_positive_and_finite(host_vector, scheme, h):
-    with pytest.raises(SpecError, match="step size must be positive and finite"):
+    with pytest.raises(SpecError, match="h must be positive and finite"):
         invariance_audit(host_vector, h=h, trials=5, steps=5, seed=0, scheme=scheme)
 
 
