@@ -204,10 +204,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_step_bound(args) -> int:
     model = _model_from_args(args)
-    report = step_bound(model)
-    doc = {"model": model.name}
-    doc.update(report.as_dict())
-    _emit_json(doc, args.out)
+    _emit_json({"model": model.name, **step_bound(model).as_dict()}, args.out)
     return 0
 
 

@@ -162,24 +162,25 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
 
     facet indexes :func:`facets`.  Rows are drawn uniformly from a
     product set that contains the target set, and those breaking a cap
-    ``u . x <= c`` other than the facet's own are rejected.  Caps are
-    taken in constraint order, the facet's own first; one with a
-    nonnegative normal, a support no earlier block covers and a simplex
-    no larger than the box over the same coordinates is a block, drawn
-    exactly as ``x_i = c w_i / u_i`` from normalized standard
-    exponentials w (Devroye, *Non-Uniform Random Variate Generation*,
-    1986, ch. V §2): d + 1 weights for a support of size d, the extra
-    one being the slack, none of it on the block's own face, and no
-    weight for coordinate i on the facet ``x_i = 0``.  The other
-    coordinates are uniform in the box.  Block rows past the box break
-    the cap that set the box there, and are rejected with it.  So
-    disjoint caps reject nothing, and no domain accepts fewer draws than
-    under box rejection.  On its own face a cap's simplex and box leave
-    out the coordinate of largest weight; when that simplex is larger,
-    the cap is no block: its support is covered all the same, that
-    coordinate is solved from ``u . x = c``, and rows where it is
-    negative are rejected.  The face is an affine image of the box's
-    projection beside that coordinate, so the draw stays uniform.
+    ``u . x <= c`` other than the facet's own are rejected.  A block is a
+    cap with a nonnegative normal drawn exactly as ``x_i = c w_i / u_i``
+    from normalized standard exponentials w (Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, ch. V §2): d + 1 weights for a support of
+    size d, the extra one being the slack, none of it on the block's own
+    face, and no weight for coordinate i on the facet ``x_i = 0``.  The
+    other coordinates are uniform in the box.  In constraint order, the
+    facet's own first, a cap whose simplex lies inside the box is a block
+    unless an earlier block shares its support.  Then a cap whose simplex
+    reaches past the box, but has no more volume than the box on the same
+    coordinates, is a block too, in place of any blocks it meets if it
+    saves more log volume than they do together; its rows past the box
+    break the cap that set the box there.  So no domain accepts fewer draws than under box
+    rejection.  On its own face a cap's simplex and box leave out the
+    coordinate of largest weight; when that simplex is the larger, the
+    cap is no block, but no other block shares its support: that
+    coordinate is solved from ``u . x = c``, rows where it is negative
+    are rejected, and the draw stays uniform, as the face is an affine
+    image of the box's projection beside that coordinate.
     """
     own = None
     free = np.ones(domain.n, dtype=bool)
@@ -191,26 +192,31 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
             raise SpecError("boundary sampling supports constraint normals with nonnegative entries only")
         else:
             own = face.index
-    blocks = []
-    solved = None
-    covered = np.zeros(domain.n, dtype=bool)
+    caps, solved = {}, None
     for c in sorted(range(len(domain.constraints)), key=lambda c: c != own):
         u, bound = domain.constraints[c].normal_array, domain.constraints[c].bound
         support = u > 0.0
-        if np.any(u < 0.0) or np.any(covered & support):
+        if np.any(u < 0.0):
             continue
         coords, i = np.flatnonzero(support & free), int(np.argmax(u))
         span = coords[coords != i] if c == own else coords
-        # Log volumes over span, quietly: a zero bound gives -inf, a negative one NaN.
+        # Log of the box's volume over the simplex's on span; a zero bound gives inf.
         with np.errstate(all="ignore"):
-            box = np.log(domain.box_upper[span]).sum()
-            small = np.log(bound / u[span]).sum() - math.lgamma(span.size + 1) <= box
-        if small or c == own:
-            covered |= support
-            if small:
-                blocks.append((coords, bound / u[coords], coords.size + (c != own)))
-            else:
-                solved = (i, u, bound)
+            gain = math.lgamma(span.size + 1) - np.log(bound / u[span] / domain.box_upper[span]).sum()
+        in_box = bool(np.all(bound / u[support] <= domain.box_upper[support]))
+        if c == own and not (in_box or gain >= 0.0):
+            solved = (i, u, bound)
+        caps[c] = (support, gain, in_box, (coords, bound / u[coords], coords.size + (c != own)))
+    chosen: list[int] = []
+    for c, (support, gain, in_box, _) in caps.items():
+        if (in_box or c == own) and not any(np.any(caps[b][0] & support) for b in chosen):
+            chosen.append(c)
+    for c, (support, gain, in_box, _) in caps.items():
+        rivals = [b for b in chosen if np.any(caps[b][0] & support)]
+        total = sum(caps[b][1] for b in rivals)
+        if not in_box and own not in rivals and (gain > total if rivals else gain >= 0.0):
+            chosen = [b for b in chosen if b not in rivals] + [c]
+    blocks = [caps[c][3] for c in caps if c in chosen and (c != own or solved is None)]
     size = max(count, 64)
     rows: list[np.ndarray] = []
     try:

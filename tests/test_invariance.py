@@ -284,12 +284,39 @@ def test_sample_interior_makes_a_block_of_a_simplex_that_another_cap_tightens():
     assert ks < 1.628 / np.sqrt(n)
 
 
-@pytest.mark.parametrize("facet", range(11))
-def test_draw_makes_a_block_of_a_simplex_that_another_cap_tightens_on_its_faces(facet):
-    dom = _tightened_simplex()
+def _simplex_behind_a_wider_cap():
+    # The cap x_0 + x_1 <= 1 reaches past the box (x_0 <= 0.9) and comes
+    # first, but the later simplex x_0 + x_2 + ... + x_10 <= 0.9 over the
+    # same x_0 gains far more volume, so it must stay the block there: box
+    # rejection on it would accept fewer than 1 draw in 10!.
+    return Domain(
+        nonnegative=(True,) * 11,
+        constraints=(
+            Constraint((1.0, 1.0) + (0.0,) * 9, 1.0),
+            Constraint((1.0, 0.0) + (1.0,) * 9, 0.9),
+        ),
+    )
+
+
+def test_sample_interior_keeps_the_larger_block_when_an_earlier_cap_overlaps_it():
+    dom = _simplex_behind_a_wider_cap()
+    xs = sample_interior(dom, 500, seed=0)
+    assert xs.shape == (500, 11)
+    assert np.all(dom.margin(xs) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, facet",
+    [(_tightened_simplex, f) for f in range(11)]
+    # Facet 11 of either domain, the face of the one-coordinate or the
+    # first cap, still falls back to rejection.
+    + [(_simplex_behind_a_wider_cap, f) for f in (*range(11), 12)],
+)
+def test_draw_makes_a_block_of_a_simplex_that_another_cap_tightens_on_its_faces(build, facet):
+    dom = build()
     xs = _draw(dom, np.random.default_rng(0), 50, facet)
     f = facets(dom)[facet]
-    assert xs.shape == (50, 10)
+    assert xs.shape == (50, dom.n)
     assert np.all(np.abs(xs @ f.normal - f.bound) <= ACTIVITY_ATOL)
     assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
 
