@@ -157,71 +157,55 @@ def _require_compact(domain: Domain, what: str) -> None:
         raise SpecError(f"{what} needs a compact domain (bounded box in every component)")
 
 
-def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | None = None) -> np.ndarray:
-    """``count`` uniform points of the domain, or of its face ``facet``, shape (count, n).
+def _caps(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The constraints' normals, shape (caps, n), and bounds."""
+    normals = np.array([con.normal_array for con in domain.constraints]).reshape(-1, domain.n)
+    return normals, np.array([con.bound for con in domain.constraints])
 
-    facet indexes :func:`facets`.  Rows are drawn uniformly from a
-    product set that contains the target set, and those breaking a cap
-    ``u . x <= c`` other than the facet's own are rejected.  A block is a
-    cap with a nonnegative normal drawn exactly as ``x_i = c w_i / u_i``
+
+def _draw(normals, bounds, box, rng: np.random.Generator, count: int, where: str = "interior points"):
+    """``count`` uniform points of ``0 <= x <= box``, ``normals @ x <= bounds``, shape (count, n).
+
+    Rows are drawn uniformly from a product set that contains the target
+    set, and those breaking a cap ``u . x <= c`` are rejected.  A block is
+    a cap with a nonnegative normal drawn exactly as ``x_i = c w_i / u_i``
     from normalized standard exponentials w (Devroye, *Non-Uniform Random
     Variate Generation*, 1986, ch. V §2): d + 1 weights for a support of
-    size d, the extra one being the slack, none of it on the block's own
-    face, and no weight for coordinate i on the facet ``x_i = 0``.  The
-    other coordinates are uniform in the box.  In constraint order, the
-    facet's own first, a cap whose simplex lies inside the box is a block
-    unless an earlier block shares its support.  Then a cap whose simplex
-    reaches past the box, but has no more volume than the box on the same
-    coordinates, is a block too, in place of any blocks it meets if it
-    saves more log volume than they do together; its rows past the box
-    break the cap that set the box there.  So no domain accepts fewer draws than under box
-    rejection.  On its own face a cap's simplex and box leave out the
-    coordinate of largest weight; when that simplex is the larger, the
-    cap is no block, but no other block shares its support: that
-    coordinate is solved from ``u . x = c``, rows where it is negative
-    are rejected, and the draw stays uniform, as the face is an affine
-    image of the box's projection beside that coordinate.
+    size d, the extra one being the slack.  The other coordinates are
+    uniform in the box.  In constraint order, a cap whose simplex lies
+    inside the box is a block unless an earlier block shares its support.
+    Then a cap whose simplex reaches past the box, but has no more volume
+    than the box on the same coordinates, is a block too, in place of any
+    blocks it meets if it saves more log volume than they do together; its
+    rows past the box break the cap that set the box there.  So no domain
+    accepts fewer draws than under box rejection.
     """
-    own = None
-    free = np.ones(domain.n, dtype=bool)
-    if facet is not None:
-        face = facets(domain)[facet]
-        if face.kind == "coordinate":
-            free[face.index] = False
-        elif np.any(face.normal < 0.0):
-            raise SpecError("boundary sampling supports constraint normals with nonnegative entries only")
-        else:
-            own = face.index
-    caps, solved = {}, None
-    for c in sorted(range(len(domain.constraints)), key=lambda c: c != own):
-        u, bound = domain.constraints[c].normal_array, domain.constraints[c].bound
-        support = u > 0.0
+    caps = {}
+    for c, (u, bound) in enumerate(zip(normals, bounds)):
         if np.any(u < 0.0):
             continue
-        coords, i = np.flatnonzero(support & free), int(np.argmax(u))
-        span = coords[coords != i] if c == own else coords
-        # Log of the box's volume over the simplex's on span; a zero bound gives inf.
+        support = u > 0.0
+        coords = np.flatnonzero(support)
+        # Log of the box's volume over the simplex's; a zero bound gives inf.
         with np.errstate(all="ignore"):
-            gain = math.lgamma(span.size + 1) - np.log(bound / u[span] / domain.box_upper[span]).sum()
-        in_box = bool(np.all(bound / u[support] <= domain.box_upper[support]))
-        if c == own and not (in_box or gain >= 0.0):
-            solved = (i, u, bound)
-        caps[c] = (support, gain, in_box, (coords, bound / u[coords], coords.size + (c != own)))
+            gain = math.lgamma(coords.size + 1) - np.log(bound / u[coords] / box[coords]).sum()
+        in_box = bool(np.all(bound / u[coords] <= box[coords]))
+        caps[c] = (support, gain, in_box, (coords, bound / u[coords], coords.size + 1))
     chosen: list[int] = []
     for c, (support, gain, in_box, _) in caps.items():
-        if (in_box or c == own) and not any(np.any(caps[b][0] & support) for b in chosen):
+        if in_box and not any(np.any(caps[b][0] & support) for b in chosen):
             chosen.append(c)
     for c, (support, gain, in_box, _) in caps.items():
         rivals = [b for b in chosen if np.any(caps[b][0] & support)]
         total = sum(caps[b][1] for b in rivals)
-        if not in_box and own not in rivals and (gain > total if rivals else gain >= 0.0):
+        if not in_box and (gain > total if rivals else gain >= 0.0):
             chosen = [b for b in chosen if b not in rivals] + [c]
-    blocks = [caps[c][3] for c in caps if c in chosen and (c != own or solved is None)]
+    blocks = [caps[c][3] for c in caps if c in chosen]
     size = max(count, 64)
     rows: list[np.ndarray] = []
     try:
         for _ in range(_SAMPLE_ATTEMPTS):
-            draw = rng.random((size, domain.n)) * domain.box_upper
+            draw = rng.random((size, box.size)) * box
             keep = np.ones(size, dtype=bool)
             for coords, scale, weights in blocks:
                 w = rng.standard_exponential((size, weights))
@@ -229,61 +213,76 @@ def _draw(domain: Domain, rng: np.random.Generator, count: int, facet: int | Non
                 # All-zero weights, at probability 2^-53 per weight, would give NaN.
                 keep &= total[:, 0] > 0.0
                 draw[:, coords] = w[:, : coords.size] / total * scale
-            draw[:, ~free] = 0.0
-            if solved is not None:
-                i, u, bound = solved
-                draw[:, i] += (bound - draw @ u) / u[i]
-                keep &= draw[:, i] >= 0.0
-            for c, con in enumerate(domain.constraints):
-                if c != own:
-                    keep &= draw @ con.normal_array <= con.bound
+            for u, bound in zip(normals, bounds):
+                keep &= draw @ u <= bound
             rows.append(draw[keep])
             if sum(map(len, rows)) >= count:
                 return np.concatenate(rows)[:count]
     except (ValueError, MemoryError) as exc:
-        raise SpecError(f"{count} points of dimension {domain.n} do not fit in memory") from exc
-    where = "interior points" if facet is None else f"points on facet {facet}"
+        raise SpecError(f"{count} points of dimension {box.size} do not fit in memory") from exc
     raise SpecError(
         f"could not draw {count} {where} after {_SAMPLE_ATTEMPTS} batches; "
         "the domain may be empty or degenerate"
     )
 
 
+def _face(domain: Domain, facet: Facet):
+    """The facet's face ``u . x = c`` as (normals, bounds, box, lift) for :func:`_draw`, or None.
+
+    A coordinate facet is the face ``e_i . x = 0``.  One coordinate i of
+    u's support, one that no other cap uses if there is one, else the one
+    of largest u_i, is put as ``(c - u_{-i} . y) / u_i`` into every cap.
+    That leaves caps on the other coordinates y, in the domain's box, with
+    ``u_{-i} . y <= c`` for ``x_i >= 0``; caps that hold everywhere (zero
+    normal, bound not negative) are dropped.  lift puts x_i back in with a
+    constant Jacobian, so a uniform draw stays uniform.  None stands for a
+    face that meets the domain in a set of measure zero, which no draw
+    hits: some cap is at least its bound all over the face's simplex, with
+    vertices 0 and ``(c / u_j) e_j`` and the box off u's support.
+    """
+    u, c = np.abs(facet.normal), facet.bound
+    normals, bounds = _caps(domain)
+    support = u > 0.0
+    others = np.delete(normals, facet.index, axis=0) if facet.kind == "constraint" else normals
+    unused = support & ~others.any(axis=0)
+    i = int(np.argmax(np.where(unused if unused.any() else support, u, 0.0)))
+    ratio = normals[:, i] / u[i]
+    rest = np.delete(u, i)
+    normals = np.vstack([np.delete(normals - ratio[:, None] * u, i, axis=1), rest])
+    bounds = np.append(bounds - ratio * c, c)
+    live = normals.any(axis=1) | (bounds < 0.0)
+    normals, bounds = normals[live], bounds[live]
+    box = np.delete(domain.box_upper, i)
+    edge = rest > 0.0
+    least = np.minimum(normals * np.divide(c, rest, out=box.copy(), where=edge), 0.0)
+    if np.any(least[:, edge].min(axis=1, initial=0.0) + least[:, ~edge].sum(axis=1) >= bounds):
+        return None
+    return normals, bounds, box, lambda y: np.insert(y, i, (c - y @ rest) / u[i], axis=1)
+
+
 def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndarray, int]]:
     """Draw `count` boundary points, each tagged with its assigned facet index.
 
     Facets are visited round-robin, and each facet's share is drawn in
-    one batch, uniform over its face of the domain (a constraint facet
-    needs a nonnegative normal).  A facet gets no samples when its face
-    is found to meet the domain in a set of measure zero, such as the
-    face of a redundant cap or one that touches the domain in a single
-    point; the test is sufficient, not necessary.  Deterministic in seed.
+    one batch, uniform over its face of the domain; every constraint needs
+    a nonnegative normal.  A facet gets no samples when its face is found
+    to meet the domain in a set of measure zero, such as the face of a
+    redundant cap or one that touches the domain in a single point.
+    Deterministic in seed.
     """
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
     _require_compact(domain, "boundary sampling")
+    if any(np.any(con.normal_array < 0.0) for con in domain.constraints):
+        raise SpecError("boundary sampling supports constraint normals with nonnegative entries only")
     rng = np.random.default_rng(seed)
-    fs = facets(domain)
-    # The face of a cap u . x <= c with u >= 0 meets the domain in a set of
-    # measure zero, which no draw hits, when another such cap v . x <= d
-    # holds v . x >= d on all of it: v_i c >= d u_i at each vertex
-    # (c / u_i) e_i of its simplex, strictly at one of them or with v > 0
-    # off u's support, so that v . x = d only on a lower-dimensional part.
-    # A cap and its exact copy give equality everywhere and are not flagged.
-    caps = [fi for fi, f in enumerate(fs) if np.all(f.normal >= 0.0)]
-    empty = set()
-    for fi in caps:
-        u, c = fs[fi].normal, fs[fi].bound
-        support = u > 0.0
-        for ci in caps:
-            v, d = fs[ci].normal, fs[ci].bound
-            lhs, rhs = v[support] * c, d * u[support]
-            if np.all(lhs >= rhs) and (np.any(lhs > rhs) or np.any(v[~support] > 0.0)):
-                empty.add(fi)
-    live = [fi for fi in range(len(fs)) if fi not in empty]
+    live = [(fi, face) for fi, f in enumerate(facets(domain)) if (face := _face(domain, f)) is not None]
     k = len(live)
-    shares = [_draw(domain, rng, len(range(s, count, k)), fi) for s, fi in enumerate(live[:count])]
-    return [(shares[s % k][s // k], live[s % k]) for s in range(count)]
+    shares = [
+        lift(_draw(normals, bounds, box, rng, len(range(s, count, k)), f"points on facet {fi}"))
+        for s, (fi, (normals, bounds, box, lift)) in enumerate(live[:count])
+    ]
+    return [(shares[s % k][s // k], live[s % k][0]) for s in range(count)]
 
 
 def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
@@ -291,7 +290,7 @@ def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
     _require_compact(domain, "interior sampling")
-    return _draw(domain, np.random.default_rng(seed), count)
+    return _draw(*_caps(domain), domain.box_upper, np.random.default_rng(seed), count)
 
 
 def _freeze_point(x: np.ndarray) -> np.ndarray:

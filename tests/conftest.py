@@ -9,6 +9,8 @@ from nsfd.model import BilinearTerm, Constraint, Domain, MassActionModel
 from nsfd.models import make_host_vector, make_logistic, make_si
 
 settings.register_profile("nsfd", deadline=None)
+# A long property run of the samplers: pytest --hypothesis-profile=deep.
+settings.register_profile("deep", max_examples=3000, deadline=None)
 settings.load_profile("nsfd")
 
 

@@ -643,19 +643,29 @@ def test_checks_run_on_a_capped_network(tmp_path, capsys, sir_network, argv, pas
     assert passed(json.loads(out)) is True
 
 
-def test_invariance_runs_on_a_cap_whose_face_touches_the_domain_in_one_point(tmp_path, capsys):
-    # The face x = 1 of the second cap meets x + y <= 1 only at (1, 0):
-    # the boundary sample skips it instead of failing the run.
+@pytest.mark.parametrize(
+    "caps",
+    [
+        # The face x = 1 of the second cap meets x + y <= 1 only at (1, 0):
+        # the boundary sample skips it instead of failing the run.
+        (Constraint((1.0, 1.0), 1.0), Constraint((1.0, 0.0), 1.0)),
+        # Facet 11 of either domain is the face of a cap that shares its
+        # support with the other cap: x_0 = 0.5 beside sum x <= 1, and
+        # x_0 + x_1 = 1 beside x_0 + x_2 + ... + x_10 <= 0.9.
+        (Constraint((1.0,) * 10, 1.0), Constraint((1.0,) + (0.0,) * 9, 0.5)),
+        (Constraint((1.0, 1.0) + (0.0,) * 9, 1.0), Constraint((1.0, 0.0) + (1.0,) * 9, 0.9)),
+    ],
+    ids=["x+y<=1,x<=1", "tightened-simplex", "simplex-behind-a-wider-cap"],
+)
+def test_invariance_runs_on_a_cap_whose_face_touches_the_domain_in_one_point(tmp_path, capsys, caps):
+    n = len(caps[0].normal)
     decay = MassActionModel(
-        n=2,
+        n=n,
         bilinear=(),
-        linear=np.diag([-1.0, -0.5]),
-        constant=np.zeros(2),
-        domain=Domain(
-            nonnegative=(True, True),
-            constraints=(Constraint((1.0, 1.0), 1.0), Constraint((1.0, 0.0), 1.0)),
-        ),
-        labels=("x", "y"),
+        linear=-np.diag(1.0 / (1.0 + np.arange(n) % 2)),
+        constant=np.zeros(n),
+        domain=Domain(nonnegative=(True,) * n, constraints=caps),
+        labels=tuple(f"x{i}" for i in range(n)),
         name="capped-decay",
     )
     path = tmp_path / "decay.json"

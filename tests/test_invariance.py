@@ -24,6 +24,7 @@ from nsfd.invariance import (
     AuditReport,
     TangentReport,
     _draw,
+    _face,
     continuous_tangent,
     discrete_tangent,
     facets,
@@ -307,18 +308,54 @@ def test_sample_interior_keeps_the_larger_block_when_an_earlier_cap_overlaps_it(
 
 @pytest.mark.parametrize(
     "build, facet",
-    [(_tightened_simplex, f) for f in range(11)]
-    # Facet 11 of either domain, the face of the one-coordinate or the
-    # first cap, still falls back to rejection.
-    + [(_simplex_behind_a_wider_cap, f) for f in (*range(11), 12)],
+    [(_tightened_simplex, f) for f in range(12)]
+    + [(_simplex_behind_a_wider_cap, f) for f in range(13)],
 )
 def test_draw_makes_a_block_of_a_simplex_that_another_cap_tightens_on_its_faces(build, facet):
     dom = build()
-    xs = _draw(dom, np.random.default_rng(0), 50, facet)
     f = facets(dom)[facet]
+    normals, bounds, box, lift = _face(dom, f)
+    xs = lift(_draw(normals, bounds, box, np.random.default_rng(0), 50))
     assert xs.shape == (50, dom.n)
     assert np.all(np.abs(xs @ f.normal - f.bound) <= ACTIVITY_ATOL)
     assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
+
+
+def test_a_face_solved_for_its_one_coordinate_is_drawn_uniformly():
+    # Facet 11 of the tightened simplex is x_0 = 0.5, on which sum x <= 1
+    # leaves the simplex x_1 + ... + x_9 <= 0.5: each 2 x_j of a uniform
+    # point follows Beta(1, 9), with CDF 1 - (1 - v)^9.  Nine KS statistics
+    # are tested at once, so the bound is the asymptotic 1% value for the
+    # largest of nine, sqrt(ln(2 * 9 / 0.01) / 2) / sqrt(n) = 1.936 / sqrt(n)
+    # (Bonferroni): the one-statistic value 1.628 / sqrt(n) of the tests
+    # above would fail about one seed in 13 by chance alone.
+    dom = _tightened_simplex()
+    n = 20_000
+    normals, bounds, box, lift = _face(dom, facets(dom)[11])
+    xs = lift(_draw(normals, bounds, box, np.random.default_rng(0), n))
+    assert np.all(xs[:, 0] == 0.5)
+    assert np.all(dom.margin(xs) >= -ACTIVITY_ATOL)
+    for j in range(1, 10):
+        v = np.sort(2.0 * xs[:, j])
+        cdf = 1.0 - (1.0 - v) ** 9
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert ks < 1.936 / np.sqrt(n), (j, ks)
+
+
+def test_boundary_sampling_refuses_a_negative_normal_entry_before_drawing_any_facet():
+    # The face x_0 = 1 meets the domain only at (1, 0.5), and a draw on it
+    # would run out of attempts; the refusal comes first, whatever the count.
+    dom = Domain(
+        nonnegative=(True, True),
+        constraints=(
+            Constraint((1.0, 0.0), 1.0),
+            Constraint((1.0, -1.0), 0.5),
+            Constraint((0.0, 1.0), 0.5),
+        ),
+    )
+    for count in (2, 12):
+        with pytest.raises(SpecError, match="nonnegative entries only"):
+            sample_boundary(dom, count, seed=0)
 
 
 def test_sample_interior_draws_a_ten_patch_network_quickly(metapop_sir):
