@@ -45,6 +45,9 @@ MU_POLE_ATOL = 1e-14
 NEAR_HYPERBOLIC_ATOL = 1e-8
 # Errors this small (relative) make the order ratio meaningless.
 DEGENERATE_ERROR = 1e-13
+# observed_order refuses a run whose RK4 reference, at h / 200, takes more
+# steps than this, which is 1,000 steps of h.
+MAX_REFERENCE_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -278,16 +281,25 @@ def observed_order(
     h / 200, and reports p_hat = log2(error_h / error_h2).  When T / h
     is not an integer the horizon becomes t_effective = steps * h for
     all three runs.  Errors below DEGENERATE_ERROR (relative) leave the
-    estimate undefined instead of producing a noise-driven exponent.
+    estimate undefined instead of producing a noise-driven exponent.  A
+    reference of more than MAX_REFERENCE_STEPS steps is refused before
+    any run.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise SpecError(f"T must be positive and finite, got {T}")
     h = _check_h(h)
     steps = max(1, _horizon_steps(T, h))
     t_effective = steps * h
+    h_ref = h / 200.0
+    ref_steps = _horizon_steps(t_effective, h_ref)
+    if ref_steps > MAX_REFERENCE_STEPS:
+        raise SpecError(
+            f"the reference run at h/200 would take {ref_steps} steps, more than "
+            f"{MAX_REFERENCE_STEPS}; use a larger h or a shorter horizon"
+        )
     coarse = integrate(model, x0, h, steps, scheme=scheme)
     fine = integrate(model, x0, 0.5 * h, 2 * steps, scheme=scheme)
-    ref = rk4_reference(model, x0, h / 200.0, t_effective)
+    ref = rk4_reference(model, x0, h_ref, t_effective)
     error_h = float(np.abs(coarse.final - ref.final).max())
     error_h2 = float(np.abs(fine.final - ref.final).max())
     scale = 1.0 + float(np.abs(ref.final).max())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import _check_h, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, _phi_rows
+from .model import Domain, MassActionModel, SpecError, _box_pass, _phi_rows
 
 __all__ = [
     "Facet",
@@ -157,12 +157,6 @@ def _require_compact(domain: Domain, what: str) -> None:
         raise SpecError(f"{what} needs a compact domain (bounded box in every component)")
 
 
-def _caps(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """The constraints' normals, shape (caps, n), and bounds."""
-    normals = np.array([con.normal_array for con in domain.constraints]).reshape(-1, domain.n)
-    return normals, np.array([con.bound for con in domain.constraints])
-
-
 def _draw(normals, bounds, box, rng: np.random.Generator, count: int, where: str = "interior points"):
     """``count`` uniform points of ``0 <= x <= box``, ``normals @ x <= bounds``, shape (count, n).
 
@@ -230,18 +224,16 @@ def _face(domain: Domain, facet: Facet):
     """The facet's face ``u . x = c`` as (normals, bounds, box, lift) for :func:`_draw`, or None.
 
     A coordinate facet is the face ``e_i . x = 0``.  One coordinate i of
-    u's support, one that no other cap uses if there is one, else the one
-    of largest u_i, is put as ``(c - u_{-i} . y) / u_i`` into every cap.
-    That leaves caps on the other coordinates y, in the domain's box, with
-    ``u_{-i} . y <= c`` for ``x_i >= 0``; caps that hold everywhere (zero
-    normal, bound not negative) are dropped.  lift puts x_i back in with a
-    constant Jacobian, so a uniform draw stays uniform.  None stands for a
-    face that meets the domain in a set of measure zero, which no draw
-    hits: some cap is at least its bound all over the face's simplex, with
-    vertices 0 and ``(c / u_j) e_j`` and the box off u's support.
+    u's support, one no other cap uses if there is one, else the one of
+    largest u_i, is put as ``(c - u_{-i} . y) / u_i`` into every cap, and
+    ``u_{-i} . y <= c`` is added for ``x_i >= 0``; caps that hold everywhere
+    are dropped.  One :func:`_box_pass` from the domain's box bounds y by
+    [lo, hi]; caps and box go on translated by lo, and lift adds lo back and
+    puts x_i in with a constant Jacobian.  None is a face of measure zero:
+    some lo_j >= hi_j, or some cap's least value on [lo, hi] is its bound or more.
     """
     u, c = np.abs(facet.normal), facet.bound
-    normals, bounds = _caps(domain)
+    normals, bounds = domain._caps
     support = u > 0.0
     others = np.delete(normals, facet.index, axis=0) if facet.kind == "constraint" else normals
     unused = support & ~others.any(axis=0)
@@ -252,12 +244,12 @@ def _face(domain: Domain, facet: Facet):
     bounds = np.append(bounds - ratio * c, c)
     live = normals.any(axis=1) | (bounds < 0.0)
     normals, bounds = normals[live], bounds[live]
-    box = np.delete(domain.box_upper, i)
-    edge = rest > 0.0
-    least = np.minimum(normals * np.divide(c, rest, out=box.copy(), where=edge), 0.0)
-    if np.any(least[:, edge].min(axis=1, initial=0.0) + least[:, ~edge].sum(axis=1) >= bounds):
+    lo, hi = _box_pass(normals, bounds, np.zeros(rest.size), np.delete(domain.box_upper, i))
+    if np.any(lo >= hi) or np.any(np.minimum(normals * lo, normals * hi).sum(axis=1) >= bounds):
         return None
-    return normals, bounds, box, lambda y: np.insert(y, i, (c - y @ rest) / u[i], axis=1)
+    return normals, bounds - normals @ lo, hi - lo, lambda y: np.insert(
+        y + lo, i, (c - (y + lo) @ rest) / u[i], axis=1
+    )
 
 
 def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndarray, int]]:
@@ -290,7 +282,7 @@ def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
     _require_compact(domain, "interior sampling")
-    return _draw(*_caps(domain), domain.box_upper, np.random.default_rng(seed), count)
+    return _draw(*domain._caps, domain.box_upper, np.random.default_rng(seed), count)
 
 
 def _freeze_point(x: np.ndarray) -> np.ndarray:
@@ -377,16 +369,14 @@ def discrete_tangent(
     Every reported violation has a negative value on each of its facets
     (strictly interior implies inward on all of them); the converse
     fails at finite h, where inward-pointing facet values are routine at
-    points whose backward image exits elsewhere.  The step size must lie
-    strictly inside (0, h_bar) for the model, so the backward solves are
-    meaningful everywhere on the boundary.
+    points whose backward image exits elsewhere.  h must be one that
+    :func:`step_bound` admits, for meaningful backward solves.
     """
     dom = model.domain if domain is None else domain
     _require_compact(dom, "the discrete tangent check")
-    h = float(h)
-    h_bar = step_bound(model).h_bar
-    if not 0.0 < h < h_bar:
-        raise SpecError(f"step size {h} is outside the checkable range (0, {h_bar})")
+    h, bound = _check_h(h), step_bound(model)
+    if not bound.admits(h):
+        raise SpecError(f"step size {h} is outside the checkable range (0, {bound.h_bar})")
     xs = np.stack([x for x, _ in sample_boundary(dom, count, seed)])
     ys = step_backward_batch(model, xs, h)
     margins = dom.margin(ys)

@@ -113,15 +113,30 @@ class Constraint:
         return out
 
 
+def _box_pass(normals: np.ndarray, bounds: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The box [lo, hi] cut by one pass of bound tightening over the caps ``normals @ x <= bounds``.
+
+    In a cap ``u . x <= c``, each ``u_i x_i`` with u_i != 0 is at most c less
+    the least value over [lo, hi] of the other terms (-inf, so no bound, if
+    one is unbounded below): an upper bound on x_i for u_i > 0, a lower one
+    for u_i < 0.  All bounds come from the given box.
+    """
+    with np.errstate(all="ignore"):
+        least = np.where(normals > 0.0, normals * lo, np.where(normals < 0.0, normals * hi, 0.0))
+        others = np.where(np.eye(lo.size, dtype=bool), 0.0, least[:, None, :]).sum(axis=2)
+        cut = (bounds[:, None] - others) / normals
+    # Of equal bounds, such as 0.0 and -0.0, the box's or the earliest cap's is taken.
+    lower = np.vstack([lo, np.where(normals < 0.0, cut, -np.inf)])
+    upper = np.vstack([hi, np.where(normals > 0.0, cut, np.inf)])
+    cols = np.arange(lo.size)
+    return lower[lower.argmax(axis=0), cols], upper[upper.argmin(axis=0), cols]
+
+
 @dataclass(frozen=True)
 class Domain:
     """Convex state domain: per-component nonnegativity plus half-spaces.
 
-    ``box_upper[i]`` is the tightest componentwise upper bound implied by
-    the constraints: the minimum of ``bound / normal[i]`` over constraints
-    whose normal is positive at i, nonnegative elsewhere, and whose other
-    positively-weighted components are flagged nonnegative.  Infinite when
-    no constraint caps the component that way.
+    ``box_upper`` ends the box of one :func:`_box_pass` over the constraints from ``[box_lower, +inf]``.
     """
 
     nonnegative: tuple[bool, ...]
@@ -145,19 +160,14 @@ class Domain:
         return len(self.nonnegative)
 
     @cached_property
+    def _caps(self) -> tuple[np.ndarray, np.ndarray]:
+        # The constraints' normals, shape (caps, n), and their bounds.
+        normals = np.array([con.normal_array for con in self.constraints]).reshape(-1, self.n)
+        return normals, np.array([con.bound for con in self.constraints])
+
+    @cached_property
     def box_upper(self) -> np.ndarray:
-        upper = np.full(self.n, np.inf)
-        for con in self.constraints:
-            u = con.normal_array
-            for i in range(self.n):
-                if u[i] <= 0.0:
-                    continue
-                others = [m for m in range(self.n) if m != i]
-                if any(u[m] < 0.0 for m in others):
-                    continue
-                if any(u[m] > 0.0 and not self.nonnegative[m] for m in others):
-                    continue
-                upper[i] = min(upper[i], con.bound / u[i])
+        upper = _box_pass(*self._caps, self.box_lower, np.full(self.n, np.inf))[1]
         upper.setflags(write=False)
         return upper
 

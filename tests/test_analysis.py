@@ -287,6 +287,17 @@ def test_observed_order_degenerate_at_equilibrium(logistic):
     assert est.p_hat != est.p_hat  # NaN
 
 
+def test_observed_order_refuses_a_long_reference_before_any_run(logistic, monkeypatch):
+    runs = []
+    monkeypatch.setattr(analysis, "integrate", lambda *args, **kwargs: runs.append(args))
+    # 1,001 steps of h put 200,200 reference steps at h/200, past the limit.
+    h = 1e-3
+    assert analysis.MAX_REFERENCE_STEPS == 200 * 1000
+    with pytest.raises(SpecError, match="200200 steps, more than 200000"):
+        observed_order(logistic, np.array([0.5]), T=1001 * h, h=h)
+    assert runs == []
+
+
 def test_observed_order_validates_inputs(logistic):
     with pytest.raises(SpecError):
         observed_order(logistic, np.array([0.5]), T=0.0, h=0.1)

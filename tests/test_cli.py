@@ -448,6 +448,40 @@ def test_order_above_the_bound_warns_in_one_line(capsys):
     }
 
 
+def test_order_refuses_a_reference_beyond_its_step_limit(capsys):
+    # The RK4 reference at h/200 would take 4,000,000 steps.
+    argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "0.2", "--h", "1e-5")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the reference run at h/200 would take 4000000 steps, more than 200000; "
+        "use a larger h or a shorter horizon\n"
+    )
+
+
+def test_invariance_checks_the_discrete_tangent_above_a_capped_step_bound(tmp_path, capsys):
+    # With a zero field, step_bound caps h_bar at its ceiling and admits
+    # every h: the discrete check must run at h = 2e6 as the audit does.
+    still = MassActionModel(
+        n=1,
+        bilinear=(),
+        linear=np.zeros((1, 1)),
+        constant=np.zeros(1),
+        domain=Domain(nonnegative=(True,), constraints=(Constraint((1.0,), 1.0),)),
+        labels=("x",),
+        name="still",
+    )
+    path = tmp_path / "still.json"
+    path.write_text(dump_model(still))
+    code, out, err = run_cli(
+        capsys, "invariance", "--model", str(path), "--h", "2e6", "--trials", "2", "--steps", "2"
+    )
+    assert (code, err) == (0, ""), err
+    doc = json.loads(out)
+    assert doc["discrete_tangent"] is not None
+    assert doc["discrete_tangent"]["passed"]
+
+
 def test_order_degenerate_strict_exits_three(capsys):
     argv = ("order", "--builtin", "logistic", "--x0", "1.0", "--t-final", "1.0", "--h", "0.1")
     code, out, _ = run_cli(capsys, *argv)
@@ -654,8 +688,21 @@ def test_checks_run_on_a_capped_network(tmp_path, capsys, sir_network, argv, pas
         # x_0 + x_1 = 1 beside x_0 + x_2 + ... + x_10 <= 0.9.
         (Constraint((1.0,) * 10, 1.0), Constraint((1.0,) + (0.0,) * 9, 0.5)),
         (Constraint((1.0, 1.0) + (0.0,) * 9, 1.0), Constraint((1.0, 0.0) + (1.0,) * 9, 0.9)),
+        # Facet 5 is thin: x_0 + x_1 = 1.875 needs x_1 >= 0.875.
+        (
+            Constraint((1.0, 1.0, 0.0, 0.0, 0.0), 1.875),
+            Constraint((1.0, 0.0, 1.0, 1.0, 1.0), 1.0),
+            Constraint((0.0, 1.0, 0.0, 0.0, 0.0), 1.0),
+        ),
+        # x_0 <= 0.5 / 0.83 cuts off the faces of the first two caps.
+        (
+            Constraint((2.0, 0.558), 2.0),
+            Constraint((2.0, 0.0), 2.536),
+            Constraint((0.83, 0.0), 0.5),
+            Constraint((0.0, 2.0), 1.0),
+        ),
     ],
-    ids=["x+y<=1,x<=1", "tightened-simplex", "simplex-behind-a-wider-cap"],
+    ids=["x+y<=1,x<=1", "tightened-simplex", "simplex-behind-a-wider-cap", "thin-face", "cut-off-faces"],
 )
 def test_invariance_runs_on_a_cap_whose_face_touches_the_domain_in_one_point(tmp_path, capsys, caps):
     n = len(caps[0].normal)

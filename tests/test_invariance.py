@@ -232,6 +232,47 @@ def test_a_face_that_meets_the_domain_in_measure_zero_gets_no_samples(caps, live
         assert dom.margin(x) >= -ACTIVITY_ATOL
 
 
+def _thin_face():
+    # Facet 5, x_0 + x_1 = 1.875, is solved for x_0, which leaves the cap
+    # -x_1 + x_2 + x_3 + x_4 <= -0.875: the face needs x_1 >= 0.875.
+    return Domain(
+        nonnegative=(True,) * 5,
+        constraints=(
+            Constraint((1.0, 1.0, 0.0, 0.0, 0.0), 1.875),
+            Constraint((1.0, 0.0, 1.0, 1.0, 1.0), 1.0),
+            Constraint((0.0, 1.0, 0.0, 0.0, 0.0), 1.0),
+        ),
+    )
+
+
+def _cut_off_faces():
+    # x_0 <= 0.5 / 0.83 cuts off the faces of the first two caps, which
+    # need x_0 >= 0.86 and x_0 = 1.268, though each meets its simplex.
+    return Domain(
+        nonnegative=(True, True),
+        constraints=(
+            Constraint((2.0, 0.558), 2.0),
+            Constraint((2.0, 0.0), 2.536),
+            Constraint((0.83, 0.0), 0.5),
+            Constraint((0.0, 2.0), 1.0),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, live", [(_thin_face, list(range(8))), (_cut_off_faces, [0, 1, 4, 5])], ids=["thin", "cut-off"]
+)
+@pytest.mark.parametrize("draw_seed", range(4))
+def test_the_face_pass_draws_a_thin_face_and_skips_faces_the_box_cuts_off(build, live, draw_seed):
+    dom = build()
+    fs = facets(dom)
+    points = sample_boundary(dom, 6 * len(live), draw_seed)
+    assert [fi for _, fi in points] == live * 6
+    for x, fi in points:
+        assert abs(fs[fi].normal @ x - fs[fi].bound) <= ACTIVITY_ATOL * (1.0 + np.abs(x).max())
+        assert dom.margin(x) >= -ACTIVITY_ATOL
+
+
 def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
     # The first cap's simplex reaches x_2 = 1.5e12 while the box stops at
     # 1: drawn as a block, it would pass the other caps about once in 1e12.

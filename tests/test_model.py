@@ -27,6 +27,7 @@ from nsfd.model import (
     model_from_dict,
     model_to_dict,
     validate,
+    _box_pass,
     _phi_rows,
 )
 
@@ -80,6 +81,65 @@ def test_domain_without_constraints_is_not_compact():
     dom = Domain(nonnegative=(True,), constraints=())
     assert not dom.is_compact
     assert dom.box_upper[0] == np.inf
+
+
+def _looped_box_upper(dom):
+    """Reference for Domain.box_upper, one constraint and coordinate at a time.
+
+    A constraint caps x_i at bound / normal[i] when normal[i] > 0, unless
+    another entry is negative or positive on a coordinate that is not
+    flagged nonnegative.
+    """
+    upper = np.full(dom.n, np.inf)
+    for con in dom.constraints:
+        u = con.normal_array
+        for i in range(dom.n):
+            if u[i] <= 0.0:
+                continue
+            others = [m for m in range(dom.n) if m != i]
+            if any(u[m] < 0.0 for m in others):
+                continue
+            if any(u[m] > 0.0 and not dom.nonnegative[m] for m in others):
+                continue
+            upper[i] = min(upper[i], con.bound / u[i])
+    return upper
+
+
+@st.composite
+def _mixed_sign_domains(draw):
+    """Domains whose caps mix signs, with negative and signed-zero bounds
+    and coordinates that are not flagged nonnegative."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+    normals = st.lists(entries, min_size=n, max_size=n).filter(any)
+    bounds = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+    caps = draw(st.lists(st.builds(Constraint, normals.map(tuple), bounds), max_size=5))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Domain(nonnegative=tuple(flags), constraints=tuple(caps))
+
+
+@seed(17)
+@given(dom=_mixed_sign_domains())
+def test_box_upper_matches_the_looped_reference(dom):
+    # Bit for bit, so signed zeros too: of equal bounds the first cap's is kept.
+    with np.errstate(over="ignore"):
+        expected = _looped_box_upper(dom)
+    assert dom.box_upper.tobytes() == expected.tobytes()
+
+
+def test_box_pass_bounds_each_coordinate_from_the_given_box_at_once():
+    # -x_0 + x_1 <= -0.5 on [0, 1]^2 gives x_0 >= 0.5 and x_1 <= 0.5, and
+    # x_0 + x_1 <= 1.2 gives x_0, x_1 <= 1.2 from lo = 0, not from the new
+    # lower bound of the other coordinate.
+    normals = np.array([[-1.0, 1.0], [1.0, 1.0]])
+    lo, hi = _box_pass(normals, np.array([-0.5, 1.2]), np.zeros(2), np.ones(2))
+    assert np.array_equal(lo, [0.5, 0.0])
+    assert np.array_equal(hi, [1.0, 0.5])
+    # With x_0 unbounded both ways, no cap bounds x_1, while x_1 >= 0
+    # still bounds x_0 on both sides.
+    lo, hi = _box_pass(normals, np.array([-0.5, 1.2]), np.array([-np.inf, 0.0]), np.full(2, np.inf))
+    assert np.array_equal(lo, [0.5, 0.0])
+    assert np.array_equal(hi, [1.2, np.inf])
 
 
 def test_eval_f_hand_values(logistic, si):
