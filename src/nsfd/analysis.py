@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import (
-    NewtonOptions, Trajectory, _check_h, _damped_newton, _horizon_steps, integrate, step_forward
+    NEWTON_MAX_ITER, Trajectory, _check_h, _damped_newton, _horizon_steps, integrate, step_forward
 )
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
@@ -115,14 +115,11 @@ class OrderEstimate:
 
 
 def find_equilibria(
-    model: MassActionModel,
-    seeds,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    model: MassActionModel, seeds, max_iter: int = NEWTON_MAX_ITER
 ) -> list[EquilibriumResult]:
     """Damped Newton on the field from each seed, deduplicated.
 
-    Convergence means ``||f(x)||_inf <= tol * (1 + ||x||_inf)``.  A
+    Convergence means ``||f(x)||_inf <= NEWTON_TOL * (1 + ||x||_inf)``.  A
     singular field Jacobian, during the iteration or at the converged
     point, yields status 'singular': on an equilibrium continuum the
     Jacobian is rank-deficient and a single point is not an isolated
@@ -130,14 +127,12 @@ def find_equilibria(
     dropped.  A Newton iterate that overflows raises LinAlgError naming
     its seed.
     """
-    if not (tol > 0.0):
-        raise SpecError("tol must be positive")
     results: list[EquilibriumResult] = []
     for seed_index, seed in enumerate(seeds):
         try:
             x, rnorm, outcome = _damped_newton(
-                lambda v: eval_f(model, v), lambda v: f_jacobian(model, v),
-                _check_state(model, seed), tol, max_iter, NewtonOptions.min_damping,
+                lambda v: eval_f(model, v), lambda v: f_jacobian(model, v), _check_state(model, seed),
+                max_iter,
             )
         except LinAlgError as exc:
             raise LinAlgError(f"Newton iteration from seed {seed_index}: {exc}") from exc

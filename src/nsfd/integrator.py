@@ -51,7 +51,6 @@ from .model import (
 __all__ = [
     "DominanceError",
     "NewtonDivergenceError",
-    "NewtonOptions",
     "StepBoundReport",
     "Trajectory",
     "step_matrix",
@@ -72,6 +71,12 @@ SCHEMES = ("nsfd", "euler", "rk4", "trapezoidal")
 # bilinear terms and no linear part, or an unbounded domain box).
 DEFAULT_H_MAX = 1e6
 
+# Damped Newton: relative tolerance (scaled by 1 + ||y||_inf), pass
+# budget, and the least fraction of a Newton step tried.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+NEWTON_MIN_DAMPING = 1.0 / 64.0
+
 
 class DominanceError(LinAlgError):
     """A solve matrix lost strict column diagonal dominance.
@@ -86,34 +91,13 @@ class NewtonDivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NewtonOptions:
-    """Controls for the implicit solve.
-
-    tol is relative (scaled by 1 + ||y||_inf).  Damping starts at a full
-    step and halves while the residual grows, down to min_damping.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 50
-    min_damping: float = 1.0 / 64.0
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0.0):
-            raise SpecError("tol must be positive")
-        if self.max_iter < 1:
-            raise SpecError("max_iter must be at least 1")
-        if not (0.0 < self.min_damping <= 1.0):
-            raise SpecError("min_damping must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class StepBoundReport:
     """Safe step bound and the per-column data that produced it.
 
     per_column holds (column index, U_j) where U_j bounds the absolute
     column sum of the step matrix S(x) over the whole domain box; the
-    bound is h_bar = safety / max_j U_j.  capped is true when that
-    quotient is unbounded and the configured cap was applied instead.
+    bound is h_bar = 1 / max_j U_j.  capped is true when that quotient
+    is unbounded and DEFAULT_H_MAX was applied instead.
     """
 
     h_bar: float
@@ -142,7 +126,6 @@ class Trajectory:
     copied, and the caller's own array keeps its write flag.
     """
 
-    t0: float
     h: float
     states: np.ndarray
     scheme: str
@@ -158,7 +141,7 @@ class Trajectory:
 
     @cached_property
     def times(self) -> np.ndarray:
-        out = self.t0 + self.h * np.arange(self.states.shape[0])
+        out = self.h * np.arange(self.states.shape[0])
         out.setflags(write=False)
         return out
 
@@ -327,13 +310,13 @@ def _norm_inf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int, min_damping: float):
+def _damped_newton(residual, jacobian, y0: np.ndarray, max_iter: int = NEWTON_MAX_ITER):
     """Damped Newton iteration for ``residual(y) = 0`` from y0.
 
-    Each of at most max_iter passes first tests ``||r||_inf <= tol (1 +
-    ||y||_inf)``, then solves with ``jacobian(y)`` and takes the full
+    Each of at most max_iter passes first tests ``||r||_inf <= NEWTON_TOL
+    (1 + ||y||_inf)``, then solves with ``jacobian(y)`` and takes the full
     step, halving it while the residual does not drop, down to
-    min_damping; the test is made once more after the last pass.
+    NEWTON_MIN_DAMPING; the test is made once more after the last pass.
     Returns the last iterate, its residual norm and the outcome:
     'converged', 'no-convergence', or the SingularMatrixError of the
     Newton solve.  An iterate that is not finite, from an overflow,
@@ -351,7 +334,7 @@ def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int
     y = y0
     r, rnorm = evaluate(y)
     for _ in range(max_iter):
-        if rnorm <= tol * (1.0 + _norm_inf(y)):
+        if rnorm <= NEWTON_TOL * (1.0 + _norm_inf(y)):
             return y, rnorm, "converged"
         jac = jacobian(y)
         try:
@@ -362,19 +345,14 @@ def _damped_newton(residual, jacobian, y0: np.ndarray, tol: float, max_iter: int
         while True:
             y_trial = y + alpha * delta
             r_trial, rnorm_trial = evaluate(y_trial)
-            if rnorm_trial < rnorm or alpha <= min_damping:
+            if rnorm_trial < rnorm or alpha <= NEWTON_MIN_DAMPING:
                 break
             alpha *= 0.5
         y, r, rnorm = y_trial, r_trial, rnorm_trial
-    return y, rnorm, "converged" if rnorm <= tol * (1.0 + _norm_inf(y)) else "no-convergence"
+    return y, rnorm, "converged" if rnorm <= NEWTON_TOL * (1.0 + _norm_inf(y)) else "no-convergence"
 
 
-def step_implicit_general(
-    sys: GeneralSplitSystem,
-    x,
-    h: float,
-    opts: NewtonOptions = NewtonOptions(),
-) -> np.ndarray:
+def step_implicit_general(sys: GeneralSplitSystem, x, h: float) -> np.ndarray:
     """One step of the endpoint-averaged rule for a general split system.
 
     Finds y with ``y = x + (h/2) (phi(y, x) + phi(x, y))`` by damped
@@ -385,8 +363,9 @@ def step_implicit_general(
     Raises
     ------
     NewtonDivergenceError
-        If the residual does not reach ``tol * (1 + ||y||_inf)`` within
-        max_iter iterations, or the Newton matrix becomes singular.
+        If the residual does not reach ``NEWTON_TOL * (1 + ||y||_inf)``
+        within NEWTON_MAX_ITER iterations, or the Newton matrix becomes
+        singular.
     LinAlgError
         If the first guess or a Newton iterate is not finite.
     """
@@ -418,38 +397,30 @@ def step_implicit_general(
         )
 
     y0 = x + h * np.asarray(phi(x, x), dtype=float)
-    y, rnorm, outcome = _damped_newton(residual, jacobian, y0, opts.tol, opts.max_iter, opts.min_damping)
+    y, rnorm, outcome = _damped_newton(residual, jacobian, y0)
     if isinstance(outcome, SingularMatrixError):
         raise NewtonDivergenceError(f"singular Newton matrix: {outcome}") from outcome
     if outcome == "no-convergence":
         raise NewtonDivergenceError(
-            f"no convergence after {opts.max_iter} iterations (residual {rnorm:.3e})"
+            f"no convergence after {NEWTON_MAX_ITER} iterations (residual {rnorm:.3e})"
         )
     return y
 
 
-def step_bound(
-    model: MassActionModel,
-    safety: float = 1.0,
-    h_max: float = DEFAULT_H_MAX,
-) -> StepBoundReport:
+def step_bound(model: MassActionModel) -> StepBoundReport:
     """Safe step bound from interval bounds on the step-matrix columns.
 
     Every entry of S(x) is affine in x, so its range over the domain box
     [box_lower, box_upper] is an exact interval; U_j sums the entrywise
     suprema of |S(x)[i, j]| and therefore dominates the absolute column
-    sum for every x in the box.  For h < h_bar = safety / max_j U_j both
+    sum for every x in the box.  For h < h_bar = 1 / max_j U_j both
     I - h S(x) and I + h S(x) are strictly column diagonally dominant:
     the diagonal of I -+ h S is at least 1 - h |S_jj| in magnitude, so
     strict dominance of both matrices is exactly h * (column sum) < 1.
 
     When the quotient is unbounded (zero U, or bilinear terms over an
-    unbounded box) the report is capped at h_max.
+    unbounded box) the report is capped at DEFAULT_H_MAX.
     """
-    if not (np.isfinite(safety) and 0.0 < safety <= 1.0):
-        raise SpecError("safety must lie in (0, 1]")
-    if not (np.isfinite(h_max) and h_max > 0.0):
-        raise SpecError("h_max must be positive and finite")
     lo_x = model.domain.box_lower
     hi_x = model.domain.box_upper
     s_lo = 0.5 * np.array(model.linear)
@@ -466,11 +437,9 @@ def step_bound(
     per_column = tuple((j, float(u[j])) for j in range(model.n))
     limiting = int(np.argmax(np.where(np.isnan(u), np.inf, u)))
     u_max = float(u[limiting])
-    if not np.isfinite(u_max) or u_max == 0.0 or safety / u_max > h_max:
-        return StepBoundReport(h_bar=h_max, per_column=per_column, limiting_column=limiting, capped=True)
-    return StepBoundReport(
-        h_bar=safety / u_max, per_column=per_column, limiting_column=limiting, capped=False
-    )
+    capped = not np.isfinite(u_max) or u_max == 0.0 or 1.0 / u_max > DEFAULT_H_MAX
+    h_bar = DEFAULT_H_MAX if capped else 1.0 / u_max
+    return StepBoundReport(h_bar=h_bar, per_column=per_column, limiting_column=limiting, capped=capped)
 
 
 def _horizon_steps(T: float, h: float) -> int:
@@ -503,18 +472,10 @@ def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:
         phi=lambda y, z: eval_f(model, y),
         dphi_dy=lambda y, z: f_jacobian(model, y),
         dphi_dz=lambda y, z: zero,
-        domain=model.domain,
     )
 
 
-def integrate(
-    model: MassActionModel,
-    x0,
-    h: float,
-    steps: int,
-    scheme: str = "nsfd",
-    t0: float = 0.0,
-) -> Trajectory:
+def integrate(model: MassActionModel, x0, h: float, steps: int, scheme: str = "nsfd") -> Trajectory:
     """Iterate one of the step maps from x0 for a fixed number of steps.
 
     Emits a RuntimeWarning when the reversible scheme is asked to run at
@@ -561,7 +522,7 @@ def integrate(
     if not np.isfinite(states).all():
         k = int(np.argmin(np.isfinite(states).all(axis=1))) - 1
         raise LinAlgError(f"step {k}: state is not finite")
-    return Trajectory(t0=t0, h=h, states=states, scheme=scheme)
+    return Trajectory(h=h, states=states, scheme=scheme)
 
 
 def reversibility_residual(model: MassActionModel, x, h: float) -> float:

@@ -50,6 +50,9 @@ TANGENT_TOL = 1e-10
 MAX_STORED_EXITS = 100
 
 _SAMPLE_ATTEMPTS = 1000
+# Cap on the interval passes that bound a face; the passes only shrink
+# the box, but may close in on their limit geometrically.
+_FACE_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def _face(domain: Domain, facet: Facet):
     u's support, one no other cap uses if there is one, else the one of
     largest u_i, is put as ``(c - u_{-i} . y) / u_i`` into every cap, and
     ``u_{-i} . y <= c`` is added for ``x_i >= 0``; caps that hold everywhere
-    are dropped.  One :func:`_box_pass` from the domain's box bounds y by
+    are dropped.  :func:`_box_pass`, from the domain's box and repeated until
+    neither end of the box moves (at most _FACE_PASSES times), bounds y by
     [lo, hi]; caps and box go on translated by lo, and lift adds lo back and
     puts x_i in with a constant Jacobian.  None is a face of measure zero:
     some lo_j >= hi_j, or some cap's least value on [lo, hi] is its bound or more.
@@ -244,7 +248,12 @@ def _face(domain: Domain, facet: Facet):
     bounds = np.append(bounds - ratio * c, c)
     live = normals.any(axis=1) | (bounds < 0.0)
     normals, bounds = normals[live], bounds[live]
-    lo, hi = _box_pass(normals, bounds, np.zeros(rest.size), np.delete(domain.box_upper, i))
+    lo, hi = np.zeros(rest.size), np.delete(domain.box_upper, i)
+    for _ in range(_FACE_PASSES):
+        box = _box_pass(normals, bounds, lo, hi)
+        if np.array_equal(box, (lo, hi)):
+            break
+        lo, hi = box
     if np.any(lo >= hi) or np.any(np.minimum(normals * lo, normals * hi).sum(axis=1) >= bounds):
         return None
     return normals, bounds - normals @ lo, hi - lo, lambda y: np.insert(
@@ -259,8 +268,9 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
     one batch, uniform over its face of the domain; every constraint needs
     a nonnegative normal.  A facet gets no samples when its face is found
     to meet the domain in a set of measure zero, such as the face of a
-    redundant cap or one that touches the domain in a single point.
-    Deterministic in seed.
+    redundant cap or one that touches the domain in a single point; when
+    every facet gets none, the domain has an empty interior and SpecError
+    is raised.  Deterministic in seed.
     """
     if count < 1:
         raise SpecError(f"count must be at least 1, got {count}")
@@ -269,6 +279,8 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> list[tuple[np.ndar
         raise SpecError("boundary sampling supports constraint normals with nonnegative entries only")
     rng = np.random.default_rng(seed)
     live = [(fi, face) for fi, f in enumerate(facets(domain)) if (face := _face(domain, f)) is not None]
+    if not live:
+        raise SpecError("the domain has an empty interior: no facet has a face to sample")
     k = len(live)
     shares = [
         lift(_draw(normals, bounds, box, rng, len(range(s, count, k)), f"points on facet {fi}"))
@@ -324,11 +336,7 @@ def _tangent_report(
 
 
 def continuous_tangent(
-    model: MassActionModel,
-    domain: Domain | None = None,
-    count: int = 256,
-    seed: int = 0,
-    tol: float | None = None,
+    model: MassActionModel, count: int = 256, seed: int = 0, tol: float | None = None
 ) -> TangentReport:
     """Check ``n(x) . f(x) <= tol`` at sampled boundary points.
 
@@ -337,7 +345,7 @@ def continuous_tangent(
     sample-then-facet order; the check passes when no evaluation exceeds
     the tolerance.
     """
-    dom = model.domain if domain is None else domain
+    dom = model.domain
     _require_compact(dom, "the continuous tangent check")
     xs = np.stack([x for x, _ in sample_boundary(dom, count, seed)])
     return _tangent_report(
@@ -346,12 +354,7 @@ def continuous_tangent(
 
 
 def discrete_tangent(
-    model: MassActionModel,
-    domain: Domain | None = None,
-    h: float = 1e-2,
-    count: int = 256,
-    seed: int = 0,
-    tol: float | None = None,
+    model: MassActionModel, h: float = 1e-2, count: int = 256, seed: int = 0, tol: float | None = None
 ) -> TangentReport:
     """Check that no boundary point has a strictly interior backward image.
 
@@ -372,7 +375,7 @@ def discrete_tangent(
     points whose backward image exits elsewhere.  h must be one that
     :func:`step_bound` admits, for meaningful backward solves.
     """
-    dom = model.domain if domain is None else domain
+    dom = model.domain
     _require_compact(dom, "the discrete tangent check")
     h, bound = _check_h(h), step_bound(model)
     if not bound.admits(h):
@@ -385,7 +388,6 @@ def discrete_tangent(
 
 def invariance_audit(
     model: MassActionModel,
-    domain: Domain | None = None,
     h: float = 1e-2,
     trials: int = 100,
     steps: int = 100,
@@ -404,7 +406,7 @@ def invariance_audit(
     dropped from the stack, which keeps the others in trial order.  The
     report is deterministic in (seed, trials, steps, h, scheme).
     """
-    dom = model.domain if domain is None else domain
+    dom = model.domain
     _require_compact(dom, "the invariance audit")
     if scheme not in AUDIT_SCHEMES:
         raise SpecError(f"audit scheme must be one of {', '.join(AUDIT_SCHEMES)}, got {scheme!r}")

@@ -334,19 +334,16 @@ def eigenvalues(a) -> list[complex]:
     return [complex(lam) for lam in lams]
 
 
-def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, eps: float | None = None):
+def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x):
     """Central finite-difference Jacobian of ``fun`` at ``x``.
 
-    Column j is ``(fun(x + eps e_j) - fun(x - eps e_j)) / (2 eps)``.
-    The default step is ``1e-6 * (1 + ||x||_inf)``.
+    Column j is ``(fun(x + eps e_j) - fun(x - eps e_j)) / (2 eps)`` with
+    the step ``eps = 1e-6 * (1 + ||x||_inf)``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
-    if eps is None:
-        eps = 1e-6 * (1.0 + (float(np.abs(x).max()) if x.size else 0.0))
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    eps = 1e-6 * (1.0 + (float(np.abs(x).max()) if x.size else 0.0))
     cols = []
     for j in range(x.size):
         xp = x.copy()

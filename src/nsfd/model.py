@@ -397,7 +397,7 @@ class ValidationReport:
         return self.metzler and self.constant_nonnegative and self.compact_domain and self.pq_identity
 
 
-def validate(model: MassActionModel, probes: int = PQ_PROBES, seed: int = 0) -> ValidationReport:
+def validate(model: MassActionModel) -> ValidationReport:
     """Check sign structure, constant part, domain compactness, and B symmetry.
 
     The sign check is structural, not sampled: off-diagonal entries of L
@@ -426,10 +426,10 @@ def validate(model: MassActionModel, probes: int = PQ_PROBES, seed: int = 0) -> 
     if not compact:
         issues.append("domain is not compact (missing nonnegativity or an upper bound)")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     upper = np.where(np.isfinite(model.domain.box_upper), model.domain.box_upper, 1.0)
     max_dev = 0.0
-    for _ in range(probes):
+    for _ in range(PQ_PROBES):
         y = rng.uniform(0.0, upper)
         z = rng.uniform(0.0, upper)
         py_z = assemble_P(model, y) @ z
@@ -463,7 +463,6 @@ class GeneralSplitSystem:
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dphi_dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     dphi_dz: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    domain: Domain | None = None
 
 
 def as_split_system(model: MassActionModel) -> GeneralSplitSystem:
@@ -481,7 +480,6 @@ def as_split_system(model: MassActionModel) -> GeneralSplitSystem:
         phi=lambda y, z: eval_phi(model, y, z),
         dphi_dy=dphi_dy,
         dphi_dz=dphi_dz,
-        domain=model.domain,
     )
 
 

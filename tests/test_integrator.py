@@ -14,7 +14,6 @@ from nsfd.integrator import (
     SCHEMES,
     DominanceError,
     NewtonDivergenceError,
-    NewtonOptions,
     Trajectory,
     integrate,
     reversibility_residual,
@@ -263,12 +262,6 @@ def test_step_bound_reports(logistic, si, host_vector):
     assert len(rh.per_column) == 5
 
 
-def test_step_bound_safety_scales_linearly(host_vector):
-    full = step_bound(host_vector).h_bar
-    half = step_bound(host_vector, safety=0.5).h_bar
-    assert half == pytest.approx(0.5 * full, abs=1e-14)
-
-
 def test_step_bound_caps_unbounded_quadratic():
     quad = MassActionModel(
         n=1,
@@ -373,23 +366,6 @@ def test_singular_error_of_a_slot_jacobian_propagates():
     assert caught.value is failure
 
 
-def test_newton_options_are_validated():
-    with pytest.raises(SpecError):
-        NewtonOptions(tol=0.0)
-    with pytest.raises(SpecError):
-        NewtonOptions(max_iter=0)
-    with pytest.raises(SpecError):
-        NewtonOptions(min_damping=2.0)
-
-
-def test_newton_options_tighten_residual():
-    sys = GeneralSplitSystem(n=1, phi=lambda y, z: -z * z)
-    loose = step_implicit_general(sys, np.array([1.0]), 1.0, NewtonOptions(tol=1e-6))
-    tight = step_implicit_general(sys, np.array([1.0]), 1.0, NewtonOptions(tol=1e-14))
-    root = np.sqrt(2.0) - 1.0
-    assert abs(tight[0] - root) <= abs(loose[0] - root) + 1e-15
-
-
 def test_integrate_shapes_and_times(logistic):
     traj = integrate(logistic, np.array([0.5]), 0.1, 10)
     assert isinstance(traj, Trajectory)
@@ -449,14 +425,14 @@ def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(host_vector, 
 
 def test_trajectory_views_a_float_array_without_freezing_it():
     states = np.zeros((3, 2))
-    traj = Trajectory(t0=0.0, h=0.1, states=states, scheme="nsfd")
+    traj = Trajectory(h=0.1, states=states, scheme="nsfd")
     assert np.shares_memory(traj.states, states)
     assert traj.states.flags.writeable is False
     assert states.flags.writeable is True
     # other inputs are converted into an array of their own
     ints = np.zeros((3, 2), dtype=int)
     for given in (ints, ints.tolist()):
-        traj = Trajectory(t0=0.0, h=0.1, states=given, scheme="nsfd")
+        traj = Trajectory(h=0.1, states=given, scheme="nsfd")
         assert traj.states.dtype == np.float64
         assert traj.states.flags.writeable is False
     assert ints.flags.writeable is True
@@ -472,12 +448,6 @@ def test_integrate_accuracy_against_closed_form(logistic):
     traj = integrate(logistic, np.array([0.5]), 0.1, 10)
     exact = 1.0 / (1.0 + np.exp(-1.0))
     assert abs(traj.final[0] - exact) <= 2e-4
-
-
-def test_integrate_t0_offsets_times(logistic):
-    traj = integrate(logistic, np.array([0.5]), 0.1, 3, t0=5.0)
-    assert traj.times[0] == 5.0
-    assert traj.times[-1] == pytest.approx(5.3, abs=1e-12)
 
 
 def test_integrate_validates_inputs(logistic):

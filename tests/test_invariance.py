@@ -259,8 +259,24 @@ def _cut_off_faces():
     )
 
 
+def _two_pass_face():
+    # The face of the first cap, y + z >= 1.0996 once x is solved for, is
+    # empty: one pass gives y <= 0.684 and z <= 0.832, and a second pass
+    # from that box gives y <= 0.342 against the y >= 0.593 it needs.
+    return Domain(
+        nonnegative=(True,) * 3,
+        constraints=(
+            Constraint((1.0, 1.0, 1.0), 1.48),
+            Constraint((2.447, 0.0, 0.0), 0.931),
+            Constraint((0.0, 1.978, 1.627), 1.353),
+        ),
+    )
+
+
 @pytest.mark.parametrize(
-    "build, live", [(_thin_face, list(range(8))), (_cut_off_faces, [0, 1, 4, 5])], ids=["thin", "cut-off"]
+    "build, live",
+    [(_thin_face, list(range(8))), (_cut_off_faces, [0, 1, 4, 5]), (_two_pass_face, [0, 1, 2, 4, 5])],
+    ids=["thin", "cut-off", "two-pass"],
 )
 @pytest.mark.parametrize("draw_seed", range(4))
 def test_the_face_pass_draws_a_thin_face_and_skips_faces_the_box_cuts_off(build, live, draw_seed):
@@ -271,6 +287,24 @@ def test_the_face_pass_draws_a_thin_face_and_skips_faces_the_box_cuts_off(build,
     for x, fi in points:
         assert abs(fs[fi].normal @ x - fs[fi].bound) <= ACTIVITY_ATOL * (1.0 + np.abs(x).max())
         assert dom.margin(x) >= -ACTIVITY_ATOL
+
+
+def _flat_domain():
+    # x + y <= 0 with x, y >= 0 is the single point 0: compact, no interior.
+    return Domain(nonnegative=(True, True), constraints=(Constraint((1.0, 1.0), 0.0),))
+
+
+def test_sample_boundary_refuses_a_domain_with_an_empty_interior():
+    with pytest.raises(SpecError, match="empty interior"):
+        sample_boundary(_flat_domain(), 4, 0)
+
+
+def test_continuous_tangent_refuses_a_domain_with_an_empty_interior():
+    model = MassActionModel(
+        n=2, bilinear=(), linear=np.zeros((2, 2)), constant=np.zeros(2), domain=_flat_domain(), labels=("x", "y")
+    )
+    with pytest.raises(SpecError, match="empty interior"):
+        continuous_tangent(model, count=4, seed=0)
 
 
 def test_sample_interior_makes_no_block_of_a_simplex_longer_than_the_box():
@@ -693,7 +727,8 @@ def test_audit_matches_the_gathered_loop_while_trials_exit(host_vector, scheme):
         constraints=(Constraint((1, 1, 0, 0, 0), 9.0), Constraint((0, 0, 1, 1, 1), 9.0)),
     )
     args = (0.5, 200, 200, 0, scheme)
-    rep = invariance_audit(host_vector, domain=dom, h=0.5, trials=200, steps=200, seed=0, scheme=scheme)
+    capped = dataclasses.replace(host_vector, domain=dom)
+    rep = invariance_audit(capped, h=0.5, trials=200, steps=200, seed=0, scheme=scheme)
     assert rep == _gathered_audit(host_vector, dom, *args)
     steps = [step for _, step, _ in rep.exits]
     assert min(steps) == 1 and max(steps) > 1

@@ -359,7 +359,6 @@ def test_as_split_system_wraps_model(host_vector, rng):
     sys = as_split_system(host_vector)
     assert isinstance(sys, GeneralSplitSystem)
     assert sys.n == host_vector.n
-    assert sys.domain is host_vector.domain
     ys = _random_states(host_vector, rng, 5)
     zs = _random_states(host_vector, rng, 5)
     for y, z in zip(ys, zs):
@@ -368,4 +367,4 @@ def test_as_split_system_wraps_model(host_vector, rng):
 
 def test_general_split_system_optional_slots_default_to_none():
     sys = GeneralSplitSystem(n=1, phi=lambda y, z: -y * z)
-    assert sys.dphi_dy is None and sys.dphi_dz is None and sys.domain is None
+    assert sys.dphi_dy is None and sys.dphi_dz is None
