@@ -12,19 +12,24 @@ turns each step into one linear solve:
     (I - h S(x)) x' = (I + (h/2) L) x + h b
 
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
-the same system at -h.  Scalar and batched, forward and backward steps
-all assemble it in one place, one matrix for a single state and a stack
-for a batch, and check there that it is strictly column diagonally
-dominant.  A stack starts from the entries no bilinear term touches,
-``I - h (L/2)``, and writes only the touched ones per row, with the bits
-that the stacked field Jacobians would give; a batch with one step size
-shares it as a float.  That check makes the step's one ``abs`` pass over
-the matrices, and the solve guard certifies from the same pass instead
-of making its own; the failing row and column are worked out only when
-the check fails.  Both solve matrices are dominant, hence safely
-invertible, for every state in the domain box whenever h stays below
-the bound computed by :func:`step_bound`.  Batch states must be finite,
-as scalar ones are.
+the same system at -h.  Forward and backward steps assemble it in one of
+two places, and check there that it is strictly column diagonally
+dominant: a stack for a batch, or a single state of a large model, in
+numpy (:func:`_step_system`), and a single state of a small model in
+Python floats (:func:`_float_system`), a model being small when the
+elimination schedule of its pattern (``model._schedule``) makes at most
+FLOAT_STEP_MAX_OPS operations.  The Python-float system has the bits of
+its row of a stack: a stack starts from the entries no bilinear term
+touches, ``I - h (L/2)``, writes only the touched ones per row, with the
+bits that the stacked field Jacobians would give, and sums ``L x`` over
+the nonzeros of L, and the single state does the same.  A batch with one
+step size shares it as a float.  The check makes the step's one ``abs``
+pass over the matrices, and the solve guard certifies from the same pass
+instead of making its own; the failing row and column are worked out
+only when the check fails.  Both solve matrices are dominant, hence
+safely invertible, for every state in the domain box whenever h stays
+below the bound computed by :func:`step_bound`.  Batch states must be
+finite, as scalar ones are.
 """
 
 from __future__ import annotations
@@ -70,6 +75,14 @@ SCHEMES = ("nsfd", "euler", "rk4", "trapezoidal")
 # Cap applied by step_bound when nothing limits the step size (no
 # bilinear terms and no linear part, or an unbounded domain box).
 DEFAULT_H_MAX = 1e6
+
+# A step of one state runs in Python floats, with no numpy call in its
+# arithmetic, when the elimination schedule of its model makes at most this
+# many elementwise operations; a larger model's step goes to numpy and
+# LAPACK.  Timed per step on the built-ins and on SIR rings of n = 6 to 30
+# (2-core Xeon, Python 3.11, numpy 2.4), the Python-float step was the
+# faster up to 181 operations (21.8 against 28.5 us) and tied at 286.
+FLOAT_STEP_MAX_OPS = 200
 
 # Damped Newton: relative tolerance (scaled by 1 + ||y||_inf), pass
 # budget, and the least fraction of a Newton step tried.
@@ -169,25 +182,86 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
     a float ``h`` shared by every row or one signed step size per row in
     the (m,) array ``h``; the backward step is the system at -h.  The
     systems keep the rank of ``x``, so a single step builds one (n, n)
-    matrix from the field Jacobian.  A stack starts from the entries no
-    bilinear term touches, ``I - h (L/2)``, broadcast over the rows,
-    and overwrites only the touched ones (:func:`_stack_matrices`); each
-    entry keeps the bits of ``I - h (0.5 J)`` with the stacked field
-    Jacobians J.  The only dominance check: one ``abs`` pass over the
-    matrices (``linalg._slack_parts``), whose smallest slack a NaN fails
-    too.  The same parts go on to the solve guard, which certifies from
-    them instead of a second pass; the batch steps let the solve
-    overwrite the matrices and right-hand sides made here.  Only on
-    failure is the offending row found, so that the DominanceError names
-    the column and, for more than one row, the row.
+    matrix from the field Jacobian and ``L x`` by a matrix product.  A
+    stack starts from the entries no bilinear term touches,
+    ``I - h (L/2)``, broadcast over the rows, and overwrites only the
+    touched ones (:func:`_stack_matrices`); each entry keeps the bits of
+    ``I - h (0.5 J)`` with the stacked field Jacobians J.  A stack's
+    ``L x`` is summed over the nonzeros of each row of L in column order
+    (``model._linear_rows``), as :func:`_float_system` sums it.  A
+    right-hand side is never -0.0: adding 0.0 last makes it +0.0, so that
+    the elimination's schedule, which leaves out subtractions of zeros,
+    keeps the bits of the dense loop.  The dominance check
+    (:func:`_check_dominance`) reads one ``abs`` pass over the matrices
+    (``linalg._slack_parts``).  The same parts go on to the solve guard,
+    which certifies from them instead of a second pass; the batch steps
+    let the solve overwrite the matrices and right-hand sides made here.
     """
     if x.ndim == 1:
         mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
+        rhs = x @ model.linear.T
     else:
         mats = _stack_matrices(model, x, h)
+        rhs = np.zeros_like(x)
+        for i, terms in enumerate(model._linear_rows):
+            for j, c in terms:
+                rhs[:, i] += x[:, j] * c
     parts = _slack_parts(mats)
+    _check_dominance(model, parts, h)
+    hv = h if np.ndim(h) == 0 else h[:, None]
+    rhs *= 0.5 * hv
+    rhs += x
+    rhs += hv * model.constant
+    rhs += 0.0
+    return mats, rhs, parts
+
+
+def _float_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[list, list, tuple]:
+    """:func:`_step_system` for one state, in Python floats over ``model._schedule``.
+
+    The matrix is the list of its n * n entries, row by row, of which
+    only the schedule's pattern is written, each entry with the formula
+    and the order of operations of :func:`_stack_matrices` (an entry no
+    term touches sums no terms, which leaves ``I - h (L/2)`` as it is);
+    the right-hand side is the list of its n entries, formed as a
+    stack's.  So the system has the bits of its row of a stack, and
+    ``linalg.lu_solve`` solves it over the schedule as the stack's
+    elimination does.  One exception: an entry whose P + Q value reads
+    more than one coordinate of x is summed here in coordinate order, and
+    in a stack by the BLAS product ``xs @ G``, whose order the kernel
+    picks; no built-in has one.  The slacks come from one ``abs`` pass over the
+    pattern (``linalg._slack_parts``), and the dominance check is the
+    stack's.
+    """
+    xs = x.tolist()
+    n = model.n
+    mats = [0.0] * (n * n)
+    for e, base, lin, terms in model._entry_terms:
+        t = 0.0
+        for j, c in terms:
+            t += xs[j] * c
+        mats[e] = base - (t + lin) * 0.5 * h
+    parts = _slack_parts(mats, model._schedule)
+    _check_dominance(model, parts, h)
+    half = 0.5 * h
+    rhs = []
+    for xi, terms, b in zip(xs, model._linear_rows, model.constant.tolist()):
+        s = 0.0
+        for j, c in terms:
+            s += xs[j] * c
+        rhs.append(s * half + xi + h * b + 0.0)
+    return mats, rhs, parts
+
+
+def _check_dominance(model: MassActionModel, parts: tuple, h) -> None:
+    """Raise DominanceError unless the smallest slack of ``parts`` is positive.
+
+    A NaN slack fails too.  Only on failure is the offending row found,
+    so that the message names the column and, for more than one row, the
+    row.
+    """
     if not parts[2] > 0.0:
-        slack = parts[0].reshape(-1, model.n)
+        slack = np.reshape(parts[0], (-1, model.n))
         row = int(np.argmax(~np.all(slack > 0.0, axis=1)))
         col = int(np.argmin(slack[row]))
         where = f" of batch state {row}" if slack.shape[0] > 1 else ""
@@ -196,12 +270,6 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
             f"matrix lost strict column dominance in column {col}{where}; reduce h below the safe "
             "step bound for this state"
         )
-    hv = h if np.ndim(h) == 0 else h[:, None]
-    rhs = x @ model.linear.T
-    rhs *= 0.5 * hv
-    rhs += x
-    rhs += hv * model.constant
-    return mats, rhs, parts
 
 
 def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
@@ -250,8 +318,7 @@ def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
         When the solve matrix is not strictly column diagonally dominant
         at this state, which signals h at or above the safe regime.
     """
-    mats, rhs, parts = _step_system(model, _check_state(model, x), _check_h(h))
-    return lu_solve(mats, rhs, _parts=parts)
+    return _solve_one(model, _check_state(model, x), _check_h(h))
 
 
 def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -260,7 +327,16 @@ def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
     Solves ``(I + h S(x)) y = (I - (h/2) L) x - h b``; composing it with
     the forward step returns the starting state up to round-off.
     """
-    mats, rhs, parts = _step_system(model, _check_state(model, x), -_check_h(h))
+    return _solve_one(model, _check_state(model, x), -_check_h(h))
+
+
+def _solve_one(model: MassActionModel, x: np.ndarray, h: float) -> np.ndarray:
+    """The step of one checked state, with signed h: in Python floats when the model's schedule is small."""
+    schedule = model._schedule
+    if schedule.size <= FLOAT_STEP_MAX_OPS:
+        mats, rhs, parts = _float_system(model, x, h)
+        return lu_solve(mats, rhs, _parts=parts, _schedule=schedule)
+    mats, rhs, parts = _step_system(model, x, h)
     return lu_solve(mats, rhs, _parts=parts)
 
 
@@ -296,14 +372,14 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """
     xs = _batch_states(model, xs)
     mats, rhs, parts = _step_system(model, xs, _batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True)
+    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True, _schedule=model._schedule)
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
     mats, rhs, parts = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True)
+    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True, _schedule=model._schedule)
 
 
 def _norm_inf(v: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import _check_h, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, _box_pass, _phi_rows
+from .model import Domain, MassActionModel, SpecError, _phi_rows, _tight_box
 
 __all__ = [
     "Facet",
@@ -50,9 +50,6 @@ TANGENT_TOL = 1e-10
 MAX_STORED_EXITS = 100
 
 _SAMPLE_ATTEMPTS = 1000
-# Cap on the interval passes that bound a face; the passes only shrink
-# the box, but may close in on their limit geometrically.
-_FACE_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ def _face(domain: Domain, facet: Facet):
     u's support, one no other cap uses if there is one, else the one of
     largest u_i, is put as ``(c - u_{-i} . y) / u_i`` into every cap, and
     ``u_{-i} . y <= c`` is added for ``x_i >= 0``; caps that hold everywhere
-    are dropped.  :func:`_box_pass`, from the domain's box and repeated until
-    neither end of the box moves (at most _FACE_PASSES times), bounds y by
+    are dropped.  :func:`_tight_box`, from the domain's box, bounds y by
     [lo, hi]; caps and box go on translated by lo, and lift adds lo back and
     puts x_i in with a constant Jacobian.  None is a face of measure zero:
     some lo_j >= hi_j, or some cap's least value on [lo, hi] is its bound or more.
@@ -248,12 +244,7 @@ def _face(domain: Domain, facet: Facet):
     bounds = np.append(bounds - ratio * c, c)
     live = normals.any(axis=1) | (bounds < 0.0)
     normals, bounds = normals[live], bounds[live]
-    lo, hi = np.zeros(rest.size), np.delete(domain.box_upper, i)
-    for _ in range(_FACE_PASSES):
-        box = _box_pass(normals, bounds, lo, hi)
-        if np.array_equal(box, (lo, hi)):
-            break
-        lo, hi = box
+    lo, hi = _tight_box(normals, bounds, np.zeros(rest.size), np.delete(domain.box_upper, i))
     if np.any(lo >= hi) or np.any(np.minimum(normals * lo, normals * hi).sum(axis=1) >= bounds):
         return None
     return normals, bounds - normals @ lo, hi - lo, lambda y: np.insert(

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import is_metzler
+from .linalg import _Schedule, _schedule_of, is_metzler
 
 __all__ = [
     "SpecError",
@@ -53,6 +53,10 @@ __all__ = [
 # P(y) @ z == Q(z) @ y in validate().
 PQ_PROBES = 32
 PQ_RTOL = 1e-13
+
+# Cap on the interval passes of _tight_box, which bound the domain and
+# every face of it.
+_BOX_PASSES = 100
 
 
 class SpecError(ValueError):
@@ -132,11 +136,25 @@ def _box_pass(normals: np.ndarray, bounds: np.ndarray, lo: np.ndarray, hi: np.nd
     return lower[lower.argmax(axis=0), cols], upper[upper.argmin(axis=0), cols]
 
 
+def _tight_box(normals: np.ndarray, bounds: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The box [lo, hi] after :func:`_box_pass` is repeated until neither end moves.
+
+    At most _BOX_PASSES passes are made: each only shrinks the box, but
+    the ends may close in on their limit geometrically.
+    """
+    for _ in range(_BOX_PASSES):
+        box = _box_pass(normals, bounds, lo, hi)
+        if np.array_equal(box, (lo, hi)):
+            break
+        lo, hi = box
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Domain:
     """Convex state domain: per-component nonnegativity plus half-spaces.
 
-    ``box_upper`` ends the box of one :func:`_box_pass` over the constraints from ``[box_lower, +inf]``.
+    ``box_upper`` ends the box of :func:`_tight_box` over the constraints from ``[box_lower, +inf]``.
     """
 
     nonnegative: tuple[bool, ...]
@@ -167,7 +185,7 @@ class Domain:
 
     @cached_property
     def box_upper(self) -> np.ndarray:
-        upper = _box_pass(*self._caps, self.box_lower, np.full(self.n, np.inf))[1]
+        upper = _tight_box(*self._caps, self.box_lower, np.full(self.n, np.inf))[1]
         upper.setflags(write=False)
         return upper
 
@@ -293,6 +311,36 @@ class MassActionModel:
         g = np.zeros((self.n, len(cols)))
         np.add.at(g, (np.concatenate([tj, tk]), col), np.concatenate([tc, tc]))
         return np.array(list(cols), dtype=np.intp), g
+
+    # The elimination schedule of I - h S(x), made on the first step, not
+    # with the model.  Its pattern, the entries that can be nonzero, is
+    # the diagonal, the nonzeros of L and the entries of _pq_map; a set
+    # joins them, as np.union1d's first call costs about 1 MB of memory.
+    @cached_property
+    def _schedule(self) -> _Schedule:
+        n = self.n
+        pattern = set(range(0, n * n, n + 1)).union(np.flatnonzero(self.linear).tolist(), self._pq_map[0].tolist())
+        return _schedule_of(n, tuple(sorted(pattern)))
+
+    # The schedule's pattern, row by row, for the step of one state in
+    # Python floats: each entry is (flat entry, its identity entry, its L
+    # entry, its (j, G[j]) terms), so that the sum of x[j] * G[j] over the
+    # terms is its P(x) + Q(x) value.
+    @cached_property
+    def _entry_terms(self) -> tuple[tuple[int, float, float, tuple[tuple[int, float], ...]], ...]:
+        entries, g = self._pq_map
+        cols = dict(zip(entries.tolist(), g.T.tolist()))
+        eye, lin = self._identity.ravel().tolist(), self.linear.ravel().tolist()
+        return tuple(
+            (e, eye[e], lin[e], tuple((j, c) for j, c in enumerate(cols.get(e, ())) if c))
+            for e in self._schedule.pattern
+        )
+
+    # Row i of L as its (j, L[i, j]) nonzeros in column order: the right-hand
+    # side of a step sums L x over them, one state or a stack alike.
+    @cached_property
+    def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.linear.tolist())
 
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:

@@ -1085,24 +1085,36 @@ def _blas_kernel_skip_reason():
     return None
 
 
+def _check_output_under_two_blas_kernels(*args):
+    reason = _blas_kernel_skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    argv = (sys.executable, "-m", "nsfd", *args)
+    runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in ("Haswell", "SkylakeX")]
+    for done in runs:
+        assert (done.returncode, done.stderr) == (0, "")
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_invariance_output_does_not_depend_on_the_blas_kernel():
     # The audit's 1000-row stacks and the 256-sample discrete tangent are
     # dominant stacks past the elimination rule of linalg._solve_stack, so
     # their rows get the same bits under every OpenBLAS kernel.  Solved by
     # LAPACK, this worst_margin read 7.034373084024992e-13 under Haswell and
-    # 7.016609515630989e-13 under SkylakeX.  simulate still solves each step
-    # with LAPACK and may differ by kernel; this test does not cover it.
-    reason = _blas_kernel_skip_reason()
-    if reason is not None:
-        pytest.skip(reason)
-    argv = (
-        sys.executable, "-m", "nsfd", "invariance", "--builtin", "host-vector", "--h", "0.5",
-        "--trials", "1000", "--steps", "200", "--seed", "5",
+    # 7.016609515630989e-13 under SkylakeX.
+    _check_output_under_two_blas_kernels(
+        "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "1000", "--steps", "200", "--seed", "5"
     )
-    runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in ("Haswell", "SkylakeX")]
-    for done in runs:
-        assert (done.returncode, done.stderr) == (0, "")
-    assert runs[0].stdout == runs[1].stdout
+
+
+def test_simulate_output_does_not_depend_on_the_blas_kernel():
+    # host-vector is small enough that each step of one state runs in Python
+    # floats over the model's elimination schedule, with no BLAS call.
+    # Solved by LAPACK, these 2001 rows printed with md5 3a0d95aa... under
+    # Haswell and d570efea... under SkylakeX.
+    _check_output_under_two_blas_kernels(
+        "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2000", "--precision", "17"
+    )
 
 
 def test_console_script_entry_point():

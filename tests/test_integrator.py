@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nsfd.integrator import (
     DEFAULT_H_MAX,
+    FLOAT_STEP_MAX_OPS,
     SCHEMES,
     DominanceError,
     NewtonDivergenceError,
@@ -222,8 +223,42 @@ def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_networ
             mats, rhs, _ = _step_system(model, xs, h)
             expected = np.eye(model.n) - hm * (0.5 * _jacobian_rows(model, xs))
             assert np.ascontiguousarray(mats).tobytes() == expected.tobytes(), model.name
-            expected = xs + (0.5 * hv) * (xs @ model.linear.T) + hv * model.constant
+            # L x is summed elementwise over each row's nonzeros, in column order
+            lx = np.zeros_like(xs)
+            for i, j in zip(*np.nonzero(model.linear)):
+                lx[:, i] += xs[:, j] * model.linear[i, j]
+            expected = lx * (0.5 * hv) + xs + hv * model.constant + 0.0
             assert rhs.tobytes() == expected.tobytes(), model.name
+
+
+@pytest.mark.parametrize("frac", [0.4, 0.9])
+def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(all_models, rng, monkeypatch, frac):
+    # A small model steps one state in Python floats, with the stack's
+    # formulas and over the schedule that the stack's elimination runs, so
+    # a state gets one set of bits, alone or in a stack, and neither
+    # depends on the BLAS kernel.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    for model in all_models:
+        assert model._schedule.size <= FLOAT_STEP_MAX_OPS, model.name
+        h = frac * step_bound(model).h_bar
+        xs = _interior_states(model, rng, max(2 * model.n**3, 64))
+        for single, batch in ((step_forward, step_forward_batch), (step_backward, step_backward_batch)):
+            rows = batch(model, xs, h)
+            alone = np.array([single(model, x, h) for x in xs])
+            assert alone.tobytes() == rows.tobytes(), (model.name, single.__name__)
+
+
+def test_a_model_past_the_cut_off_steps_one_state_with_lapack(sir_network, rng, monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    assert sir_network._schedule.size > FLOAT_STEP_MAX_OPS
+    x = _interior_states(sir_network, rng, 1)[0]
+    step_forward(sir_network, x, 0.4 * step_bound(sir_network).h_bar)
+    assert len(calls) == 1
 
 
 def test_batch_dominance_error_names_row_and_column(host_vector, h_bars):

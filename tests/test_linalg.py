@@ -1,5 +1,7 @@
 """Dense kernels checked against numpy.linalg as an independent oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -10,6 +12,7 @@ from nsfd.linalg import (
     EigenConvergenceError,
     LinAlgError,
     SingularMatrixError,
+    _eliminate,
     _slack_parts,
     eigenvalues,
     fd_jacobian,
@@ -18,7 +21,9 @@ from nsfd.linalg import (
     lu_solve,
     lu_solve_batch,
 )
-from nsfd.model import f_jacobian
+from nsfd.integrator import FLOAT_STEP_MAX_OPS, _step_system, step_bound, step_forward
+from nsfd.model import Constraint, Domain, MassActionModel, f_jacobian
+from nsfd.models import host_vector_dfe
 
 SOLVE_RTOL = 1e-10
 EIG_ATOL = 1e-7
@@ -188,6 +193,116 @@ def test_eliminated_rows_do_not_depend_on_the_stack(rng):
     whole = lu_solve_batch(a, b)
     part = lu_solve_batch(a[700:], b[700:])
     assert whole[700:].tobytes() == part.tobytes()
+
+
+def _dense_eliminate(a, b):
+    """Elimination without pivoting over every entry, one ufunc per operation.
+
+    The reference that every schedule must match bit for bit: the dense
+    loop (column k, then row i, then column j) that the schedules leave
+    operations out of.
+    """
+    m, n = b.shape
+    rows = [list(r) for r in a.transpose(1, 2, 0).copy()]
+    yt = b.T.copy()
+    y = list(yt)
+    t = np.empty(m)
+    for k in range(n):
+        top = rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lik = np.divide(row[k], top[k], out=row[k])
+            for j in range(k + 1, n):
+                np.subtract(row[j], np.multiply(lik, top[j], out=t), out=row[j])
+            np.subtract(y[i], np.multiply(lik, y[k], out=t), out=y[i])
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        for j in range(i + 1, n):
+            np.subtract(y[i], np.multiply(row[j], y[j], out=t), out=y[i])
+        np.divide(y[i], row[i], out=y[i])
+    return yt.T.copy()
+
+
+def test_a_stack_with_no_pattern_gets_the_dense_loop_bits(rng):
+    a = _dominant_systems(rng, 300, 5)
+    b = rng.standard_normal((300, 5))
+    b[b < -1.0] = -0.0
+    assert lu_solve_batch(a, b).tobytes() == _dense_eliminate(a, b).tobytes()
+
+
+def _step_states(model, rng, count):
+    """Interior states of the box, half of them with entries set to 0.0 or -0.0."""
+    lo, hi = model.domain.box_lower, model.domain.box_upper
+    xs = lo + (hi - lo) * (0.05 + 0.9 * rng.random((count, model.n)))
+    zeros = rng.random(xs.shape) < 0.3
+    zeros[: count // 2] = False
+    xs[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return xs
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_schedule_elimination_keeps_the_dense_loop_bits(all_models, sir_network, rng, sign):
+    # A model's schedule leaves out the operations on entries that stay
+    # zero; that changes no bit, also on states with zero and -0.0 entries,
+    # because the step's right-hand sides hold no -0.0.
+    dfe = host_vector_dfe()
+    for model in (*all_models, sir_network):
+        xs = _step_states(model, rng, 400)
+        if model.name == "host-vector":
+            xs = np.vstack([xs, dfe, np.where(dfe == 0.0, -0.0, dfe)])
+        mats, rhs, _ = _step_system(model, xs, sign * 0.4 * step_bound(model).h_bar)
+        assert not np.signbit(rhs[rhs == 0.0]).any(), model.name
+        got = _eliminate(mats, rhs, False, model._schedule)
+        assert got.tobytes() == _dense_eliminate(mats, rhs).tobytes(), model.name
+
+
+def test_host_vector_schedule_fills_two_entries(host_vector):
+    # 13 entries can be nonzero: the diagonal, L's (2, 4) and (4, 3), and
+    # the eight that the four bilinear terms touch; eliminating columns 1
+    # and 2 fills (2, 3) and (3, 4)
+    schedule = host_vector._schedule
+    assert len(host_vector._entry_terms) == 13
+    assert [divmod(e, 5) for e in schedule.fill] == [(2, 3), (3, 4)]
+    assert schedule.size == 42
+
+
+def _lower_triangular_model(slack):
+    # a linear model whose I - h S(x) at h = 1 is [[1, 0], [-(1 - slack), 1]]
+    return MassActionModel(
+        n=2,
+        bilinear=(),
+        linear=[[0.0, 0.0], [2.0 * (1.0 - slack), 0.0]],
+        constant=[0.0, 0.0],
+        domain=Domain(nonnegative=(True, True), constraints=(Constraint((1.0, 1.0), 1.0),)),
+        labels=("a", "b"),
+    )
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypatch, singular):
+    # Column 0 is dominant by 2^-50 against a 1-norm near 2, below Varah's
+    # PIVOT_RTOL, so the guard of the Python-float solve must compute the
+    # condition number; the second matrix also has a diagonal near 1e-15.
+    import nsfd.linalg
+
+    model = _lower_triangular_model(2.0**-50)
+    if singular:
+        linear = np.array(model.linear)
+        linear[1, 1] = 2.0 * (1.0 - 1e-15)
+        model = dataclasses.replace(model, linear=linear)
+    assert model._schedule.size <= FLOAT_STEP_MAX_OPS
+    calls = []
+    check = nsfd.linalg._check_condition
+    monkeypatch.setattr(nsfd.linalg, "_check_condition", lambda *args: calls.append(args) or check(*args))
+    x = np.array([0.25, 0.5])
+    if singular:
+        with pytest.raises(SingularMatrixError, match="system 0: reciprocal condition"):
+            step_forward(model, x, 1.0)
+    else:
+        mats, rhs, _ = _step_system(model, x[None], 1.0)
+        want = np.linalg.solve(mats[0], rhs[0])
+        assert np.allclose(step_forward(model, x, 1.0), want, rtol=1e-15, atol=0.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("layout", ["C-ordered", "entries-first"])

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
+from nsfd.integrator import step_bound
 from nsfd.linalg import fd_jacobian
 from nsfd.model import (
     BilinearTerm,
@@ -83,26 +86,51 @@ def test_domain_without_constraints_is_not_compact():
     assert dom.box_upper[0] == np.inf
 
 
-def _looped_box_upper(dom):
-    """Reference for Domain.box_upper, one constraint and coordinate at a time.
+def _first(values, better):
+    """The pick of np.argmax (better is operator.gt) or np.argmin (operator.lt): the first NaN, else the first best."""
+    best = values[0]
+    for v in values[1:]:
+        if best != best:
+            break
+        if v != v or better(v, best):
+            best = v
+    return best
 
-    A constraint caps x_i at bound / normal[i] when normal[i] > 0, unless
-    another entry is negative or positive on a coordinate that is not
-    flagged nonnegative.
+
+def _looped_box_upper(dom):
+    """Reference for Domain.box_upper, one constraint and coordinate at a time, to its fixed point.
+
+    A pass bounds x_i by each constraint with normal[i] != 0: by bound less
+    the least value of the constraint's other terms over the box of the
+    pass before (summed from 0.0 in coordinate order), divided by
+    normal[i], which is an upper bound for normal[i] > 0 and a lower one
+    for normal[i] < 0.  Of the box's own bound and the constraints', the
+    tightest is kept, the first of equal ones.  Passes repeat until no
+    bound moves, at most 100 times.
     """
-    upper = np.full(dom.n, np.inf)
-    for con in dom.constraints:
-        u = con.normal_array
-        for i in range(dom.n):
-            if u[i] <= 0.0:
-                continue
-            others = [m for m in range(dom.n) if m != i]
-            if any(u[m] < 0.0 for m in others):
-                continue
-            if any(u[m] > 0.0 and not dom.nonnegative[m] for m in others):
-                continue
-            upper[i] = min(upper[i], con.bound / u[i])
-    return upper
+    n = dom.n
+    lo = [0.0 if flag else -math.inf for flag in dom.nonnegative]
+    hi = [math.inf] * n
+    caps = [([float(v) for v in con.normal], con.bound) for con in dom.constraints]
+    for _ in range(100):
+        lower, upper = [[v] for v in lo], [[v] for v in hi]
+        for u, c in caps:
+            least = [u[m] * lo[m] if u[m] > 0.0 else u[m] * hi[m] if u[m] < 0.0 else 0.0 for m in range(n)]
+            for i in range(n):
+                others = 0.0
+                for m in range(n):
+                    if m != i:
+                        others += least[m]
+                if u[i] > 0.0:
+                    upper[i].append((c - others) / u[i])
+                elif u[i] < 0.0:
+                    lower[i].append((c - others) / u[i])
+        new_lo = [_first(v, operator.gt) for v in lower]
+        new_hi = [_first(v, operator.lt) for v in upper]
+        if all(a == b for a, b in zip(new_lo + new_hi, lo + hi)):
+            break
+        lo, hi = new_lo, new_hi
+    return np.array(hi)
 
 
 @st.composite
@@ -125,6 +153,26 @@ def test_box_upper_matches_the_looped_reference(dom):
     with np.errstate(over="ignore"):
         expected = _looped_box_upper(dom)
     assert dom.box_upper.tobytes() == expected.tobytes()
+
+
+def test_box_upper_takes_the_bounds_that_only_a_second_pass_gives():
+    # x_0 - x_1 <= 0.5 bounds x_0 only once x_1 <= 0.5 has bounded x_1
+    dom = Domain((True, True), (Constraint((1.0, -1.0), 0.5), Constraint((0.0, 1.0), 0.5)))
+    assert np.array_equal(dom.box_upper, [1.0, 0.5])
+    assert dom.is_compact
+    # so a bilinear term that reads x_0 has a finite step bound: the term
+    # puts -x_0 / 2 into column 1 of S(x), at most 0.5 in size on the box
+    model = MassActionModel(
+        n=2,
+        bilinear=(BilinearTerm(1, 0, 1, -1.0),),
+        linear=np.zeros((2, 2)),
+        constant=np.zeros(2),
+        domain=dom,
+        labels=("a", "b"),
+    )
+    report = step_bound(model)
+    assert not report.capped
+    assert report.h_bar == 2.0
 
 
 def test_box_pass_bounds_each_coordinate_from_the_given_box_at_once():
