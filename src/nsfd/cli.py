@@ -190,14 +190,16 @@ def _cmd_simulate(args) -> int:
     _check_step_size(model, h, args.scheme, args.strict)
     _check_inside_domain(model, x0, args.strict)
     traj = integrate(model, x0, h, steps, scheme=args.scheme)
-    # fmt % v prints v as f"{v:.{precision}g}" does.  Rows go through
-    # tolist one at a time, so that the whole trajectory is never held as
-    # Python floats, and are joined, not formatted whole, because a join
-    # allocates each line at its exact size.
-    fmt = f"%.{args.precision}g"
+    # "%.pg" % v prints v as f"{v:.{p}g}" does.  Each row is one % of a
+    # format with its n + 1 fields, through tolist, so that the whole
+    # trajectory is never held as Python floats.  A % result may hold a
+    # third more memory than its length, so the rows are joined into blocks
+    # as they are made, and only the blocks, each at its exact size, last.
+    fmt = ",".join([f"%.{args.precision}g"] * (model.n + 1))
     lines = ["t," + ",".join(model.labels)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([fmt % v for v in (t, *row.tolist())]))
+    for k in range(0, len(traj.states), 1024):
+        rows = zip(traj.times[k : k + 1024], traj.states[k : k + 1024])
+        lines.append("\n".join([fmt % (t, *row.tolist()) for t, row in rows]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

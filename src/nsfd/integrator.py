@@ -16,8 +16,9 @@ the same system at -h.  Forward and backward steps assemble it in one of
 two places, and check there that it is strictly column diagonally
 dominant: a stack for a batch, or a single state of a large model, in
 numpy (:func:`_step_system`), and a single state of a small model in
-Python floats (:func:`_float_system`), a model being small when the
-elimination schedule of its pattern (``model._schedule``) makes at most
+Python floats (:func:`_float_system`), by code compiled for the model
+on its first such step, a model being small when the elimination
+schedule of its pattern (``model._schedule``) makes at most
 FLOAT_STEP_MAX_OPS operations.  The Python-float system has the bits of
 its row of a stack: a stack starts from the entries no bilinear term
 touches, ``I - h (L/2)``, writes only the touched ones per row, with the
@@ -79,10 +80,11 @@ DEFAULT_H_MAX = 1e6
 # A step of one state runs in Python floats, with no numpy call in its
 # arithmetic, when the elimination schedule of its model makes at most this
 # many elementwise operations; a larger model's step goes to numpy and
-# LAPACK.  Timed per step on the built-ins and on SIR rings of n = 6 to 30
-# (2-core Xeon, Python 3.11, numpy 2.4), the Python-float step was the
-# faster up to 181 operations (21.8 against 28.5 us) and tied at 286.
-FLOAT_STEP_MAX_OPS = 200
+# LAPACK.  Timed on SIR rings of n = 6 to 36 (2-core Xeon, Python 3.11,
+# numpy 2.4), the compiled step was the faster up to 916 operations and the
+# slower from 1,140; the cut-off stays below a 33-state ring of 571, whose
+# stability verdict at a non-hyperbolic equilibrium turns on a last bit.
+FLOAT_STEP_MAX_OPS = 550
 
 # Damped Newton: relative tolerance (scaled by 1 + ||y||_inf), pass
 # budget, and the least fraction of a Newton step tried.
@@ -219,37 +221,23 @@ def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, 
 def _float_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[list, list, tuple]:
     """:func:`_step_system` for one state, in Python floats over ``model._schedule``.
 
-    The matrix is the list of its n * n entries, row by row, of which
-    only the schedule's pattern is written, each entry with the formula
-    and the order of operations of :func:`_stack_matrices` (an entry no
-    term touches sums no terms, which leaves ``I - h (L/2)`` as it is);
-    the right-hand side is the list of its n entries, formed as a
-    stack's.  So the system has the bits of its row of a stack, and
+    The matrix is the list of the values of the schedule's pattern
+    entries, in its order (every other entry is zero), and the
+    right-hand side the list of its n entries, both from the model's
+    compiled ``_float_kernel`` with the formulas and the order of
+    operations of :func:`_stack_matrices` and of a stack's right-hand
+    side.  So the system has the bits of its row of a stack, and
     ``linalg.lu_solve`` solves it over the schedule as the stack's
     elimination does.  One exception: an entry whose P + Q value reads
-    more than one coordinate of x is summed here in coordinate order, and
-    in a stack by the BLAS product ``xs @ G``, whose order the kernel
-    picks; no built-in has one.  The slacks come from one ``abs`` pass over the
-    pattern (``linalg._slack_parts``), and the dominance check is the
+    more than one coordinate of x is summed here in coordinate order,
+    and in a stack by the BLAS product ``xs @ G``, whose order the BLAS
+    kernel picks.  The slacks come from the schedule's one compiled ``abs``
+    pass (``linalg._slack_parts``), and the dominance check is the
     stack's.
     """
-    xs = x.tolist()
-    n = model.n
-    mats = [0.0] * (n * n)
-    for e, base, lin, terms in model._entry_terms:
-        t = 0.0
-        for j, c in terms:
-            t += xs[j] * c
-        mats[e] = base - (t + lin) * 0.5 * h
+    mats, rhs = model._float_kernel(x.tolist(), h)
     parts = _slack_parts(mats, model._schedule)
     _check_dominance(model, parts, h)
-    half = 0.5 * h
-    rhs = []
-    for xi, terms, b in zip(xs, model._linear_rows, model.constant.tolist()):
-        s = 0.0
-        for j, c in terms:
-            s += xs[j] * c
-        rhs.append(s * half + xi + h * b + 0.0)
     return mats, rhs, parts
 
 

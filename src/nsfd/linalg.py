@@ -10,9 +10,10 @@ elimination without it instead, over an elimination schedule
 stay zero: a stack of at least ``2 n^3`` such systems, across the stack
 axis, one elementwise operation per entry, and the one system of a
 small model's step, in Python floats, with the same operations in the
-same order.  Neither calls BLAS, so their bits depend on neither the
-stack's size nor the BLAS kernel, and a system gets the same bits alone
-as in a stack.  The guard's usual case costs one ``abs`` pass and a
+same order, by straight-line code compiled once per schedule
+(``_Schedule.kernels``).  Neither calls BLAS, so their bits depend on
+neither the stack's size nor the BLAS kernel, and a system gets the
+same bits alone as in a stack.  The guard's usual case costs one ``abs`` pass and a
 few reductions: Varah's bound certifies a strictly column dominant stack
 at once, and the exact condition number is computed only for what it
 leaves uncertain.  The integrator makes that pass for its own dominance
@@ -66,7 +67,7 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _abs_parts(a, schedule=None) -> tuple[np.ndarray, np.ndarray]:
+def _abs_parts(a, schedule=None):
     """``|a[j, j]|`` and ``sum_{i != j} |a[i, j]|`` per column, from one ``abs`` pass.
 
     Works on a square matrix or on an (m, n, n) stack of them; both
@@ -80,20 +81,12 @@ def _abs_parts(a, schedule=None) -> tuple[np.ndarray, np.ndarray]:
     and zeroed there, and the block is added onto row 0's block, which
     becomes the column sums.  On a stack laid out entries first, as the
     integrator lays out its own, each operation is one contiguous pass.
-    With a ``schedule``, ``a`` is one system's n * n entries in Python
-    floats, row by row, and the results are lists.  Only the schedule's
-    pattern is read, its rows in order: the entries outside it are zero,
-    and adding the ``abs`` of a zero changes no bit of these sums.
+    With a ``schedule``, ``a`` is one system's values of its pattern
+    entries in Python floats, and the pass is the schedule's compiled
+    ``slack_pass``, which returns the :func:`_slack_parts` of ``a``.
     """
     if schedule is not None:
-        diag, off = [], []
-        for d, column in schedule.columns:
-            total = 0.0
-            for e in column:
-                total += abs(a[e])
-            diag.append(abs(a[d]))
-            off.append(total)
-        return diag, off
+        return schedule.kernels[0](a)
     n = a.shape[-1]
     if a.ndim == 2:
         flat = np.abs(a).reshape(n * n)
@@ -126,13 +119,11 @@ def _slack_parts(a, schedule=None) -> tuple[np.ndarray, np.ndarray, float]:
     guard certifies from, so a caller that has already made them for its
     own check hands them on to :func:`lu_solve`.  With a ``schedule``,
     as in :func:`_abs_parts`, the slacks and 1-norms are lists of Python
-    floats with the same bits.
+    floats.
     """
-    diag, off = _abs_parts(a, schedule)
     if schedule is not None:
-        slack = [d - o for d, o in zip(diag, off)]
-        smin = math.nan if any(map(math.isnan, slack)) else min(slack)
-        return slack, [d + o for d, o in zip(diag, off)], smin
+        return _abs_parts(a, schedule)
+    diag, off = _abs_parts(a)
     slack = diag - off
     return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
 
@@ -239,6 +230,49 @@ class _Schedule:
             + n
         )
 
+    @functools.cached_property
+    def kernels(self) -> tuple[Callable, Callable]:
+        """``(slack_pass, eliminate)``: the loops over ``columns``, ``forward`` and ``backward`` as straight code.
+
+        Compiled on first use, over one system in Python floats: ``v``, the
+        values of the ``pattern`` entries in its order, and ``y``, the n
+        right-hand side floats.  ``slack_pass(v)`` gives the
+        :func:`_slack_parts` lists and the NaN-aware smallest slack, and
+        ``eliminate(v, y)`` the solution as a new list.  Each makes its
+        loops' operations in their order, so a system gets the bits of its
+        row of an :func:`_eliminate` stack; only a sum of ``abs`` values
+        starts from its first term, not from 0.0, as an ``abs`` is never -0.0.
+        """
+        n, a = self.n, "".join(f"a{e}, " for e in self.pattern)
+        lines = ["def slack_pass(v):", f"    {a}= v"]
+        for j, (d, column) in enumerate(self.columns):
+            off = " + ".join(f"abs(a{e})" for e in column) or "0.0"
+            lines += [f"    d{j} = abs(a{d})", f"    o{j} = {off}", f"    s{j} = d{j} - o{j}"]
+        lines += [
+            f"    slack = [{', '.join(f's{j}' for j in range(n))}]",
+            f"    colsum = [{', '.join(f'd{j} + o{j}' for j in range(n))}]",
+            f"    return slack, colsum, nan if {' or '.join(f's{j} != s{j}' for j in range(n))} else min(slack)",
+            "def eliminate(v, y):",
+            f"    {a}= v",
+            f"    {''.join(f'y{i}, ' for i in range(n))}= y",
+            *(f"    a{e} = 0.0" for e in self.fill),
+        ]
+        for mult, pivot, i, k, updates in self.forward:
+            lines.append(f"    lik = a{mult} / a{pivot}")
+            lines += [f"    a{target} -= lik * a{source}" for target, source in updates]
+            lines.append(f"    y{i} -= lik * y{k}")
+        for i, diag, terms in self.backward:
+            lines.append(f"    y{i} = (y{i}{''.join(f' - a{e} * y{j}' for e, j in terms)}) / a{diag}")
+        lines.append(f"    return [{', '.join(f'y{i}' for i in range(n))}]")
+        return _compile_kernels("\n".join(lines), ("slack_pass", "eliminate"))
+
+
+def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
+    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan."""
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<nsfd kernel>", "exec"), namespace)
+    return tuple(namespace[name] for name in names)
+
 
 @functools.lru_cache(maxsize=8)
 def _schedule_of(n: int, pattern: tuple[int, ...]) -> _Schedule:
@@ -261,7 +295,7 @@ def _eliminate(a: np.ndarray, b: np.ndarray, overwrite: bool, schedule: _Schedul
     operation of the schedule is one elementwise ufunc on a contiguous
     (m,) row, with no reduction or matrix product: every system gets the
     same bits whatever the stack's size, the BLAS kernel or the SIMD
-    width, and the bits of :func:`_eliminate_floats` on its own entries.
+    width, and the bits of the schedule's compiled ``eliminate`` alone.
     With ``overwrite`` the factors replace ``a`` when its entries-first
     view is contiguous, as the integrator lays out its stacks, and the
     solution replaces ``b``; otherwise both are left as they are.
@@ -285,26 +319,6 @@ def _eliminate(a: np.ndarray, b: np.ndarray, overwrite: bool, schedule: _Schedul
     x = b if overwrite else np.empty((m, n))
     x[...] = yt.T
     return x
-
-
-def _eliminate_floats(v: list, y: list, schedule: _Schedule) -> list:
-    """:func:`_eliminate` on one system in Python floats: its n * n entries ``v`` and right-hand side ``y``.
-
-    Makes the stack's operations in its order, so a system gets the bits
-    of its row of a stack; both lists are worked in place, and ``y``
-    becomes the solution.
-    """
-    for mult, pivot, i, k, updates in schedule.forward:
-        lik = v[mult] / v[pivot]
-        for target, source in updates:
-            v[target] -= lik * v[source]
-        y[i] -= lik * y[k]
-    for i, diag, terms in schedule.backward:
-        s = y[i]
-        for entry, j in terms:
-            s -= v[entry] * y[j]
-        y[i] = s / v[diag]
-    return y
 
 
 def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> None:
@@ -339,15 +353,14 @@ def lu_solve(a, rhs, *, _parts=None, _schedule=None):
 
     The private ``_parts`` takes the :func:`_slack_parts` of ``a`` from a
     caller that has already made them, so that the guard need not.  With
-    the private ``_schedule``, ``a`` is the system's n * n entries in
-    Python floats, row by row, with that :class:`_Schedule`'s pattern,
-    and ``rhs`` a list of n floats: the integrator's step of one state of
-    a small model, which has checked that ``a`` is strictly column
+    the private ``_schedule``, ``a`` is the list of the system's values
+    of that :class:`_Schedule`'s pattern entries, in Python floats, and
+    ``rhs`` a list of n floats: the integrator's step of one state of a
+    small model, which has checked that ``a`` is strictly column
     dominant.  The guard is the same, from the parts of
     :func:`_slack_parts` with the schedule, and the system is then
-    solved in Python floats over the schedule
-    (:func:`_eliminate_floats`), with no BLAS call, working in the two
-    lists; it gets the bits of its row of an eliminated stack.
+    solved by the schedule's compiled ``eliminate``, with no BLAS call;
+    it gets the bits of its row of an eliminated stack.
 
     Parameters
     ----------
@@ -380,13 +393,15 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
     """:func:`_solve_stack` for one strictly column dominant system in Python floats.
 
     The guard is the stack's, and only what Varah's bound leaves
-    uncertain goes to the exact check, on the system as an array.
+    uncertain goes to the exact check, on the system as an (n, n) array.
     """
     slack, colsum, smin = _slack_parts(v, schedule) if parts is None else parts
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = schedule.n
-        _check_condition(np.reshape(v, (1, n, n)), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
-    return np.array(_eliminate_floats(v, y, schedule))
+        a = np.zeros((1, n, n))
+        a.flat[list(schedule.pattern)] = v
+        _check_condition(a, np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
+    return np.array(schedule.kernels[1](v, y))
 
 
 def lu_solve_batch(a, rhs, *, _parts=None, _overwrite=False, _schedule=None):

@@ -19,6 +19,7 @@ satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _Schedule, _schedule_of, is_metzler
+from .linalg import _Schedule, _compile_kernels, _schedule_of, is_metzler
 
 __all__ = [
     "SpecError",
@@ -342,12 +343,36 @@ class MassActionModel:
     def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.linear.tolist())
 
+    # The step system of one state in Python floats, compiled on its first
+    # step: step_system(x, h), for n floats x and a signed h, gives the
+    # values of I - h S(x) at the _schedule's pattern, each base - (t + L_e)
+    # * 0.5 * h with t summed from 0.0 over _entry_terms, and the right-hand
+    # side s * (0.5 h) + x_i + h b_i + 0.0 with s summed from 0.0 over
+    # _linear_rows: a stack's formulas, in a stack's order.
+    @cached_property
+    def _float_kernel(self) -> Callable:
+        entries = [
+            f"{base!r} - (0.0{''.join(f' + x{j} * {c!r}' for j, c in terms)} + {lin!r}) * 0.5 * h"
+            for _, base, lin, terms in self._entry_terms
+        ]
+        rhs = [
+            f"(0.0{''.join(f' + x{j} * {c!r}' for j, c in terms)}) * half + x{i} + h * {b!r} + 0.0"
+            for i, (terms, b) in enumerate(zip(self._linear_rows, self.constant.tolist()))
+        ]
+        source = (
+            f"def step_system(x, h):\n    {''.join(f'x{j}, ' for j in range(self.n))}= x\n    half = 0.5 * h\n"
+            f"    return [{', '.join(entries)}], [{', '.join(rhs)}]"
+        )
+        return _compile_kernels(source, ("step_system",))[0]
+
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (model.n,):
         raise SpecError(f"{what} must have shape ({model.n},), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # A finite sum has finite terms and costs less than a ufunc; as a sum of
+    # finite terms may overflow, the entries are read only when it is not.
+    if not math.isfinite(sum(arr.tolist())) and not np.isfinite(arr).all():
         raise SpecError(f"{what} must have finite entries")
     return arr
 

@@ -211,6 +211,20 @@ def test_simulate_csv_rows_format_each_value(tmp_path, capsys):
             assert np.array_equal(parsed, traj.states)
 
 
+@pytest.mark.parametrize("p", range(1, 18))
+def test_simulate_rows_across_the_blocks_format_each_value(tmp_path, capsys, host_vector, p):
+    # 2,100 rows are joined in blocks of 1024; every value is printed as alone
+    traj = integrate(host_vector, np.array([4.0, 2.0, 3.0, 1.0, 1.0]), 0.5, 2099)
+    target = tmp_path / "traj.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5",
+        "--steps", "2099", "--precision", str(p), "--out", str(target),
+    )
+    assert code == 0
+    expected = [",".join(format(float(v), f".{p}g") for v in (t, *row)) for t, row in zip(traj.times, traj.states)]
+    assert target.read_text().split("\n") == ["t,S_v,I_v,S,I,R", *expected, ""]
+
+
 def test_simulate_header_uses_model_labels(capsys):
     _, out, _ = run_cli(
         capsys, "simulate", "--builtin", "host-vector", "--x0", "9,0.5,9,0.5,0",

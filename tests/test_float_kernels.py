@@ -1,0 +1,234 @@
+"""The compiled Python-float step of a small model, against the interpreted loops it replaced.
+
+A small model steps one state through straight-line code made from its
+elimination schedule (``linalg._Schedule.kernels``) and from its entry
+formulas (``MassActionModel._float_kernel``).  The reference here is the
+loop form of the same step, over the same schedule tuples and term lists:
+every output must have its bits, signed zeros and errors included.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, seed
+from hypothesis import strategies as st
+
+import nsfd.linalg
+from nsfd.integrator import (
+    FLOAT_STEP_MAX_OPS,
+    _check_dominance,
+    step_backward,
+    step_backward_batch,
+    step_bound,
+    step_forward,
+    step_forward_batch,
+)
+from nsfd.invariance import invariance_audit
+from nsfd.linalg import PIVOT_RTOL, _check_condition, _schedule_of
+from nsfd.model import BilinearTerm, Domain, MassActionModel
+from nsfd.models import HostVectorParameters, make_host_vector
+
+
+def _interpreted_system(model, x, h):
+    """The step system of one state by loops: entries, right-hand side and slack parts."""
+    xs = x.tolist()
+    n = model.n
+    mats = [0.0] * (n * n)
+    for e, base, lin, terms in model._entry_terms:
+        t = 0.0
+        for j, c in terms:
+            t += xs[j] * c
+        mats[e] = base - (t + lin) * 0.5 * h
+    diag, off = [], []
+    for d, column in model._schedule.columns:
+        total = 0.0
+        for e in column:
+            total += abs(mats[e])
+        diag.append(abs(mats[d]))
+        off.append(total)
+    slack = [d - o for d, o in zip(diag, off)]
+    smin = math.nan if any(map(math.isnan, slack)) else min(slack)
+    parts = slack, [d + o for d, o in zip(diag, off)], smin
+    half = 0.5 * h
+    rhs = []
+    for xi, terms, b in zip(xs, model._linear_rows, model.constant.tolist()):
+        s = 0.0
+        for j, c in terms:
+            s += xs[j] * c
+        rhs.append(s * half + xi + h * b + 0.0)
+    return mats, rhs, parts
+
+
+def _interpreted_eliminate(v, y, schedule):
+    """Elimination over ``schedule`` by loops, in the lists ``v`` and ``y``; ``y`` becomes the solution."""
+    for mult, pivot, i, k, updates in schedule.forward:
+        lik = v[mult] / v[pivot]
+        for target, source in updates:
+            v[target] -= lik * v[source]
+        y[i] -= lik * y[k]
+    for i, diag, terms in schedule.backward:
+        s = y[i]
+        for entry, j in terms:
+            s -= v[entry] * y[j]
+        y[i] = s / v[diag]
+    return y
+
+
+def _interpreted_step(model, x, h):
+    """One step with signed h by the loops, through the dominance check and the solve guard."""
+    mats, rhs, parts = _interpreted_system(model, x, h)
+    _check_dominance(model, parts, h)
+    slack, colsum, smin = parts
+    if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
+        n = model.n
+        _check_condition(np.reshape(mats, (1, n, n)), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
+    return np.array(_interpreted_eliminate(mats, rhs, model._schedule))
+
+
+def _outcome(fn, *args):
+    """The bytes of what ``fn`` returns, or the type and message of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return tuple(_outcome(lambda part=part: part) for part in out)
+    return np.array(out, dtype=float).tobytes()
+
+
+# Magnitudes from subnormal to near overflow, both signed zeros, and the
+# moderate values with which the step matrices stay dominant, some with
+# all 53 bits of their significand in use, so that sums in another order
+# round otherwise.
+_EXTREMES = (5e-324, 1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e300)
+_values = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(-2.0, 2.0),
+    st.integers(-(2**53), 2**53).map(lambda k: k * 2.0**-52),
+    st.sampled_from(_EXTREMES).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+
+
+def _model(linear, constant=None, terms=()):
+    n = len(linear)
+    return MassActionModel(
+        n=n,
+        bilinear=tuple(BilinearTerm(*t) for t in terms),
+        linear=linear,
+        constant=[0.0] * n if constant is None else constant,
+        domain=Domain((True,) * n),
+        labels=tuple(f"x{i}" for i in range(n)),
+    )
+
+
+# Its one term enters G twice, and 2e308 overflows to inf.
+_OVERFLOWING = _model([[0.0]], terms=((0, 0, 0, 1e308),))
+with np.errstate(over="ignore"):
+    _OVERFLOWING._pq_map
+
+
+@st.composite
+def _small_steps(draw):
+    """A random model of one to four states and a state of it."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    terms = draw(st.lists(st.tuples(index, index, index, _values.filter(bool)), max_size=2 * n))
+    linear = draw(st.lists(_values, min_size=n * n, max_size=n * n))
+    constant = draw(st.lists(_values, min_size=n, max_size=n))
+    x = draw(st.lists(_values, min_size=n, max_size=n))
+    return _model(np.reshape(linear, (n, n)), constant, terms), np.array(x)
+
+
+@seed(29)
+@given(
+    step=_small_steps(),
+    h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))),
+    backward=st.booleans(),
+)
+# Row 0 of L x sums to 1.0 in column order and to 1 + 2^-52 the other way.
+@example(
+    step=(_model([[0.0, 1.0, 1e-16, 1e-16], *[[0.0] * 4] * 3]), np.array([0.0, 1, 1, 1])), h=2.0, backward=False
+)
+# Column 1 overflows to -inf twice, so its slack is NaN, after column 0's 1.0.
+@example(step=(_model([[0.0, 1e300], [0.0, 1e300]]), np.ones(2)), h=1e10, backward=False)
+@example(step=(_OVERFLOWING, np.array([0.5])), h=0.5, backward=True)
+def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
+    model, x = step
+    signed = -h if backward else h
+    assert model._schedule.size <= FLOAT_STEP_MAX_OPS
+    mats, rhs, parts = _interpreted_system(model, x, signed)
+    values = [mats[e] for e in model._schedule.pattern]
+    assert _outcome(model._float_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
+    slack_pass, eliminate = model._schedule.kernels
+    assert _outcome(slack_pass, values) == _outcome(lambda: parts)
+    assert _outcome(eliminate, values, list(rhs)) == _outcome(_interpreted_eliminate, mats, rhs, model._schedule)
+    stepper = step_backward if backward else step_forward
+    assert _outcome(stepper, model, x, h) == _outcome(_interpreted_step, model, x, signed)
+
+
+@pytest.mark.parametrize("step, sign", [(step_forward, 1.0), (step_backward, -1.0)])
+def test_the_compiled_step_keeps_the_bits_of_the_loops_on_the_built_ins(all_models, sir_network, rng, step, sign):
+    # The entries of S_p in sir_network read three coordinates of x each.
+    for model in (*all_models, sir_network):
+        lo, hi = model.domain.box_lower, model.domain.box_upper
+        xs = lo + (hi - lo) * rng.random((2000, model.n))
+        zeros = rng.random(xs.shape) < 0.2
+        xs[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        hs = rng.uniform(0.05, 0.95, 2000) * step_bound(model).h_bar
+        for x, h in zip(xs, hs):
+            assert _outcome(step, model, x, h) == _outcome(_interpreted_step, model, x, sign * h), model.name
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The sources compiled into kernels, counted at every module that binds the compiler."""
+    original = nsfd.linalg._compile_kernels
+    sources = []
+
+    def counted(source, names):
+        sources.append(source)
+        return original(source, names)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "nsfd":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    # A schedule made by an earlier test may hold its kernels already.
+    _schedule_of.cache_clear()
+    return sources
+
+
+def test_only_the_first_single_step_of_a_small_model_compiles(compiles):
+    model = make_host_vector()
+    h = 0.5 * step_bound(model).h_bar
+    xs = np.tile([4.0, 2.0, 3.0, 1.0, 1.0], (3, 1))
+    step_forward_batch(model, xs, h)
+    step_backward_batch(model, xs, h)
+    invariance_audit(model, h=h, trials=20, steps=5, seed=1)
+    assert compiles == []
+    assert "kernels" not in vars(model._schedule) and "_float_kernel" not in vars(model)
+    first = step_forward(model, xs[0], h)
+    assert len(compiles) == 2
+    assert step_backward(model, first, h).tobytes() == _interpreted_step(model, first, -h).tobytes()
+    assert len(compiles) == 2
+
+
+def test_a_model_past_the_cut_off_compiles_nothing(compiles, sir_ring_30):
+    assert sir_ring_30._schedule.size > FLOAT_STEP_MAX_OPS
+    step_forward(sir_ring_30, np.full(sir_ring_30.n, 0.5), 0.5 * step_bound(sir_ring_30).h_bar)
+    assert compiles == []
+
+
+def test_two_models_with_one_pattern_share_the_schedule_kernels(compiles):
+    # M_v changes only the domain, and p a coefficient: the pattern stays
+    a = make_host_vector()
+    b = make_host_vector(HostVectorParameters(M_v=12.0, p=0.07))
+    x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
+    step_forward(a, x, 0.5)
+    step_forward(b, x, 0.5)
+    assert a._schedule is b._schedule
+    assert a._float_kernel is not b._float_kernel
+    assert len(compiles) == 3

@@ -251,13 +251,13 @@ def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(all_mode
             assert alone.tobytes() == rows.tobytes(), (model.name, single.__name__)
 
 
-def test_a_model_past_the_cut_off_steps_one_state_with_lapack(sir_network, rng, monkeypatch):
+def test_a_model_past_the_cut_off_steps_one_state_with_lapack(sir_ring_30, rng, monkeypatch):
     calls = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
-    assert sir_network._schedule.size > FLOAT_STEP_MAX_OPS
-    x = _interior_states(sir_network, rng, 1)[0]
-    step_forward(sir_network, x, 0.4 * step_bound(sir_network).h_bar)
+    assert sir_ring_30._schedule.size > FLOAT_STEP_MAX_OPS
+    x = _interior_states(sir_ring_30, rng, 1)[0]
+    step_forward(sir_ring_30, x, 0.4 * step_bound(sir_ring_30).h_bar)
     assert len(calls) == 1
 
 

@@ -31,6 +31,7 @@ from nsfd.model import (
     model_to_dict,
     validate,
     _box_pass,
+    _check_state,
     _phi_rows,
 )
 
@@ -416,3 +417,20 @@ def test_as_split_system_wraps_model(host_vector, rng):
 def test_general_split_system_optional_slots_default_to_none():
     sys = GeneralSplitSystem(n=1, phi=lambda y, z: -y * z)
     assert sys.dphi_dy is None and sys.dphi_dz is None
+
+
+@pytest.mark.parametrize(
+    "x, finite",
+    [
+        ([1e308, 1e308, -1e308, 1e308, 1e308], True),  # the sum overflows
+        ([1e308, 0.0, 0.0, 0.0, math.inf], False),
+        ([math.inf, -math.inf, 1.0, 1.0, 1.0], False),  # the sum is NaN
+        ([1.0, math.nan, 1.0, 1.0, 1.0], False),
+    ],
+)
+def test_check_state_refuses_exactly_the_states_with_a_non_finite_entry(host_vector, x, finite):
+    if finite:
+        assert _check_state(host_vector, x).tolist() == x
+    else:
+        with pytest.raises(SpecError, match="^state must have finite entries$"):
+            _check_state(host_vector, x)
