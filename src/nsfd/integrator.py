@@ -12,20 +12,19 @@ turns each step into one linear solve:
     (I - h S(x)) x' = (I + (h/2) L) x + h b
 
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
-the same system at -h.  Forward and backward steps assemble it in one of
-two places, and check there that it is strictly column diagonally
-dominant: a stack for a batch, or a single state of a large model, in
-numpy (:func:`_step_system`), and a single state of a small model in
-Python floats (:func:`_float_system`), by code compiled for the model
-on its first such step, a model being small when the elimination
-schedule of its pattern (``model._schedule``) makes at most
-FLOAT_STEP_MAX_OPS operations.  The Python-float system has the bits of
-its row of a stack: a stack starts from the entries no bilinear term
-touches, ``I - h (L/2)``, writes only the touched ones per row, with the
-bits that the stacked field Jacobians would give, and sums ``L x`` over
-the nonzeros of L, and the single state does the same.  A batch with one
-step size shares it as a float.  The check makes the step's one ``abs``
-pass over the matrices, and the solve guard certifies from the same pass
+the same system at -h.  One generated kernel assembles it, for every
+step of a small model and for every stack (:func:`_pattern_system`):
+the model's ``_step_kernel``, compiled on its first such step, gives the
+values of the entries of ``I - h S(x)`` that can be nonzero and the
+right-hand side, on the n Python floats of one state or on the n (m,)
+columns of a stack, with the same operations in the same order, so a
+row of a stack has the bits of its state stepped alone.  A model is
+small when the elimination schedule of its pattern (``model._schedule``)
+makes at most FLOAT_STEP_MAX_OPS operations; a single state of a larger
+model is assembled in numpy (:func:`_step_system`).  A batch with one
+step size shares it as a float.  The step checks that the system is
+strictly column diagonally dominant, from the step's one ``abs`` pass
+over the matrices, and the solve guard certifies from the same pass
 instead of making its own; the failing row and column are worked out
 only when the check fails.  Both solve matrices are dominant, hence
 safely invertible, for every state in the domain box whenever h stays
@@ -177,68 +176,57 @@ def _check_h(h: float) -> float:
     return h
 
 
-def _step_system(model: MassActionModel, x: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Solve matrices ``I - h S(x)``, right-hand sides ``(I + (h/2) L) x + h b`` and their slacks.
+def _step_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Solve matrix ``I - h S(x)``, right-hand side ``(I + (h/2) L) x + h b`` and slacks, in numpy.
 
-    ``x`` is one (n,) state with a float ``h``, or an (m, n) stack with
-    a float ``h`` shared by every row or one signed step size per row in
-    the (m,) array ``h``; the backward step is the system at -h.  The
-    systems keep the rank of ``x``, so a single step builds one (n, n)
-    matrix from the field Jacobian and ``L x`` by a matrix product.  A
-    stack starts from the entries no bilinear term touches,
-    ``I - h (L/2)``, broadcast over the rows, and overwrites only the
-    touched ones (:func:`_stack_matrices`); each entry keeps the bits of
-    ``I - h (0.5 J)`` with the stacked field Jacobians J.  A stack's
-    ``L x`` is summed over the nonzeros of each row of L in column order
-    (``model._linear_rows``), as :func:`_float_system` sums it.  A
-    right-hand side is never -0.0: adding 0.0 last makes it +0.0, so that
-    the elimination's schedule, which leaves out subtractions of zeros,
-    keeps the bits of the dense loop.  The dominance check
-    (:func:`_check_dominance`) reads one ``abs`` pass over the matrices
-    (``linalg._slack_parts``).  The same parts go on to the solve guard,
-    which certifies from them instead of a second pass; the batch steps
-    let the solve overwrite the matrices and right-hand sides made here.
+    For one (n,) state with a signed float ``h``; the backward step is the
+    system at -h.  The matrix is built from the field Jacobian and ``L x``
+    by a matrix product.  The dominance check (:func:`_check_dominance`)
+    reads one ``abs`` pass over the matrix (``linalg._slack_parts``), and
+    the same parts go on to the solve guard, which certifies from them
+    instead of a second pass.
     """
-    if x.ndim == 1:
-        mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
-        rhs = x @ model.linear.T
-    else:
-        mats = _stack_matrices(model, x, h)
-        rhs = np.zeros_like(x)
-        for i, terms in enumerate(model._linear_rows):
-            for j, c in terms:
-                rhs[:, i] += x[:, j] * c
+    mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
     parts = _slack_parts(mats)
     _check_dominance(model, parts, h)
-    hv = h if np.ndim(h) == 0 else h[:, None]
-    rhs *= 0.5 * hv
+    rhs = x @ model.linear.T
+    rhs *= 0.5 * h
     rhs += x
-    rhs += hv * model.constant
+    rhs += h * model.constant
     rhs += 0.0
     return mats, rhs, parts
 
 
-def _float_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[list, list, tuple]:
-    """:func:`_step_system` for one state, in Python floats over ``model._schedule``.
+def _pattern_system(model: MassActionModel, x, h) -> tuple:
+    """:func:`_step_system` over ``model._schedule``'s pattern, from the model's generated ``_step_kernel``.
 
-    The matrix is the list of the values of the schedule's pattern
-    entries, in its order (every other entry is zero), and the
-    right-hand side the list of its n entries, both from the model's
-    compiled ``_float_kernel`` with the formulas and the order of
-    operations of :func:`_stack_matrices` and of a stack's right-hand
-    side.  So the system has the bits of its row of a stack, and
-    ``linalg.lu_solve`` solves it over the schedule as the stack's
-    elimination does.  One exception: an entry whose P + Q value reads
-    more than one coordinate of x is summed here in coordinate order,
-    and in a stack by the BLAS product ``xs @ G``, whose order the BLAS
-    kernel picks.  The slacks come from the schedule's one compiled ``abs``
-    pass (``linalg._slack_parts``), and the dominance check is the
-    stack's.
+    ``x`` is one (n,) state, with a float ``h``, or an (m, n) stack, with
+    a float ``h`` shared by every row or an (m,) array of them.  One state
+    runs the kernel in Python floats and gets lists: the values of the
+    pattern entries, in its order, and the n right-hand side values.  A
+    stack runs the same code on its n contiguous (m,) columns, so every
+    row gets the bits that it gets alone; its values and right-hand
+    sides are laid out entries first, the values broadcast where no term
+    touches an entry, and returned as (m, p) and (m, n) views of that.
+    The slacks come from the schedule's one compiled ``abs`` pass
+    (``linalg._slack_parts``), for the dominance check and the solve
+    guard.  For a stack, numpy's floating-point warnings are off, as
+    Python floats raise none: an overflow is caught by the check or the
+    guard, as for one state.
     """
-    mats, rhs = model._float_kernel(x.tolist(), h)
-    parts = _slack_parts(mats, model._schedule)
+    if x.ndim == 1:
+        values, rhs = model._step_kernel(x.tolist(), h)
+        parts = _slack_parts(values, model._schedule)
+    else:
+        values, rhs = np.empty((len(model._schedule.pattern), len(x))), np.empty(x.shape[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out, got in zip((values, rhs), model._step_kernel(list(np.ascontiguousarray(x.T)), h)):
+                for row, value in zip(out, got):
+                    row[...] = value
+            values, rhs = values.T, rhs.T
+            parts = _slack_parts(values, model._schedule)
     _check_dominance(model, parts, h)
-    return mats, rhs, parts
+    return values, rhs, parts
 
 
 def _check_dominance(model: MassActionModel, parts: tuple, h) -> None:
@@ -258,40 +246,6 @@ def _check_dominance(model: MassActionModel, parts: tuple, h) -> None:
             f"matrix lost strict column dominance in column {col}{where}; reduce h below the safe "
             "step bound for this state"
         )
-
-
-def _stack_matrices(model: MassActionModel, xs: np.ndarray, h) -> np.ndarray:
-    """``I - h (0.5 (P(x) + Q(x) + L))`` for the rows of ``xs``: an (m, n, n) stack.
-
-    ``h`` is a float or an (m,) array.  The untouched entries are
-    ``I - h (0.5 L)``, which is what the Jacobian's ``0 + L`` gives
-    there.  The stack is laid out entry by entry with the stack axis
-    innermost, and returned as an (m, n, n) view of that: each entry is
-    then one contiguous pass over the stack, here, in the ``abs`` pass
-    of ``linalg._abs_parts`` and in the elimination that solves a large
-    dominant stack in place (``linalg._eliminate``).  A stack that goes
-    to LAPACK instead is copied matrix by matrix in LAPACK's own order
-    whatever the layout.  The rule of the stack path, for
-    a shared h: no stack-sized temporary besides the solve matrices, so
-    that the transient memory of a step stays well below twice the
-    stack.  The base is one (n*n, 1) column broadcast into the stack,
-    and the touched entries are worked in place in one buffer.  A
-    per-row h, which no caller in the package steps with, makes the
-    base a stack-sized temporary.
-    """
-    entries, g = model._pq_map
-    n = model.n
-    eye, lin = model._identity.reshape(-1, 1), model.linear.reshape(-1, 1)
-    ent = np.empty((n * n, xs.shape[0]))
-    ent[...] = eye - h * (0.5 * lin)
-    # The touched values are transposed to (entries, m) first, so that
-    # each of them, too, is one contiguous pass over the stack.
-    touched = (xs @ g).T.copy()
-    touched += lin[entries]
-    touched *= 0.5
-    touched *= h
-    ent[entries] = np.subtract(eye[entries], touched, out=touched)
-    return ent.reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -322,8 +276,8 @@ def _solve_one(model: MassActionModel, x: np.ndarray, h: float) -> np.ndarray:
     """The step of one checked state, with signed h: in Python floats when the model's schedule is small."""
     schedule = model._schedule
     if schedule.size <= FLOAT_STEP_MAX_OPS:
-        mats, rhs, parts = _float_system(model, x, h)
-        return lu_solve(mats, rhs, _parts=parts, _schedule=schedule)
+        values, rhs, parts = _pattern_system(model, x, h)
+        return lu_solve(values, rhs, _parts=parts, _schedule=schedule)
     mats, rhs, parts = _step_system(model, x, h)
     return lu_solve(mats, rhs, _parts=parts)
 
@@ -359,15 +313,15 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     million scalar solves would dominate the runtime.
     """
     xs = _batch_states(model, xs)
-    mats, rhs, parts = _step_system(model, xs, _batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True, _schedule=model._schedule)
+    values, rhs, parts = _pattern_system(model, xs, _batch_h(h, xs.shape[0]))
+    return lu_solve_batch(values, rhs, _parts=parts, _schedule=model._schedule)
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
-    mats, rhs, parts = _step_system(model, xs, -_batch_h(h, xs.shape[0]))
-    return lu_solve_batch(mats, rhs, _parts=parts, _overwrite=True, _schedule=model._schedule)
+    values, rhs, parts = _pattern_system(model, xs, -_batch_h(h, xs.shape[0]))
+    return lu_solve_batch(values, rhs, _parts=parts, _schedule=model._schedule)
 
 
 def _norm_inf(v: np.ndarray) -> float:

@@ -7,13 +7,14 @@ guard that refuses numerically singular and non-finite systems, which
 systems need no pivoting, and two kinds of them are solved by Gaussian
 elimination without it instead, over an elimination schedule
 (:class:`_Schedule`) that leaves out the operations on entries that
-stay zero: a stack of at least ``2 n^3`` such systems, across the stack
-axis, one elementwise operation per entry, and the one system of a
-small model's step, in Python floats, with the same operations in the
-same order, by straight-line code compiled once per schedule
-(``_Schedule.kernels``).  Neither calls BLAS, so their bits depend on
-neither the stack's size nor the BLAS kernel, and a system gets the
-same bits alone as in a stack.  The guard's usual case costs one ``abs`` pass and a
+stay zero: the one system of a small model's step, and a stack of at
+least ``2 n^3`` such systems.  Both run the same straight-line code,
+compiled once per schedule (``_Schedule.kernels``): on Python floats for
+one system, and on the stack's (m,) columns, one elementwise operation
+across the stack for each operation of the schedule.  Neither calls
+BLAS, so their bits depend on neither the stack's size nor the BLAS
+kernel, and a system gets the same bits alone as in a stack.  The
+guard's usual case costs one ``abs`` pass and a
 few reductions: Varah's bound certifies a strictly column dominant stack
 at once, and the exact condition number is computed only for what it
 leaves uncertain.  The integrator makes that pass for its own dominance
@@ -72,74 +73,65 @@ def _abs_parts(a, schedule=None):
 
     Works on a square matrix or on an (m, n, n) stack of them; both
     results have shape ``a.shape[:-1]``.  The diagonal is read through a
-    strided view of the flattened entries and zeroed in place before the
-    column sums, which add the rows in order.  A stack keeps the rule of
-    the integrator's stack path, no stack-sized temporary besides the
-    solve matrices: it is read one matrix row at a time, through an
-    entries-first view with the stack axis innermost, as an (n, m) block
-    of ``abs`` values.  The block's diagonal entry is copied out
-    and zeroed there, and the block is added onto row 0's block, which
-    becomes the column sums.  On a stack laid out entries first, as the
-    integrator lays out its own, each operation is one contiguous pass.
-    With a ``schedule``, ``a`` is one system's values of its pattern
-    entries in Python floats, and the pass is the schedule's compiled
-    ``slack_pass``, which returns the :func:`_slack_parts` of ``a``.
+    strided view of the flattened ``abs`` values and zeroed in place
+    before the column sums, which add the rows in order.  With a
+    ``schedule``, ``a`` holds the values of its pattern entries, one
+    system's list of Python floats or a stack's (m, p) array, and the
+    pass is the schedule's compiled ``slack_pass``, which returns the
+    slacks and 1-norms of :func:`_slack_parts` instead.
     """
     if schedule is not None:
-        return schedule.kernels[0](a)
+        return schedule.kernels[0](a if isinstance(a, list) else a.T)
     n = a.shape[-1]
-    if a.ndim == 2:
-        flat = np.abs(a).reshape(n * n)
-        diag = flat[:: n + 1].copy()
-        flat[:: n + 1] = 0.0
-        return diag, np.add.reduce(flat.reshape(n, n), 0)
-    rows = a.transpose(1, 2, 0)
-    diag = np.empty((n, a.shape[0]))
-    off = np.abs(rows[0], out=np.empty_like(diag))
-    diag[0] = off[0]
-    off[0] = 0.0
-    block = np.empty_like(diag)
-    for i in range(1, n):
-        np.abs(rows[i], out=block)
-        diag[i] = block[i]
-        block[i] = 0.0
-        off += block
-    return diag.T, off.T
+    flat = np.abs(a, order="C").reshape(*a.shape[:-2], n * n)
+    diag = flat[..., :: n + 1].copy()
+    flat[..., :: n + 1] = 0.0
+    return diag, np.add.reduce(flat.reshape(a.shape), -2)
 
 
-def _slack_parts(a, schedule=None) -> tuple[np.ndarray, np.ndarray, float]:
+def _slack_parts(a, schedule=None) -> tuple:
     """Column slacks, column 1-norms and the smallest slack of a matrix or a stack.
 
     The slack ``|a[j, j]| - sum_{i != j} |a[i, j]|`` and the 1-norm
     ``sum_i |a[i, j]|`` come from one :func:`_abs_parts` pass and have
     shape ``a.shape[:-1]``; the 1-norm is formed in the diagonal's own
-    buffer.  The smallest slack is inf for an empty stack.  A matrix is
-    strictly column diagonally dominant iff its smallest slack is
-    positive, which a NaN slack fails.  These are the parts the solve
-    guard certifies from, so a caller that has already made them for its
-    own check hands them on to :func:`lu_solve`.  With a ``schedule``,
-    as in :func:`_abs_parts`, the slacks and 1-norms are lists of Python
-    floats.
+    buffer.  The smallest slack is inf for an empty stack, and NaN when a
+    slack is NaN.  A matrix is strictly column diagonally dominant iff
+    its smallest slack is positive.  These are the parts the solve guard
+    certifies from, so a caller that has already made them for its own
+    check hands them on to :func:`lu_solve`.  With a ``schedule``, as in
+    :func:`_abs_parts`, one system's slacks and 1-norms are lists of
+    Python floats, and a stack's are (m, n) arrays.
     """
-    if schedule is not None:
-        return _abs_parts(a, schedule)
-    diag, off = _abs_parts(a)
-    slack = diag - off
-    return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
+    if schedule is None:
+        diag, off = _abs_parts(a)
+        slack = diag - off
+        return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
+    slack, colsum = _abs_parts(a, schedule)
+    if isinstance(a, list):
+        return slack, colsum, math.nan if any(map(math.isnan, slack)) else min(slack)
+    slack = np.array(slack).T
+    return slack, np.array(colsum).T, slack.min(initial=np.inf)
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, overwrite: bool = False, schedule=None) -> np.ndarray:
+def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.ndarray:
     """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems.
 
     ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
     vector or (m, n) stack, and ``parts`` the :func:`_slack_parts` of
-    ``a`` when the caller has them, made here otherwise.  A stack of at
-    least ``2 n^3`` strictly column dominant systems is solved by
-    :func:`_eliminate` over ``schedule``, the :class:`_Schedule` of the
-    stack's pattern, or of the full pattern when it is None, in place
-    when ``overwrite`` is true; every other system or stack goes to one
-    LAPACK ``gesv`` call.  Each system
-    must have reciprocal 1-norm condition at least PIVOT_RTOL.  Varah's
+    ``a`` when the caller has them, made here otherwise.  With a
+    ``schedule``, ``a`` is the (m, p) stack of the values of its pattern
+    entries and ``b`` an (m, n) stack, each the transpose of a contiguous
+    array that the caller made for this solve and that the elimination
+    works in.  A stack of at least ``2 n^3`` strictly column dominant
+    systems is solved by the compiled ``eliminate`` of ``schedule``, or of
+    the full pattern on copies when it is None, one elementwise operation
+    over the stack's (m,) columns at a time; every other system or stack
+    goes to one LAPACK ``gesv`` call.  On strictly column dominant
+    systems partial pivoting would never swap rows, every multiplier is
+    at most 1 in size and the growth factor at most 2 (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., Thm 3.4.3), so the elimination is as
+    stable as LAPACK.  Each system must have reciprocal 1-norm condition at least PIVOT_RTOL.  Varah's
     bound certifies most of them without an inverse: a strictly column
     dominant ``a`` has ``||a^-1||_1 <= 1 / min slack``, so
     ``min slack / ||a||_1`` bounds the reciprocal condition from below.
@@ -148,12 +140,13 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, overwrite: bool = Fal
     by system, and only the systems it leaves below PIVOT_RTOL, zero and
     non-finite matrices among them, get the exact inverse-based check.
     """
-    slack, colsum, smin = _slack_parts(a) if parts is None else parts
+    slack, colsum, smin = _slack_parts(a, schedule) if parts is None else parts
     # smin < inf keeps a stack whose every diagonal is infinite, where the
     # ratio is inf / inf, from certifying itself; it also means the stack
     # is not empty, so colsum has a maximum.
     if not (0.0 < smin < np.inf and smin >= PIVOT_RTOL * colsum.max()):
-        _check_condition(a.reshape(-1, *a.shape[-2:]), slack, colsum)
+        dense = _dense(a, schedule)
+        _check_condition(dense.reshape(-1, *dense.shape[-2:]), slack, colsum)
     if b.ndim == 1:
         return np.linalg.solve(a, b)
     m, n = b.shape
@@ -163,11 +156,23 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, overwrite: bool = Fal
     if smin > 0.0 and m >= 2 * n**3:
         if schedule is None:
             schedule = _schedule_of(n, tuple(range(n * n)))
-        return _eliminate(a, b, overwrite, schedule)
+            a, b = a.reshape(m, n * n).T.copy().T, b.T.copy().T
+        schedule.kernels[1](list(a.T), list(b.T))
+        return b
     # The explicit trailing axis keeps b a stack of vectors under both the
     # numpy 1.x and 2.x broadcasting rules of solve.  A single vector is
     # one under both, and numpy solves it as it is with less overhead.
-    return np.linalg.solve(a, b[..., None])[..., 0]
+    return np.linalg.solve(_dense(a, schedule), b[..., None])[..., 0]
+
+
+def _dense(a, schedule):
+    """``a`` as matrices: itself, or with a ``schedule`` the (m, n, n) stack whose pattern entries are the (m, p) ``a``."""
+    if schedule is None:
+        return a
+    n = schedule.n
+    out = np.zeros((len(a), n * n))
+    out[:, schedule.pattern] = a
+    return out.reshape(-1, n, n)
 
 
 class _Schedule:
@@ -234,14 +239,18 @@ class _Schedule:
     def kernels(self) -> tuple[Callable, Callable]:
         """``(slack_pass, eliminate)``: the loops over ``columns``, ``forward`` and ``backward`` as straight code.
 
-        Compiled on first use, over one system in Python floats: ``v``, the
+        Compiled on first use.  Each takes one system as Python floats or
+        a stack of them as (m,) float64 columns, one per value: ``v``, the
         values of the ``pattern`` entries in its order, and ``y``, the n
-        right-hand side floats.  ``slack_pass(v)`` gives the
-        :func:`_slack_parts` lists and the NaN-aware smallest slack, and
-        ``eliminate(v, y)`` the solution as a new list.  Each makes its
-        loops' operations in their order, so a system gets the bits of its
-        row of an :func:`_eliminate` stack; only a sum of ``abs`` values
-        starts from its first term, not from 0.0, as an ``abs`` is never -0.0.
+        right-hand side values.  The code is ``+ - * / abs`` only, so numpy
+        makes the same IEEE operations in the same order on every row of a
+        column as Python does on a float, and a system gets the same bits
+        alone and in a stack.  ``slack_pass(v)`` gives the lists of the n
+        slacks and 1-norms of :func:`_slack_parts`.  ``eliminate(v, y)``
+        gives the solution as a list; on columns it works in place, and
+        the solution is left in the columns of ``y``.  Each makes its loops'
+        operations in their order; only a sum of ``abs`` values starts from
+        its first term, not from 0.0, as an ``abs`` is never -0.0.
         """
         n, a = self.n, "".join(f"a{e}, " for e in self.pattern)
         lines = ["def slack_pass(v):", f"    {a}= v"]
@@ -249,9 +258,7 @@ class _Schedule:
             off = " + ".join(f"abs(a{e})" for e in column) or "0.0"
             lines += [f"    d{j} = abs(a{d})", f"    o{j} = {off}", f"    s{j} = d{j} - o{j}"]
         lines += [
-            f"    slack = [{', '.join(f's{j}' for j in range(n))}]",
-            f"    colsum = [{', '.join(f'd{j} + o{j}' for j in range(n))}]",
-            f"    return slack, colsum, nan if {' or '.join(f's{j} != s{j}' for j in range(n))} else min(slack)",
+            f"    return [{', '.join(f's{j}' for j in range(n))}], [{', '.join(f'd{j} + o{j}' for j in range(n))}]",
             "def eliminate(v, y):",
             f"    {a}= v",
             f"    {''.join(f'y{i}, ' for i in range(n))}= y",
@@ -262,7 +269,8 @@ class _Schedule:
             lines += [f"    a{target} -= lik * a{source}" for target, source in updates]
             lines.append(f"    y{i} -= lik * y{k}")
         for i, diag, terms in self.backward:
-            lines.append(f"    y{i} = (y{i}{''.join(f' - a{e} * y{j}' for e, j in terms)}) / a{diag}")
+            lines += [f"    y{i} -= a{e} * y{j}" for e, j in terms]
+            lines.append(f"    y{i} /= a{diag}")
         lines.append(f"    return [{', '.join(f'y{i}' for i in range(n))}]")
         return _compile_kernels("\n".join(lines), ("slack_pass", "eliminate"))
 
@@ -282,43 +290,6 @@ def _schedule_of(n: int, pattern: tuple[int, ...]) -> _Schedule:
     whose schedule is the dense loop.
     """
     return _Schedule(n, pattern)
-
-
-def _eliminate(a: np.ndarray, b: np.ndarray, overwrite: bool, schedule: _Schedule) -> np.ndarray:
-    """Gaussian elimination without pivoting across an (m, n, n) stack, over ``schedule``.
-
-    Only for strictly column dominant systems: there partial pivoting
-    would never swap rows, every multiplier is at most 1 in size and the
-    growth factor at most 2 (Golub & Van Loan, *Matrix Computations*,
-    4th ed., Thm 3.4.3), so the result is as stable as LAPACK's.  The
-    stack is worked entries first, as an (n, n, m) array, and each
-    operation of the schedule is one elementwise ufunc on a contiguous
-    (m,) row, with no reduction or matrix product: every system gets the
-    same bits whatever the stack's size, the BLAS kernel or the SIMD
-    width, and the bits of the schedule's compiled ``eliminate`` alone.
-    With ``overwrite`` the factors replace ``a`` when its entries-first
-    view is contiguous, as the integrator lays out its stacks, and the
-    solution replaces ``b``; otherwise both are left as they are.
-    """
-    m, n = b.shape
-    e = a.transpose(1, 2, 0)
-    if not (overwrite and e.flags.c_contiguous):
-        e = e.copy()
-    yt = b.T.copy()
-    v, y = list(e.reshape(n * n, m)), list(yt)
-    t = np.empty(m)
-    for mult, pivot, i, k, updates in schedule.forward:
-        lik = np.divide(v[mult], v[pivot], out=v[mult])
-        for target, source in updates:
-            np.subtract(v[target], np.multiply(lik, v[source], out=t), out=v[target])
-        np.subtract(y[i], np.multiply(lik, y[k], out=t), out=y[i])
-    for i, diag, terms in schedule.backward:
-        for entry, j in terms:
-            np.subtract(y[i], np.multiply(v[entry], y[j], out=t), out=y[i])
-        np.divide(y[i], v[diag], out=y[i])
-    x = b if overwrite else np.empty((m, n))
-    x[...] = yt.T
-    return x
 
 
 def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> None:
@@ -398,13 +369,11 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
     slack, colsum, smin = _slack_parts(v, schedule) if parts is None else parts
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = schedule.n
-        a = np.zeros((1, n, n))
-        a.flat[list(schedule.pattern)] = v
-        _check_condition(a, np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
+        _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
     return np.array(schedule.kernels[1](v, y))
 
 
-def lu_solve_batch(a, rhs, *, _parts=None, _overwrite=False, _schedule=None):
+def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
     """Solve a stack of square systems ``a[m] @ x[m] = rhs[m]``.
 
     One pass over the whole stack, so that audits over thousands of
@@ -414,10 +383,10 @@ def lu_solve_batch(a, rhs, *, _parts=None, _overwrite=False, _schedule=None):
     per entry across the stack; any other stack goes to one stacked
     LAPACK ``gesv`` call.  ``a`` and ``rhs`` are left unchanged.
     ``_parts`` is private, as in :func:`lu_solve`, and so is
-    ``_overwrite``, with which a caller that built ``a`` and ``rhs`` for
-    this one solve lets the elimination work in them, and so is
-    ``_schedule``, the :class:`_Schedule` of a pattern that every system
-    of the stack keeps, over which the elimination runs.
+    ``_schedule``: with it, ``a`` is the integrator's (m, p) stack of the
+    values of that :class:`_Schedule`'s pattern entries and ``rhs`` its
+    (m, n) right-hand sides, both made for this solve, which works in
+    them.
 
     Parameters
     ----------
@@ -434,6 +403,8 @@ def lu_solve_batch(a, rhs, *, _parts=None, _overwrite=False, _schedule=None):
         As :func:`lu_solve`, for the first such system; the message names
         its batch index.
     """
+    if _schedule is not None:
+        return _solve_stack(a, rhs, _parts, _schedule)
     a = np.asarray(a, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -441,7 +412,7 @@ def lu_solve_batch(a, rhs, *, _parts=None, _overwrite=False, _schedule=None):
     m, n, _ = a.shape
     if b.shape != (m, n):
         raise ValueError(f"rhs shape {b.shape} does not match stack shape {(m, n)}")
-    return _solve_stack(a, b, _parts, _overwrite, _schedule)
+    return _solve_stack(a, b, _parts)
 
 
 def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool:

@@ -338,27 +338,37 @@ class MassActionModel:
         )
 
     # Row i of L as its (j, L[i, j]) nonzeros in column order: the right-hand
-    # side of a step sums L x over them, one state or a stack alike.
+    # side of a step sums L x over them.
     @cached_property
     def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.linear.tolist())
 
-    # The step system of one state in Python floats, compiled on its first
-    # step: step_system(x, h), for n floats x and a signed h, gives the
-    # values of I - h S(x) at the _schedule's pattern, each base - (t + L_e)
-    # * 0.5 * h with t summed from 0.0 over _entry_terms, and the right-hand
-    # side s * (0.5 h) + x_i + h b_i + 0.0 with s summed from 0.0 over
-    # _linear_rows: a stack's formulas, in a stack's order.
+    # The step system of one state in Python floats or of a stack in (m,)
+    # columns, compiled on its first step: step_system(x, h), for n values
+    # x and a signed h, a float or an (m,) array, gives the values of
+    # I - h S(x) at the _schedule's pattern, each base - (t + L_e) * 0.5 * h
+    # with t summed from 0.0 over _entry_terms, and the right-hand side
+    # s * (0.5 h) + x_i + h b_i + 0.0 with s summed from 0.0 over
+    # _linear_rows.  The code leaves out the terms that change no bit: the
+    # 0.0 that starts each sum, and an L_e, an h b_i or a whole product
+    # that is zero.  Without them a sum can only turn a +0.0 into -0.0, and
+    # the sign of that zero is lost in the next step: base - (+-0.0) for a
+    # base of 0.0 or 1.0, an addition of a nonzero value, or the closing
+    # + 0.0.  A pattern entry that no term touches is a float for a float h.
     @cached_property
-    def _float_kernel(self) -> Callable:
-        entries = [
-            f"{base!r} - (0.0{''.join(f' + x{j} * {c!r}' for j, c in terms)} + {lin!r}) * 0.5 * h"
-            for _, base, lin, terms in self._entry_terms
-        ]
-        rhs = [
-            f"(0.0{''.join(f' + x{j} * {c!r}' for j, c in terms)}) * half + x{i} + h * {b!r} + 0.0"
-            for i, (terms, b) in enumerate(zip(self._linear_rows, self.constant.tolist()))
-        ]
+    def _step_kernel(self) -> Callable:
+        def products(terms):
+            return " + ".join(f"x{j} * {c!r}" for j, c in terms)
+
+        entries = []
+        for _, base, lin, terms in self._entry_terms:
+            t = " + ".join(filter(None, (products(terms), f"{lin!r}" if lin else "")))
+            entries.append(f"{base!r} - ({t}) * 0.5 * h" if t else f"{base!r}")
+        rhs = []
+        for i, (terms, b) in enumerate(zip(self._linear_rows, self.constant.tolist())):
+            rhs.append(
+                f"{f'({products(terms)}) * half + ' if terms else ''}x{i}{f' + h * {b!r}' if b else ''} + 0.0"
+            )
         source = (
             f"def step_system(x, h):\n    {''.join(f'x{j}, ' for j in range(self.n))}= x\n    half = 0.5 * h\n"
             f"    return [{', '.join(entries)}], [{', '.join(rhs)}]"

@@ -1,10 +1,12 @@
-"""The compiled Python-float step of a small model, against the interpreted loops it replaced.
+"""The compiled step of a small model, against the interpreted loops it replaced.
 
 A small model steps one state through straight-line code made from its
 elimination schedule (``linalg._Schedule.kernels``) and from its entry
-formulas (``MassActionModel._float_kernel``).  The reference here is the
-loop form of the same step, over the same schedule tuples and term lists:
-every output must have its bits, signed zeros and errors included.
+formulas (``MassActionModel._step_kernel``), in Python floats, and a
+stack of states through the same code on its (m,) columns.  The
+reference here is the loop form of the same step, over the same schedule
+tuples and term lists: every output must have its bits, signed zeros and
+errors included.
 """
 
 import math
@@ -26,7 +28,7 @@ from nsfd.integrator import (
     step_forward_batch,
 )
 from nsfd.invariance import invariance_audit
-from nsfd.linalg import PIVOT_RTOL, _check_condition, _schedule_of
+from nsfd.linalg import PIVOT_RTOL, _check_condition, _schedule_of, _slack_parts
 from nsfd.model import BilinearTerm, Domain, MassActionModel
 from nsfd.models import HostVectorParameters, make_host_vector
 
@@ -160,12 +162,20 @@ def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
     assert model._schedule.size <= FLOAT_STEP_MAX_OPS
     mats, rhs, parts = _interpreted_system(model, x, signed)
     values = [mats[e] for e in model._schedule.pattern]
-    assert _outcome(model._float_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
+    assert _outcome(model._step_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
     slack_pass, eliminate = model._schedule.kernels
-    assert _outcome(slack_pass, values) == _outcome(lambda: parts)
+    assert _outcome(slack_pass, values) == _outcome(lambda: parts[:2])
+    assert _outcome(_slack_parts, values, model._schedule) == _outcome(lambda: parts)
     assert _outcome(eliminate, values, list(rhs)) == _outcome(_interpreted_eliminate, mats, rhs, model._schedule)
-    stepper = step_backward if backward else step_forward
-    assert _outcome(stepper, model, x, h) == _outcome(_interpreted_step, model, x, signed)
+    stepper, batch = (step_backward, step_backward_batch) if backward else (step_forward, step_forward_batch)
+    alone = _outcome(_interpreted_step, model, x, signed)
+    assert _outcome(stepper, model, x, h) == alone
+    # The same code steps a stack on its columns, eliminated from 2 n^3 rows.
+    rows = _outcome(batch, model, np.tile(x, (max(2 * model.n**3, 3), 1)), h)
+    if isinstance(alone, tuple):
+        assert rows[0] == alone[0]
+    else:
+        assert rows == alone * max(2 * model.n**3, 3)
 
 
 @pytest.mark.parametrize("step, sign", [(step_forward, 1.0), (step_backward, -1.0)])
@@ -201,17 +211,16 @@ def compiles(monkeypatch):
     return sources
 
 
-def test_only_the_first_single_step_of_a_small_model_compiles(compiles):
+def test_the_first_step_of_a_small_model_compiles_its_kernels_once(compiles):
     model = make_host_vector()
     h = 0.5 * step_bound(model).h_bar
     xs = np.tile([4.0, 2.0, 3.0, 1.0, 1.0], (3, 1))
+    assert compiles == []
     step_forward_batch(model, xs, h)
+    assert len(compiles) == 2
     step_backward_batch(model, xs, h)
     invariance_audit(model, h=h, trials=20, steps=5, seed=1)
-    assert compiles == []
-    assert "kernels" not in vars(model._schedule) and "_float_kernel" not in vars(model)
     first = step_forward(model, xs[0], h)
-    assert len(compiles) == 2
     assert step_backward(model, first, h).tobytes() == _interpreted_step(model, first, -h).tobytes()
     assert len(compiles) == 2
 
@@ -230,5 +239,5 @@ def test_two_models_with_one_pattern_share_the_schedule_kernels(compiles):
     step_forward(a, x, 0.5)
     step_forward(b, x, 0.5)
     assert a._schedule is b._schedule
-    assert a._float_kernel is not b._float_kernel
+    assert a._step_kernel is not b._step_kernel
     assert len(compiles) == 3

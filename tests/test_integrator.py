@@ -25,10 +25,10 @@ from nsfd.integrator import (
     step_forward_batch,
     step_implicit_general,
     step_matrix,
+    _pattern_system,
     _rk4_rows,
-    _step_system,
 )
-from nsfd.linalg import LinAlgError, SingularMatrixError, lu_solve_batch
+from nsfd.linalg import LinAlgError, SingularMatrixError, _dense, lu_solve_batch
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -211,18 +211,31 @@ def test_batch_scalar_step_size_matches_per_row_bits(all_models, sir_network, rn
         assert shared.tobytes() == per_row.tobytes(), model.name
 
 
+def _coordinate_order_jacobians(model, xs):
+    """The field Jacobians of the rows of ``xs``, each P + Q entry summed over its coordinates in order."""
+    entries, g = model._pq_map
+    touched = np.zeros((len(xs), len(entries)))
+    for j in range(model.n):
+        for col in np.flatnonzero(g[j]):
+            touched[:, col] += xs[:, j] * g[j, col]
+    out = np.zeros((len(xs), model.n * model.n))
+    out[:, entries] = touched
+    return out.reshape(-1, model.n, model.n) + model.linear
+
+
 def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_network, rng):
-    # the stack assembly writes only the touched entries over a shared
-    # base; each matrix must still be I - h (0.5 J(x)) with the stacked
-    # field Jacobian, bit for bit, for a shared and a per-row h
+    # the stack's pattern values come from the generated step kernel; each
+    # matrix must still be I - h (0.5 J(x)) with the field Jacobian whose
+    # P + Q entries sum their coordinates in order, bit for bit, for a
+    # shared and a per-row h
     for model in (*all_models, sir_network):
         h_bar = step_bound(model).h_bar
         xs = _interior_states(model, rng, 7)
         for h in (0.4 * h_bar, -0.4 * h_bar, np.linspace(-0.9, 0.9, 7) * h_bar):
             hv, hm = (h, h) if np.ndim(h) == 0 else (h[:, None], h[:, None, None])
-            mats, rhs, _ = _step_system(model, xs, h)
-            expected = np.eye(model.n) - hm * (0.5 * _jacobian_rows(model, xs))
-            assert np.ascontiguousarray(mats).tobytes() == expected.tobytes(), model.name
+            values, rhs, _ = _pattern_system(model, xs, h)
+            expected = np.eye(model.n) - hm * (0.5 * _coordinate_order_jacobians(model, xs))
+            assert _dense(values, model._schedule).tobytes() == expected.tobytes(), model.name
             # L x is summed elementwise over each row's nonzeros, in column order
             lx = np.zeros_like(xs)
             for i, j in zip(*np.nonzero(model.linear)):
@@ -231,20 +244,44 @@ def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_networ
             assert rhs.tobytes() == expected.tobytes(), model.name
 
 
+def test_coordinate_order_jacobians_have_the_bits_of_single_coordinate_entries(all_models, rng):
+    # on the built-ins every P + Q entry reads one coordinate, and the
+    # reference above is then the field Jacobian itself
+    for model in all_models:
+        xs = _interior_states(model, rng, 7)
+        assert _coordinate_order_jacobians(model, xs).tobytes() == _jacobian_rows(model, xs).tobytes(), model.name
+
+
+@pytest.fixture(scope="session")
+def two_coordinate_entries():
+    """A 3-state model whose P + Q entry (0, 0) reads two coordinates of x, x1 and x2."""
+    terms = ((0, 1, 0, -0.37), (0, 2, 0, -0.61), (1, 1, 0, 0.37), (2, 2, 0, 0.61))
+    return MassActionModel(
+        n=3,
+        bilinear=tuple(BilinearTerm(*t) for t in terms),
+        linear=np.zeros((3, 3)),
+        constant=np.zeros(3),
+        domain=Domain((True,) * 3, (Constraint((1.0, 1.0, 1.0), 1.0),)),
+        labels=("a", "b", "c"),
+    )
+
+
 @pytest.mark.parametrize("frac", [0.4, 0.9])
-def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(all_models, rng, monkeypatch, frac):
-    # A small model steps one state in Python floats, with the stack's
-    # formulas and over the schedule that the stack's elimination runs, so
-    # a state gets one set of bits, alone or in a stack, and neither
-    # depends on the BLAS kernel.
+def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(
+    all_models, sir_network, two_coordinate_entries, rng, monkeypatch, frac
+):
+    # A small model steps one state in Python floats and a stack in (m,)
+    # columns, by the same generated kernel, so a state gets one set of
+    # bits, alone or in a stack, and neither depends on the BLAS kernel:
+    # also where a P + Q entry reads several coordinates of x.
     def no_lapack(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
 
     monkeypatch.setattr(np.linalg, "solve", no_lapack)
-    for model in all_models:
+    for model in (*all_models, sir_network, two_coordinate_entries):
         assert model._schedule.size <= FLOAT_STEP_MAX_OPS, model.name
         h = frac * step_bound(model).h_bar
-        xs = _interior_states(model, rng, max(2 * model.n**3, 64))
+        xs = _interior_states(model, rng, max(2 * model.n**3, 2000))
         for single, batch in ((step_forward, step_forward_batch), (step_backward, step_backward_batch)):
             rows = batch(model, xs, h)
             alone = np.array([single(model, x, h) for x in xs])
@@ -452,8 +489,8 @@ def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(host_vector, 
     # both sides of the elimination rule (250 rows for n = 5).
     xs = _interior_states(host_vector, rng, count)
     h = 0.4 * h_bars["host-vector"]
-    mats, rhs, _ = _step_system(host_vector, xs, sign * h)
-    want = lu_solve_batch(mats, rhs)
+    values, rhs, _ = _pattern_system(host_vector, xs, sign * h)
+    want = lu_solve_batch(_dense(values, host_vector._schedule), rhs)
     step = step_forward_batch if sign > 0 else step_backward_batch
     assert step(host_vector, xs, h).tobytes() == want.tobytes()
 

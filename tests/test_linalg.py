@@ -12,7 +12,7 @@ from nsfd.linalg import (
     EigenConvergenceError,
     LinAlgError,
     SingularMatrixError,
-    _eliminate,
+    _dense,
     _slack_parts,
     eigenvalues,
     fd_jacobian,
@@ -21,7 +21,7 @@ from nsfd.linalg import (
     lu_solve,
     lu_solve_batch,
 )
-from nsfd.integrator import FLOAT_STEP_MAX_OPS, _step_system, step_bound, step_forward
+from nsfd.integrator import FLOAT_STEP_MAX_OPS, _pattern_system, _step_system, step_bound, step_forward
 from nsfd.model import Constraint, Domain, MassActionModel, f_jacobian
 from nsfd.models import host_vector_dfe
 
@@ -223,6 +223,17 @@ def _dense_eliminate(a, b):
     return yt.T.copy()
 
 
+def _eliminate(values, rhs, schedule):
+    """The (m, n) solutions of ``schedule``'s compiled eliminate over the (m,) columns of copies of a stack.
+
+    ``values`` is the (m, p) stack of the values of the schedule's
+    pattern entries, and ``rhs`` the (m, n) right-hand sides.
+    """
+    y = rhs.T.copy()
+    schedule.kernels[1](list(values.T.copy()), list(y))
+    return y.T
+
+
 def test_a_stack_with_no_pattern_gets_the_dense_loop_bits(rng):
     a = _dominant_systems(rng, 300, 5)
     b = rng.standard_normal((300, 5))
@@ -250,10 +261,10 @@ def test_schedule_elimination_keeps_the_dense_loop_bits(all_models, sir_network,
         xs = _step_states(model, rng, 400)
         if model.name == "host-vector":
             xs = np.vstack([xs, dfe, np.where(dfe == 0.0, -0.0, dfe)])
-        mats, rhs, _ = _step_system(model, xs, sign * 0.4 * step_bound(model).h_bar)
+        values, rhs, _ = _pattern_system(model, xs, sign * 0.4 * step_bound(model).h_bar)
         assert not np.signbit(rhs[rhs == 0.0]).any(), model.name
-        got = _eliminate(mats, rhs, False, model._schedule)
-        assert got.tobytes() == _dense_eliminate(mats, rhs).tobytes(), model.name
+        got = _eliminate(values, rhs, model._schedule)
+        assert got.tobytes() == _dense_eliminate(_dense(values, model._schedule), rhs).tobytes(), model.name
 
 
 def test_host_vector_schedule_fills_two_entries(host_vector):
@@ -299,8 +310,8 @@ def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypat
         with pytest.raises(SingularMatrixError, match="system 0: reciprocal condition"):
             step_forward(model, x, 1.0)
     else:
-        mats, rhs, _ = _step_system(model, x[None], 1.0)
-        want = np.linalg.solve(mats[0], rhs[0])
+        mats, rhs, _ = _step_system(model, x, 1.0)
+        want = np.linalg.solve(mats, rhs)
         assert np.allclose(step_forward(model, x, 1.0), want, rtol=1e-15, atol=0.0)
     assert len(calls) == 1
 
