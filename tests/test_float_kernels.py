@@ -171,11 +171,12 @@ def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
     alone = _outcome(_interpreted_step, model, x, signed)
     assert _outcome(stepper, model, x, h) == alone
     # The same code steps a stack on its columns, eliminated from 2 n^3 rows.
-    rows = _outcome(batch, model, np.tile(x, (max(2 * model.n**3, 3), 1)), h)
+    m = max(2 * model.n**3, 3)
+    rows = _outcome(batch, model, np.tile(x, (m, 1)), h)
     if isinstance(alone, tuple):
         assert rows[0] == alone[0]
     else:
-        assert rows == alone * max(2 * model.n**3, 3)
+        assert rows == alone * m
 
 
 @pytest.mark.parametrize("step, sign", [(step_forward, 1.0), (step_backward, -1.0)])

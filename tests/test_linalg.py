@@ -320,7 +320,7 @@ def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypat
 def test_lu_solve_batch_leaves_its_inputs_unchanged(rng, layout):
     a = _dominant_systems(rng, 300, 5)
     if layout == "entries-first":
-        # the layout the elimination works in place
+        # the integrator's layout, whose own stacks the elimination works in
         a = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
     b = rng.standard_normal((300, 5))
     a_bytes, b_bytes = a.tobytes(), b.tobytes()
