@@ -30,6 +30,14 @@ only when the check fails.  Both solve matrices are dominant, hence
 safely invertible, for every state in the domain box whenever h stays
 below the bound computed by :func:`step_bound`.  Batch states must be
 finite, as scalar ones are.
+
+The explicit comparison schemes, Euler and RK4, run generated steps
+(:func:`_explicit_code`, shared by the models of one dimension) that call
+the model's field kernel ``_phi_kernel``: :func:`integrate` steps one
+state in Python floats, and the audit a stack on its (m,) columns
+(:func:`_euler_rows`, :func:`_rk4_rows`), with no BLAS call and the same
+bits per row.  The trapezoidal scheme is a general split system, solved
+by damped Newton.
 """
 
 from __future__ import annotations
@@ -37,18 +45,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import CodeType, FunctionType
+from typing import Callable
 
 import numpy as np
 
-from .linalg import LinAlgError, SingularMatrixError, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
+from .linalg import (
+    LinAlgError, SingularMatrixError, _compile_kernels, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
+)
 from .model import (
     GeneralSplitSystem,
     MassActionModel,
     SpecError,
     _check_state,
     _jacobian_rows,
-    _phi_rows,
+    _on_rows,
+    _unpack,
     eval_f,
     f_jacobian,
 )
@@ -468,17 +481,53 @@ def _horizon_steps(T: float, h: float) -> int:
     return round(ratio)
 
 
+@lru_cache(maxsize=8)
+def _explicit_code(scheme: str, n: int) -> CodeType:
+    """The code of the explicit scheme's step, compiled once for all the models with n states.
+
+    ``euler(x, h)`` and ``rk4(x, h)``, for n values x and a float h, give
+    the next state as a list, with the operations of ``x + h f(x)`` and of
+    the classical four-stage formula in that order, where ``f(x)`` is the
+    global ``phi(x, x)``: a model's field kernel, bound by
+    :func:`_explicit_step`.
+    """
+    lines = [f"def {scheme}(x, h):", f"    {_unpack('x', n)}= x"]
+    if scheme == "euler":
+        lines.append(f"    {_unpack('f', n)}= phi(x, x)")
+        state = [f"x{i} + h * f{i}" for i in range(n)]
+    else:
+        lines += ["    half = 0.5 * h", f"    {_unpack('a', n)}= phi(x, x)"]
+        # Each stage is the field at x + step * k, unpacked into the next letter.
+        for k, step, out in (("a", "half", "b"), ("b", "half", "c"), ("c", "h", "d")):
+            stage = ", ".join(f"x{i} + {step} * {k}{i}" for i in range(n))
+            lines += [f"    u = [{stage}]", f"    {_unpack(out, n)}= phi(u, u)"]
+        lines.append("    sixth = h / 6.0")
+        state = [f"x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
+    lines.append(f"    return [{', '.join(state)}]")
+    return _compile_kernels("\n".join(lines), (scheme,))[0].__code__
+
+
+def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
+    """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': :func:`_explicit_code` with the model's field."""
+    return FunctionType(_explicit_code(scheme, model.n), {"phi": model._phi_kernel})
+
+
+def _euler_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
+    """One explicit Euler step ``x + h f(x)`` of size h, unchecked.
+
+    ``xs`` is one (n,) state or an (m, n) stack stepped row by row
+    (``model._on_rows``); the result has its rank.
+    """
+    return _on_rows(_explicit_step(model, "euler"), xs, h)
+
+
 def _rk4_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
     """One classical 4-stage explicit step of size h, unchecked.
 
-    ``xs`` is one (n,) state or an (m, n) stack stepped row by row; the
-    result has its rank, and a single state gets no stack axis.
+    ``xs`` is one (n,) state or an (m, n) stack stepped row by row
+    (``model._on_rows``); the result has its rank.
     """
-    k1 = _phi_rows(model, xs)
-    k2 = _phi_rows(model, xs + (0.5 * h) * k1)
-    k3 = _phi_rows(model, xs + (0.5 * h) * k2)
-    k4 = _phi_rows(model, xs + h * k3)
-    return xs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _on_rows(_explicit_step(model, "rk4"), xs, h)
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:
@@ -523,20 +572,21 @@ def integrate(model: MassActionModel, x0, h: float, steps: int, scheme: str = "n
     except (ValueError, MemoryError) as exc:
         raise SpecError("the orbit's states do not fit in memory; take fewer steps") from exc
     states[0] = x
-    trap = _trapezoidal_system(model) if scheme == "trapezoidal" else None
-    for k in range(steps):
-        try:
-            if scheme == "nsfd":
-                x = step_forward(model, x, h)
-            elif scheme == "euler":
-                x = x + h * _phi_rows(model, x)
-            elif scheme == "rk4":
-                x = _rk4_rows(model, x, h)
-            else:
-                x = step_implicit_general(trap, x, h)
-        except (LinAlgError, NewtonDivergenceError) as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
-        states[k + 1] = x
+    if scheme in ("euler", "rk4"):
+        # One state in Python floats, step after step.
+        kernel = _explicit_step(model, scheme)
+        x = x.tolist()
+        for k in range(steps):
+            x = kernel(x, h)
+            states[k + 1] = x
+    else:
+        trap = _trapezoidal_system(model) if scheme == "trapezoidal" else None
+        for k in range(steps):
+            try:
+                x = step_forward(model, x, h) if trap is None else step_implicit_general(trap, x, h)
+            except (LinAlgError, NewtonDivergenceError) as exc:
+                raise type(exc)(f"step {k}: {exc}") from exc
+            states[k + 1] = x
     if not np.isfinite(states).all():
         k = int(np.argmin(np.isfinite(states).all(axis=1))) - 1
         raise LinAlgError(f"step {k}: state is not finite")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import _check_h, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
+from .integrator import _check_h, _euler_rows, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
 from .model import Domain, MassActionModel, SpecError, _phi_rows, _tight_box
 
 __all__ = [
@@ -415,7 +415,7 @@ def invariance_audit(
             if scheme == "nsfd":
                 xs = step_forward_batch(model, xs, h)
             elif scheme == "euler":
-                xs = xs + h * _phi_rows(model, xs)
+                xs = _euler_rows(model, xs, h)
             else:
                 xs = _rk4_rows(model, xs, h)
         margins = dom.margin(xs)

@@ -9,7 +9,8 @@ elimination without it instead, over an elimination schedule
 (:class:`_Schedule`) that leaves out the operations on entries that
 stay zero: the one system of a small model's step, and a stack of at
 least ``2 n^3`` such systems.  Both run the same straight-line code,
-compiled once per schedule (``_Schedule.kernels``): on Python floats for
+compiled once per schedule (``_Schedule.slack_pass`` and
+``_Schedule.eliminate``, each on its first use): on Python floats for
 one system, and on the stack's (m,) columns, one elementwise operation
 across the stack for each operation of the schedule.  Neither calls
 BLAS, so their bits depend on neither the stack's size nor the BLAS
@@ -81,7 +82,7 @@ def _abs_parts(a, schedule=None):
     slacks and 1-norms of :func:`_slack_parts` instead.
     """
     if schedule is not None:
-        return schedule.kernels[0](a if isinstance(a, list) else a.T)
+        return schedule.slack_pass(a if isinstance(a, list) else a.T)
     n = a.shape[-1]
     flat = np.abs(a, order="C").reshape(*a.shape[:-2], n * n)
     diag = flat[..., :: n + 1].copy()
@@ -157,7 +158,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
         if schedule is None:
             schedule = _schedule_of(n, tuple(range(n * n)))
             a, b = a.reshape(m, n * n).T.copy().T, b.T.copy().T
-        schedule.kernels[1](list(a.T), list(b.T))
+        # Python floats raise no warning, nor do their columns: a non-finite
+        # system that the guard passed solves to the single step's values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            schedule.eliminate(list(a.T), list(b.T))
         return b
     # The explicit trailing axis keeps b a stack of vectors under both the
     # numpy 1.x and 2.x broadcasting rules of solve.  A single vector is
@@ -235,33 +239,38 @@ class _Schedule:
             + n
         )
 
-    @functools.cached_property
-    def kernels(self) -> tuple[Callable, Callable]:
-        """``(slack_pass, eliminate)``: the loops over ``columns``, ``forward`` and ``backward`` as straight code.
+    # The loops over ``columns``, ``forward`` and ``backward`` as straight
+    # code, each compiled on its first use: a stack below 2 n^3 rows runs
+    # the slack pass but never the elimination.  Each takes one system as
+    # Python floats or a stack of them as (m,) float64 columns, one per
+    # value: ``v``, the values of the ``pattern`` entries in its order, and
+    # ``y``, the n right-hand side values.  The code is ``+ - * / abs``
+    # only, so numpy makes the same IEEE operations in the same order on
+    # every row of a column as Python does on a float, and a system gets
+    # the same bits alone and in a stack.  Each makes its loops' operations
+    # in their order; only a sum of ``abs`` values starts from its first
+    # term, not from 0.0, as an ``abs`` is never -0.0.
 
-        Compiled on first use.  Each takes one system as Python floats or
-        a stack of them as (m,) float64 columns, one per value: ``v``, the
-        values of the ``pattern`` entries in its order, and ``y``, the n
-        right-hand side values.  The code is ``+ - * / abs`` only, so numpy
-        makes the same IEEE operations in the same order on every row of a
-        column as Python does on a float, and a system gets the same bits
-        alone and in a stack.  ``slack_pass(v)`` gives the lists of the n
-        slacks and 1-norms of :func:`_slack_parts`.  ``eliminate(v, y)``
-        gives the solution as a list; on columns it works in place, and
-        the solution is left in the columns of ``y``.  Each makes its loops'
-        operations in their order; only a sum of ``abs`` values starts from
-        its first term, not from 0.0, as an ``abs`` is never -0.0.
-        """
-        n, a = self.n, "".join(f"a{e}, " for e in self.pattern)
-        lines = ["def slack_pass(v):", f"    {a}= v"]
+    @functools.cached_property
+    def slack_pass(self) -> Callable:
+        """``slack_pass(v)``: the lists of the n slacks and 1-norms of :func:`_slack_parts`."""
+        n = self.n
+        lines = ["def slack_pass(v):", f"    {''.join(f'a{e}, ' for e in self.pattern)}= v"]
         for j, (d, column) in enumerate(self.columns):
-            off = " + ".join(f"abs(a{e})" for e in column) or "0.0"
-            lines += [f"    d{j} = abs(a{d})", f"    o{j} = {off}", f"    s{j} = d{j} - o{j}"]
-        lines += [
-            f"    return [{', '.join(f's{j}' for j in range(n))}], [{', '.join(f'd{j} + o{j}' for j in range(n))}]",
+            sums, off = _sum_code([f"abs(a{e})" for e in column], f"o{j}")
+            lines += [f"    d{j} = abs(a{d})", *sums, f"    o{j} = {off or '0.0'}", f"    s{j} = d{j} - o{j}"]
+        lines.append(
+            f"    return [{', '.join(f's{j}' for j in range(n))}], [{', '.join(f'd{j} + o{j}' for j in range(n))}]"
+        )
+        return _compile_kernels("\n".join(lines), ("slack_pass",))[0]
+
+    @functools.cached_property
+    def eliminate(self) -> Callable:
+        """``eliminate(v, y)``: the solution as a list; on columns it works in place, in the columns of ``y``."""
+        lines = [
             "def eliminate(v, y):",
-            f"    {a}= v",
-            f"    {''.join(f'y{i}, ' for i in range(n))}= y",
+            f"    {''.join(f'a{e}, ' for e in self.pattern)}= v",
+            f"    {''.join(f'y{i}, ' for i in range(self.n))}= y",
             *(f"    a{e} = 0.0" for e in self.fill),
         ]
         for mult, pivot, i, k, updates in self.forward:
@@ -271,8 +280,29 @@ class _Schedule:
         for i, diag, terms in self.backward:
             lines += [f"    y{i} -= a{e} * y{j}" for e, j in terms]
             lines.append(f"    y{i} /= a{diag}")
-        lines.append(f"    return [{', '.join(f'y{i}' for i in range(n))}]")
-        return _compile_kernels("\n".join(lines), ("slack_pass", "eliminate"))
+        lines.append(f"    return [{', '.join(f'y{i}' for i in range(self.n))}]")
+        return _compile_kernels("\n".join(lines), ("eliminate",))[0]
+
+
+# The longest chain ``a + b + ...`` that a generated expression holds.
+# Python's compiler recurses once per operator of a chain: on Python 3.11
+# one of 1,000 terms compiled and one of 3,000 raised RecursionError.
+_SUM_CHUNK = 200
+
+
+def _sum_code(terms: list[str], name: str) -> tuple[list[str], str]:
+    """The sum of the code ``terms`` from left to right: the statements it needs, and its expression.
+
+    A sum of at most ``_SUM_CHUNK`` terms is one chain and needs no
+    statement.  A longer one is summed into ``name``, ``_SUM_CHUNK`` terms
+    at a time, by statements ``name = name + ...``, and the expression is
+    ``name + ...`` over the last terms: the same additions in the same
+    order, so the chain's bits.  No terms give the expression "".
+    """
+    chunks = [" + ".join(terms[i:i + _SUM_CHUNK]) for i in range(0, len(terms), _SUM_CHUNK)] or [""]
+    lines = [f"    {name} = {chunks[0]}"] if len(chunks) > 1 else []
+    lines += [f"    {name} = {name} + {chunk}" for chunk in chunks[1:-1]]
+    return lines, chunks[-1] if len(chunks) == 1 else f"{name} + {chunks[-1]}"
 
 
 def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
@@ -370,7 +400,7 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = schedule.n
         _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
-    return np.array(schedule.kernels[1](v, y))
+    return np.array(schedule.eliminate(v, y))
 
 
 def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):

@@ -14,6 +14,14 @@ The two matrix views of B,
 
 satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 ``P(x) + Q(x) + L``.
+
+The field is evaluated by generated code, compiled for each model on its
+first use: ``phi`` as straight-line Python over the term list, the
+nonzeros of each row of L and b (``MassActionModel._phi_kernel``).  It
+runs on the n Python floats of one state or on the n (m,) columns of a
+stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has the
+bits of its state alone, whatever the stack's size or the BLAS kernel.
+The integrator's explicit Euler and RK4 steps call it.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _Schedule, _compile_kernels, _schedule_of, is_metzler
+from .linalg import _Schedule, _compile_kernels, _schedule_of, _sum_code, is_metzler
 
 __all__ = [
     "SpecError",
@@ -276,8 +284,8 @@ class MassActionModel:
         if not isinstance(self.name, str) or not self.name:
             raise SpecError("model name must be a nonempty string")
 
-    # Term index arrays and the two linear maps of B for vectorized
-    # evaluation; cached because the model is immutable.
+    # Term index arrays for the slot matrices and the Jacobian map; cached
+    # because the model is immutable.
     @cached_property
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         ti = np.array([t.i for t in self.bilinear], dtype=np.intp)
@@ -292,11 +300,6 @@ class MassActionModel:
         eye = np.eye(self.n)
         eye.setflags(write=False)
         return eye
-
-    @cached_property
-    def _scatter(self) -> np.ndarray:
-        # (terms, n): row t is the unit vector of term t's component i.
-        return self._identity[self._term_arrays[0]]
 
     @cached_property
     def _pq_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -358,22 +361,59 @@ class MassActionModel:
     @cached_property
     def _step_kernel(self) -> Callable:
         def products(terms):
-            return " + ".join(f"x{j} * {c!r}" for j, c in terms)
+            return [f"x{j} * {c!r}" for j, c in terms]
 
-        entries = []
-        for _, base, lin, terms in self._entry_terms:
-            t = " + ".join(filter(None, (products(terms), f"{lin!r}" if lin else "")))
+        sums, entries = [], []
+        for e, (_, base, lin, terms) in enumerate(self._entry_terms):
+            lines, t = _sum_code([*products(terms), *([f"{lin!r}"] if lin else [])], f"t{e}")
+            sums += lines
             entries.append(f"{base!r} - ({t}) * 0.5 * h" if t else f"{base!r}")
         rhs = []
         for i, (terms, b) in enumerate(zip(self._linear_rows, self.constant.tolist())):
-            rhs.append(
-                f"{f'({products(terms)}) * half + ' if terms else ''}x{i}{f' + h * {b!r}' if b else ''} + 0.0"
-            )
-        source = (
-            f"def step_system(x, h):\n    {''.join(f'x{j}, ' for j in range(self.n))}= x\n    half = 0.5 * h\n"
-            f"    return [{', '.join(entries)}], [{', '.join(rhs)}]"
-        )
+            lines, s = _sum_code(products(terms), f"s{i}")
+            sums += lines
+            rhs.append(f"{f'({s}) * half + ' if s else ''}x{i}{f' + h * {b!r}' if b else ''} + 0.0")
+        source = "\n".join([
+            "def step_system(x, h):",
+            f"    {_unpack('x', self.n)}= x",
+            "    half = 0.5 * h",
+            *sums,
+            f"    return [{', '.join(entries)}], [{', '.join(rhs)}]",
+        ])
         return _compile_kernels(source, ("step_system",))[0]
+
+    # The split field phi(y, z) of one pair of states in Python floats or of
+    # stacks in (m,) columns, compiled on its first use: for n values each
+    # of y and z, the list of the n values of row i, its bilinear terms
+    # (c * y_j) * z_k in term order, then 0.5 * the sum of L_ij (y_j + z_j)
+    # over the row's nonzeros in column order, then + b_i, each sum from
+    # its first term.  phi(x, x) is the field f(x).  A row with no terms
+    # and no L entry is the float b_i.
+    @cached_property
+    def _phi_kernel(self) -> Callable:
+        bilinear = [[] for _ in range(self.n)]
+        for t in self.bilinear:
+            bilinear[t.i].append(f"{t.c!r} * y{t.j} * z{t.k}")
+        sums, rows = [], []
+        for i, (products, lin, b) in enumerate(zip(bilinear, self._linear_rows, self.constant.tolist())):
+            lines, bilinear_sum = _sum_code(products, f"s{i}")
+            more, linear_sum = _sum_code([f"{c!r} * (y{j} + z{j})" for j, c in lin], f"l{i}")
+            sums += lines + more
+            half = f"0.5 * ({linear_sum})" if linear_sum else ""
+            rows.append(" + ".join(filter(None, (bilinear_sum, half, f"{b!r}"))))
+        source = "\n".join([
+            "def phi(y, z):",
+            f"    {_unpack('y', self.n)}= y",
+            f"    {_unpack('z', self.n)}= z",
+            *sums,
+            f"    return [{', '.join(rows)}]",
+        ])
+        return _compile_kernels(source, ("phi",))[0]
+
+
+def _unpack(name: str, n: int) -> str:
+    """The targets ``name0, name1, ..., `` that unpack n values in generated code."""
+    return "".join(f"{name}{i}, " for i in range(n))
 
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
@@ -387,27 +427,39 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     return arr
 
 
+def _on_rows(kernel: Callable, *args) -> np.ndarray:
+    """A generated kernel of the model run on one state or on each row of a stack.
+
+    ``args`` are (n,) states, or (m, n) stacks, and then floats.  One state
+    runs in Python floats and gives an (n,) array.  Stacks run the same
+    code on their n contiguous (m,) columns, so that row r gets the bits of
+    its states alone, and give a C-ordered (m, n) array.  numpy's
+    floating-point warnings are off for a stack, as Python floats raise
+    none.
+    """
+    if args[0].ndim == 1:
+        return np.array(kernel(*(a.tolist() if isinstance(a, np.ndarray) else a for a in args)))
+    out = np.empty(args[0].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernel(*(list(np.ascontiguousarray(a.T)) if isinstance(a, np.ndarray) else a for a in args))
+    for column, value in zip(out.T, got):
+        column[...] = value
+    return out
+
+
 def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = None) -> np.ndarray:
     """Unchecked split field ``phi(y, z)``, for one state or a row stack.
 
     ``ys`` is one (n,) state, giving an (n,) result, or an (m, n) stack,
     whose row r is ``phi(ys[r], zs[r])``; ``zs`` has the rank of ``ys``.
-    A single state gets no stack axis: its term factors are gathered
-    with a plain index array, and its row equals row 0 of the (1, n)
-    call bit for bit.  Sums ``B(y, z)``, through the one-hot scatter
-    matrix, then ``(L/2)(y + z)``, then ``b``.  Without ``zs`` it is the
-    field ``f(y) = phi(y, y)``.
+    Both run the model's generated ``_phi_kernel`` (:func:`_on_rows`), with
+    no BLAS call, so a row of a stack has the bits of its state alone.
+    Without ``zs`` it is the field ``f(y) = phi(y, y)``.
     """
-    zs = ys if zs is None else zs
-    ti, tj, tk, tc = model._term_arrays
-    if ys.ndim == 1:
-        prods = tc * ys[tj] * zs[tk]
-    else:
-        prods = tc * ys[:, tj] * zs[:, tk]
-    out = prods @ model._scatter
-    out += 0.5 * ((ys + zs) @ model.linear.T)
-    out += model.constant
-    return out
+    phi = model._phi_kernel
+    if zs is None:
+        return _on_rows(lambda x: phi(x, x), ys)
+    return _on_rows(phi, ys, zs)
 
 
 def _jacobian_rows(model: MassActionModel, x: np.ndarray) -> np.ndarray:

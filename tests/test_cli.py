@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import nsfd
 from nsfd.analysis import observed_order
 from nsfd.cli import main
-from nsfd.integrator import integrate
+from nsfd.integrator import integrate, step_bound
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -1099,15 +1099,15 @@ def _blas_kernel_skip_reason():
     return None
 
 
-def _check_output_under_two_blas_kernels(*args):
+def _check_output_under_two_blas_kernels(*args, cores=("Haswell", "SkylakeX")):
     reason = _blas_kernel_skip_reason()
     if reason is not None:
         pytest.skip(reason)
     argv = (sys.executable, "-m", "nsfd", *args)
-    runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in ("Haswell", "SkylakeX")]
+    runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in cores]
     for done in runs:
         assert (done.returncode, done.stderr) == (0, "")
-    assert runs[0].stdout == runs[1].stdout
+    assert all(done.stdout == runs[0].stdout for done in runs)
 
 
 def test_invariance_output_does_not_depend_on_the_blas_kernel():
@@ -1128,6 +1128,34 @@ def test_simulate_output_does_not_depend_on_the_blas_kernel():
     # Haswell and d570efea... under SkylakeX.
     _check_output_under_two_blas_kernels(
         "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2000", "--precision", "17"
+    )
+
+
+# Sandybridge's kernels have no fused multiply-add, and Haswell's sum a
+# dot product with one: a field summed by BLAS differed between them.
+_FMA_AND_NOT = ("Haswell", "SkylakeX", "Sandybridge")
+
+
+def test_explicit_output_does_not_depend_on_the_blas_kernel():
+    # The field kernel sums each row of L x itself.  Through BLAS, these 201
+    # rows printed with md5 c0b9c6df... under Haswell and SkylakeX and
+    # 7ee2576f... under Sandybridge.
+    _check_output_under_two_blas_kernels(
+        "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "200",
+        "--scheme", "euler", cores=_FMA_AND_NOT,
+    )
+
+
+def test_order_output_does_not_depend_on_the_blas_kernel(tmp_path, sir_ring_30):
+    # Rows of the 30-state ring sum three bilinear terms and up to two L
+    # terms: the order's three runs, RK4 among them, make no BLAS call.
+    path = tmp_path / "ring.json"
+    path.write_text(dump_model(sir_ring_30))
+    h = 0.5 * step_bound(sir_ring_30).h_bar
+    x0 = ",".join(["3", "0.5", "1"] * 10)
+    _check_output_under_two_blas_kernels(
+        "order", "--model", str(path), "--x0", x0, "--t-final", repr(5 * h), "--h", repr(h), "--scheme", "rk4",
+        cores=_FMA_AND_NOT,
     )
 
 

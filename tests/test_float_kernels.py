@@ -1,12 +1,15 @@
-"""The compiled step of a small model, against the interpreted loops it replaced.
+"""The compiled kernels of a model, against the interpreted loops they replaced.
 
 A small model steps one state through straight-line code made from its
-elimination schedule (``linalg._Schedule.kernels``) and from its entry
-formulas (``MassActionModel._step_kernel``), in Python floats, and a
-stack of states through the same code on its (m,) columns.  The
-reference here is the loop form of the same step, over the same schedule
-tuples and term lists: every output must have its bits, signed zeros and
-errors included.
+elimination schedule (``linalg._Schedule.slack_pass`` and
+``linalg._Schedule.eliminate``) and from its entry formulas
+(``MassActionModel._step_kernel``), in Python floats, and a stack of
+states through the same code on its (m,) columns.  Every model evaluates
+its split field and the explicit Euler and RK4 steps through its
+generated ``_phi_kernel`` in the same two ways.  The reference here is
+the loop form of the same code, over the same schedule tuples and term
+lists: every output must have its bits, signed zeros and errors
+included.
 """
 
 import math
@@ -27,9 +30,10 @@ from nsfd.integrator import (
     step_forward,
     step_forward_batch,
 )
+from nsfd.integrator import _euler_rows, _explicit_code, _explicit_step, _rk4_rows
 from nsfd.invariance import invariance_audit
 from nsfd.linalg import PIVOT_RTOL, _check_condition, _schedule_of, _slack_parts
-from nsfd.model import BilinearTerm, Domain, MassActionModel
+from nsfd.model import BilinearTerm, Domain, MassActionModel, _phi_rows, eval_f, eval_phi
 from nsfd.models import HostVectorParameters, make_host_vector
 
 
@@ -156,6 +160,8 @@ def _small_steps(draw):
 # Column 1 overflows to -inf twice, so its slack is NaN, after column 0's 1.0.
 @example(step=(_model([[0.0, 1e300], [0.0, 1e300]]), np.ones(2)), h=1e10, backward=False)
 @example(step=(_OVERFLOWING, np.array([0.5])), h=0.5, backward=True)
+# h b_1 overflows, and the eliminated stack of 16 rows takes inf * 5e-324.
+@example(step=(_model([[0.0, 5e-324], [0.0, 0.0]], [0.0, 1e300]), np.zeros(2)), h=1e10, backward=False)
 def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
     model, x = step
     signed = -h if backward else h
@@ -163,7 +169,7 @@ def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
     mats, rhs, parts = _interpreted_system(model, x, signed)
     values = [mats[e] for e in model._schedule.pattern]
     assert _outcome(model._step_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
-    slack_pass, eliminate = model._schedule.kernels
+    slack_pass, eliminate = model._schedule.slack_pass, model._schedule.eliminate
     assert _outcome(slack_pass, values) == _outcome(lambda: parts[:2])
     assert _outcome(_slack_parts, values, model._schedule) == _outcome(lambda: parts)
     assert _outcome(eliminate, values, list(rhs)) == _outcome(_interpreted_eliminate, mats, rhs, model._schedule)
@@ -192,6 +198,93 @@ def test_the_compiled_step_keeps_the_bits_of_the_loops_on_the_built_ins(all_mode
             assert _outcome(step, model, x, h) == _outcome(_interpreted_step, model, x, sign * h), model.name
 
 
+def _chain(values):
+    """The sum of ``values`` from left to right, starting from the first."""
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
+
+
+def _interpreted_phi(model, y, z):
+    """The split field by loops: per row, its bilinear terms in term order, half its L sum in column order, b."""
+    out = []
+    for i, b in enumerate(model.constant.tolist()):
+        parts = [t.c * y[t.j] * z[t.k] for t in model.bilinear if t.i == i]
+        lin = [c * (y[j] + z[j]) for j, c in enumerate(model.linear[i].tolist()) if c]
+        if lin:
+            parts.append(0.5 * _chain(lin))
+        out.append(_chain([*parts, b]))
+    return out
+
+
+def _interpreted_steps(model, x, h):
+    """Euler's and RK4's step from x in numpy, as the formulas read, on the looped field."""
+
+    def f(u):
+        return np.array(_interpreted_phi(model, u.tolist(), u.tolist()))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(x)
+        k2 = f(x + (0.5 * h) * k1)
+        k3 = f(x + (0.5 * h) * k2)
+        k4 = f(x + h * k3)
+        return x + h * k1, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@st.composite
+def _small_fields(draw):
+    """A random model of one to four states and two states of it."""
+    model, y = draw(_small_steps())
+    return model, y, np.array(draw(st.lists(_values, min_size=model.n, max_size=model.n)))
+
+
+@seed(31)
+@given(field=_small_fields(), h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))))
+# Row 0 sums its terms to 1.0 in term order and to 1 + 2^-52 from the right.
+@example(
+    field=(_model([[0.0]], terms=((0, 0, 0, 1.0), (0, 0, 0, 2.0**-53), (0, 0, 0, 2.0**-53))), np.ones(1), np.ones(1)),
+    h=0.5,
+)
+def test_the_compiled_field_matches_the_interpreted_loop(field, h):
+    model, y, z = field
+    looped = _outcome(_interpreted_phi, model, y.tolist(), z.tolist())
+    assert _outcome(model._phi_kernel, y.tolist(), z.tolist()) == looped
+    assert _outcome(_phi_rows, model, y, z) == looped
+    assert eval_phi(model, y, y).tobytes() == eval_f(model, y).tobytes()
+    euler, rk4 = _interpreted_steps(model, y, h)
+    assert _outcome(_euler_rows, model, y, h) == euler.tobytes()
+    assert _outcome(_rk4_rows, model, y, h) == rk4.tobytes()
+    # The same code on the columns of a stack gives each row its bits alone.
+    ys, zs = np.tile(y, (3, 1)), np.tile(z, (3, 1))
+    assert _outcome(_phi_rows, model, ys, zs) == looped * 3
+    assert _outcome(_euler_rows, model, ys, h) == euler.tobytes() * 3
+    assert _outcome(_rk4_rows, model, ys, h) == rk4.tobytes() * 3
+
+
+def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_30, rng):
+    # Rows of S_p and I_p sum four bilinear terms here, and three in sir_network.
+    for model in (sir_network, sir_ring_30):
+        ys, zs = rng.uniform(0.0, 3.0, (2, 1000, model.n))
+        h = 0.5 * step_bound(model).h_bar
+        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _euler_rows(model, ys, h), _rk4_rows(model, ys, h))
+        for r, (y, z) in enumerate(zip(ys, zs)):
+            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _euler_rows(model, y, h), _rk4_rows(model, y, h))
+            assert [a.tobytes() for a in alone] == [s[r].tobytes() for s in stacks]
+
+
+def test_a_hub_row_of_thousands_of_terms_compiles(rng):
+    # Python 3.11 cannot compile a chain of 3,000 additions in one expression.
+    n = 64
+    factors = zip(*rng.integers(0, n, (2, 4000)).tolist(), rng.uniform(-1.0, 1.0, 4000).tolist())
+    terms = [(0, j, k, c) for j, k, c in factors]
+    linear = np.diag(np.full(n, -1.0))
+    linear[0] = rng.uniform(0.1, 1.0, n)
+    model = _model(linear, rng.uniform(0.0, 1.0, n).tolist(), terms)
+    y, z = rng.uniform(0.0, 1.0, (2, n)).tolist()
+    assert model._phi_kernel(y, z) == _interpreted_phi(model, y, z)
+
+
 @pytest.fixture
 def compiles(monkeypatch):
     """The sources compiled into kernels, counted at every module that binds the compiler."""
@@ -207,9 +300,16 @@ def compiles(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
-    # A schedule made by an earlier test may hold its kernels already.
+    # A schedule made by an earlier test may hold its kernels already, and
+    # so may the explicit steps of a dimension.
     _schedule_of.cache_clear()
+    _explicit_code.cache_clear()
     return sources
+
+
+def _names(sources):
+    """The name of the function that each compiled source defines first."""
+    return [source.split("(", 1)[0].removeprefix("def ") for source in sources]
 
 
 def test_the_first_step_of_a_small_model_compiles_its_kernels_once(compiles):
@@ -218,12 +318,20 @@ def test_the_first_step_of_a_small_model_compiles_its_kernels_once(compiles):
     xs = np.tile([4.0, 2.0, 3.0, 1.0, 1.0], (3, 1))
     assert compiles == []
     step_forward_batch(model, xs, h)
-    assert len(compiles) == 2
+    # A stack of 3 < 2 n^3 rows goes to LAPACK: no elimination yet.
+    assert _names(compiles) == ["step_system", "slack_pass"]
     step_backward_batch(model, xs, h)
     invariance_audit(model, h=h, trials=20, steps=5, seed=1)
     first = step_forward(model, xs[0], h)
     assert step_backward(model, first, h).tobytes() == _interpreted_step(model, first, -h).tobytes()
-    assert len(compiles) == 2
+    assert _names(compiles) == ["step_system", "slack_pass", "eliminate"]
+
+
+def test_a_stack_below_the_elimination_size_compiles_no_elimination(compiles, sir_ring_30):
+    # 100 rows are far below 2 n^3 = 54,000: the stack goes to LAPACK.
+    h = 0.5 * step_bound(sir_ring_30).h_bar
+    step_forward_batch(sir_ring_30, np.full((100, sir_ring_30.n), 0.5), h)
+    assert _names(compiles) == ["step_system", "slack_pass"]
 
 
 def test_a_model_past_the_cut_off_compiles_nothing(compiles, sir_ring_30):
@@ -241,4 +349,17 @@ def test_two_models_with_one_pattern_share_the_schedule_kernels(compiles):
     step_forward(b, x, 0.5)
     assert a._schedule is b._schedule
     assert a._step_kernel is not b._step_kernel
-    assert len(compiles) == 3
+    assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "step_system"]
+
+
+def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
+    # Each model compiles its own field; the steps that call it are shared.
+    a = make_host_vector()
+    b = make_host_vector(HostVectorParameters(p=0.07))
+    x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
+    for model in (a, b):
+        _rk4_rows(model, x, 0.1)
+        _euler_rows(model, np.tile(x, (3, 1)), 0.1)
+    assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
+    assert _rk4_rows(b, x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
+    assert _names(compiles) == ["rk4", "phi", "euler", "phi"]

@@ -230,7 +230,7 @@ def _eliminate(values, rhs, schedule):
     pattern entries, and ``rhs`` the (m, n) right-hand sides.
     """
     y = rhs.T.copy()
-    schedule.kernels[1](list(values.T.copy()), list(y))
+    schedule.eliminate(list(values.T.copy()), list(y))
     return y.T
 
 

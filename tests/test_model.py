@@ -210,8 +210,9 @@ def test_eval_phi_diagonal_equals_field(all_models, rng):
 
 
 def test_single_state_field_equals_the_one_row_stack(all_models, sir_network, rng):
-    # a vector takes the plain gather and vector products; the bits must
-    # be those of row 0 of the (1, n) stack, with and without a second slot
+    # a vector runs the field kernel on Python floats, a stack on its
+    # columns; the bits must be those of row 0 of the (1, n) stack, with and
+    # without a second slot
     for model in (*all_models, sir_network):
         for _ in range(50):
             scale = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -231,8 +232,9 @@ def test_eval_f_rejects_wrong_length(logistic):
 
 
 def test_slot_matrices_reproduce_bilinear_part(all_models, sir_network, rng):
-    # the slot matrices sum term by term, eval_phi through the cached
-    # scatter map; the two agree up to summation order
+    # the slot matrices sum term by term, and eval_phi each row's terms in
+    # term order in the model's generated field kernel; the two agree up to
+    # summation order
     for model in (*all_models, sir_network):
         ys = _random_states(model, rng, 10)
         zs = _random_states(model, rng, 10)
