@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -306,10 +307,15 @@ def _sum_code(terms: list[str], name: str) -> tuple[list[str], str]:
 
 
 def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
-    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan."""
+    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan.
+
+    Each function gets globals of its own, which do not hold it: in the
+    namespace it was made in, it would be in a reference cycle, and its
+    code would outlive its model until the cyclic garbage collector ran.
+    """
     namespace = {"inf": math.inf, "nan": math.nan}
     exec(compile(source, "<nsfd kernel>", "exec"), namespace)
-    return tuple(namespace[name] for name in names)
+    return tuple(FunctionType(namespace[name].__code__, {"inf": math.inf, "nan": math.nan}) for name in names)
 
 
 @functools.lru_cache(maxsize=8)

@@ -12,8 +12,10 @@ lists: every output must have its bits, signed zeros and errors
 included.
 """
 
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -363,3 +365,21 @@ def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
     assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
     assert _rk4_rows(b, x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
     assert _names(compiles) == ["rk4", "phi", "euler", "phi"]
+
+
+def test_the_kernels_of_a_model_are_freed_with_it():
+    # By reference counting alone: a kernel in a cycle with its own
+    # namespace would wait for the cyclic collector.
+    model = make_host_vector()
+    x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
+    step_forward(model, x, 0.5)
+    _rk4_rows(model, x, 0.1)
+    kernels = [weakref.ref(model.__dict__[name]) for name in ("_phi_kernel", "_step_kernel")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert [kernel() for kernel in kernels] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
