@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    LinAlgError, SingularMatrixError, _compile_kernels, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
+    LinAlgError, SingularMatrixError, _compile_kernels, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
 )
 from .model import (
     GeneralSplitSystem,
@@ -61,7 +61,6 @@ from .model import (
     _check_state,
     _jacobian_rows,
     _on_rows,
-    _unpack,
     eval_f,
     f_jacobian,
 )

@@ -271,7 +271,7 @@ class _Schedule:
         lines = [
             "def eliminate(v, y):",
             f"    {''.join(f'a{e}, ' for e in self.pattern)}= v",
-            f"    {''.join(f'y{i}, ' for i in range(self.n))}= y",
+            f"    {_unpack('y', self.n)}= y",
             *(f"    a{e} = 0.0" for e in self.fill),
         ]
         for mult, pivot, i, k, updates in self.forward:
@@ -283,6 +283,11 @@ class _Schedule:
             lines.append(f"    y{i} /= a{diag}")
         lines.append(f"    return [{', '.join(f'y{i}' for i in range(self.n))}]")
         return _compile_kernels("\n".join(lines), ("eliminate",))[0]
+
+
+def _unpack(name: str, n: int) -> str:
+    """The targets ``name0, name1, ..., `` that unpack n values in generated code."""
+    return "".join(f"{name}{i}, " for i in range(n))
 
 
 # The longest chain ``a + b + ...`` that a generated expression holds.

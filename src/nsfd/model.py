@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _Schedule, _compile_kernels, _schedule_of, _sum_code, is_metzler
+from .linalg import _Schedule, _compile_kernels, _schedule_of, _sum_code, _unpack, is_metzler
 
 __all__ = [
     "SpecError",
@@ -409,11 +409,6 @@ class MassActionModel:
             f"    return [{', '.join(rows)}]",
         ])
         return _compile_kernels(source, ("phi",))[0]
-
-
-def _unpack(name: str, n: int) -> str:
-    """The targets ``name0, name1, ..., `` that unpack n values in generated code."""
-    return "".join(f"{name}{i}, " for i in range(n))
 
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
