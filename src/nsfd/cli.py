@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
@@ -122,13 +123,17 @@ def _jsonable(value):
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    # text is one string or an iterable of them, each written as it is made.
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise SpecError(f"cannot write {out}: {exc}") from exc
 
@@ -192,15 +197,17 @@ def _cmd_simulate(args) -> int:
     traj = integrate(model, x0, h, steps, scheme=args.scheme)
     # "%.pg" % v prints v as f"{v:.{p}g}" does.  Each row is one % of a
     # format with its n + 1 fields, through tolist, so that the whole
-    # trajectory is never held as Python floats.  A % result may hold a
-    # third more memory than its length, so the rows are joined into blocks
-    # as they are made, and only the blocks, each at its exact size, last.
-    fmt = ",".join([f"%.{args.precision}g"] * (model.n + 1))
-    lines = ["t," + ",".join(model.labels)]
-    for k in range(0, len(traj.states), 1024):
-        rows = zip(traj.times[k : k + 1024], traj.states[k : k + 1024])
-        lines.append("\n".join([fmt % (t, *row.tolist()) for t, row in rows]))
-    _emit("\n".join(lines) + "\n", args.out)
+    # trajectory is never held as Python floats, nor as text: the rows are
+    # joined into blocks of 1024, each written as soon as it is made.
+    fmt = ",".join([f"%.{args.precision}g"] * (model.n + 1)) + "\n"
+
+    def blocks():
+        yield "t," + ",".join(model.labels) + "\n"
+        for k in range(0, len(traj.states), 1024):
+            rows = zip(traj.times[k : k + 1024], traj.states[k : k + 1024])
+            yield "".join([fmt % (t, *row.tolist()) for t, row in rows])
+
+    _emit(blocks(), args.out)
     return 0
 
 

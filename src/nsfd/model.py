@@ -78,8 +78,8 @@ def _finite_float(value, what: str) -> float:
     try:
         out = float(value)
     except OverflowError:
-        out = np.inf
-    if not np.isfinite(out):
+        out = math.inf
+    if not math.isfinite(out):
         raise SpecError(f"{what} must be finite, got {out!r}")
     return out
 
@@ -120,7 +120,6 @@ class Constraint:
 
     @cached_property
     def normal_array(self) -> np.ndarray:
-        # Cached, because Domain.margin reads it on every audit step.
         out = np.array(self.normal, dtype=float)
         out.setflags(write=False)
         return out
@@ -208,20 +207,41 @@ class Domain:
     def is_compact(self) -> bool:
         return all(self.nonnegative) and bool(np.all(np.isfinite(self.box_upper)))
 
+    @cached_property
+    def _cap_terms(self) -> tuple[tuple[float, tuple[tuple[int, float], ...]], ...]:
+        # Each cap's bound and the (j, u_j) of its normal's nonzero entries, in coordinate order.
+        return tuple(
+            (con.bound, tuple((j, u) for j, u in enumerate(con.normal) if u != 0.0))
+            for con in self.constraints
+        )
+
     def margin(self, x) -> float | np.ndarray:
         """Smallest slack of ``x`` against all facets (negative = outside).
 
         States stack on the leading axes of ``x``, one margin each; a
-        single state gives a float.
+        single state gives a float.  The facets are taken in order from the
+        state's columns, elementwise and with no BLAS call: a running
+        minimum of the flagged components, then of each cap's ``c - u . x``,
+        whose ``u . x`` sums ``u_j * x_j`` over the normal's nonzero entries
+        in coordinate order, ``x_j`` alone where ``u_j`` is 1.  A row of a
+        stack so has the bits of its state alone, and a NaN anywhere in a
+        slack gives a NaN margin.
         """
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape[:-1], np.inf)
-        for i, flag in enumerate(self.nonnegative):
-            if flag:
-                out = np.minimum(out, x[..., i])
-        for con in self.constraints:
-            out = np.minimum(out, con.bound - x @ con.normal_array)
-        return float(out) if out.ndim == 0 else out
+        # x.T puts the components first and reverses the leading axes, which out.T puts back.
+        cols = np.asarray(x, dtype=float).T
+        flagged = [cols[i] for i, flag in enumerate(self.nonnegative) if flag]
+        out = np.array(flagged[0]) if flagged else np.full(cols.shape[1:], np.inf)
+        # A sum that overflows, or meets infinities of both signs, is quiet, as in BLAS.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col in flagged[1:]:
+                np.minimum(out, col, out=out)
+            for bound, terms in self._cap_terms:
+                total = None
+                for j, u in terms:
+                    term = cols[j] if u == 1.0 else u * cols[j]
+                    total = term if total is None else total + term
+                np.minimum(out, bound - total, out=out)
+        return float(out) if out.ndim == 0 else out.T
 
     def contains(self, x, slack: float = 0.0) -> bool:
         return self.margin(x) >= -slack

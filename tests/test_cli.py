@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import importlib
 import io
 import json
@@ -223,6 +224,39 @@ def test_simulate_rows_across_the_blocks_format_each_value(tmp_path, capsys, hos
     assert code == 0
     expected = [",".join(format(float(v), f".{p}g") for v in (t, *row)) for t, row in zip(traj.times, traj.states)]
     assert target.read_text().split("\n") == ["t,S_v,I_v,S,I,R", *expected, ""]
+
+
+@pytest.mark.parametrize(
+    "p, digest", [(17, "b162c93473622a4fdff5f2ab0d9c16ca"), (3, "b8bfe67a735c531451be297f1db635f8")]
+)
+def test_simulate_written_block_by_block_prints_the_whole_text(tmp_path, capsys, host_vector, p, digest):
+    # 2,100 rows go out in three blocks, to stdout and to --out alike; the
+    # digests are those of the text when it was joined whole and written once
+    argv = ["simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2099",
+            "--precision", str(p)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    traj = integrate(host_vector, np.array([4.0, 2.0, 3.0, 1.0, 1.0]), 0.5, 2099)
+    rows = [",".join(format(float(v), f".{p}g") for v in (t, *row)) for t, row in zip(traj.times, traj.states)]
+    assert out == "\n".join(["t,S_v,I_v,S,I,R", *rows]) + "\n"
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+    target = tmp_path / "traj.csv"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
+@pytest.mark.parametrize("where", ["missing", "full"])
+def test_simulate_that_cannot_write_its_blocks_says_so(tmp_path, capsys, where):
+    # a file that cannot be opened, or a device that fails the writes of the blocks
+    target = tmp_path / "missing" / "traj.csv" if where == "missing" else Path("/dev/full")
+    if where == "full" and not target.exists():
+        pytest.skip("no /dev/full")
+    code, out, err = run_cli(
+        capsys, "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2099",
+        "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_simulate_header_uses_model_labels(capsys):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
+from nsfd import invariance
 from nsfd.integrator import (
     _rk4_rows,
     step_backward,
@@ -745,6 +747,119 @@ def test_audit_matches_the_gathered_loop_on_overflow(logistic):
         assert rep.worst_margin == -np.inf
         assert rep.exit_count == trials
         assert len(rep.exits) == min(trials, MAX_STORED_EXITS)
+
+
+def _full_scan_audit(dom, stacks):
+    """The audit's bookkeeping over given stacks, with the full scan on every step.
+
+    This is the scan as it was before its fast path.  stacks[0] is the
+    start, and the live stack of step k is the first rows of stacks[k],
+    as many as are live.  Returns (exits, exit_count, worst_margin,
+    worst_trial, worst_step).
+    """
+    xs, ids = stacks[0], np.arange(len(stacks[0]))
+    exits, exit_count = [], 0
+    worst_margin, worst_trial, worst_step = np.inf, -1, -1
+    for step, stack in enumerate(stacks):
+        xs = stack[: len(xs)]
+        margins = dom.margin(xs)
+        size = np.abs(xs[:, 0])
+        for col in xs.T[1:]:
+            np.maximum(size, np.abs(col), out=size)
+        if not (np.isfinite(margins).all() and np.isfinite(size).all()):
+            finite = np.isfinite(xs).all(axis=1) & np.isfinite(margins)
+            margins = np.where(finite, margins, -np.inf)
+            size = np.abs(np.where(np.isfinite(xs), xs, 0.0)).max(axis=1)
+        j = int(np.argmin(margins))
+        if margins[j] < worst_margin:
+            worst_margin, worst_trial, worst_step = float(margins[j]), int(ids[j]), step
+        out = margins < -(MEMBERSHIP_SLACK * (1.0 + size))
+        if out.any():
+            rows = np.flatnonzero(out)[: MAX_STORED_EXITS - len(exits)]
+            exits += [(trial, step, m) for trial, m in zip(ids[rows].tolist(), margins[rows].tolist())]
+            exit_count += int(np.count_nonzero(out))
+            xs, ids = xs[~out], ids[~out]
+            if not ids.size:
+                break
+    return tuple(exits), exit_count, worst_margin, worst_trial, worst_step
+
+
+def _scanned_audit(dom, stacks):
+    """invariance_audit's report when its start and its steps are the first live rows of the stacks."""
+    later = iter(stacks[1:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariance, "sample_interior", lambda domain, count, seed: stacks[0])
+        patch.setattr(invariance, "_euler_rows", lambda model, xs, h: next(later)[: len(xs)])
+        return invariance_audit(
+            types.SimpleNamespace(domain=dom), h=1.0, trials=len(stacks[0]), steps=len(stacks) - 1, scheme="euler"
+        )
+
+
+# Entry kinds of the scan cases: inside the box, within 2 MEMBERSHIP_SLACK
+# of 0, far outside, NaN, +inf, -inf.
+_SCAN_KINDS = 6
+
+
+def _scan_case(normals, bounds, trials, steps, weights, draw_seed):
+    """A compact domain and stacks of (trials, n) states whose entries mix the kinds by weight."""
+    n = len(normals[0])
+    dom = Domain(nonnegative=(True,) * n, constraints=tuple(Constraint(u, c) for u, c in zip(normals, bounds)))
+    rng = np.random.default_rng(draw_seed)
+    shape = (steps + 1, trials, n)
+    kinds = rng.choice(_SCAN_KINDS, size=shape, p=np.array(weights) / sum(weights))
+    values = [
+        rng.random(shape) * dom.box_upper / n,
+        rng.integers(-4, 5, size=shape) * (MEMBERSHIP_SLACK / 2),
+        -1.0 - rng.random(shape),
+        np.full(shape, np.nan),
+        np.full(shape, np.inf),
+        np.full(shape, -np.inf),
+    ]
+    return dom, np.choose(kinds, values)
+
+
+@st.composite
+def _scan_specs(draw):
+    n = draw(st.integers(1, 4))
+    # The first cap covers every coordinate, so the domain is compact.
+    entry = st.sampled_from([0.5, 1.0, 2.0])
+    normals = [draw(st.lists(entry, min_size=n, max_size=n))]
+    normals += draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, 0.3, -0.5]), min_size=n, max_size=n).filter(
+        lambda u: any(u)), max_size=2))
+    bounds = draw(st.lists(st.floats(0.5, 4.0), min_size=len(normals), max_size=len(normals)))
+    weights = draw(st.lists(st.integers(0, 6), min_size=_SCAN_KINDS, max_size=_SCAN_KINDS).filter(lambda w: w[0]))
+    return normals, bounds, draw(st.integers(1, 250)), draw(st.integers(0, 5)), weights, draw(st.integers(0, 2**32 - 1))
+
+
+@seed(37)
+@given(_scan_specs())
+def test_the_fast_scan_matches_the_full_scan(spec):
+    dom, stacks = _scan_case(*spec)
+    rep = _scanned_audit(dom, stacks)
+    assert (rep.exits, rep.exit_count, rep.worst_margin, rep.worst_trial, rep.worst_step) == _full_scan_audit(
+        dom, stacks
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, covered",
+    [
+        # mostly inside, with margins within 2 MEMBERSHIP_SLACK of 0
+        ((60, 40, 0, 0, 0, 0), lambda rep, stacks: rep.exit_count > 0 and rep.worst_margin > -1.0),
+        # NaN and infinite entries
+        ((80, 0, 0, 5, 5, 5), lambda rep, stacks: rep.worst_margin == -np.inf and np.isnan(stacks).any()),
+        # more exits than are stored
+        ((85, 5, 10, 0, 0, 0), lambda rep, stacks: rep.exit_count > MAX_STORED_EXITS),
+    ],
+)
+def test_the_fast_scan_matches_the_full_scan_on_each_kind_of_row(weights, covered):
+    normals = [(1.0, 1.0, 0.5), (0.0, 1.0, 1.0)]
+    dom, stacks = _scan_case(normals, [2.0, 1.5], 250, 5, weights, 11)
+    rep = _scanned_audit(dom, stacks)
+    assert covered(rep, stacks)
+    assert (rep.exits, rep.exit_count, rep.worst_margin, rep.worst_trial, rep.worst_step) == _full_scan_audit(
+        dom, stacks
+    )
 
 
 def test_audit_rejects_unknown_scheme(host_vector):

@@ -1,6 +1,7 @@
 """Model containers, field evaluation, structural checks, JSON round trips."""
 
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -65,6 +66,53 @@ def test_domain_margin_hand_values(host_vector):
     # states stacked on the leading axis get one margin each
     stacked = dom.margin(np.stack([x, on_face, outside]))
     assert np.allclose(stacked, [0.5, 0.0, -1.0], rtol=0, atol=1e-15)
+
+
+def _margin_reference(dom, x):
+    # the smallest slack of one state, in Python floats: each cap's u . x
+    # is its coordinates' sum in coordinate order, for 0/1 normals
+    slacks = [x[i] for i, flag in enumerate(dom.nonnegative) if flag]
+    for con in dom.constraints:
+        slacks.append(con.bound - functools.reduce(operator.add, [x[j] for j, u in enumerate(con.normal) if u]))
+    return min(slacks, default=math.inf)
+
+
+@st.composite
+def _zero_one_domains_and_stacks(draw):
+    n = draw(st.integers(1, 6))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    normals = draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n).filter(any), max_size=3))
+    caps = tuple(Constraint(tuple(u), draw(st.floats(0.5, 100.0))) for u in normals)
+    # No zero entries: which of two equal zeros a minimum keeps is left to numpy.
+    value = st.floats(-1e300, 1e300).filter(lambda v: v != 0.0)
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=5))
+    return Domain(nonnegative=tuple(flags), constraints=caps), np.array(rows)
+
+
+@seed(23)
+@given(_zero_one_domains_and_stacks())
+def test_domain_margin_matches_python_floats_bit_for_bit(case):
+    dom, xs = case
+    expected = [_margin_reference(dom, row.tolist()) for row in xs]
+    for row, want in zip(xs, expected):
+        got = dom.margin(row)
+        assert type(got) is float
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+    for stack in (xs, np.asfortranarray(xs), xs[:, None, :]):
+        got = dom.margin(stack)
+        assert got.shape == stack.shape[:-1]
+        assert np.array_equal(got.ravel(), expected)
+        assert np.array_equal(np.signbit(got.ravel()), np.signbit(expected))
+
+
+def test_domain_margin_of_a_stack_is_a_new_array():
+    dom = Domain(nonnegative=(True, False))
+    xs = np.array([[1.0, 5.0], [2.0, 6.0]])
+    out = dom.margin(xs)
+    assert not np.shares_memory(out, xs)
+    out[0] = -1.0
+    assert xs[0, 0] == 1.0
+    assert np.array_equal(Domain(nonnegative=(False, False)).margin(xs), [np.inf, np.inf])
 
 
 def test_domain_contains_uses_slack(host_vector):
