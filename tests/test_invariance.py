@@ -784,15 +784,22 @@ def _full_scan_audit(dom, stacks):
     return tuple(exits), exit_count, worst_margin, worst_trial, worst_step
 
 
-def _scanned_audit(dom, stacks):
-    """invariance_audit's report when its start and its steps are the first live rows of the stacks."""
+def _check_scan(dom, stacks):
+    """invariance_audit's report when its start and its steps are the first live rows of the stacks.
+
+    The report must agree with :func:`_full_scan_audit` over the same stacks.
+    """
     later = iter(stacks[1:])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariance, "sample_interior", lambda domain, count, seed: stacks[0])
         patch.setattr(invariance, "_euler_rows", lambda model, xs, h: next(later)[: len(xs)])
-        return invariance_audit(
+        rep = invariance_audit(
             types.SimpleNamespace(domain=dom), h=1.0, trials=len(stacks[0]), steps=len(stacks) - 1, scheme="euler"
         )
+    assert (rep.exits, rep.exit_count, rep.worst_margin, rep.worst_trial, rep.worst_step) == _full_scan_audit(
+        dom, stacks
+    )
+    return rep
 
 
 # Entry kinds of the scan cases: inside the box, within 2 MEMBERSHIP_SLACK
@@ -834,11 +841,7 @@ def _scan_specs(draw):
 @seed(37)
 @given(_scan_specs())
 def test_the_fast_scan_matches_the_full_scan(spec):
-    dom, stacks = _scan_case(*spec)
-    rep = _scanned_audit(dom, stacks)
-    assert (rep.exits, rep.exit_count, rep.worst_margin, rep.worst_trial, rep.worst_step) == _full_scan_audit(
-        dom, stacks
-    )
+    _check_scan(*_scan_case(*spec))
 
 
 @pytest.mark.parametrize(
@@ -855,11 +858,7 @@ def test_the_fast_scan_matches_the_full_scan(spec):
 def test_the_fast_scan_matches_the_full_scan_on_each_kind_of_row(weights, covered):
     normals = [(1.0, 1.0, 0.5), (0.0, 1.0, 1.0)]
     dom, stacks = _scan_case(normals, [2.0, 1.5], 250, 5, weights, 11)
-    rep = _scanned_audit(dom, stacks)
-    assert covered(rep, stacks)
-    assert (rep.exits, rep.exit_count, rep.worst_margin, rep.worst_trial, rep.worst_step) == _full_scan_audit(
-        dom, stacks
-    )
+    assert covered(_check_scan(dom, stacks), stacks)
 
 
 def test_audit_rejects_unknown_scheme(host_vector):
