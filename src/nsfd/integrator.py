@@ -12,32 +12,34 @@ turns each step into one linear solve:
     (I - h S(x)) x' = (I + (h/2) L) x + h b
 
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
-the same system at -h.  One generated kernel assembles it, for every
-step of a small model and for every stack (:func:`_pattern_system`):
-the model's ``_step_kernel``, compiled on its first such step, gives the
-values of the entries of ``I - h S(x)`` that can be nonzero and the
-right-hand side, on the n Python floats of one state or on the n (m,)
-columns of a stack, with the same operations in the same order, so a
-row of a stack has the bits of its state stepped alone.  A model is
+the same system at -h.  The entries of ``I - h S(x)`` that can be
+nonzero are encoded once, as the model's ``_entry_terms``, and one
+generated kernel assembles the system from them, for every step of a
+small model and for every stack (:func:`_pattern_system`): the model's
+``_step_kernel``, compiled on its first such step, gives their values
+and the right-hand side, on the n Python floats of one state or on the n
+(m,) columns of a stack, with the same operations in the same order, so
+a row of a stack has the bits of its state stepped alone.  A model is
 small when the elimination schedule of its pattern (``model._schedule``)
 makes at most FLOAT_STEP_MAX_OPS operations; a single state of a larger
-model is assembled in numpy (:func:`_step_system`).  A batch with one
-step size shares it as a float.  The step checks that the system is
-strictly column diagonally dominant, from the step's one ``abs`` pass
-over the matrices, and the solve guard certifies from the same pass
-instead of making its own; the failing row and column are worked out
-only when the check fails.  Both solve matrices are dominant, hence
-safely invertible, for every state in the domain box whenever h stays
-below the bound computed by :func:`step_bound`.  Batch states must be
-finite, as scalar ones are.
+model makes the kernel's operations on numpy arrays
+(:func:`_step_system`), and gets its bits.  No assembly calls BLAS.  A
+batch with one step size shares it as a float.  The step checks that the
+system is strictly column diagonally dominant, from the step's one
+``abs`` pass over the matrices, and the solve guard certifies from the
+same pass instead of making its own; the failing row and column are
+worked out only when the check fails.  Both solve matrices are dominant,
+hence safely invertible, for every state in the domain box whenever h
+stays below the bound computed by :func:`step_bound`.  Batch states must
+be finite, as scalar ones are.
 
 The explicit comparison schemes, Euler and RK4, run generated steps
-(:func:`_explicit_code`, shared by the models of one dimension) that call
-the model's field kernel ``_phi_kernel``: :func:`integrate` steps one
-state in Python floats, and the audit a stack on its (m,) columns
-(:func:`_euler_rows`, :func:`_rk4_rows`), with no BLAS call and the same
-bits per row.  The trapezoidal scheme is a general split system, solved
-by damped Newton.
+(:func:`_explicit_code`, shared by the models of one dimension) that
+call the model's field kernel ``_phi_kernel``: :func:`integrate` steps
+one state in Python floats, and the audit a stack on its (m,) columns
+(``model._on_rows`` of :func:`_explicit_step`), with no BLAS call and
+the same bits per row.  The trapezoidal scheme is a general split
+system, solved by damped Newton.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from .model import (
     MassActionModel,
     SpecError,
     _check_state,
-    _jacobian_rows,
+    _jacobian_entries,
+    _on_pattern,
     _on_rows,
     eval_f,
     f_jacobian,
@@ -192,20 +195,22 @@ def _step_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[np.nd
     """Solve matrix ``I - h S(x)``, right-hand side ``(I + (h/2) L) x + h b`` and slacks, in numpy.
 
     For one (n,) state with a signed float ``h``; the backward step is the
-    system at -h.  The matrix is built from the field Jacobian and ``L x``
-    by a matrix product.  The dominance check (:func:`_check_dominance`)
+    system at -h.  It makes the operations of the model's ``_step_kernel``
+    on arrays, with no BLAS call: ``base - value * 0.5 * h`` at each entry
+    of ``_entry_terms``, with the value of ``_jacobian_entries``, and
+    ``s * (0.5 h) + x + h b + 0.0``, with ``s`` summed from 0.0 over each
+    row of L in column order.  numpy's floating-point warnings are off, as
+    Python floats raise none.  The dominance check (:func:`_check_dominance`)
     reads one ``abs`` pass over the matrix (``linalg._slack_parts``), and
-    the same parts go on to the solve guard, which certifies from them
-    instead of a second pass.
+    the same parts go on to the solve guard, which certifies from them.
     """
-    mats = model._identity - h * (0.5 * _jacobian_rows(model, x))
-    parts = _slack_parts(mats)
+    *_, base, _ = model._entry_arrays
+    rows, cols, lin = model._linear_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _on_pattern(model, base - _jacobian_entries(model, x) * 0.5 * h)
+        rhs = np.bincount(rows, x[cols] * lin, model.n) * (0.5 * h) + x + h * model.constant + 0.0
+        parts = _slack_parts(mats)
     _check_dominance(model, parts, h)
-    rhs = x @ model.linear.T
-    rhs *= 0.5 * h
-    rhs += x
-    rhs += h * model.constant
-    rhs += 0.0
     return mats, rhs, parts
 
 
@@ -509,24 +514,6 @@ def _explicit_code(scheme: str, n: int) -> CodeType:
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
     """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': :func:`_explicit_code` with the model's field."""
     return FunctionType(_explicit_code(scheme, model.n), {"phi": model._phi_kernel})
-
-
-def _euler_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
-    """One explicit Euler step ``x + h f(x)`` of size h, unchecked.
-
-    ``xs`` is one (n,) state or an (m, n) stack stepped row by row
-    (``model._on_rows``); the result has its rank.
-    """
-    return _on_rows(_explicit_step(model, "euler"), xs, h)
-
-
-def _rk4_rows(model: MassActionModel, xs: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4-stage explicit step of size h, unchecked.
-
-    ``xs`` is one (n,) state or an (m, n) stack stepped row by row
-    (``model._on_rows``); the result has its rank.
-    """
-    return _on_rows(_explicit_step(model, "rk4"), xs, h)
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:

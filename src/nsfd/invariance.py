@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import _check_h, _euler_rows, _rk4_rows, step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, _phi_rows, _tight_box
+from .integrator import _check_h, _explicit_step, step_backward_batch, step_bound, step_forward_batch
+from .model import Domain, MassActionModel, SpecError, _on_rows, _phi_rows, _tight_box
 
 __all__ = [
     "Facet",
@@ -440,14 +440,10 @@ def invariance_audit(
     exits: list[tuple[int, int, float]] = []
     exit_count = 0
     worst_margin, worst_trial, worst_step = np.inf, -1, -1
+    explicit = None if scheme == "nsfd" else _explicit_step(model, scheme)
     for step in range(steps + 1):
         if step:
-            if scheme == "nsfd":
-                xs = step_forward_batch(model, xs, h)
-            elif scheme == "euler":
-                xs = _euler_rows(model, xs, h)
-            else:
-                xs = _rk4_rows(model, xs, h)
+            xs = step_forward_batch(model, xs, h) if explicit is None else _on_rows(explicit, xs, h)
         margins = dom.margin(xs)
         j = int(np.argmin(margins))
         out = None

@@ -8,7 +8,7 @@ systems need no pivoting, and two kinds of them are solved by Gaussian
 elimination without it instead, over an elimination schedule
 (:class:`_Schedule`) that leaves out the operations on entries that
 stay zero: the one system of a small model's step, and a stack of at
-least ``2 n^3`` such systems.  Both run the same straight-line code,
+least ``2 n^3`` such systems from the integrator's step.  Both run the same straight-line code,
 compiled once per schedule (``_Schedule.slack_pass`` and
 ``_Schedule.eliminate``, each on its first use): on Python floats for
 one system, and on the stack's (m,) columns, one elementwise operation
@@ -125,11 +125,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
     ``schedule``, ``a`` is the (m, p) stack of the values of its pattern
     entries and ``b`` an (m, n) stack, each the transpose of a contiguous
     array that the caller made for this solve and that the elimination
-    works in.  A stack of at least ``2 n^3`` strictly column dominant
-    systems is solved by the compiled ``eliminate`` of ``schedule``, or of
-    the full pattern on copies when it is None, one elementwise operation
-    over the stack's (m,) columns at a time; every other system or stack
-    goes to one LAPACK ``gesv`` call.  On strictly column dominant
+    works in.  Such a stack of at least ``2 n^3`` strictly column dominant
+    systems is solved by the compiled ``eliminate`` of ``schedule``, one
+    elementwise operation over the stack's (m,) columns at a time; every
+    other system or stack goes to one LAPACK ``gesv`` call.  On strictly column dominant
     systems partial pivoting would never swap rows, every multiplier is
     at most 1 in size and the growth factor at most 2 (Golub & Van Loan,
     *Matrix Computations*, 4th ed., Thm 3.4.3), so the elimination is as
@@ -155,10 +154,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
     # The elimination makes about 2 n^3 / 3 ufunc calls over the stack and
     # LAPACK one call per matrix: timed for n from 1 to 30 and m from 10 to
     # 4000, the elimination was the faster from m = 2 n^3 on at every point.
-    if smin > 0.0 and m >= 2 * n**3:
-        if schedule is None:
-            schedule = _schedule_of(n, tuple(range(n * n)))
-            a, b = a.reshape(m, n * n).T.copy().T, b.T.copy().T
+    if schedule is not None and smin > 0.0 and m >= 2 * n**3:
         # Python floats raise no warning, nor do their columns: a non-finite
         # system that the guard passed solves to the single step's values.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -325,11 +321,7 @@ def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _schedule_of(n: int, pattern: tuple[int, ...]) -> _Schedule:
-    """The :class:`_Schedule` of a pattern, made once for all the models and stacks that have it.
-
-    A stack with no known pattern gets the full one, ``range(n * n)``,
-    whose schedule is the dense loop.
-    """
+    """The :class:`_Schedule` of a pattern, made once for all the models that have it."""
     return _Schedule(n, pattern)
 
 
@@ -418,16 +410,15 @@ def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
     """Solve a stack of square systems ``a[m] @ x[m] = rhs[m]``.
 
     One pass over the whole stack, so that audits over thousands of
-    states cost no Python loop over them.  A stack of at least ``2 n^3``
-    strictly column dominant systems is solved by elimination without
-    pivoting, which such systems never need, one elementwise operation
-    per entry across the stack; any other stack goes to one stacked
-    LAPACK ``gesv`` call.  ``a`` and ``rhs`` are left unchanged.
-    ``_parts`` is private, as in :func:`lu_solve`, and so is
-    ``_schedule``: with it, ``a`` is the integrator's (m, p) stack of the
-    values of that :class:`_Schedule`'s pattern entries and ``rhs`` its
-    (m, n) right-hand sides, both made for this solve, which works in
-    them.
+    states cost no Python loop over them: one stacked LAPACK ``gesv``
+    call, and ``a`` and ``rhs`` are left unchanged.  ``_parts`` is
+    private, as in :func:`lu_solve`, and so is ``_schedule``: with it,
+    ``a`` is the integrator's (m, p) stack of the values of that
+    :class:`_Schedule`'s pattern entries and ``rhs`` its (m, n)
+    right-hand sides, both made for this solve, which works in them; a
+    stack of at least ``2 n^3`` strictly column dominant systems is then
+    solved by elimination without pivoting, which such systems never
+    need, one elementwise operation per entry across the stack.
 
     Parameters
     ----------

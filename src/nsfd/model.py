@@ -13,7 +13,10 @@ The two matrix views of B,
     Q(z)[i, j] = sum over terms (i, j, k, c) of c * z[k]
 
 satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
-``P(x) + Q(x) + L``.
+``P(x) + Q(x) + L``.  Its entries are encoded once, from the term list
+(``MassActionModel._entry_terms``): the step's kernel and the numpy sums
+of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
+BLAS call.
 
 The field is evaluated by generated code, compiled for each model on its
 first use: ``phi`` as straight-line Python over the term list, the
@@ -304,8 +307,8 @@ class MassActionModel:
         if not isinstance(self.name, str) or not self.name:
             raise SpecError("model name must be a nonempty string")
 
-    # Term index arrays for the slot matrices and the Jacobian map; cached
-    # because the model is immutable.
+    # Term index arrays for the slot matrices; cached because the model is
+    # immutable.
     @cached_property
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         ti = np.array([t.i for t in self.bilinear], dtype=np.intp)
@@ -314,57 +317,63 @@ class MassActionModel:
         tc = np.array([t.c for t in self.bilinear], dtype=float)
         return ti, tj, tk, tc
 
+    # The flat entries of P(x) + Q(x) that some term touches, each with the
+    # coefficient c_j of every coordinate j that it reads, so that its value
+    # is the sum of x_j * c_j; every other entry is zero.  Each c_j sums
+    # from 0.0, first the P contributions c of the terms (i, j, k, c) to
+    # entry (i, k) in term order, then their Q contributions to (i, j) at
+    # k.  An entry whose coefficients cancel stays.
     @cached_property
-    def _identity(self) -> np.ndarray:
-        # Read-only, because every step of this model shares it.
-        eye = np.eye(self.n)
-        eye.setflags(write=False)
-        return eye
+    def _pq_map(self) -> dict[int, dict[int, float]]:
+        pq: dict[int, dict[int, float]] = {}
+        n, terms = self.n, self.bilinear
+        for e, j, c in [(t.i * n + t.k, t.j, t.c) for t in terms] + [(t.i * n + t.j, t.k, t.c) for t in terms]:
+            coefs = pq.setdefault(e, {})
+            coefs[j] = coefs.get(j, 0.0) + c
+        return pq
 
-    @cached_property
-    def _pq_map(self) -> tuple[np.ndarray, np.ndarray]:
-        # (entries, G): the flat entries of P(x) + Q(x) that some term
-        # touches, and the (n, len(entries)) map with x @ G their values;
-        # every other entry is zero.  Keeping only touched entries holds G
-        # at n by at most 2 * terms instead of n by n^2.  A dict numbers
-        # them because np.unique's first call costs about 1 MB of memory.
-        ti, tj, tk, tc = self._term_arrays
-        cols: dict[int, int] = {}
-        flat = np.concatenate([ti * self.n + tk, ti * self.n + tj]).tolist()
-        col = np.array([cols.setdefault(e, len(cols)) for e in flat], dtype=np.intp)
-        g = np.zeros((self.n, len(cols)))
-        np.add.at(g, (np.concatenate([tj, tk]), col), np.concatenate([tc, tc]))
-        return np.array(list(cols), dtype=np.intp), g
-
-    # The elimination schedule of I - h S(x), made on the first step, not
-    # with the model.  Its pattern, the entries that can be nonzero, is
-    # the diagonal, the nonzeros of L and the entries of _pq_map; a set
-    # joins them, as np.union1d's first call costs about 1 MB of memory.
-    @cached_property
-    def _schedule(self) -> _Schedule:
-        n = self.n
-        pattern = set(range(0, n * n, n + 1)).union(np.flatnonzero(self.linear).tolist(), self._pq_map[0].tolist())
-        return _schedule_of(n, tuple(sorted(pattern)))
-
-    # The schedule's pattern, row by row, for the step of one state in
-    # Python floats: each entry is (flat entry, its identity entry, its L
-    # entry, its (j, G[j]) terms), so that the sum of x[j] * G[j] over the
-    # terms is its P(x) + Q(x) value.
+    # The one encoding of S(x): the entries of I - h S(x) that can be
+    # nonzero, in order (the diagonal, the nonzeros of L and the entries of
+    # _pq_map, joined by a set, as np.union1d's first call costs about 1 MB
+    # of memory), each as (flat entry, its identity entry, its L entry, its
+    # (j, c_j) terms of _pq_map with c_j != 0 in coordinate order), so that
+    # x_j * c_j summed over the terms is its P(x) + Q(x) value.
     @cached_property
     def _entry_terms(self) -> tuple[tuple[int, float, float, tuple[tuple[int, float], ...]], ...]:
-        entries, g = self._pq_map
-        cols = dict(zip(entries.tolist(), g.T.tolist()))
-        eye, lin = self._identity.ravel().tolist(), self.linear.ravel().tolist()
+        n, lin, pq = self.n, self.linear.ravel().tolist(), self._pq_map
+        pattern = sorted(set(range(0, n * n, n + 1)).union(np.flatnonzero(self.linear).tolist(), pq))
         return tuple(
-            (e, eye[e], lin[e], tuple((j, c) for j, c in enumerate(cols.get(e, ())) if c))
-            for e in self._schedule.pattern
+            (e, float(e % (n + 1) == 0), lin[e], tuple((j, c) for j, c in sorted(pq.get(e, {}).items()) if c))
+            for e in pattern
         )
+
+    # The elimination schedule of the entries of _entry_terms, made on the
+    # first step of a small model or of a stack, not with the model.
+    @cached_property
+    def _schedule(self) -> _Schedule:
+        return _schedule_of(self.n, tuple(e for e, *_ in self._entry_terms))
+
+    # _entry_terms in numpy, for the sums of _jacobian_entries: the pattern
+    # position, coordinate and coefficient of every term, entry by entry,
+    # then each entry's flat index, identity and L values.
+    @cached_property
+    def _entry_arrays(self) -> tuple[np.ndarray, ...]:
+        terms = [(p, j, c) for p, (*_, entry) in enumerate(self._entry_terms) for j, c in entry]
+        pos, var, coef = np.array(terms, dtype=float).reshape(-1, 3).T
+        entries, base, lin = np.array([entry[:3] for entry in self._entry_terms]).T
+        return pos.astype(np.intp), var.astype(np.intp), coef, entries.astype(np.intp), base, lin
 
     # Row i of L as its (j, L[i, j]) nonzeros in column order: the right-hand
     # side of a step sums L x over them.
     @cached_property
     def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.linear.tolist())
+
+    # _linear_rows in numpy: the row, column and value of every nonzero of L, row by row.
+    @cached_property
+    def _linear_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, cols = np.nonzero(self.linear)
+        return rows, cols, self.linear[rows, cols]
 
     # The step system of one state in Python floats or of a stack in (m,)
     # columns, compiled on its first step: step_system(x, h), for n values
@@ -477,18 +486,24 @@ def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = No
     return _on_rows(phi, ys, zs)
 
 
-def _jacobian_rows(model: MassActionModel, x: np.ndarray) -> np.ndarray:
-    """Unchecked field Jacobians ``P(x) + Q(x) + L``.
+def _jacobian_entries(model: MassActionModel, x: np.ndarray) -> np.ndarray:
+    """Unchecked values of the field Jacobian ``P(x) + Q(x) + L`` of one (n,) state at the entries of ``_entry_terms``.
 
-    One (n, n) matrix for an (n,) state, an (m, n, n) stack for the rows
-    of an (m, n) array.  The touched entries are scattered through the
-    transposed views, which index the entry axis first for either rank.
+    Each entry sums ``x_j * c_j`` over its ``_entry_terms`` from 0.0, in
+    coordinate order, then adds its L value: the sums of ``_step_kernel``,
+    made by ``np.bincount``, which adds its weights one by one in their
+    order, with no BLAS call.  Callers turn numpy's floating-point warnings
+    off, as Python floats raise none.
     """
-    entries, g = model._pq_map
-    n = model.n
-    out = np.zeros(x.shape[:-1] + (n * n,))
-    out.T[entries] = (x @ g).T
-    return out.reshape(x.shape[:-1] + (n, n)) + model.linear
+    pos, var, coef, _, _, lin = model._entry_arrays
+    return np.bincount(pos, x[var] * coef, len(lin)) + lin
+
+
+def _on_pattern(model: MassActionModel, values: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix with ``values`` at the entries of ``model._entry_terms``, in order, and zeros elsewhere."""
+    out = np.zeros(model.n * model.n)
+    out[model._entry_arrays[3]] = values
+    return out.reshape(model.n, model.n)
 
 
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
@@ -527,8 +542,13 @@ def assemble_Q(model: MassActionModel, z) -> np.ndarray:
 
 
 def f_jacobian(model: MassActionModel, x) -> np.ndarray:
-    """Analytic field Jacobian ``P(x) + Q(x) + L``."""
-    return _jacobian_rows(model, _check_state(model, x))
+    """Analytic field Jacobian ``P(x) + Q(x) + L``, from :func:`_jacobian_entries`.
+
+    A sum that overflows, or meets infinities of both signs, is quiet.
+    """
+    x = _check_state(model, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _on_pattern(model, _jacobian_entries(model, x))
 
 
 @dataclass(frozen=True)

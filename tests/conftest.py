@@ -109,3 +109,52 @@ def sir_ring_30(metapop_sir):
     """
     sources = tuple(((p, 0.02), ((p + 1) % 10, 0.01), ((p + 2) % 10, 0.015)) for p in range(10))
     return metapop_sir(sources, mu=0.1)
+
+
+@pytest.fixture(scope="session")
+def seeded_network(metapop_sir):
+    """10-patch SIR where each patch is infected by itself and three seeded random patches: 30 states.
+
+    As in the benchmark's network model, the P + Q entry (S_p, S_p) reads
+    the infectives of four patches, with seeded random rates.
+    """
+    rng = np.random.default_rng(11)
+    others = [rng.choice([q for q in range(10) if q != p], 3, replace=False).tolist() for p in range(10)]
+    sources = tuple(tuple((q, float(rng.uniform(0.005, 0.03))) for q in [p, *others[p]]) for p in range(10))
+    return metapop_sir(sources, mu=0.1)
+
+
+@pytest.fixture(scope="session")
+def two_coordinate_entries():
+    """A 3-state model whose P + Q entry (0, 0) reads two coordinates of x, x1 and x2."""
+    terms = ((0, 1, 0, -0.37), (0, 2, 0, -0.61), (1, 1, 0, 0.37), (2, 2, 0, 0.61))
+    return MassActionModel(
+        n=3,
+        bilinear=tuple(BilinearTerm(*t) for t in terms),
+        linear=np.zeros((3, 3)),
+        constant=np.zeros(3),
+        domain=Domain((True,) * 3, (Constraint((1.0, 1.0, 1.0), 1.0),)),
+        labels=("a", "b", "c"),
+    )
+
+
+def _touched_map(model):
+    """(entries, G): the flat entries of P(x) + Q(x) that some term touches, and the map with ``x @ G`` their values.
+
+    The dense (n, len(entries)) map that the model's ``_pq_map`` replaced,
+    built by ``np.add.at`` from the term list: the P contributions of the
+    terms in term order, then their Q contributions, each from 0.0.  It
+    is the reference for ``_entry_terms``.
+    """
+    ti, tj, tk, tc = (np.array([getattr(t, name) for t in model.bilinear]) for name in "ijkc")
+    cols = {}
+    col = [cols.setdefault(e, len(cols)) for e in np.concatenate([ti * model.n + tk, ti * model.n + tj]).tolist()]
+    g = np.zeros((model.n, len(cols)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(g, (np.concatenate([tj, tk]).astype(int), np.array(col, dtype=int)), np.concatenate([tc, tc]))
+    return np.array(list(cols), dtype=int), g
+
+
+@pytest.fixture(scope="session")
+def touched_map():
+    return _touched_map

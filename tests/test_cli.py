@@ -1134,10 +1134,11 @@ def _blas_kernel_skip_reason():
 
 
 def _check_output_under_two_blas_kernels(*args, cores=("Haswell", "SkylakeX")):
+    """The output of ``python args`` must be the same under each OpenBLAS kernel of ``cores``."""
     reason = _blas_kernel_skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    argv = (sys.executable, "-m", "nsfd", *args)
+    argv = (sys.executable, *args)
     runs = [_run_entry_point(*argv, OPENBLAS_CORETYPE=core) for core in cores]
     for done in runs:
         assert (done.returncode, done.stderr) == (0, "")
@@ -1151,7 +1152,8 @@ def test_invariance_output_does_not_depend_on_the_blas_kernel():
     # LAPACK, this worst_margin read 7.034373084024992e-13 under Haswell and
     # 7.016609515630989e-13 under SkylakeX.
     _check_output_under_two_blas_kernels(
-        "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "1000", "--steps", "200", "--seed", "5"
+        "-m", "nsfd", "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "1000", "--steps", "200",
+        "--seed", "5",
     )
 
 
@@ -1161,7 +1163,8 @@ def test_simulate_output_does_not_depend_on_the_blas_kernel():
     # Solved by LAPACK, these 2001 rows printed with md5 3a0d95aa... under
     # Haswell and d570efea... under SkylakeX.
     _check_output_under_two_blas_kernels(
-        "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2000", "--precision", "17"
+        "-m", "nsfd", "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "2000",
+        "--precision", "17",
     )
 
 
@@ -1175,7 +1178,7 @@ def test_explicit_output_does_not_depend_on_the_blas_kernel():
     # rows printed with md5 c0b9c6df... under Haswell and SkylakeX and
     # 7ee2576f... under Sandybridge.
     _check_output_under_two_blas_kernels(
-        "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "200",
+        "-m", "nsfd", "simulate", "--builtin", "host-vector", "--x0", "4,2,3,1,1", "--h", "0.5", "--steps", "200",
         "--scheme", "euler", cores=_FMA_AND_NOT,
     )
 
@@ -1188,9 +1191,34 @@ def test_order_output_does_not_depend_on_the_blas_kernel(tmp_path, sir_ring_30):
     h = 0.5 * step_bound(sir_ring_30).h_bar
     x0 = ",".join(["3", "0.5", "1"] * 10)
     _check_output_under_two_blas_kernels(
-        "order", "--model", str(path), "--x0", x0, "--t-final", repr(5 * h), "--h", repr(h), "--scheme", "rk4",
-        cores=_FMA_AND_NOT,
+        "-m", "nsfd", "order", "--model", str(path), "--x0", x0, "--t-final", repr(5 * h), "--h", repr(h),
+        "--scheme", "rk4", cores=_FMA_AND_NOT,
     )
+
+
+def test_large_model_assembly_does_not_depend_on_the_blas_kernel(tmp_path, sir_ring_30):
+    # One state of the 30-state ring, past the cut-off of the Python-float
+    # step, is assembled in numpy with the kernel's sums, and so is its
+    # field Jacobian.  Through BLAS products, these bytes printed three
+    # different md5s under the three kernels.
+    path = tmp_path / "ring.json"
+    path.write_text(dump_model(sir_ring_30))
+    h = 0.5 * step_bound(sir_ring_30).h_bar
+    code = "\n".join([
+        "import hashlib, sys",
+        "import numpy as np",
+        "from nsfd.integrator import _step_system",
+        "from nsfd.model import f_jacobian, load_model",
+        "model = load_model(sys.argv[1])",
+        "digest = hashlib.md5()",
+        "for x in np.random.default_rng(3).uniform(0.0, 3.0, (300, model.n)):",
+        f"    for h in ({h!r}, {-h!r}):",
+        "        mats, rhs, _ = _step_system(model, x, h)",
+        "        digest.update(mats.tobytes() + rhs.tobytes())",
+        "    digest.update(f_jacobian(model, x).tobytes())",
+        "print(digest.hexdigest())",
+    ])
+    _check_output_under_two_blas_kernels("-c", code, str(path), cores=_FMA_AND_NOT)
 
 
 def test_console_script_entry_point():

@@ -12,6 +12,7 @@ lists: every output must have its bits, signed zeros and errors
 included.
 """
 
+import dataclasses
 import gc
 import math
 import sys
@@ -26,16 +27,18 @@ import nsfd.linalg
 from nsfd.integrator import (
     FLOAT_STEP_MAX_OPS,
     _check_dominance,
+    _pattern_system,
+    _step_system,
     step_backward,
     step_backward_batch,
     step_bound,
     step_forward,
     step_forward_batch,
 )
-from nsfd.integrator import _euler_rows, _explicit_code, _explicit_step, _rk4_rows
+from nsfd.integrator import _explicit_code, _explicit_step
 from nsfd.invariance import invariance_audit
-from nsfd.linalg import PIVOT_RTOL, _check_condition, _schedule_of, _slack_parts
-from nsfd.model import BilinearTerm, Domain, MassActionModel, _phi_rows, eval_f, eval_phi
+from nsfd.linalg import PIVOT_RTOL, _check_condition, _dense, _schedule_of, _slack_parts
+from nsfd.model import BilinearTerm, Domain, MassActionModel, _on_rows, _phi_rows, eval_f, eval_phi
 from nsfd.models import HostVectorParameters, make_host_vector
 
 
@@ -131,10 +134,9 @@ def _model(linear, constant=None, terms=()):
     )
 
 
-# Its one term enters G twice, and 2e308 overflows to inf.
+# Its one term adds 1e308 to the coefficient of x0 in entry (0, 0) twice,
+# once from P and once from Q, and 2e308 overflows to inf.
 _OVERFLOWING = _model([[0.0]], terms=((0, 0, 0, 1e308),))
-with np.errstate(over="ignore"):
-    _OVERFLOWING._pq_map
 
 
 @st.composite
@@ -200,6 +202,63 @@ def test_the_compiled_step_keeps_the_bits_of_the_loops_on_the_built_ins(all_mode
             assert _outcome(step, model, x, h) == _outcome(_interpreted_step, model, x, sign * h), model.name
 
 
+def _touched_entry_terms(model, touched_map):
+    """``model._entry_terms`` as read from the dense map of ``touched_map``, which the model no longer builds."""
+    entries, g = touched_map(model)
+    n = model.n
+    pattern = sorted(set(range(0, n * n, n + 1)).union(np.flatnonzero(model.linear).tolist(), entries.tolist()))
+    cols = dict(zip(entries.tolist(), g.T.tolist()))
+    eye, lin = np.eye(n).ravel().tolist(), model.linear.ravel().tolist()
+    return tuple((e, eye[e], lin[e], tuple((j, c) for j, c in enumerate(cols.get(e, ())) if c)) for e in pattern)
+
+
+def _kernel_system(model, x, h):
+    """:func:`_pattern_system` of one state, with its pattern values scattered into the (n, n) matrix."""
+    values, rhs, parts = _pattern_system(model, x, h)
+    return _dense([values], model._schedule)[0], rhs, parts
+
+
+def _check_numpy_step_system(model, x, h, touched_map):
+    """The numpy step system of one state against the kernel's, and the model's entries against the dense map."""
+    assert repr(model._entry_terms) == repr(_touched_entry_terms(model, touched_map))
+    assert model._entry_arrays[0].size == sum(len(terms) for *_, terms in model._entry_terms)
+    assert _outcome(_step_system, model, x, h) == _outcome(_kernel_system, model, x, h)
+
+
+@seed(41)
+@given(
+    step=_small_steps(),
+    h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))),
+    backward=st.booleans(),
+)
+@example(step=(_OVERFLOWING, np.array([0.5])), h=0.5, backward=True)
+@example(step=(_OVERFLOWING, np.array([0.0])), h=0.5, backward=False)
+# Row 0 of L x sums to 1.0 in column order and to 1 + 2^-52 the other way.
+@example(
+    step=(_model([[0.0, 1.0, 1e-16, 1e-16], *[[0.0] * 4] * 3]), np.array([0.0, 1, 1, 1])), h=2.0, backward=False
+)
+def test_the_numpy_step_system_matches_the_step_kernel_on_random_models(step, h, backward, touched_map):
+    model, x = step
+    _check_numpy_step_system(model, x, -h if backward else h, touched_map)
+
+
+def test_the_numpy_step_system_matches_the_step_kernel(
+    all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries, touched_map, rng
+):
+    # The entries of S_p read three coordinates of x in sir_network and
+    # sir_ring_30, and four in seeded_network.
+    for model in (*all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries):
+        # A copy compiles the step kernel, so that the session's model has none.
+        model = dataclasses.replace(model)
+        lo, hi = model.domain.box_lower, model.domain.box_upper
+        xs = lo + (hi - lo) * rng.random((200, model.n))
+        xs[rng.random(xs.shape) < 0.2] = 0.0
+        h = 0.9 * step_bound(model).h_bar
+        for x in xs:
+            _check_numpy_step_system(model, x, h, touched_map)
+            _check_numpy_step_system(model, x, -h, touched_map)
+
+
 def _chain(values):
     """The sum of ``values`` from left to right, starting from the first."""
     total = values[0]
@@ -255,13 +314,13 @@ def test_the_compiled_field_matches_the_interpreted_loop(field, h):
     assert _outcome(_phi_rows, model, y, z) == looped
     assert eval_phi(model, y, y).tobytes() == eval_f(model, y).tobytes()
     euler, rk4 = _interpreted_steps(model, y, h)
-    assert _outcome(_euler_rows, model, y, h) == euler.tobytes()
-    assert _outcome(_rk4_rows, model, y, h) == rk4.tobytes()
+    assert _outcome(_on_rows, _explicit_step(model, "euler"), y, h) == euler.tobytes()
+    assert _outcome(_on_rows, _explicit_step(model, "rk4"), y, h) == rk4.tobytes()
     # The same code on the columns of a stack gives each row its bits alone.
     ys, zs = np.tile(y, (3, 1)), np.tile(z, (3, 1))
     assert _outcome(_phi_rows, model, ys, zs) == looped * 3
-    assert _outcome(_euler_rows, model, ys, h) == euler.tobytes() * 3
-    assert _outcome(_rk4_rows, model, ys, h) == rk4.tobytes() * 3
+    assert _outcome(_on_rows, _explicit_step(model, "euler"), ys, h) == euler.tobytes() * 3
+    assert _outcome(_on_rows, _explicit_step(model, "rk4"), ys, h) == rk4.tobytes() * 3
 
 
 def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_30, rng):
@@ -269,9 +328,10 @@ def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_
     for model in (sir_network, sir_ring_30):
         ys, zs = rng.uniform(0.0, 3.0, (2, 1000, model.n))
         h = 0.5 * step_bound(model).h_bar
-        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _euler_rows(model, ys, h), _rk4_rows(model, ys, h))
+        euler, rk4 = _explicit_step(model, "euler"), _explicit_step(model, "rk4")
+        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _on_rows(euler, ys, h), _on_rows(rk4, ys, h))
         for r, (y, z) in enumerate(zip(ys, zs)):
-            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _euler_rows(model, y, h), _rk4_rows(model, y, h))
+            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _on_rows(euler, y, h), _on_rows(rk4, y, h))
             assert [a.tobytes() for a in alone] == [s[r].tobytes() for s in stacks]
 
 
@@ -360,10 +420,10 @@ def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
     b = make_host_vector(HostVectorParameters(p=0.07))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
     for model in (a, b):
-        _rk4_rows(model, x, 0.1)
-        _euler_rows(model, np.tile(x, (3, 1)), 0.1)
+        _on_rows(_explicit_step(model, "rk4"), x, 0.1)
+        _on_rows(_explicit_step(model, "euler"), np.tile(x, (3, 1)), 0.1)
     assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
-    assert _rk4_rows(b, x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
+    assert _on_rows(_explicit_step(b, "rk4"), x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
     assert _names(compiles) == ["rk4", "phi", "euler", "phi"]
 
 
@@ -373,7 +433,7 @@ def test_the_kernels_of_a_model_are_freed_with_it():
     model = make_host_vector()
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
     step_forward(model, x, 0.5)
-    _rk4_rows(model, x, 0.1)
+    _on_rows(_explicit_step(model, "rk4"), x, 0.1)
     kernels = [weakref.ref(model.__dict__[name]) for name in ("_phi_kernel", "_step_kernel")]
     enabled = gc.isenabled()
     gc.disable()

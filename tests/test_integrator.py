@@ -25,8 +25,8 @@ from nsfd.integrator import (
     step_forward_batch,
     step_implicit_general,
     step_matrix,
+    _explicit_step,
     _pattern_system,
-    _rk4_rows,
 )
 from nsfd.linalg import LinAlgError, SingularMatrixError, _dense, lu_solve_batch
 from nsfd.model import (
@@ -36,7 +36,7 @@ from nsfd.model import (
     GeneralSplitSystem,
     MassActionModel,
     SpecError,
-    _jacobian_rows,
+    _on_rows,
     as_split_system,
     eval_f,
     f_jacobian,
@@ -211,9 +211,13 @@ def test_batch_scalar_step_size_matches_per_row_bits(all_models, sir_network, rn
         assert shared.tobytes() == per_row.tobytes(), model.name
 
 
-def _coordinate_order_jacobians(model, xs):
-    """The field Jacobians of the rows of ``xs``, each P + Q entry summed over its coordinates in order."""
-    entries, g = model._pq_map
+def _coordinate_order_jacobians(model, xs, touched_map):
+    """The field Jacobians of the rows of ``xs``, each P + Q entry summed over its coordinates in order.
+
+    The entries and their coefficients come from the term list, through
+    the ``np.add.at`` map of ``touched_map``.
+    """
+    entries, g = touched_map(model)
     touched = np.zeros((len(xs), len(entries)))
     for j in range(model.n):
         for col in np.flatnonzero(g[j]):
@@ -223,21 +227,19 @@ def _coordinate_order_jacobians(model, xs):
     return out.reshape(-1, model.n, model.n) + model.linear
 
 
-def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_network, rng):
+def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_network, touched_map, rng):
     # the stack's pattern values come from the generated step kernel; each
     # matrix must still be I - h (0.5 J(x)) with the field Jacobian whose
     # P + Q entries sum their coordinates in order, bit for bit, for a
-    # shared and a per-row h
+    # shared and a per-row h; f_jacobian sums them so too
     for model in (*all_models, sir_network):
         h_bar = step_bound(model).h_bar
         xs = _interior_states(model, rng, 7)
+        jacobians = _coordinate_order_jacobians(model, xs, touched_map)
+        assert jacobians.tobytes() == np.array([f_jacobian(model, x) for x in xs]).tobytes(), model.name
         for h in (0.4 * h_bar, -0.4 * h_bar, np.linspace(-0.9, 0.9, 7) * h_bar):
             hv, hm = (h, h) if np.ndim(h) == 0 else (h[:, None], h[:, None, None])
             values, rhs, _ = _pattern_system(model, xs, h)
-            jacobians = _coordinate_order_jacobians(model, xs)
-            if model is not sir_network:
-                # every entry of a built-in reads one coordinate: the field Jacobian itself
-                assert jacobians.tobytes() == _jacobian_rows(model, xs).tobytes(), model.name
             expected = np.eye(model.n) - hm * (0.5 * jacobians)
             assert _dense(values, model._schedule).tobytes() == expected.tobytes(), model.name
             # L x is summed elementwise over each row's nonzeros, in column order
@@ -246,20 +248,6 @@ def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_networ
                 lx[:, i] += xs[:, j] * model.linear[i, j]
             expected = lx * (0.5 * hv) + xs + hv * model.constant + 0.0
             assert rhs.tobytes() == expected.tobytes(), model.name
-
-
-@pytest.fixture(scope="session")
-def two_coordinate_entries():
-    """A 3-state model whose P + Q entry (0, 0) reads two coordinates of x, x1 and x2."""
-    terms = ((0, 1, 0, -0.37), (0, 2, 0, -0.61), (1, 1, 0, 0.37), (2, 2, 0, 0.61))
-    return MassActionModel(
-        n=3,
-        bilinear=tuple(BilinearTerm(*t) for t in terms),
-        linear=np.zeros((3, 3)),
-        constant=np.zeros(3),
-        domain=Domain((True,) * 3, (Constraint((1.0, 1.0, 1.0), 1.0),)),
-        labels=("a", "b", "c"),
-    )
 
 
 @pytest.mark.parametrize("frac", [0.4, 0.9])
@@ -486,7 +474,7 @@ def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(host_vector, 
     xs = _interior_states(host_vector, rng, count)
     h = 0.4 * h_bars["host-vector"]
     values, rhs, _ = _pattern_system(host_vector, xs, sign * h)
-    want = lu_solve_batch(_dense(values, host_vector._schedule), rhs)
+    want = lu_solve_batch(values.T.copy().T, rhs.T.copy().T, _schedule=host_vector._schedule)
     step = step_forward_batch if sign > 0 else step_backward_batch
     assert step(host_vector, xs, h).tobytes() == want.tobytes()
 
@@ -556,7 +544,7 @@ def test_rk4_orbit_equals_a_loop_of_stacked_steps(all_models, sir_network, rng):
         traj = integrate(model, x0, 0.05, 40, scheme="rk4")
         xs = x0[None]
         for k in range(40):
-            xs = _rk4_rows(model, xs, 0.05)
+            xs = _on_rows(_explicit_step(model, "rk4"), xs, 0.05)
             assert traj.states[k + 1].tobytes() == xs[0].tobytes()
 
 

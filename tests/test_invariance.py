@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nsfd import invariance
 from nsfd.integrator import (
-    _rk4_rows,
+    _explicit_step,
     step_backward,
     step_backward_batch,
     step_bound,
@@ -34,7 +34,7 @@ from nsfd.invariance import (
     sample_boundary,
     sample_interior,
 )
-from nsfd.model import Constraint, Domain, MassActionModel, SpecError, _phi_rows, eval_f
+from nsfd.model import Constraint, Domain, MassActionModel, SpecError, _on_rows, _phi_rows, eval_f
 from nsfd.models import HostVectorParameters, make_host_vector
 
 ACTIVITY_TOL = 1e-12
@@ -700,7 +700,7 @@ def _gathered_audit(model, dom, h, trials, steps, seed, scheme):
             elif scheme == "euler":
                 xs[live] = rows + h * _phi_rows(model, rows)
             else:
-                xs[live] = _rk4_rows(model, rows, h)
+                xs[live] = _on_rows(_explicit_step(model, "rk4"), rows, h)
         rows = xs[live]
         margins = dom.margin(rows)
         finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
@@ -792,7 +792,8 @@ def _check_scan(dom, stacks):
     later = iter(stacks[1:])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariance, "sample_interior", lambda domain, count, seed: stacks[0])
-        patch.setattr(invariance, "_euler_rows", lambda model, xs, h: next(later)[: len(xs)])
+        patch.setattr(invariance, "_explicit_step", lambda model, scheme: scheme)
+        patch.setattr(invariance, "_on_rows", lambda kernel, xs, h: next(later)[: len(xs)])
         rep = invariance_audit(
             types.SimpleNamespace(domain=dom), h=1.0, trials=len(stacks[0]), steps=len(stacks) - 1, scheme="euler"
         )

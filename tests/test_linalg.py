@@ -13,6 +13,7 @@ from nsfd.linalg import (
     LinAlgError,
     SingularMatrixError,
     _dense,
+    _schedule_of,
     _slack_parts,
     eigenvalues,
     fd_jacobian,
@@ -169,6 +170,18 @@ def _count_lapack_solves(monkeypatch):
 ELIMINATION_RTOL = 1e-14
 
 
+def _full_pattern_solve(a, b):
+    """``lu_solve_batch`` of a dense stack passed as the values of the full pattern's schedule.
+
+    The pattern of every entry, ``range(n * n)``, has the dense loop as its
+    schedule; the solve works in copies of ``a`` and ``b``, laid out
+    entries first as the integrator lays out its stacks.
+    """
+    m, n = b.shape
+    values, rhs = a.reshape(m, n * n).T.copy().T, b.T.copy().T
+    return lu_solve_batch(values, rhs, _schedule=_schedule_of(n, tuple(range(n * n))))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
 @pytest.mark.parametrize("side", ["below", "at"])
 def test_dominant_stack_is_eliminated_from_two_n_cubed_rows(rng, monkeypatch, n, side):
@@ -179,7 +192,7 @@ def test_dominant_stack_is_eliminated_from_two_n_cubed_rows(rng, monkeypatch, n,
     b = rng.standard_normal((m, n))
     want = np.linalg.solve(a, b[..., None])[..., 0]
     calls = _count_lapack_solves(monkeypatch)
-    xs = lu_solve_batch(a, b)
+    xs = _full_pattern_solve(a, b)
     assert len(calls) == (side == "below")
     gap = np.abs(xs - want).max(axis=1) / np.abs(want).max(axis=1)
     assert gap.max() <= ELIMINATION_RTOL
@@ -190,9 +203,18 @@ def test_eliminated_rows_do_not_depend_on_the_stack(rng):
     # same bits in any stack that takes the elimination
     a = _dominant_systems(rng, 1000, 5)
     b = rng.standard_normal((1000, 5))
-    whole = lu_solve_batch(a, b)
-    part = lu_solve_batch(a[700:], b[700:])
+    whole = _full_pattern_solve(a, b)
+    part = _full_pattern_solve(a[700:], b[700:])
     assert whole[700:].tobytes() == part.tobytes()
+
+
+def test_a_dominant_stack_with_no_schedule_goes_to_lapack(rng, monkeypatch):
+    a = _dominant_systems(rng, 1000, 5)
+    b = rng.standard_normal((1000, 5))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    calls = _count_lapack_solves(monkeypatch)
+    assert lu_solve_batch(a, b).tobytes() == want.tobytes()
+    assert len(calls) == 1
 
 
 def _dense_eliminate(a, b):
@@ -238,7 +260,7 @@ def test_a_stack_with_no_pattern_gets_the_dense_loop_bits(rng):
     a = _dominant_systems(rng, 300, 5)
     b = rng.standard_normal((300, 5))
     b[b < -1.0] = -0.0
-    assert lu_solve_batch(a, b).tobytes() == _dense_eliminate(a, b).tobytes()
+    assert _full_pattern_solve(a, b).tobytes() == _dense_eliminate(a, b).tobytes()
 
 
 def _step_states(model, rng, count):
