@@ -6,20 +6,20 @@ guard that refuses numerically singular and non-finite systems, which
 ``gesv`` would solve without complaint.  Strictly column dominant
 systems need no pivoting, and two kinds of them are solved by Gaussian
 elimination without it instead, over an elimination schedule
-(:class:`_Schedule`) that leaves out the operations on entries that
-stay zero: the one system of a small model's step, and a stack of at
-least ``2 n^3`` such systems from the integrator's step.  Both run the same straight-line code,
-compiled once per schedule (``_Schedule.slack_pass`` and
-``_Schedule.eliminate``, each on its first use): on Python floats for
-one system, and on the stack's (m,) columns, one elementwise operation
-across the stack for each operation of the schedule.  Neither calls
-BLAS, so their bits depend on neither the stack's size nor the BLAS
-kernel, and a system gets the same bits alone as in a stack.  The
-guard's usual case costs one ``abs`` pass and a
-few reductions: Varah's bound certifies a strictly column dominant stack
-at once, and the exact condition number is computed only for what it
-leaves uncertain.  The integrator makes that pass for its own dominance
-check and hands it on to the solve, so a step makes it once.
+(:class:`_Schedule`) that leaves out the operations on entries that stay
+zero: the one system of a small model's step, and a stack of at least
+``2 n^3`` such systems from the integrator's step.  Both run the same
+straight-line code, compiled once per schedule (``_Schedule.slack_pass``
+and ``_Schedule.eliminate``, each on its first use): on Python floats
+for one system, and on the stack's (m,) columns, one elementwise
+operation across the stack for each operation of the schedule.  Neither
+calls BLAS, so their bits depend on neither the stack's size nor the
+BLAS kernel, and a system gets the same bits alone as in a stack.  The
+guard's usual case costs one ``abs`` pass and a few reductions: Varah's
+bound certifies a strictly column dominant stack at once, and the exact
+condition number is computed only for what it leaves uncertain.  The
+integrator makes that pass for its own dominance check and hands it on
+to the solve, so a step makes it once.
 Eigenvalues come from LAPACK ``geev`` through ``np.linalg.eigvals``.
 Also here: the column dominance slack that the guard and the
 integrator's dominance check share, the dominance and Metzler
@@ -120,23 +120,23 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
     """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems.
 
     ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
-    vector or (m, n) stack, and ``parts`` the :func:`_slack_parts` of
-    ``a`` when the caller has them, made here otherwise.  With a
-    ``schedule``, ``a`` is the (m, p) stack of the values of its pattern
-    entries and ``b`` an (m, n) stack, each the transpose of a contiguous
-    array that the caller made for this solve and that the elimination
-    works in.  Such a stack of at least ``2 n^3`` strictly column dominant
-    systems is solved by the compiled ``eliminate`` of ``schedule``, one
-    elementwise operation over the stack's (m,) columns at a time; every
-    other system or stack goes to one LAPACK ``gesv`` call.  On strictly column dominant
-    systems partial pivoting would never swap rows, every multiplier is
-    at most 1 in size and the growth factor at most 2 (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., Thm 3.4.3), so the elimination is as
-    stable as LAPACK.  Each system must have reciprocal 1-norm condition at least PIVOT_RTOL.  Varah's
-    bound certifies most of them without an inverse: a strictly column
-    dominant ``a`` has ``||a^-1||_1 <= 1 / min slack``, so
-    ``min slack / ||a||_1`` bounds the reciprocal condition from below.
-    One test over the whole stack, the smallest slack against the largest
+    vector or (m, n) stack, and ``parts`` the :func:`_slack_parts` of ``a``
+    when the caller has them, made here otherwise.  With a ``schedule``,
+    ``a`` is the (m, p) stack of the values of its pattern entries and ``b``
+    an (m, n) stack, each the transpose of a contiguous array that the
+    caller made for this solve and that the elimination works in.  Such a
+    stack of at least ``2 n^3`` strictly column dominant systems is solved
+    by the compiled ``eliminate`` of ``schedule``, one elementwise operation
+    over the stack's (m,) columns at a time; every other system or stack
+    goes to one LAPACK ``gesv`` call.  On strictly column dominant systems
+    partial pivoting would never swap rows, every multiplier is at most 1 in
+    size and the growth factor at most 2 (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., Thm 3.4.3), so the elimination is as stable as
+    LAPACK.  Each system must have reciprocal 1-norm condition at least
+    PIVOT_RTOL.  Varah's bound certifies most of them without an inverse: a
+    strictly column dominant ``a`` has ``||a^-1||_1 <= 1 / min slack``, so
+    ``min slack / ||a||_1`` bounds the reciprocal condition from below.  One
+    test over the whole stack, the smallest slack against the largest
     1-norm, certifies the usual case.  Otherwise the bound is taken system
     by system, and only the systems it leaves below PIVOT_RTOL, zero and
     non-finite matrices among them, get the exact inverse-based check.

@@ -340,11 +340,11 @@ class MassActionModel:
     # x_j * c_j summed over the terms is its P(x) + Q(x) value.
     @cached_property
     def _entry_terms(self) -> tuple[tuple[int, float, float, tuple[tuple[int, float], ...]], ...]:
-        n, lin, pq = self.n, self.linear.ravel().tolist(), self._pq_map
+        n, pq = self.n, self._pq_map
         pattern = sorted(set(range(0, n * n, n + 1)).union(np.flatnonzero(self.linear).tolist(), pq))
         return tuple(
-            (e, float(e % (n + 1) == 0), lin[e], tuple((j, c) for j, c in sorted(pq.get(e, {}).items()) if c))
-            for e in pattern
+            (e, float(e % (n + 1) == 0), lin, tuple((j, c) for j, c in sorted(pq.get(e, {}).items()) if c))
+            for e, lin in zip(pattern, self.linear.ravel()[pattern].tolist())
         )
 
     # The elimination schedule of the entries of _entry_terms, made on the
