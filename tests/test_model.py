@@ -315,6 +315,14 @@ def test_f_jacobian_matches_finite_differences(all_models, sir_network, rng):
             assert np.allclose(jac, slots, rtol=0, atol=PQ_ATOL)
 
 
+def test_f_jacobian_builds_no_elimination_schedule(sir_ring_30):
+    # The Jacobian reads the model's entries, not the schedule, whose fill
+    # pass grows fast with n; a fresh copy has no cached schedule.
+    model = dataclasses.replace(sir_ring_30)
+    f_jacobian(model, np.full(model.n, 0.5))
+    assert "_entry_terms" in model.__dict__ and "_schedule" not in model.__dict__
+
+
 @seed(11)
 @given(
     y0=st.floats(0.0, 1.0),
