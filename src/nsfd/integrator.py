@@ -63,7 +63,6 @@ from .model import (
     _check_state,
     _jacobian_entries,
     _on_pattern,
-    _on_rows,
     eval_f,
     f_jacobian,
 )
