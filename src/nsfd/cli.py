@@ -12,6 +12,7 @@ byte-identical output; NSFD_SEED sets the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -195,17 +196,17 @@ def _cmd_simulate(args) -> int:
     _check_step_size(model, h, args.scheme, args.strict)
     _check_inside_domain(model, x0, args.strict)
     traj = integrate(model, x0, h, steps, scheme=args.scheme)
-    # "%.pg" % v prints v as f"{v:.{p}g}" does.  Each row is one % of a
-    # format with its n + 1 fields, through tolist, so that the whole
-    # trajectory is never held as Python floats, nor as text: the rows are
-    # joined into blocks of 1024, each written as soon as it is made.
+    # "%.pg" % v prints v as f"{v:.{p}g}" does.  The rows go in blocks of
+    # 1024, each one % of the row format repeated over the block's values,
+    # through tolist, and written as soon as it is made: the whole
+    # trajectory is never held as Python floats, nor as text.
     fmt = ",".join([f"%.{args.precision}g"] * (model.n + 1)) + "\n"
 
     def blocks():
         yield "t," + ",".join(model.labels) + "\n"
         for k in range(0, len(traj.states), 1024):
-            rows = zip(traj.times[k : k + 1024], traj.states[k : k + 1024])
-            yield "".join([fmt % (t, *row.tolist()) for t, row in rows])
+            block = np.column_stack((traj.times[k : k + 1024], traj.states[k : k + 1024]))
+            yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
     _emit(blocks(), args.out)
     return 0
@@ -372,6 +373,11 @@ def _add_strict(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict", action="store_true", help="exit 3 when violations are found")
 
 
+# Built on the first main call, not at import, and then reused: it holds
+# no state of a call, as parse_args fills a new namespace each time and
+# copies an append option's default list before adding to it.  Error and
+# help text go to the sys.stderr and sys.stdout of the call.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nsfd", description="Reversible integration of mass-action models.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,7 @@ the same system at -h.  The entries of ``I - h S(x)`` that can be
 nonzero are encoded once, as the model's ``_entry_terms``, and one
 generated kernel assembles the system from them, for every step of a
 small model and for every stack (:func:`_pattern_system`): the model's
-``_step_kernel``, compiled on its first such step, gives their values
+``_step_kernel``, made on its first such step, gives their values
 and the right-hand side, on the n Python floats of one state or on the n
 (m,) columns of a stack, with the same operations in the same order, so
 a row of a stack has the bits of its state stepped alone.  A model is
@@ -34,8 +34,8 @@ stays below the bound computed by :func:`step_bound`.  Batch states must
 be finite, as scalar ones are.
 
 The explicit comparison schemes, Euler and RK4, run generated steps
-(:func:`_explicit_code`, shared by the models of one dimension) that
-call the model's field kernel ``_phi_kernel``: :func:`integrate` steps
+(:func:`_explicit_source`, whose code the models of one dimension share)
+that call the model's field kernel ``_phi_kernel``: :func:`integrate` steps
 one state in Python floats, and the audit a stack on its (m,) columns
 (``model._on_rows`` of :func:`_explicit_step`), with no BLAS call and
 the same bits per row.  The trapezoidal scheme is a general split
@@ -47,14 +47,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from types import CodeType, FunctionType
+from functools import cached_property
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
-    LinAlgError, SingularMatrixError, _compile_kernels, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
+    LinAlgError, SingularMatrixError, _kernel_code, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
 )
 from .model import (
     GeneralSplitSystem,
@@ -484,9 +484,8 @@ def _horizon_steps(T: float, h: float) -> int:
     return round(ratio)
 
 
-@lru_cache(maxsize=8)
-def _explicit_code(scheme: str, n: int) -> CodeType:
-    """The code of the explicit scheme's step, compiled once for all the models with n states.
+def _explicit_source(scheme: str, n: int) -> str:
+    """The source of the explicit scheme's step for n states, the same for all the models with n states.
 
     ``euler(x, h)`` and ``rk4(x, h)``, for n values x and a float h, give
     the next state as a list, with the operations of ``x + h f(x)`` and of
@@ -507,12 +506,12 @@ def _explicit_code(scheme: str, n: int) -> CodeType:
         lines.append("    sixth = h / 6.0")
         state = [f"x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
     lines.append(f"    return [{', '.join(state)}]")
-    return _compile_kernels("\n".join(lines), (scheme,))[0].__code__
+    return "\n".join(lines)
 
 
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
-    """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': :func:`_explicit_code` with the model's field."""
-    return FunctionType(_explicit_code(scheme, model.n), {"phi": model._phi_kernel})
+    """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': the code of :func:`_explicit_source` with the model's field."""
+    return FunctionType(_kernel_code(_explicit_source(scheme, model.n), (scheme,))[0], {"phi": model._phi_kernel})
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:

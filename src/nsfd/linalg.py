@@ -9,10 +9,11 @@ elimination without it instead, over an elimination schedule
 (:class:`_Schedule`) that leaves out the operations on entries that stay
 zero: the one system of a small model's step, and a stack of at least
 ``2 n^3`` such systems from the integrator's step.  Both run the same
-straight-line code, compiled once per schedule (``_Schedule.slack_pass``
-and ``_Schedule.eliminate``, each on its first use): on Python floats
-for one system, and on the stack's (m,) columns, one elementwise
-operation across the stack for each operation of the schedule.  Neither
+straight-line code, made once per schedule (``_Schedule.slack_pass``
+and ``_Schedule.eliminate``, each on its first use) from code compiled
+once per process (:func:`_kernel_code`): on Python floats for one
+system, and on the stack's (m,) columns, one elementwise operation
+across the stack for each operation of the schedule.  Neither
 calls BLAS, so their bits depend on neither the stack's size nor the
 BLAS kernel, and a system gets the same bits alone as in a stack.  The
 guard's usual case costs one ``abs`` pass and a few reductions: Varah's
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Callable
 
 import numpy as np
@@ -172,7 +173,7 @@ def _dense(a, schedule):
         return a
     n = schedule.n
     out = np.zeros((len(a), n * n))
-    out[:, schedule.pattern] = a
+    out[:, schedule.index] = a
     return out.reshape(-1, n, n)
 
 
@@ -181,7 +182,7 @@ class _Schedule:
 
     Entries are numbered row by row, ``i * n + j``, and the ``pattern``
     is the given entries and the diagonal: every entry that can be
-    nonzero.
+    nonzero; ``index`` holds it as an intp array, for :func:`_dense`.
     Eliminating column k fills (i, j) wherever (i, k) and (k, j) are in
     the pattern, for i, j > k; ``fill`` lists those entries in order
     (Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006).  The
@@ -220,6 +221,7 @@ class _Schedule:
                     forward.append((i * n + k, k * (n + 1), i, k, updates))
         self.n = n
         self.pattern = tuple(sorted(given))
+        self.index = np.array(self.pattern, dtype=np.intp)
         self.fill = tuple(sorted(nz - given))
         self.forward = tuple(forward)
         self.backward = tuple(
@@ -307,16 +309,36 @@ def _sum_code(terms: list[str], name: str) -> tuple[list[str], str]:
     return lines, chunks[-1] if len(chunks) == 1 else f"{name} + {chunks[-1]}"
 
 
-def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
-    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan.
+KERNEL_CODE_MAX = 16
 
-    Each function gets globals of its own, which do not hold it: in the
-    namespace it was made in, it would be in a reference cycle, and its
-    code would outlive its model until the cyclic garbage collector ran.
+
+@functools.lru_cache(maxsize=KERNEL_CODE_MAX)
+def _kernel_code(source: str, names: tuple[str, ...]) -> tuple[CodeType, ...]:
+    """The code of the functions ``names`` of generated ``source``, compiled once per process for every model that makes that source.
+
+    Compiling is worth keeping: a 900-state ring's field took about
+    117 ms.  The cache is bounded, by the last ``KERNEL_CODE_MAX``
+    sources, because the code and its source stay alive after the models
+    that made them: about 0.46 MB for that ring's field, under
+    tracemalloc.  One CLI call on one model uses at most five: its field
+    and step kernels, the two kernels of its schedule and one explicit
+    step, so 16 keep the working set of a few models.
     """
     namespace = {"inf": math.inf, "nan": math.nan}
     exec(compile(source, "<nsfd kernel>", "exec"), namespace)
-    return tuple(FunctionType(namespace[name].__code__, {"inf": math.inf, "nan": math.nan}) for name in names)
+    return tuple(namespace[name].__code__ for name in names)
+
+
+def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
+    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan.
+
+    The code comes from :func:`_kernel_code`, so a model loaded or made
+    again reuses it, with the same bits.  Each function is made here, with
+    globals of its own, which do not hold it: in the namespace it was
+    compiled in, it would be in a reference cycle, and it would outlive
+    its model until the cyclic garbage collector ran.
+    """
+    return tuple(FunctionType(code, {"inf": math.inf, "nan": math.nan}) for code in _kernel_code(source, names))
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,12 +18,14 @@ satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
 BLAS call.
 
-The field is evaluated by generated code, compiled for each model on its
-first use: ``phi`` as straight-line Python over the term list, the
-nonzeros of each row of L and b (``MassActionModel._phi_kernel``).  It
-runs on the n Python floats of one state or on the n (m,) columns of a
-stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has the
-bits of its state alone, whatever the stack's size or the BLAS kernel.
+The field is evaluated by generated code, made for each model on its
+first use and compiled once per process for each source
+(``linalg._kernel_code``): ``phi`` as straight-line Python over the
+term list, the nonzeros of each row of L and b
+(``MassActionModel._phi_kernel``).  It runs on the n Python floats of
+one state or on the n (m,) columns of a stack (:func:`_on_rows`), with
+no BLAS call, so a row of a stack has the bits of its state alone,
+whatever the stack's size or the BLAS kernel.
 The integrator's explicit Euler and RK4 steps call it.
 """
 
@@ -376,7 +378,7 @@ class MassActionModel:
         return rows, cols, self.linear[rows, cols]
 
     # The step system of one state in Python floats or of a stack in (m,)
-    # columns, compiled on its first step: step_system(x, h), for n values
+    # columns, made on its first step: step_system(x, h), for n values
     # x and a signed h, a float or an (m,) array, gives the values of
     # I - h S(x) at the _schedule's pattern, each base - (t + L_e) * 0.5 * h
     # with t summed from 0.0 over _entry_terms, and the right-hand side
@@ -412,7 +414,7 @@ class MassActionModel:
         return _compile_kernels(source, ("step_system",))[0]
 
     # The split field phi(y, z) of one pair of states in Python floats or of
-    # stacks in (m,) columns, compiled on its first use: for n values each
+    # stacks in (m,) columns, made on its first use: for n values each
     # of y and z, the list of the n values of row i, its bilinear terms
     # (c * y_j) * z_k in term order, then 0.5 * the sum of L_ij (y_j + z_j)
     # over the row's nonzeros in column order, then + b_i, each sum from

@@ -245,6 +245,24 @@ def test_simulate_written_block_by_block_prints_the_whole_text(tmp_path, capsys,
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("rows", [1023, 1024, 1025])
+@pytest.mark.parametrize("p", [1, 6, 17])
+def test_simulate_blocks_print_the_bytes_of_one_format_per_row(tmp_path, capsys, host_vector, rows, p):
+    # One % per 1024-row block prints what one % per row printed, on orbits
+    # that end just inside, at and just past a block, from an x0 with a -0.0.
+    traj = integrate(host_vector, np.array([4.0, 2.0, 3.0, -0.0, 1.0]), 0.5, rows - 1)
+    fmt = ",".join([f"%.{p}g"] * 6) + "\n"
+    want = "t,S_v,I_v,S,I,R\n" + "".join([fmt % (t, *row.tolist()) for t, row in zip(traj.times, traj.states)])
+    assert want.split("\n")[1] == "0,4,2,3,-0,1"
+    target = tmp_path / "traj.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--builtin", "host-vector", "--x0", "4,2,3,-0,1", "--h", "0.5",
+        "--steps", str(rows - 1), "--precision", str(p), "--out", str(target),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("where", ["missing", "full"])
 def test_simulate_that_cannot_write_its_blocks_says_so(tmp_path, capsys, where):
     # a file that cannot be opened, or a device that fails the writes of the blocks
@@ -1080,6 +1098,54 @@ def _run_entry_point(*command, **environ):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, inherited))))
     return subprocess.run(command, capture_output=True, text=True, env={**env, **environ})
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = _run_entry_point(sys.executable, "-c", "import nsfd.cli; print(nsfd.cli._build_parser.cache_info().misses)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(capsys, monkeypatch):
+    # main builds its parser once and reuses it: no call may see what an
+    # earlier one parsed, the environment it ran in or the streams it wrote
+    # to.  argparse wraps usage and help to COLUMNS, set alike in both.
+    import nsfd.cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    nsfd.cli._build_parser.cache_clear()
+    simulate = ("simulate", "--builtin", "si", "--x0", "0.9,0.1", "--h", "0.25", "--steps", "4")
+    reversibility = ("reversibility", "--builtin", "host-vector", "--h", "0.5", "--trials", "3")
+    calls = [
+        ((*simulate, "--param", "beta=2"), None),
+        (("simulate", "--builtin", "si", "--x0", "0.9,0.1", "--h", "fast", "--steps", "4"), None),
+        (("stability", "--builtin", "logistic", "--x0", "1", "--h", "0.5"), None),
+        (reversibility, "7"),
+        (reversibility, None),
+        ((*simulate, "--param", "beta=3"), None),
+        (simulate, None),
+        (("simulate", "--help"), None),
+    ]
+    results = []
+    for argv, seed_env in calls:
+        if seed_env is None:
+            monkeypatch.delenv("NSFD_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NSFD_SEED", seed_env)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = _run_entry_point(sys.executable, "-m", "nsfd", *argv)
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        results.append((code, captured.out, captured.err))
+    assert nsfd.cli._build_parser.cache_info().misses == 1
+    code, out, err = results[1]
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: nsfd simulate ") and err.endswith("error: argument --h: invalid float value: 'fast'\n")
+    assert [json.loads(results[k][1])["seed"] for k in (3, 4)] == [7, 0]
+    assert len({results[k][1] for k in (0, 5, 6)}) == 3
+    assert results[7][1].startswith("usage: nsfd simulate ")
 
 
 def _check_exit_status_wiring(*prefix):

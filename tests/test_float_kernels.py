@@ -15,7 +15,6 @@ included.
 import dataclasses
 import gc
 import math
-import sys
 import weakref
 
 import numpy as np
@@ -35,11 +34,13 @@ from nsfd.integrator import (
     step_forward,
     step_forward_batch,
 )
-from nsfd.integrator import _explicit_code, _explicit_step
+from nsfd.integrator import _explicit_step
 from nsfd.invariance import invariance_audit
-from nsfd.linalg import PIVOT_RTOL, _check_condition, _dense, _schedule_of, _slack_parts
-from nsfd.model import BilinearTerm, Domain, MassActionModel, _on_rows, _phi_rows, eval_f, eval_phi
-from nsfd.models import HostVectorParameters, make_host_vector
+from nsfd.linalg import KERNEL_CODE_MAX, PIVOT_RTOL, _check_condition, _dense, _kernel_code, _schedule_of, _slack_parts
+from nsfd.model import (
+    BilinearTerm, Domain, MassActionModel, _on_rows, _phi_rows, dump_model, eval_f, eval_phi, load_model
+)
+from nsfd.models import HostVectorParameters, make_host_vector, make_logistic
 
 
 def _interpreted_system(model, x, h):
@@ -348,23 +349,18 @@ def test_a_hub_row_of_thousands_of_terms_compiles(rng):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The sources compiled into kernels, counted at every module that binds the compiler."""
-    original = nsfd.linalg._compile_kernels
+    """The sources compiled into kernels, counted at the one ``compile`` call of ``linalg._kernel_code``."""
     sources = []
 
-    def counted(source, names):
+    def counted(source, *args):
         sources.append(source)
-        return original(source, names)
+        return compile(source, *args)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "nsfd":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    monkeypatch.setattr(nsfd.linalg, "compile", counted, raising=False)
     # A schedule made by an earlier test may hold its kernels already, and
-    # so may the explicit steps of a dimension.
+    # the code cache the code of any source an earlier test compiled.
     _schedule_of.cache_clear()
-    _explicit_code.cache_clear()
+    _kernel_code.cache_clear()
     return sources
 
 
@@ -424,6 +420,42 @@ def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
     assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
     assert _on_rows(_explicit_step(b, "rk4"), x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
     assert _names(compiles) == ["rk4", "phi", "euler", "phi"]
+
+
+def test_a_model_loaded_again_reuses_the_compiled_code(compiles, tmp_path):
+    # Each load makes kernel functions of its own, with globals of their
+    # own, on the code that the first load compiled.
+    path = tmp_path / "host-vector.json"
+    path.write_text(dump_model(make_host_vector()))
+    x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
+    a = load_model(path)
+    first = (step_forward(a, x, 0.5), eval_f(a, x), _on_rows(_explicit_step(a, "rk4"), x, 0.1))
+    assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "phi", "rk4"]
+    b = load_model(path)
+    again = (step_forward(b, x, 0.5), eval_f(b, x), _on_rows(_explicit_step(b, "rk4"), x, 0.1))
+    assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "phi", "rk4"]
+    for name in ("_phi_kernel", "_step_kernel"):
+        kernel_a, kernel_b = a.__dict__[name], b.__dict__[name]
+        assert kernel_a is not kernel_b and kernel_a.__globals__ is not kernel_b.__globals__
+        assert kernel_a.__code__ is kernel_b.__code__
+    assert [v.tobytes() for v in first] == [v.tobytes() for v in again]
+
+
+def test_a_changed_coefficient_compiles_new_code(compiles):
+    a = make_host_vector()
+    b = make_host_vector(HostVectorParameters(p=0.07))
+    assert a._phi_kernel.__code__ is not b._phi_kernel.__code__
+    assert _names(compiles) == ["phi", "phi"]
+
+
+def test_the_code_cache_keeps_at_most_its_bound(compiles):
+    for r in range(1, KERNEL_CODE_MAX + 4):
+        make_logistic(r=float(r))._phi_kernel
+    assert len(compiles) == KERNEL_CODE_MAX + 3
+    assert _kernel_code.cache_info().currsize == KERNEL_CODE_MAX
+    # The oldest source was dropped, so it compiles again.
+    make_logistic(r=1.0)._phi_kernel
+    assert len(compiles) == KERNEL_CODE_MAX + 4
 
 
 def test_the_kernels_of_a_model_are_freed_with_it():

@@ -1,6 +1,7 @@
 """Dense kernels checked against numpy.linalg as an independent oracle."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -336,6 +337,37 @@ def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypat
         want = np.linalg.solve(mats, rhs)
         assert np.allclose(step_forward(model, x, 1.0), want, rtol=1e-15, atol=0.0)
     assert len(calls) == 1
+
+
+def _dense_by_loop(values, schedule):
+    """The (m, n, n) stack with the rows of ``values`` at the pattern entries, written one entry at a time."""
+    n = schedule.n
+    out = np.zeros((len(values), n * n))
+    for k, row in enumerate(values):
+        for e, value in zip(schedule.pattern, row):
+            out[k, e] = value
+    return out.reshape(-1, n, n)
+
+
+def test_dense_writes_the_pattern_entries_as_the_loop_does(rng, monkeypatch, sir_network):
+    # A stack, and one system in Python floats on the condition check of
+    # the float solve, with -0.0, inf and NaN among the values.
+    import nsfd.linalg
+
+    for model in (sir_network, _lower_triangular_model(0.5)):
+        schedule = model._schedule
+        values = rng.standard_normal((7, len(schedule.pattern)))
+        values[np.abs(values) < 0.3] = -0.0
+        values.flat[rng.integers(values.size, size=3)] = [np.inf, -np.inf, np.nan]
+        assert _dense(values, schedule).tobytes() == _dense_by_loop(values, schedule).tobytes()
+    calls = []
+    check = nsfd.linalg._check_condition
+    monkeypatch.setattr(nsfd.linalg, "_check_condition", lambda a, *rest: calls.append(a.copy()) or check(a, *rest))
+    row = values[0].tolist()
+    row[1] = math.nan
+    with pytest.raises(SingularMatrixError, match="system 0: matrix entries are not finite"):
+        lu_solve(row, [1.0, 1.0], _schedule=schedule)
+    assert [a.tobytes() for a in calls] == [_dense_by_loop([row], schedule).tobytes()]
 
 
 @pytest.mark.parametrize("layout", ["C-ordered", "entries-first"])
