@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import (
-    NEWTON_MAX_ITER, Trajectory, _check_h, _damped_newton, _horizon_steps, integrate, step_forward
+    NEWTON_MAX_ITER, Trajectory, _check_h, _damped_newton, _final_state, _horizon_steps, integrate, step_forward
 )
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
@@ -292,12 +292,13 @@ def observed_order(
             f"the reference run at h/200 would take {ref_steps} steps, more than "
             f"{MAX_REFERENCE_STEPS}; use a larger h or a shorter horizon"
         )
-    coarse = integrate(model, x0, h, steps, scheme=scheme)
-    fine = integrate(model, x0, 0.5 * h, 2 * steps, scheme=scheme)
-    ref = rk4_reference(model, x0, h_ref, t_effective)
-    error_h = float(np.abs(coarse.final - ref.final).max())
-    error_h2 = float(np.abs(fine.final - ref.final).max())
-    scale = 1.0 + float(np.abs(ref.final).max())
+    # The final states of integrate and rk4_reference, with their errors, without their orbits.
+    coarse = _final_state(model, x0, h, steps, scheme)
+    fine = _final_state(model, x0, 0.5 * h, 2 * steps, scheme)
+    ref = _final_state(model, x0, h_ref, ref_steps, "rk4")
+    error_h = float(np.abs(coarse - ref).max())
+    error_h2 = float(np.abs(fine - ref).max())
+    scale = 1.0 + float(np.abs(ref).max())
     defined = min(error_h, error_h2) > DEGENERATE_ERROR * scale
     p_hat = math.log2(error_h / error_h2) if defined else math.nan
     return OrderEstimate(

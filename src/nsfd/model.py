@@ -21,11 +21,12 @@ BLAS call.
 The field is evaluated by generated code, made for each model on its
 first use and compiled once per process for each source
 (``linalg._kernel_code``): ``phi`` as straight-line Python over the
-term list, the nonzeros of each row of L and b
-(``MassActionModel._phi_kernel``).  It runs on the n Python floats of
-one state or on the n (m,) columns of a stack (:func:`_on_rows`), with
-no BLAS call, so a row of a stack has the bits of its state alone,
-whatever the stack's size or the BLAS kernel.
+term list, the nonzeros of each row of L and b, with one sum for rows
+whose terms repeat or mirror each other (``MassActionModel._phi_kernel``).
+It runs on the n Python floats of one state or on the n (m,) columns of
+a stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has
+the bits of its state alone, whatever the stack's size or the BLAS
+kernel.
 The integrator's explicit Euler and RK4 steps call it.
 """
 
@@ -365,17 +366,22 @@ class MassActionModel:
         entries, base, lin = np.array([entry[:3] for entry in self._entry_terms]).T
         return pos.astype(np.intp), var.astype(np.intp), coef, entries.astype(np.intp), base, lin
 
-    # Row i of L as its (j, L[i, j]) nonzeros in column order: the right-hand
-    # side of a step sums L x over them.
-    @cached_property
-    def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.linear.tolist())
-
-    # _linear_rows in numpy: the row, column and value of every nonzero of L, row by row.
+    # The row, column and value of every nonzero of L, row by row and in
+    # column order within a row, as np.nonzero gives them.
     @cached_property
     def _linear_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows, cols = np.nonzero(self.linear)
         return rows, cols, self.linear[rows, cols]
+
+    # Row i of L as its (j, L[i, j]) nonzeros in column order, from
+    # _linear_arrays, without a pass over the zeros of L: the right-hand
+    # side of a step sums L x over them.
+    @cached_property
+    def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        for i, j, c in zip(*(a.tolist() for a in self._linear_arrays)):
+            rows[i].append((j, c))
+        return tuple(map(tuple, rows))
 
     # The step system of one state in Python floats or of a stack in (m,)
     # columns, made on its first step: step_system(x, h), for n values
@@ -420,16 +426,39 @@ class MassActionModel:
     # over the row's nonzeros in column order, then + b_i, each sum from
     # its first term.  phi(x, x) is the field f(x).  A row with no terms
     # and no L entry is the float b_i.
+    #
+    # A mass-action reaction is a loss in one row and a gain in another, so
+    # rows repeat or mirror each other's term lists, read as (c, j, k) in
+    # term order.  A row that sums its own terms names the sum s_i.  A later
+    # row with the same list takes s_i, with its bits.  A later row with the
+    # negated list takes 0.0 - s_i: negation is exact and round-to-nearest
+    # is symmetric, so each of its products and partial sums is the
+    # negation of the other's, and 0.0 - s_i is -s_i, with the NaN of s_i,
+    # whose sign unary minus would flip.  Only a zero sum may differ, where
+    # 0.0 - s_i is +0.0: the row's closing + b_i gives its own bits for any
+    # b_i but -0.0, and a row with b_i = -0.0 sums its own terms.
     @cached_property
     def _phi_kernel(self) -> Callable:
-        bilinear = [[] for _ in range(self.n)]
+        bilinear: list[list[tuple[float, int, int]]] = [[] for _ in range(self.n)]
         for t in self.bilinear:
-            bilinear[t.i].append(f"{t.c!r} * y{t.j} * z{t.k}")
+            bilinear[t.i].append((t.c, t.j, t.k))
+        # The name of the sum of each term list that a row sums itself.
+        summed: dict[tuple[tuple[float, int, int], ...], str] = {}
         sums, rows = [], []
-        for i, (products, lin, b) in enumerate(zip(bilinear, self._linear_rows, self.constant.tolist())):
-            lines, bilinear_sum = _sum_code(products, f"s{i}")
+        for i, (terms, lin, b) in enumerate(zip(map(tuple, bilinear), self._linear_rows, self.constant.tolist())):
+            mirror = tuple((-c, j, k) for c, j, k in terms)
+            if terms in summed:
+                bilinear_sum = summed[terms]
+            elif mirror in summed and not (b == 0.0 and math.copysign(1.0, b) < 0.0):
+                bilinear_sum = f"0.0 - {summed[mirror]}"
+            elif terms:
+                lines, total = _sum_code([f"{c!r} * y{j} * z{k}" for c, j, k in terms], f"s{i}")
+                sums += [*lines, f"    s{i} = {total}"]
+                bilinear_sum = summed[terms] = f"s{i}"
+            else:
+                bilinear_sum = ""
             more, linear_sum = _sum_code([f"{c!r} * (y{j} + z{j})" for j, c in lin], f"l{i}")
-            sums += lines + more
+            sums += more
             half = f"0.5 * ({linear_sum})" if linear_sum else ""
             rows.append(" + ".join(filter(None, (bilinear_sum, half, f"{b!r}"))))
         source = "\n".join([

@@ -1,6 +1,7 @@
 """Equilibria, eigenvalue transfer, stability rows, convergence order."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nsfd.analysis import (
     stability_report,
     _pair_eigenvalues,
 )
+from nsfd.integrator import integrate
 from nsfd.linalg import LinAlgError, eigenvalues
 from nsfd.model import SpecError
 from nsfd.models import host_vector_dfe
@@ -290,6 +292,7 @@ def test_observed_order_degenerate_at_equilibrium(logistic):
 def test_observed_order_refuses_a_long_reference_before_any_run(logistic, monkeypatch):
     runs = []
     monkeypatch.setattr(analysis, "integrate", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(analysis, "_final_state", lambda *args, **kwargs: runs.append(args))
     # 1,001 steps of h put 200,200 reference steps at h/200, past the limit.
     h = 1e-3
     assert analysis.MAX_REFERENCE_STEPS == 200 * 1000
@@ -310,3 +313,31 @@ def test_observed_order_validates_inputs(logistic):
         observed_order(logistic, np.array([0.5]), T=1e308, h=0.1)
     with pytest.raises(SpecError, match="too many steps"):
         rk4_reference(logistic, np.array([0.5]), 0.1, 1e308)
+
+
+@pytest.mark.parametrize("scheme, h, step", [("euler", 1e200, 1), ("rk4", 1e200, 0), ("euler", 5.0, 9)])
+def test_observed_order_names_the_overflowing_step_as_integrate_does(logistic, scheme, h, step):
+    # At h = 1e200 euler's second step and rk4's first overflow.  At h = 5
+    # euler's steps from 0.5 grow as -5 x^2 and pass 1e308 at the tenth.
+    # The state stays non-finite to the end of the coarse run's 12 steps.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LinAlgError) as orbit:
+            integrate(logistic, np.array([0.5]), h, 12, scheme=scheme)
+        with pytest.raises(LinAlgError) as order:
+            observed_order(logistic, np.array([0.5]), 12 * h, h, scheme=scheme)
+    assert str(order.value) == str(orbit.value) == f"step {step}: state is not finite"
+
+
+def test_observed_order_holds_no_orbit(logistic):
+    # 500 steps of h put 100,000 reference steps at h/200, whose orbit
+    # would take 800 kB; only the three final states are kept.
+    h = 0.01
+    observed_order(logistic, np.array([0.5]), 2 * h, h)  # compiles the kernels
+    tracemalloc.start()
+    try:
+        est = observed_order(logistic, np.array([0.5]), 500 * h, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.defined
+    assert peak < 0.05 * 100_000 * 8

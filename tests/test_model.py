@@ -323,6 +323,22 @@ def test_f_jacobian_builds_no_elimination_schedule(sir_ring_30):
     assert "_entry_terms" in model.__dict__ and "_schedule" not in model.__dict__
 
 
+def test_linear_rows_are_the_nonzeros_of_each_row_of_L(all_models, sir_network, sir_ring_30, seeded_network, rng):
+    # The dense scan that _linear_rows replaced; -0.0 is no nonzero in either.
+    def scanned(model):
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in model.linear.tolist())
+
+    linear = rng.uniform(-1.0, 1.0, (7, 7))
+    linear[rng.random((7, 7)) < 0.5] = -0.0
+    linear[2] = 0.0
+    random = MassActionModel(7, (), linear, np.zeros(7), Domain((True,) * 7), tuple("abcdefg"))
+    assert np.signbit(random.linear).any() and not random.linear[2].any()
+    for model in (*all_models, sir_network, sir_ring_30, seeded_network, random):
+        rows = dataclasses.replace(model)._linear_rows
+        assert rows == scanned(model)
+        assert all(type(j) is int and type(c) is float for row in rows for j, c in row)
+
+
 @seed(11)
 @given(
     y0=st.floats(0.0, 1.0),
