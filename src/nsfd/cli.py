@@ -315,6 +315,9 @@ def _cmd_reversibility(args) -> int:
         trials = _check_count(args.trials, "--trials")
         xs = sample_interior(model.domain, trials, seed)
     h = _check_h(args.h)
+    if args.x0 is not None:
+        # As one state, so that a bad x0 is reported as simulate reports it.
+        _check_state(model, xs[0])
     ys = step_forward_batch(model, xs, h)
     back = step_backward_batch(model, ys, h)
     if args.x0 is not None:

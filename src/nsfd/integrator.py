@@ -14,24 +14,23 @@ turns each step into one linear solve:
 with the step matrix S(x) = (P(x) + Q(x) + L) / 2.  The backward step is
 the same system at -h.  The entries of ``I - h S(x)`` that can be
 nonzero are encoded once, as the model's ``_entry_terms``, and one
-generated kernel assembles the system from them, for every step of a
-small model and for every stack (:func:`_pattern_system`): the model's
-``_step_kernel``, made on its first such step, gives their values
-and the right-hand side, on the n Python floats of one state or on the n
-(m,) columns of a stack, with the same operations in the same order, so
-a row of a stack has the bits of its state stepped alone.  A model is
-small when the elimination schedule of its pattern (``model._schedule``)
-makes at most FLOAT_STEP_MAX_OPS operations; a single state of a larger
-model makes the kernel's operations on numpy arrays
-(:func:`_step_system`), and gets its bits.  No assembly calls BLAS.  A
-batch with one step size shares it as a float.  The step checks that the
-system is strictly column diagonally dominant, from the step's one
-``abs`` pass over the matrices, and the solve guard certifies from the
-same pass instead of making its own; the failing row and column are
-worked out only when the check fails.  Both solve matrices are dominant,
-hence safely invertible, for every state in the domain box whenever h
-stays below the bound computed by :func:`step_bound`.  Batch states must
-be finite, as scalar ones are.
+generated kernel assembles the system from them, for every step of one
+state and of a stack (:func:`_pattern_system`): the model's
+``_step_kernel``, made on its first step, gives their values and the
+right-hand side, on the n Python floats of one state or on the n (m,)
+columns of a stack, with the same operations in the same order, so a
+row of a stack has the bits of its state stepped alone.  No assembly
+calls BLAS.  The solve (``linalg.lu_solve`` with the elimination
+schedule of the pattern, ``model._schedule``) picks elimination in
+Python floats or LAPACK by the schedule's size.  A batch with one step
+size shares it as a float.  The step checks that the system is strictly
+column diagonally dominant, from the step's one ``abs`` pass over the
+matrices, and the solve guard certifies from the same pass instead of
+making its own; the failing row and column are worked out only when the
+check fails.  Both solve matrices are dominant, hence safely
+invertible, for every state in the domain box whenever h stays below
+the bound computed by :func:`step_bound`.  Batch states must be finite,
+as scalar ones are.
 
 The explicit comparison schemes, Euler and RK4, run generated steps
 (:func:`_explicit_source`, whose code the models of one dimension share)
@@ -56,16 +55,7 @@ import numpy as np
 from .linalg import (
     LinAlgError, SingularMatrixError, _kernel_code, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
 )
-from .model import (
-    GeneralSplitSystem,
-    MassActionModel,
-    SpecError,
-    _check_state,
-    _jacobian_entries,
-    _on_pattern,
-    eval_f,
-    f_jacobian,
-)
+from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, eval_f, f_jacobian
 
 __all__ = [
     "DominanceError",
@@ -89,15 +79,6 @@ SCHEMES = ("nsfd", "euler", "rk4", "trapezoidal")
 # Cap applied by step_bound when nothing limits the step size (no
 # bilinear terms and no linear part, or an unbounded domain box).
 DEFAULT_H_MAX = 1e6
-
-# A step of one state runs in Python floats, with no numpy call in its
-# arithmetic, when the elimination schedule of its model makes at most this
-# many elementwise operations; a larger model's step goes to numpy and
-# LAPACK.  Timed on SIR rings of n = 6 to 36 (2-core Xeon, Python 3.11,
-# numpy 2.4), the compiled step was the faster up to 916 operations and the
-# slower from 1,140; the cut-off stays below a 33-state ring of 571, whose
-# stability verdict at a non-hyperbolic equilibrium turns on a last bit.
-FLOAT_STEP_MAX_OPS = 550
 
 # Damped Newton: relative tolerance (scaled by 1 + ||y||_inf), pass
 # budget, and the least fraction of a Newton step tried.
@@ -190,31 +171,8 @@ def _check_h(h: float) -> float:
     return h
 
 
-def _step_system(model: MassActionModel, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Solve matrix ``I - h S(x)``, right-hand side ``(I + (h/2) L) x + h b`` and slacks, in numpy.
-
-    For one (n,) state with a signed float ``h``; the backward step is the
-    system at -h.  It makes the operations of the model's ``_step_kernel``
-    on arrays, with no BLAS call: ``base - value * 0.5 * h`` at each entry
-    of ``_entry_terms``, with the value of ``_jacobian_entries``, and
-    ``s * (0.5 h) + x + h b + 0.0``, with ``s`` summed from 0.0 over each
-    row of L in column order.  numpy's floating-point warnings are off, as
-    Python floats raise none.  The dominance check (:func:`_check_dominance`)
-    reads one ``abs`` pass over the matrix (``linalg._slack_parts``), and
-    the same parts go on to the solve guard, which certifies from them.
-    """
-    *_, base, _ = model._entry_arrays
-    rows, cols, lin = model._linear_arrays
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = _on_pattern(model, base - _jacobian_entries(model, x) * 0.5 * h)
-        rhs = np.bincount(rows, x[cols] * lin, model.n) * (0.5 * h) + x + h * model.constant + 0.0
-        parts = _slack_parts(mats)
-    _check_dominance(model, parts, h)
-    return mats, rhs, parts
-
-
 def _pattern_system(model: MassActionModel, x, h) -> tuple:
-    """:func:`_step_system` over ``model._schedule``'s pattern, from the model's generated ``_step_kernel``.
+    """``I - h S(x)`` at ``model._schedule``'s pattern, ``(I + (h/2) L) x + h b`` and slacks, from ``_step_kernel``.
 
     ``x`` is one (n,) state, with a float ``h``, or an (m, n) stack, with
     a float ``h`` shared by every row or an (m,) array of them.  One state
@@ -289,13 +247,9 @@ def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
 
 
 def _solve_one(model: MassActionModel, x: np.ndarray, h: float) -> np.ndarray:
-    """The step of one checked state, with signed h: in Python floats when the model's schedule is small."""
-    schedule = model._schedule
-    if schedule.size <= FLOAT_STEP_MAX_OPS:
-        values, rhs, parts = _pattern_system(model, x, h)
-        return lu_solve(values, rhs, _parts=parts, _schedule=schedule)
-    mats, rhs, parts = _step_system(model, x, h)
-    return lu_solve(mats, rhs, _parts=parts)
+    """The step of one checked state, with signed h, from its system in Python floats."""
+    values, rhs, parts = _pattern_system(model, x, h)
+    return lu_solve(values, rhs, _parts=parts, _schedule=model._schedule)
 
 
 def _batch_states(model: MassActionModel, xs) -> np.ndarray:

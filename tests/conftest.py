@@ -105,7 +105,8 @@ def sir_ring_30(metapop_sir):
     """10-patch SIR ring where each patch is infected by three patches: 30 states.
 
     Its elimination schedule makes 916 operations, past the cut-off of the
-    Python-float step, so one of its states steps with numpy and LAPACK.
+    Python-float elimination, so the system of one of its states, assembled
+    by the compiled step kernel, is solved by LAPACK.
     """
     sources = tuple(((p, 0.02), ((p + 1) % 10, 0.01), ((p + 2) % 10, 0.015)) for p in range(10))
     return metapop_sir(sources, mu=0.1)

@@ -58,14 +58,23 @@ def test_integrate_solves_each_step_with_one_scalar_solve(host_vector, count):
     assert batch["calls"] == 0
 
 
-@pytest.mark.parametrize("name", ["step_forward", "step_backward", "step_forward_batch", "step_backward_batch"])
-def test_each_step_makes_one_abs_pass(host_vector, count, name):
-    # the dominance check and the solve guard share one pass over |I -+ h S(x)|
-    x = np.array([9.0, 0.5, 9.0, 0.5, 0.0])
+@pytest.mark.parametrize(
+    "model_name, name",
+    [
+        pytest.param(model_name, name, id=name if model_name == "host_vector" else f"{model_name}-{name}")
+        for model_name in ("host_vector", "sir_ring_30")
+        for name in ("step_forward", "step_backward", "step_forward_batch", "step_backward_batch")
+    ],
+)
+def test_each_step_makes_one_abs_pass(request, count, model_name, name):
+    # the dominance check and the solve guard share one pass over |I -+ h S(x)|,
+    # also past the cut-off of the Python-float elimination (sir_ring_30)
+    model = request.getfixturevalue(model_name)
+    x = np.array([9.0, 0.5, 9.0, 0.5, 0.0]) if model_name == "host_vector" else np.full(model.n, 0.5)
     if name.endswith("_batch"):
         x = np.tile(x, (3, 1))
     passes = count(nsfd.linalg, "_abs_parts")
-    getattr(nsfd.integrator, name)(host_vector, x, 0.5)
+    getattr(nsfd.integrator, name)(model, x, 0.5)
     assert passes["calls"] == 1
 
 

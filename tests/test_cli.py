@@ -847,6 +847,16 @@ def test_reversibility_strict_refuses_x0_outside_the_domain(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "x0, message", [("0.5,0.2", "state must have shape (1,), got (2,)"), ("nan", "state must have finite entries")]
+)
+def test_reversibility_reports_a_bad_x0_as_simulate_does(capsys, x0, message):
+    # As one state, not as a batch that the user never gave.
+    for argv in (("reversibility",), ("simulate", "--steps", "1")):
+        code, out, err = run_cli(capsys, *argv, "--builtin", "logistic", "--h", "0.1", "--x0", x0)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv[0]
+
+
 @pytest.mark.parametrize("x0", ["nan,0.1", "0.9,inf"])
 def test_reversibility_non_finite_x0_exits_one(capsys, x0):
     code, out, err = run_cli(capsys, "reversibility", "--builtin", "si", "--h", "0.4", "--x0", x0)
@@ -1264,23 +1274,23 @@ def test_order_output_does_not_depend_on_the_blas_kernel(tmp_path, sir_ring_30):
 
 def test_large_model_assembly_does_not_depend_on_the_blas_kernel(tmp_path, sir_ring_30):
     # One state of the 30-state ring, past the cut-off of the Python-float
-    # step, is assembled in numpy with the kernel's sums, and so is its
-    # field Jacobian.  Through BLAS products, these bytes printed three
-    # different md5s under the three kernels.
+    # elimination, is assembled by the compiled step kernel, and its field
+    # Jacobian in numpy with the kernel's sums.  Through BLAS products,
+    # these bytes printed three different md5s under the three kernels.
     path = tmp_path / "ring.json"
     path.write_text(dump_model(sir_ring_30))
     h = 0.5 * step_bound(sir_ring_30).h_bar
     code = "\n".join([
         "import hashlib, sys",
         "import numpy as np",
-        "from nsfd.integrator import _step_system",
+        "from nsfd.integrator import _pattern_system",
         "from nsfd.model import f_jacobian, load_model",
         "model = load_model(sys.argv[1])",
         "digest = hashlib.md5()",
         "for x in np.random.default_rng(3).uniform(0.0, 3.0, (300, model.n)):",
         f"    for h in ({h!r}, {-h!r}):",
-        "        mats, rhs, _ = _step_system(model, x, h)",
-        "        digest.update(mats.tobytes() + rhs.tobytes())",
+        "        values, rhs, _ = _pattern_system(model, x, h)",
+        "        digest.update(np.array(values).tobytes() + np.array(rhs).tobytes())",
         "    digest.update(f_jacobian(model, x).tobytes())",
         "print(digest.hexdigest())",
     ])

@@ -1,12 +1,13 @@
 """The compiled kernels of a model, against the interpreted loops they replaced.
 
-A small model steps one state through straight-line code made from its
-elimination schedule (``linalg._Schedule.slack_pass`` and
-``linalg._Schedule.eliminate``) and from its entry formulas
+A model steps one state through straight-line code made from its
+elimination schedule (``linalg._Schedule.slack_pass`` and, for a small
+model, ``linalg._Schedule.eliminate``) and from its entry formulas
 (``MassActionModel._step_kernel``), in Python floats, and a stack of
-states through the same code on its (m,) columns.  Every model evaluates
-its split field and the explicit Euler and RK4 steps through its
-generated ``_phi_kernel`` in the same two ways.  The reference here is
+states through the same code on its (m,) columns; a larger model's
+system goes to LAPACK.  Every model evaluates its split field and the
+explicit Euler and RK4 steps through its generated ``_phi_kernel`` in
+the same two ways.  The reference here is
 the loop form of the same code, over the same schedule tuples and term
 lists: every output must have its bits, signed zeros and errors
 included.
@@ -26,10 +27,7 @@ from hypothesis import strategies as st
 import nsfd.integrator
 import nsfd.linalg
 from nsfd.integrator import (
-    FLOAT_STEP_MAX_OPS,
     _check_dominance,
-    _pattern_system,
-    _step_system,
     step_backward,
     step_backward_batch,
     step_bound,
@@ -38,7 +36,16 @@ from nsfd.integrator import (
 )
 from nsfd.integrator import _explicit_step
 from nsfd.invariance import invariance_audit
-from nsfd.linalg import KERNEL_CODE_MAX, PIVOT_RTOL, _check_condition, _dense, _kernel_code, _schedule_of, _slack_parts
+from nsfd.linalg import (
+    FLOAT_ELIMINATION_MAX_OPS,
+    KERNEL_CODE_MAX,
+    PIVOT_RTOL,
+    _check_condition,
+    _dense,
+    _kernel_code,
+    _schedule_of,
+    _slack_parts,
+)
 from nsfd.model import (
     BilinearTerm, Domain, MassActionModel, _on_rows, _phi_rows, dump_model, eval_f, eval_phi, load_model
 )
@@ -90,14 +97,22 @@ def _interpreted_eliminate(v, y, schedule):
     return y
 
 
-def _interpreted_step(model, x, h):
-    """One step with signed h by the loops, through the dominance check and the solve guard."""
+def _interpreted_step(model, x, h, lapack=False):
+    """One step with signed h by the loops, through the dominance check and the solve guard.
+
+    The looped system is solved by the looped elimination, or with
+    ``lapack`` by ``np.linalg.solve`` on its pattern values scattered
+    into the (n, n) matrix.
+    """
     mats, rhs, parts = _interpreted_system(model, x, h)
     _check_dominance(model, parts, h)
     slack, colsum, smin = parts
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = model.n
         _check_condition(np.reshape(mats, (1, n, n)), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
+    if lapack:
+        schedule = model._schedule
+        return np.linalg.solve(_dense([[mats[e] for e in schedule.pattern]], schedule)[0], np.array(rhs))
     return np.array(_interpreted_eliminate(mats, rhs, model._schedule))
 
 
@@ -167,12 +182,22 @@ def _small_steps(draw):
 # Column 1 overflows to -inf twice, so its slack is NaN, after column 0's 1.0.
 @example(step=(_model([[0.0, 1e300], [0.0, 1e300]]), np.ones(2)), h=1e10, backward=False)
 @example(step=(_OVERFLOWING, np.array([0.5])), h=0.5, backward=True)
+@example(step=(_OVERFLOWING, np.array([0.0])), h=0.5, backward=False)
 # h b_1 overflows, and the eliminated stack of 16 rows takes inf * 5e-324.
 @example(step=(_model([[0.0, 5e-324], [0.0, 0.0]], [0.0, 1e300]), np.zeros(2)), h=1e10, backward=False)
-def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward):
+# The coefficient of x1 in entry (0, 0) sums to 1.0 from P first and to
+# 1 + 2^-52 from Q first; those of entries (1, 0) and (1, 1) cancel.
+@example(
+    step=(_model([[0.0] * 2] * 2, terms=((0, 1, 0, 1.0), *[(0, 0, 1, 2.0**-53)] * 2, (1, 1, 0, 0.5), (1, 1, 0, -0.5))),
+          np.ones(2)),
+    h=0.5,
+    backward=False,
+)
+def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward, touched_map):
     model, x = step
     signed = -h if backward else h
-    assert model._schedule.size <= FLOAT_STEP_MAX_OPS
+    assert model._schedule.size <= FLOAT_ELIMINATION_MAX_OPS
+    assert repr(model._entry_terms) == repr(_touched_entry_terms(model, touched_map))
     mats, rhs, parts = _interpreted_system(model, x, signed)
     values = [mats[e] for e in model._schedule.pattern]
     assert _outcome(model._step_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
@@ -215,50 +240,37 @@ def _touched_entry_terms(model, touched_map):
     return tuple((e, eye[e], lin[e], tuple((j, c) for j, c in enumerate(cols.get(e, ())) if c)) for e in pattern)
 
 
-def _kernel_system(model, x, h):
-    """:func:`_pattern_system` of one state, with its pattern values scattered into the (n, n) matrix."""
-    values, rhs, parts = _pattern_system(model, x, h)
-    return _dense([values], model._schedule)[0], rhs, parts
-
-
-def _check_numpy_step_system(model, xs, h, touched_map):
-    """The model's entries against the dense map, then the numpy step system of each state at +-h against the kernel."""
-    assert repr(model._entry_terms) == repr(_touched_entry_terms(model, touched_map))
-    for x in xs:
-        for signed in (h, -h):
-            assert _outcome(_step_system, model, x, signed) == _outcome(_kernel_system, model, x, signed)
-
-
-@seed(41)
-@given(step=_small_steps(), h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))))
-@example(step=(_OVERFLOWING, np.array([0.5])), h=0.5)
-@example(step=(_OVERFLOWING, np.array([0.0])), h=0.5)
-# Row 0 of L x sums to 1.0 in column order and to 1 + 2^-52 the other way.
-@example(step=(_model([[0.0, 1.0, 1e-16, 1e-16], *[[0.0] * 4] * 3]), np.array([0.0, 1, 1, 1])), h=2.0)
-# The coefficient of x1 in entry (0, 0) sums to 1.0 from P first and to
-# 1 + 2^-52 from Q first; those of entries (1, 0) and (1, 1) cancel.
-@example(
-    step=(_model([[0.0] * 2] * 2, terms=((0, 1, 0, 1.0), *[(0, 0, 1, 2.0**-53)] * 2, (1, 1, 0, 0.5), (1, 1, 0, -0.5))),
-          np.ones(2)),
-    h=0.5,
-)
-def test_the_numpy_step_system_matches_the_step_kernel_on_random_models(step, h, touched_map):
-    model, x = step
-    _check_numpy_step_system(model, [x], h, touched_map)
-
-
-def test_the_numpy_step_system_matches_the_step_kernel(
-    all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries, touched_map, rng
+def test_the_entry_terms_match_the_dense_map(
+    all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries, touched_map
 ):
     # The entries of S_p read three coordinates of x in sir_network and
     # sir_ring_30, and four in seeded_network.
     for model in (*all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries):
-        # A copy compiles the step kernel, so that the session's model has none.
-        model = dataclasses.replace(model)
+        assert repr(model._entry_terms) == repr(_touched_entry_terms(model, touched_map)), model.name
+
+
+@pytest.mark.parametrize("step, sign", [(step_forward, 1.0), (step_backward, -1.0)])
+def test_a_state_past_the_cut_off_steps_with_the_bytes_of_lapack_on_the_loops(
+    sir_ring_30, seeded_network, rng, step, sign
+):
+    # Its system is assembled by the compiled kernel and solved by LAPACK:
+    # the bits of the looped system solved so, and the same error type and
+    # message for an h far above h_bar and for a start whose right-hand
+    # side overflows.
+    for model in (sir_ring_30, seeded_network):
+        assert model._schedule.size > FLOAT_ELIMINATION_MAX_OPS
         lo, hi = model.domain.box_lower, model.domain.box_upper
-        xs = lo + (hi - lo) * rng.random((200, model.n))
+        xs = lo + (hi - lo) * rng.random((100, model.n))
         xs[rng.random(xs.shape) < 0.2] = 0.0
-        _check_numpy_step_system(model, xs, 0.9 * step_bound(model).h_bar, touched_map)
+        h_bar = step_bound(model).h_bar
+        for x in xs:
+            want = _outcome(_interpreted_step, model, x, sign * 0.9 * h_bar, True)
+            assert _outcome(step, model, x, 0.9 * h_bar) == want, model.name
+        # From the largest float, x + (h/2) (L x)_i overflows in some rows.
+        for x, h in ((xs[0], 30.0 * h_bar), (np.full(model.n, np.finfo(float).max), 0.5 * h_bar)):
+            want = _outcome(_interpreted_step, model, x, sign * h, True)
+            assert want[0] == "DominanceError"
+            assert _outcome(step, model, x, h) == want, model.name
 
 
 def _chain(values):
@@ -429,16 +441,19 @@ def test_the_first_step_of_a_small_model_compiles_its_kernels_once(compiles):
 
 
 def test_a_stack_below_the_elimination_size_compiles_no_elimination(compiles, sir_ring_30):
-    # 100 rows are far below 2 n^3 = 54,000: the stack goes to LAPACK.
-    h = 0.5 * step_bound(sir_ring_30).h_bar
-    step_forward_batch(sir_ring_30, np.full((100, sir_ring_30.n), 0.5), h)
+    # 100 rows are far below 2 n^3 = 54,000: the stack goes to LAPACK.  A
+    # copy compiles its own step kernel: the session's model may hold one.
+    model = dataclasses.replace(sir_ring_30)
+    step_forward_batch(model, np.full((100, model.n), 0.5), 0.5 * step_bound(model).h_bar)
     assert _names(compiles) == ["step_system", "slack_pass"]
 
 
-def test_a_model_past_the_cut_off_compiles_nothing(compiles, sir_ring_30):
-    assert sir_ring_30._schedule.size > FLOAT_STEP_MAX_OPS
-    step_forward(sir_ring_30, np.full(sir_ring_30.n, 0.5), 0.5 * step_bound(sir_ring_30).h_bar)
-    assert compiles == []
+def test_a_model_past_the_cut_off_compiles_no_elimination(compiles, sir_ring_30):
+    # A copy compiles its own step kernel: the session's model may hold one.
+    model = dataclasses.replace(sir_ring_30)
+    assert model._schedule.size > FLOAT_ELIMINATION_MAX_OPS
+    step_forward(model, np.full(model.n, 0.5), 0.5 * step_bound(model).h_bar)
+    assert _names(compiles) == ["step_system", "slack_pass"]
 
 
 def test_two_models_with_one_pattern_share_the_schedule_kernels(compiles):
@@ -477,6 +492,29 @@ def test_a_second_explicit_step_of_one_dimension_builds_no_source(monkeypatch):
     assert built
     built.clear()
     assert _explicit_step(b, "rk4").__code__ is _explicit_step(a, "rk4").__code__
+    assert built == []
+
+
+def test_a_model_made_again_builds_no_step_source(monkeypatch):
+    built = []
+    unpack = nsfd.model._unpack
+    monkeypatch.setattr(nsfd.model, "_unpack", lambda *args: built.append(args) or unpack(*args))
+    nsfd.model._step_source.cache_clear()
+    make_host_vector()._step_kernel
+    assert built
+    built.clear()
+    make_host_vector()._step_kernel
+    assert built == []
+    # A model whose b and L entry (0, 1), a pattern entry, differ only in
+    # the sign of a zero shares the source, and keeps the bits of the loops.
+    _model([[-1.0, 0.0], [0.5, -1.0]], [0.0, 1.0], [(0, 0, 1, 0.25)])._step_kernel
+    built.clear()
+    minus = _model([[-1.0, -0.0], [0.5, -1.0]], [-0.0, 1.0], [(0, 0, 1, 0.25)])
+    x = np.array([0.5, -0.0])
+    for h in (0.5, -0.5):
+        mats, rhs, _ = _interpreted_system(minus, x, h)
+        values = [mats[e] for e in minus._schedule.pattern]
+        assert _outcome(minus._step_kernel, x.tolist(), h) == _outcome(lambda: (values, rhs))
     assert built == []
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nsfd.integrator import (
     DEFAULT_H_MAX,
-    FLOAT_STEP_MAX_OPS,
     SCHEMES,
     DominanceError,
     NewtonDivergenceError,
@@ -28,7 +27,7 @@ from nsfd.integrator import (
     _explicit_step,
     _pattern_system,
 )
-from nsfd.linalg import LinAlgError, SingularMatrixError, _dense, lu_solve_batch
+from nsfd.linalg import FLOAT_ELIMINATION_MAX_OPS, LinAlgError, SingularMatrixError, _dense, lu_solve_batch
 from nsfd.model import (
     BilinearTerm,
     Constraint,
@@ -263,7 +262,7 @@ def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(
 
     monkeypatch.setattr(np.linalg, "solve", no_lapack)
     for model in (*all_models, sir_network, two_coordinate_entries):
-        assert model._schedule.size <= FLOAT_STEP_MAX_OPS, model.name
+        assert model._schedule.size <= FLOAT_ELIMINATION_MAX_OPS, model.name
         h = frac * step_bound(model).h_bar
         xs = _interior_states(model, rng, max(2 * model.n**3, 2000))
         for single, batch in ((step_forward, step_forward_batch), (step_backward, step_backward_batch)):
@@ -276,7 +275,7 @@ def test_a_model_past_the_cut_off_steps_one_state_with_lapack(sir_ring_30, rng, 
     calls = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
-    assert sir_ring_30._schedule.size > FLOAT_STEP_MAX_OPS
+    assert sir_ring_30._schedule.size > FLOAT_ELIMINATION_MAX_OPS
     x = _interior_states(sir_ring_30, rng, 1)[0]
     step_forward(sir_ring_30, x, 0.4 * step_bound(sir_ring_30).h_bar)
     assert len(calls) == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nsfd.linalg import (
+    FLOAT_ELIMINATION_MAX_OPS,
     EigenConvergenceError,
     LinAlgError,
     SingularMatrixError,
@@ -23,7 +24,7 @@ from nsfd.linalg import (
     lu_solve,
     lu_solve_batch,
 )
-from nsfd.integrator import FLOAT_STEP_MAX_OPS, _pattern_system, _step_system, step_bound, step_forward
+from nsfd.integrator import _pattern_system, step_bound, step_forward
 from nsfd.model import Constraint, Domain, MassActionModel, f_jacobian
 from nsfd.models import host_vector_dfe
 
@@ -324,7 +325,7 @@ def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypat
         linear = np.array(model.linear)
         linear[1, 1] = 2.0 * (1.0 - 1e-15)
         model = dataclasses.replace(model, linear=linear)
-    assert model._schedule.size <= FLOAT_STEP_MAX_OPS
+    assert model._schedule.size <= FLOAT_ELIMINATION_MAX_OPS
     calls = []
     check = nsfd.linalg._check_condition
     monkeypatch.setattr(nsfd.linalg, "_check_condition", lambda *args: calls.append(args) or check(*args))
@@ -333,8 +334,8 @@ def test_a_float_step_that_varah_leaves_uncertain_gets_the_exact_check(monkeypat
         with pytest.raises(SingularMatrixError, match="system 0: reciprocal condition"):
             step_forward(model, x, 1.0)
     else:
-        mats, rhs, _ = _step_system(model, x, 1.0)
-        want = np.linalg.solve(mats, rhs)
+        values, rhs, _ = _pattern_system(model, x, 1.0)
+        want = np.linalg.solve(_dense([values], model._schedule)[0], rhs)
         assert np.allclose(step_forward(model, x, 1.0), want, rtol=1e-15, atol=0.0)
     assert len(calls) == 1
 
