@@ -33,8 +33,9 @@ the bound computed by :func:`step_bound`.  Batch states must be finite,
 as scalar ones are.
 
 The explicit comparison schemes, Euler and RK4, run generated steps
-(:func:`_explicit_source`, whose code the models of one dimension share)
-that call the model's field kernel ``_phi_kernel``: :func:`integrate` steps
+(:func:`_explicit_source`, whose code ``linalg._kernel_code`` keeps once
+per process for the models of one dimension) that call the model's
+field kernel ``_phi_kernel``: :func:`integrate` steps
 one state in Python floats, and the audit a stack on its (m,) columns
 (``model._on_rows`` of :func:`_explicit_step`), with no BLAS call and
 the same bits per row.  The trapezoidal scheme is a general split
@@ -46,14 +47,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from types import FunctionType
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .linalg import (
-    LinAlgError, SingularMatrixError, _kernel_code, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
+    LinAlgError, SingularMatrixError, _kernel, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
 )
 from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, eval_f, f_jacobian
 
@@ -438,7 +438,6 @@ def _horizon_steps(T: float, h: float) -> int:
     return round(ratio)
 
 
-@lru_cache(maxsize=8)
 def _explicit_source(scheme: str, n: int) -> str:
     """The source of the explicit scheme's step for n states, the same for all the models with n states.
 
@@ -446,10 +445,7 @@ def _explicit_source(scheme: str, n: int) -> str:
     the next state as a list, with the operations of ``x + h f(x)`` and of
     the classical four-stage formula in that order, where ``f(x)`` is the
     global ``phi(x, x)``: a model's field kernel, bound by
-    :func:`_explicit_step`.  The source is made once per process for each
-    scheme and n, of the last eight: for RK4 at n = 30 it took about
-    125 µs, which :func:`_kernel_code` would otherwise pay on every call
-    before it finds the code.
+    :func:`_explicit_step`.
     """
     lines = [f"def {scheme}(x, h):", f"    {_unpack('x', n)}= x"]
     if scheme == "euler":
@@ -469,7 +465,7 @@ def _explicit_source(scheme: str, n: int) -> str:
 
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
     """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': the code of :func:`_explicit_source` with the model's field."""
-    return FunctionType(_kernel_code(_explicit_source(scheme, model.n), (scheme,))[0], {"phi": model._phi_kernel})
+    return _kernel(_explicit_source, scheme, model.n, phi=model._phi_kernel)
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:

@@ -13,7 +13,7 @@ FLOAT_ELIMINATION_MAX_OPS operations, and a stack of at least ``2 n^3``
 such systems.  :func:`_solve_floats` and :func:`_solve_stack` make
 these choices.  Both eliminations run the same straight-line code, made
 once per schedule (``_Schedule.slack_pass`` and ``_Schedule.eliminate``,
-each on its first use) from code compiled once per process
+each on its first use) from the one cache of generated code
 (:func:`_kernel_code`): on Python floats for one system, and on the
 stack's (m,) columns, one elementwise operation across the stack for
 each operation of the schedule.  Neither calls BLAS, so their bits
@@ -31,8 +31,8 @@ predicates, and central finite-difference Jacobians.
 """
 from __future__ import annotations
 
-import functools
 import math
+from functools import cached_property, lru_cache
 from types import CodeType, FunctionType
 from typing import Callable
 
@@ -181,10 +181,14 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
 
 
 def _dense(a, schedule):
-    """``a`` as matrices: itself, or with a ``schedule`` the (m, n, n) stack whose pattern entries are the (m, p) ``a``."""
+    """``a`` as matrices: itself, or with a ``schedule`` the (n, n) matrix of one system's p floats or the (m, n, n) stack of an (m, p) stack."""
     if schedule is None:
         return a
     n = schedule.n
+    if isinstance(a[0], float):
+        out = np.zeros(n * n)
+        out[schedule.index] = a
+        return out.reshape(n, n)
     out = np.zeros((len(a), n * n))
     out[:, schedule.index] = a
     return out.reshape(-1, n, n)
@@ -252,7 +256,7 @@ class _Schedule:
         )
 
     # The loops over ``columns``, ``forward`` and ``backward`` as straight
-    # code, each compiled on its first use: a stack below 2 n^3 rows runs
+    # code, each made on its first use: a stack below 2 n^3 rows runs
     # the slack pass but never the elimination.  Each takes one system as
     # Python floats or a stack of them as (m,) float64 columns, one per
     # value: ``v``, the values of the ``pattern`` entries in its order, and
@@ -263,37 +267,47 @@ class _Schedule:
     # in their order; only a sum of ``abs`` values starts from its first
     # term, not from 0.0, as an ``abs`` is never -0.0.
 
-    @functools.cached_property
+    @cached_property
     def slack_pass(self) -> Callable:
         """``slack_pass(v)``: the lists of the n slacks and 1-norms of :func:`_slack_parts`."""
-        n = self.n
-        lines = ["def slack_pass(v):", f"    {''.join(f'a{e}, ' for e in self.pattern)}= v"]
-        for j, (d, column) in enumerate(self.columns):
-            sums, off = _sum_code([f"abs(a{e})" for e in column], f"o{j}")
-            lines += [f"    d{j} = abs(a{d})", *sums, f"    o{j} = {off or '0.0'}", f"    s{j} = d{j} - o{j}"]
-        lines.append(
-            f"    return [{', '.join(f's{j}' for j in range(n))}], [{', '.join(f'd{j} + o{j}' for j in range(n))}]"
-        )
-        return _compile_kernels("\n".join(lines), ("slack_pass",))[0]
+        return _kernel(_slack_pass_source, self.n, self.pattern)
 
-    @functools.cached_property
+    @cached_property
     def eliminate(self) -> Callable:
         """``eliminate(v, y)``: the solution as a list; on columns it works in place, in the columns of ``y``."""
-        lines = [
-            "def eliminate(v, y):",
-            f"    {''.join(f'a{e}, ' for e in self.pattern)}= v",
-            f"    {_unpack('y', self.n)}= y",
-            *(f"    a{e} = 0.0" for e in self.fill),
-        ]
-        for mult, pivot, i, k, updates in self.forward:
-            lines.append(f"    lik = a{mult} / a{pivot}")
-            lines += [f"    a{target} -= lik * a{source}" for target, source in updates]
-            lines.append(f"    y{i} -= lik * y{k}")
-        for i, diag, terms in self.backward:
-            lines += [f"    y{i} -= a{e} * y{j}" for e, j in terms]
-            lines.append(f"    y{i} /= a{diag}")
-        lines.append(f"    return [{', '.join(f'y{i}' for i in range(self.n))}]")
-        return _compile_kernels("\n".join(lines), ("eliminate",))[0]
+        return _kernel(_eliminate_source, self.n, self.pattern)
+
+
+def _slack_pass_source(n: int, pattern: tuple[int, ...]) -> str:
+    """The source of ``_Schedule.slack_pass`` for the schedule of ``pattern``."""
+    lines = ["def slack_pass(v):", f"    {''.join(f'a{e}, ' for e in pattern)}= v"]
+    for j, (d, column) in enumerate(_schedule_of(n, pattern).columns):
+        sums, off = _sum_code([f"abs(a{e})" for e in column], f"o{j}")
+        lines += [f"    d{j} = abs(a{d})", *sums, f"    o{j} = {off or '0.0'}", f"    s{j} = d{j} - o{j}"]
+    lines.append(
+        f"    return [{', '.join(f's{j}' for j in range(n))}], [{', '.join(f'd{j} + o{j}' for j in range(n))}]"
+    )
+    return "\n".join(lines)
+
+
+def _eliminate_source(n: int, pattern: tuple[int, ...]) -> str:
+    """The source of ``_Schedule.eliminate`` for the schedule of ``pattern``."""
+    schedule = _schedule_of(n, pattern)
+    lines = [
+        "def eliminate(v, y):",
+        f"    {''.join(f'a{e}, ' for e in pattern)}= v",
+        f"    {_unpack('y', n)}= y",
+        *(f"    a{e} = 0.0" for e in schedule.fill),
+    ]
+    for mult, pivot, i, k, updates in schedule.forward:
+        lines.append(f"    lik = a{mult} / a{pivot}")
+        lines += [f"    a{target} -= lik * a{source}" for target, source in updates]
+        lines.append(f"    y{i} -= lik * y{k}")
+    for i, diag, terms in schedule.backward:
+        lines += [f"    y{i} -= a{e} * y{j}" for e, j in terms]
+        lines.append(f"    y{i} /= a{diag}")
+    lines.append(f"    return [{', '.join(f'y{i}' for i in range(n))}]")
+    return "\n".join(lines)
 
 
 def _unpack(name: str, n: int) -> str:
@@ -325,36 +339,34 @@ def _sum_code(terms: list[str], name: str) -> tuple[list[str], str]:
 KERNEL_CODE_MAX = 16
 
 
-@functools.lru_cache(maxsize=KERNEL_CODE_MAX)
-def _kernel_code(source: str, names: tuple[str, ...]) -> tuple[CodeType, ...]:
-    """The code of the functions ``names`` of generated ``source``, compiled once per process for every model that makes that source.
+@lru_cache(maxsize=KERNEL_CODE_MAX)
+def _kernel_code(generator: Callable[..., str], *args) -> CodeType:
+    """The code of the function that ``generator(*args)`` defines: the package's one cache of generated code.
 
-    Compiling is worth keeping: a 900-state ring's field took about
-    117 ms.  The cache is bounded, by the last ``KERNEL_CODE_MAX``
-    sources, because the code and its source stay alive after the models
-    that made them: about 0.46 MB for that ring's field, under
-    tracemalloc.  One CLI call on one model uses at most five: its field
-    and step kernels, the two kernels of its schedule and one explicit
-    step, so 16 keep the working set of a few models.
+    Keyed by the generator and its inputs, so that a model loaded or made
+    again neither builds a source (0.3 to 0.5 ms for the benchmark's
+    30-state network's field) nor compiles one (about 117 ms for a
+    900-state ring's field).  Equal inputs must make equal source: a
+    generator that writes a float's ``repr`` takes it in a form that tells
+    -0.0 from 0.0, or writes no zero.  The code and its key outlive their
+    models, so the cache keeps the last ``KERNEL_CODE_MAX``; one CLI call
+    on one model uses at most five (its field and step kernels, its
+    schedule's two and one explicit step), so 16 hold a few models.
     """
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile(source, "<nsfd kernel>", "exec"), namespace)
-    return tuple(namespace[name].__code__ for name in names)
+    module = compile(generator(*args), "<nsfd kernel>", "exec")
+    return next(const for const in module.co_consts if isinstance(const, CodeType))
 
 
-def _compile_kernels(source: str, names: tuple[str, ...]) -> tuple:
-    """The functions ``names`` of generated ``source``, whose floats are ``repr``s or the names inf and nan.
+def _kernel(generator: Callable[..., str], *args, **names) -> FunctionType:
+    """The function of :func:`_kernel_code`, with globals of its own: inf and nan, for generated floats, and ``names``.
 
-    The code comes from :func:`_kernel_code`, so a model loaded or made
-    again reuses it, with the same bits.  Each function is made here, with
-    globals of its own, which do not hold it: in the namespace it was
-    compiled in, it would be in a reference cycle, and it would outlive
-    its model until the cyclic garbage collector ran.
+    They do not hold the function, so it is freed with its model by
+    reference counting alone, not left in a cycle for the collector.
     """
-    return tuple(FunctionType(code, {"inf": math.inf, "nan": math.nan}) for code in _kernel_code(source, names))
+    return FunctionType(_kernel_code(generator, *args), {"inf": math.inf, "nan": math.nan, **names})
 
 
-@functools.lru_cache(maxsize=8)
+@lru_cache(maxsize=8)
 def _schedule_of(n: int, pattern: tuple[int, ...]) -> _Schedule:
     """The :class:`_Schedule` of a pattern, made once for all the models that have it."""
     return _Schedule(n, pattern)
@@ -443,7 +455,7 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
         _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
     if schedule.size <= FLOAT_ELIMINATION_MAX_OPS:
         return np.array(schedule.eliminate(v, y))
-    return np.linalg.solve(_dense([v], schedule)[0], np.array(y))
+    return np.linalg.solve(_dense(v, schedule), np.array(y))
 
 
 def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):

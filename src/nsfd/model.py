@@ -19,10 +19,13 @@ of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
 BLAS call.
 
 The field is evaluated by generated code, made for each model on its
-first use and compiled once per process for each source
-(``linalg._kernel_code``): ``phi`` as straight-line Python over the
-term list, the nonzeros of each row of L and b, with one sum for rows
-whose terms repeat or mirror each other (``MassActionModel._phi_kernel``).
+first use: ``phi`` as straight-line Python over the term list, the
+nonzeros of each row of L and b, with one sum for rows whose terms
+repeat or mirror each other (``MassActionModel._phi_kernel``).  Its
+source (:func:`_phi_source`) and the step kernel's
+(:func:`_step_source`) are built and compiled once per process for each
+model's terms, L and b (``linalg._kernel_code``), so a model loaded
+again builds neither.
 It runs on the n Python floats of one state or on the n (m,) columns of
 a stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has
 the bits of its state alone, whatever the stack's size or the BLAS
@@ -36,12 +39,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .linalg import KERNEL_CODE_MAX, _Schedule, _compile_kernels, _schedule_of, _sum_code, _unpack, is_metzler
+from .linalg import _Schedule, _kernel, _schedule_of, _sum_code, _unpack, is_metzler
 
 __all__ = [
     "SpecError",
@@ -164,6 +167,12 @@ def _tight_box(normals: np.ndarray, bounds: np.ndarray, lo: np.ndarray, hi: np.n
     return lo, hi
 
 
+def _check_normals(constraints, n: int) -> None:
+    for con in constraints:
+        if len(con.normal) != n:
+            raise SpecError(f"constraint normal length {len(con.normal)} does not match dimension {n}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Convex state domain: per-component nonnegativity plus half-spaces.
@@ -180,11 +189,7 @@ class Domain:
             raise SpecError("domain must have at least one component")
         object.__setattr__(self, "nonnegative", flags)
         cons = tuple(self.constraints)
-        for con in cons:
-            if len(con.normal) != len(flags):
-                raise SpecError(
-                    f"constraint normal length {len(con.normal)} does not match dimension {len(flags)}"
-                )
+        _check_normals(cons, len(flags))
         object.__setattr__(self, "constraints", cons)
 
     @property
@@ -391,8 +396,7 @@ class MassActionModel:
     # + 0.0.  A pattern entry that no term touches is a float for a float h.
     @cached_property
     def _step_kernel(self) -> Callable:
-        source = _step_source(self.n, self._entry_terms, self._linear_rows, tuple(self.constant.tolist()))
-        return _compile_kernels(source, ("step_system",))[0]
+        return _kernel(_step_source, self.n, self._entry_terms, self._linear_rows, tuple(self.constant.tolist()))
 
     # The split field phi(y, z) of one pair of states in Python floats or of
     # stacks in (m,) columns, made on its first use: for n values each
@@ -414,49 +418,15 @@ class MassActionModel:
     # b_i but -0.0, and a row with b_i = -0.0 sums its own terms.
     @cached_property
     def _phi_kernel(self) -> Callable:
-        bilinear: list[list[tuple[float, int, int]]] = [[] for _ in range(self.n)]
-        for t in self.bilinear:
-            bilinear[t.i].append((t.c, t.j, t.k))
-        # The name of the sum of each term list that a row sums itself.
-        summed: dict[tuple[tuple[float, int, int], ...], str] = {}
-        sums, rows = [], []
-        for i, (terms, lin, b) in enumerate(zip(map(tuple, bilinear), self._linear_rows, self.constant.tolist())):
-            mirror = tuple((-c, j, k) for c, j, k in terms)
-            if terms in summed:
-                bilinear_sum = summed[terms]
-            elif mirror in summed and not (b == 0.0 and math.copysign(1.0, b) < 0.0):
-                bilinear_sum = f"0.0 - {summed[mirror]}"
-            elif terms:
-                lines, total = _sum_code([f"{c!r} * y{j} * z{k}" for c, j, k in terms], f"s{i}")
-                sums += [*lines, f"    s{i} = {total}"]
-                bilinear_sum = summed[terms] = f"s{i}"
-            else:
-                bilinear_sum = ""
-            more, linear_sum = _sum_code([f"{c!r} * (y{j} + z{j})" for j, c in lin], f"l{i}")
-            sums += more
-            half = f"0.5 * ({linear_sum})" if linear_sum else ""
-            rows.append(" + ".join(filter(None, (bilinear_sum, half, f"{b!r}"))))
-        source = "\n".join([
-            "def phi(y, z):",
-            f"    {_unpack('y', self.n)}= y",
-            f"    {_unpack('z', self.n)}= z",
-            *sums,
-            f"    return [{', '.join(rows)}]",
-        ])
-        return _compile_kernels(source, ("phi",))[0]
+        return _kernel(_phi_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes())
 
 
-@lru_cache(maxsize=KERNEL_CODE_MAX)
 def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple) -> str:
-    """The source of ``MassActionModel._step_kernel``, made once per process for each model's entries, L rows and b.
+    """The source of ``MassActionModel._step_kernel`` from the model's ``_entry_terms``, ``_linear_rows`` and b.
 
-    Each CLI call loads its model anew, and making the source costs about
-    ten steps: 0.6 ms for the benchmark's 30-state network model, mostly
-    in float ``repr``s (2-core Xeon, Python 3.11).  The cache keeps the
-    last ``KERNEL_CODE_MAX``, as ``linalg._kernel_code`` does.  Equal
-    arguments give equal source: the only equal floats with different
-    ``repr``s are the two zeros, and the source holds no zero but each
-    entry's base, which is +0.0 or 1.0.
+    Equal arguments make equal source, as ``linalg._kernel_code`` needs:
+    the only equal floats with different ``repr``s are the two zeros, and
+    the source holds no zero but each entry's base, which is +0.0 or 1.0.
     """
 
     def products(terms):
@@ -478,6 +448,42 @@ def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple
         "    half = 0.5 * h",
         *sums,
         f"    return [{', '.join(entries)}], [{', '.join(rhs)}]",
+    ])
+
+
+def _phi_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) -> str:
+    """The source of ``MassActionModel._phi_kernel`` from the model's terms, ``_linear_rows`` and b.
+
+    b comes as bytes, as the source writes a b_i of -0.0 and the mirrored-row rule reads its sign.
+    """
+    rows_terms: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    for t in bilinear:
+        rows_terms[t.i].append((t.c, t.j, t.k))
+    # The name of the sum of each term list that a row sums itself.
+    summed: dict[tuple[tuple[float, int, int], ...], str] = {}
+    sums, rows = [], []
+    for i, (terms, lin, b) in enumerate(zip(map(tuple, rows_terms), linear_rows, np.frombuffer(constant).tolist())):
+        mirror = tuple((-c, j, k) for c, j, k in terms)
+        if terms in summed:
+            bilinear_sum = summed[terms]
+        elif mirror in summed and not (b == 0.0 and math.copysign(1.0, b) < 0.0):
+            bilinear_sum = f"0.0 - {summed[mirror]}"
+        elif terms:
+            lines, total = _sum_code([f"{c!r} * y{j} * z{k}" for c, j, k in terms], f"s{i}")
+            sums += [*lines, f"    s{i} = {total}"]
+            bilinear_sum = summed[terms] = f"s{i}"
+        else:
+            bilinear_sum = ""
+        more, linear_sum = _sum_code([f"{c!r} * (y{j} + z{j})" for j, c in lin], f"l{i}")
+        sums += more
+        half = f"0.5 * ({linear_sum})" if linear_sum else ""
+        rows.append(" + ".join(filter(None, (bilinear_sum, half, f"{b!r}"))))
+    return "\n".join([
+        "def phi(y, z):",
+        f"    {_unpack('y', n)}= y",
+        f"    {_unpack('z', n)}= z",
+        *sums,
+        f"    return [{', '.join(rows)}]",
     ])
 
 
@@ -755,13 +761,10 @@ def model_from_dict(doc: dict) -> MassActionModel:
     dom = doc["domain"]
     _require_keys(dom, _DOMAIN_KEYS, ("nonnegative",), "domain")
     nn = dom["nonnegative"]
-    if nn is True:
-        flags = tuple(True for _ in range(dim))
-    elif isinstance(nn, list) and all(isinstance(v, bool) for v in nn):
+    if isinstance(nn, list) and all(isinstance(v, bool) for v in nn):
         if len(nn) != dim:
             raise SpecError(f"nonnegative has {len(nn)} entries, expected {dim}")
-        flags = tuple(nn)
-    else:
+    elif nn is not True:
         raise SpecError("nonnegative must be true or a list of booleans")
     if not isinstance(dom.get("constraints", []), list):
         raise SpecError("constraints must be a list")
@@ -776,13 +779,20 @@ def model_from_dict(doc: dict) -> MassActionModel:
                 bound=_finite_float(item["bound"], f"constraints[{idx}].bound"),
             )
         )
+    if nn is True:
+        # The flags take memory in dim: a dim that the document's lists cannot
+        # match is refused first, by the domain's or the linear part's check.
+        _check_normals(constraints, dim)
+        if not (isinstance(doc["linear"], list) and len(doc["linear"]) == dim):
+            _readonly_array(doc["linear"], (dim, dim), "linear part")
+        nn = (True,) * dim
 
     return MassActionModel(
         n=dim,
         bilinear=tuple(terms),
         linear=doc["linear"],
         constant=doc["constant"],
-        domain=Domain(nonnegative=flags, constraints=tuple(constraints)),
+        domain=Domain(nonnegative=nn, constraints=tuple(constraints)),
         labels=tuple(labels),
         name=doc["name"],
     )

@@ -478,44 +478,30 @@ def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
         _on_rows(_explicit_step(model, "euler"), np.tile(x, (3, 1)), 0.1)
     assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
     assert _on_rows(_explicit_step(b, "rk4"), x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
-    assert _names(compiles) == ["rk4", "phi", "euler", "phi"]
+    assert _names(compiles) == ["phi", "rk4", "euler", "phi"]
 
 
-def test_a_second_explicit_step_of_one_dimension_builds_no_source(monkeypatch):
-    built = []
-    unpack = nsfd.integrator._unpack
-    monkeypatch.setattr(nsfd.integrator, "_unpack", lambda *args: built.append(args) or unpack(*args))
-    nsfd.integrator._explicit_source.cache_clear()
-    a = make_host_vector()
-    b = make_host_vector(HostVectorParameters(p=0.07))
-    _explicit_step(a, "rk4")
-    assert built
-    built.clear()
-    assert _explicit_step(b, "rk4").__code__ is _explicit_step(a, "rk4").__code__
-    assert built == []
-
-
-def test_a_model_made_again_builds_no_step_source(monkeypatch):
-    built = []
-    unpack = nsfd.model._unpack
-    monkeypatch.setattr(nsfd.model, "_unpack", lambda *args: built.append(args) or unpack(*args))
-    nsfd.model._step_source.cache_clear()
-    make_host_vector()._step_kernel
-    assert built
-    built.clear()
-    make_host_vector()._step_kernel
-    assert built == []
-    # A model whose b and L entry (0, 1), a pattern entry, differ only in
-    # the sign of a zero shares the source, and keeps the bits of the loops.
-    _model([[-1.0, 0.0], [0.5, -1.0]], [0.0, 1.0], [(0, 0, 1, 0.25)])._step_kernel
-    built.clear()
-    minus = _model([[-1.0, -0.0], [0.5, -1.0]], [-0.0, 1.0], [(0, 0, 1, 0.25)])
-    x = np.array([0.5, -0.0])
-    for h in (0.5, -0.5):
-        mats, rhs, _ = _interpreted_system(minus, x, h)
-        values = [mats[e] for e in minus._schedule.pattern]
-        assert _outcome(minus._step_kernel, x.tolist(), h) == _outcome(lambda: (values, rhs))
-    assert built == []
+@pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_zero_of_either_sign_in_b_gets_the_kernels_of_its_own_bits(compiles, signs):
+    # Row 1 mirrors row 0 and has no L terms, and b_1 is the zero.  The
+    # field writes b_1, and row 1 sums its own terms for -0.0 only, so each
+    # sign gets field code of its own.  The step kernel writes neither a
+    # zero b nor a zero L entry, such as (0, 1), a pattern entry, so the two
+    # share it.  Each keeps the bits of the loops, in either load order.
+    models = [
+        _model([[-1.0, zero], [0.0, 0.0]], [1.0, zero], [(0, 0, 1, 0.25), (1, 0, 1, -0.25)]) for zero in signs
+    ]
+    y = [0.0, 1.0]
+    for model in models:
+        assert _outcome(model._phi_kernel, y, y) == _outcome(_interpreted_phi, model, y, y)
+        x = np.array([0.5, -0.0])
+        for h in (0.5, -0.5):
+            mats, rhs, _ = _interpreted_system(model, x, h)
+            values = [mats[e] for e in model._schedule.pattern]
+            assert _outcome(model._step_kernel, x.tolist(), h) == _outcome(lambda: (values, rhs))
+    assert models[0]._phi_kernel.__code__ is not models[1]._phi_kernel.__code__
+    assert models[0]._step_kernel.__code__ is models[1]._step_kernel.__code__
+    assert _names(compiles) == ["phi", "step_system", "phi"]
 
 
 def test_mirrored_and_repeated_rows_share_one_sum_in_the_field_source(compiles, sir_network):
@@ -531,23 +517,37 @@ def test_mirrored_and_repeated_rows_share_one_sum_in_the_field_source(compiles, 
     assert [rows[3 * p + 1].startswith(f"0.0 - s{3 * p} + ") for p in range(4)] == [True] * 4
 
 
-def test_a_model_loaded_again_reuses_the_compiled_code(compiles, tmp_path):
+def test_a_model_loaded_again_builds_no_source_and_reuses_the_code(compiles, monkeypatch, tmp_path):
     # Each load makes kernel functions of its own, with globals of their
-    # own, on the code that the first load compiled.
+    # own, on the code that the first load compiled, and builds no source:
+    # every generator writes one with _unpack or _sum_code.  The schedule
+    # is made again, so its kernels come from the code cache too.
+    built = []
+    for module, name in ((nsfd.linalg, "_unpack"), (nsfd.linalg, "_sum_code"), (nsfd.model, "_unpack"),
+                         (nsfd.model, "_sum_code"), (nsfd.integrator, "_unpack")):
+        helper = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, helper=helper: built.append(args) or helper(*args))
     path = tmp_path / "host-vector.json"
     path.write_text(dump_model(make_host_vector()))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
-    a = load_model(path)
-    first = (step_forward(a, x, 0.5), eval_f(a, x), _on_rows(_explicit_step(a, "rk4"), x, 0.1))
-    assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "phi", "rk4"]
-    b = load_model(path)
-    again = (step_forward(b, x, 0.5), eval_f(b, x), _on_rows(_explicit_step(b, "rk4"), x, 0.1))
-    assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "phi", "rk4"]
-    for name in ("_phi_kernel", "_step_kernel"):
-        kernel_a, kernel_b = a.__dict__[name], b.__dict__[name]
+    names = ["phi", "rk4", "euler", "step_system", "slack_pass", "eliminate"]
+
+    def run(model):
+        rk4, euler = _explicit_step(model, "rk4"), _explicit_step(model, "euler")
+        out = [step_forward(model, x, 0.5), eval_f(model, x), _on_rows(rk4, x, 0.1), _on_rows(euler, x, 0.1)]
+        kernels = [model._step_kernel, model._schedule.slack_pass, model._schedule.eliminate, model._phi_kernel]
+        return [v.tobytes() for v in out], [*kernels, rk4, euler]
+
+    first, kernels_a = run(load_model(path))
+    assert _names(compiles) == names and built
+    built.clear()
+    _schedule_of.cache_clear()
+    again, kernels_b = run(load_model(path))
+    assert _names(compiles) == names and built == []
+    for kernel_a, kernel_b in zip(kernels_a, kernels_b):
         assert kernel_a is not kernel_b and kernel_a.__globals__ is not kernel_b.__globals__
         assert kernel_a.__code__ is kernel_b.__code__
-    assert [v.tobytes() for v in first] == [v.tobytes() for v in again]
+    assert first == again
 
 
 def test_a_changed_coefficient_compiles_new_code(compiles):

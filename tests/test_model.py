@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,32 @@ def test_dict_schema_rejects_bad_shapes(logistic):
     doc["labels"] = ["x", "y"]
     with pytest.raises(SpecError):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "constraints, message",
+    [
+        (None, "constraint normal length 1 does not match dimension 1000000"),
+        ([], r"linear part must have shape \(1000000, 1000000\), got \(1, 1\)"),
+    ],
+)
+def test_a_dim_that_the_lists_cannot_match_is_refused_before_its_flags_are_made(logistic, constraints, message):
+    # A dim of 10^6 over one-state lists, with every component nonnegative,
+    # gets the message of the first check that the lists fail, the domain's
+    # or the linear part's, and allocates next to nothing.
+    doc = model_to_dict(logistic)
+    doc["dim"] = 10**6
+    doc["domain"]["nonnegative"] = True
+    if constraints is not None:
+        doc["domain"]["constraints"] = constraints
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            model_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_load_model_rejects_malformed_file(tmp_path):
