@@ -43,7 +43,15 @@ from .invariance import (
     sample_interior,
 )
 from .linalg import LinAlgError
-from .model import MassActionModel, SpecError, _check_state, dump_model, load_model, validate
+from .model import (
+    MassActionModel,
+    SpecError,
+    _check_state,
+    _model_from_text,
+    _read_model_text,
+    dump_model,
+    validate,
+)
 from .models import BUILTIN_NAMES, make_builtin
 
 __all__ = ["main"]
@@ -80,11 +88,23 @@ def _parse_params(items: list[str]) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
+# The last model document that a call built, as (text, model): a command
+# on a file whose text is unchanged reads it and builds nothing.  Only the
+# last one is kept, so at most one model is held, a file rewritten in place
+# gives its new model, and a document that fails is never kept.  Built-ins
+# are made anew: making one costs little next to its command.
+_last_document: tuple[str, MassActionModel] | None = None
+
+
 def _resolve_model(model_path, builtin, params) -> MassActionModel:
+    global _last_document
     if model_path is not None:
         if params:
             raise SpecError("--param applies to --builtin models only")
-        return load_model(model_path)
+        text = _read_model_text(model_path)
+        if _last_document is None or _last_document[0] != text:
+            _last_document = text, _model_from_text(text, model_path)
+        return _last_document[1]
     return make_builtin(builtin, **dict(params))
 
 

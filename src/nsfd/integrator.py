@@ -407,22 +407,11 @@ def step_bound(model: MassActionModel) -> StepBoundReport:
     strict dominance of both matrices is exactly h * (column sum) < 1.
 
     When the quotient is unbounded (zero U, or bilinear terms over an
-    unbounded box) the report is capped at DEFAULT_H_MAX.
+    unbounded box) the report is capped at DEFAULT_H_MAX.  The interval
+    pass runs once per model (``MassActionModel._column_sups``).
     """
-    lo_x = model.domain.box_lower
-    hi_x = model.domain.box_upper
-    s_lo = 0.5 * np.array(model.linear)
-    s_hi = 0.5 * np.array(model.linear)
-    for t in model.bilinear:
-        for col, var in ((t.k, t.j), (t.j, t.k)):
-            g = 0.5 * t.c
-            a = g * lo_x[var]
-            b = g * hi_x[var]
-            s_lo[t.i, col] += min(a, b)
-            s_hi[t.i, col] += max(a, b)
-    sup_abs = np.maximum(np.abs(s_lo), np.abs(s_hi))
-    u = sup_abs.sum(axis=0)
-    per_column = tuple((j, float(u[j])) for j in range(model.n))
+    u = model._column_sups
+    per_column = tuple(enumerate(u.tolist()))
     limiting = int(np.argmax(np.where(np.isnan(u), np.inf, u)))
     u_max = float(u[limiting])
     capped = not np.isfinite(u_max) or u_max == 0.0 or 1.0 / u_max > DEFAULT_H_MAX

@@ -382,6 +382,25 @@ class MassActionModel:
             rows[i].append((j, c))
         return tuple(map(tuple, rows))
 
+    # The interval pass of integrator.step_bound, run on its first call for
+    # the model: the U_j of every column j, read-only.
+    @cached_property
+    def _column_sups(self) -> np.ndarray:
+        lo_x = self.domain.box_lower
+        hi_x = self.domain.box_upper
+        s_lo = 0.5 * np.array(self.linear)
+        s_hi = 0.5 * np.array(self.linear)
+        for t in self.bilinear:
+            for col, var in ((t.k, t.j), (t.j, t.k)):
+                g = 0.5 * t.c
+                a = g * lo_x[var]
+                b = g * hi_x[var]
+                s_lo[t.i, col] += min(a, b)
+                s_hi[t.i, col] += max(a, b)
+        u = np.maximum(np.abs(s_lo), np.abs(s_hi)).sum(axis=0)
+        u.setflags(write=False)
+        return u
+
     # The step system of one state in Python floats or of a stack in (m,)
     # columns, made on its first step: step_system(x, h), for n values
     # x and a signed h, a float or an (m,) array, gives the values of
@@ -821,14 +840,28 @@ def dump_model(model: MassActionModel) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
 
-def load_model(path) -> MassActionModel:
-    """Load a model document from a JSON file; all failures are SpecError."""
+def _read_model_text(path) -> str:
+    """The text of a model file; a file that cannot be read or decoded is a SpecError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read model file {path}: {exc}") from exc
     except ValueError as exc:
-        # Also undecodable bytes and integers beyond Python's digit limit.
+        # Undecodable bytes.
+        raise SpecError(f"model file {path} is not valid JSON: {exc}") from exc
+
+
+def _model_from_text(text: str, path) -> MassActionModel:
+    """A new model from the text of the model file at ``path``, which names it in errors."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        # Also integers beyond Python's digit limit.
         raise SpecError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
+
+
+def load_model(path) -> MassActionModel:
+    """Load a model document from a JSON file, as a new model on every call; all failures are SpecError."""
+    return _model_from_text(_read_model_text(path), path)
