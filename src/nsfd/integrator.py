@@ -20,9 +20,9 @@ state and of a stack (:func:`_pattern_system`): the model's
 right-hand side, on the n Python floats of one state or on the n (m,)
 columns of a stack, with the same operations in the same order, so a
 row of a stack has the bits of its state stepped alone.  No assembly
-calls BLAS.  The solve (``linalg.lu_solve`` with the elimination
-schedule of the pattern, ``model._schedule``) picks elimination in
-Python floats or LAPACK by the schedule's size.  A batch with one step
+calls BLAS.  The solve (``linalg.lu_solve`` or ``lu_solve_batch`` with
+the elimination schedule of the pattern, ``model._schedule``) picks
+elimination or LAPACK by ``_Schedule.eliminates``.  A batch with one step
 size shares it as a float.  The step checks that the system is strictly
 column diagonally dominant, from the step's one ``abs`` pass over the
 matrices, and the solve guard certifies from the same pass instead of

@@ -6,19 +6,20 @@ guard that refuses numerically singular and non-finite systems, which
 ``gesv`` would solve without complaint.  Strictly column dominant
 systems need no pivoting.  The integrator's step systems come as the
 values of the entries of an elimination schedule (:class:`_Schedule`),
-which leaves out the operations on entries that stay zero, and two kinds
-of them are solved by Gaussian elimination without pivoting instead:
-the one system of a step whose schedule makes at most
-FLOAT_ELIMINATION_MAX_OPS operations, and a stack of at least ``2 n^3``
-such systems.  :func:`_solve_floats` and :func:`_solve_stack` make
-these choices.  Both eliminations run the same straight-line code, made
-once per schedule (``_Schedule.slack_pass`` and ``_Schedule.eliminate``,
-each on its first use) from the one cache of generated code
-(:func:`_kernel_code`): on Python floats for one system, and on the
-stack's (m,) columns, one elementwise operation across the stack for
-each operation of the schedule.  Neither calls BLAS, so their bits
-depend on neither the stack's size nor the BLAS kernel, and a system
-gets the same bits alone as in a stack.  The guard's usual case costs
+which leaves out the operations on entries that stay zero, and such a
+system is solved by Gaussian elimination without pivoting instead when
+its schedule makes at most FLOAT_ELIMINATION_MAX_OPS operations, alone
+or in a stack of any size, or when it is one of a stack of at least
+``2 n^3``.  One predicate, ``_Schedule.eliminates``, makes this choice
+for :func:`_solve_floats` and :func:`_solve_stack`.  Both eliminations
+run the same straight-line code, made once per schedule
+(``_Schedule.slack_pass`` and ``_Schedule.eliminate``, each on its first
+use) from the one cache of generated code (:func:`_kernel_code`): on
+Python floats for one system, and on the stack's (m,) columns, one
+elementwise operation across the stack for each operation of the
+schedule.  Neither calls BLAS, so their bits depend on neither the
+stack's size nor the BLAS kernel, and a system gets the same bits alone
+as in a stack.  The guard's usual case costs
 one ``abs`` pass and a few reductions: Varah's bound certifies a
 strictly column dominant stack at once, and the exact condition number
 is computed only for what it leaves uncertain.  The integrator makes
@@ -54,14 +55,15 @@ __all__ = [
 # is treated as structurally singular rather than solved.
 PIVOT_RTOL = 1e-14
 
-# One system in Python floats is solved by its schedule's compiled
-# elimination when the schedule makes at most this many elementwise
-# operations, and by LAPACK ``gesv`` otherwise.  Timed on SIR rings of
-# n = 6 to 36 (2-core Xeon, Python 3.11, numpy 2.4), a step that ran and
-# eliminated in Python floats was the faster, against one assembled in
-# numpy and solved by LAPACK, up to 916 operations and the slower from
-# 1,140; the cut-off stays below a 33-state ring of 571, whose stability
-# verdict at a non-hyperbolic equilibrium turns on a last bit.
+# A dominant system, alone in Python floats or in a stack, is solved by
+# its schedule's compiled elimination when the schedule makes at most
+# this many elementwise operations (``_Schedule.eliminates``).  Timed for
+# one system on SIR rings of n = 6 to 36 (2-core Xeon, Python 3.11,
+# numpy 2.4), a step that ran and eliminated in Python floats was the
+# faster, against one assembled in numpy and solved by LAPACK, up to 916
+# operations and the slower from 1,140; the cut-off stays below a
+# 33-state ring of 571, whose stability verdict at a non-hyperbolic
+# equilibrium turns on a last bit.
 FLOAT_ELIMINATION_MAX_OPS = 550
 
 
@@ -138,13 +140,14 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
     when the caller has them, made here otherwise.  With a ``schedule``,
     ``a`` is the (m, p) stack of the values of its pattern entries and ``b``
     an (m, n) stack, each the transpose of a contiguous array that the
-    caller made for this solve and that the elimination works in.  Such a
-    stack of at least ``2 n^3`` strictly column dominant systems is solved
-    by the compiled ``eliminate`` of ``schedule``, one elementwise operation
-    over the stack's (m,) columns at a time; every other system or stack
-    goes to one LAPACK ``gesv`` call.  On strictly column dominant systems
-    partial pivoting would never swap rows, every multiplier is at most 1 in
-    size and the growth factor at most 2 (Golub & Van Loan, *Matrix
+    caller made for this solve and that the elimination works in.  A stack
+    of m strictly column dominant systems is solved by the compiled
+    ``eliminate`` of ``schedule`` when ``schedule.eliminates(m)``, one
+    elementwise operation over the stack's (m,) columns at a time, so that
+    each row gets the bits of its system solved alone; every other system
+    or stack goes to one LAPACK ``gesv`` call.  On strictly column dominant
+    systems partial pivoting would never swap rows, every multiplier is at
+    most 1 in size and the growth factor at most 2 (Golub & Van Loan, *Matrix
     Computations*, 4th ed., Thm 3.4.3), so the elimination is as stable as
     LAPACK.  Each system must have reciprocal 1-norm condition at least
     PIVOT_RTOL.  Varah's bound certifies most of them without an inverse: a
@@ -164,11 +167,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.
         _check_condition(dense.reshape(-1, *dense.shape[-2:]), slack, colsum)
     if b.ndim == 1:
         return np.linalg.solve(a, b)
-    m, n = b.shape
-    # The elimination makes about 2 n^3 / 3 ufunc calls over the stack and
-    # LAPACK one call per matrix: timed for n from 1 to 30 and m from 10 to
-    # 4000, the elimination was the faster from m = 2 n^3 on at every point.
-    if schedule is not None and smin > 0.0 and m >= 2 * n**3:
+    if schedule is not None and smin > 0.0 and schedule.eliminates(len(b)):
         # Python floats raise no warning, nor do their columns: a non-finite
         # system that the guard passed solves to the single step's values.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -255,17 +254,30 @@ class _Schedule:
             + n
         )
 
+    def eliminates(self, m: int) -> bool:
+        """Whether a strictly column dominant system of the schedule, one of m solved together, goes to ``eliminate``.
+
+        The one choice between elimination and LAPACK, for one system
+        (m = 1) and for a stack.  A schedule of at most
+        FLOAT_ELIMINATION_MAX_OPS operations is eliminated at every m, so
+        its systems get the same bits alone and in any stack.  A larger
+        one is eliminated from ``2 n^3`` systems on, where LAPACK would
+        need the whole (m, n, n) stack of dense matrices.
+        """
+        return self.size <= FLOAT_ELIMINATION_MAX_OPS or m >= 2 * self.n**3
+
     # The loops over ``columns``, ``forward`` and ``backward`` as straight
-    # code, each made on its first use: a stack below 2 n^3 rows runs
-    # the slack pass but never the elimination.  Each takes one system as
-    # Python floats or a stack of them as (m,) float64 columns, one per
-    # value: ``v``, the values of the ``pattern`` entries in its order, and
-    # ``y``, the n right-hand side values.  The code is ``+ - * / abs``
-    # only, so numpy makes the same IEEE operations in the same order on
-    # every row of a column as Python does on a float, and a system gets
-    # the same bits alone and in a stack.  Each makes its loops' operations
-    # in their order; only a sum of ``abs`` values starts from its first
-    # term, not from 0.0, as an ``abs`` is never -0.0.
+    # code, each made on its first use: a model above the cut-off runs the
+    # slack pass on every step and the elimination only on a stack of at
+    # least ``2 n^3`` rows.  Each takes one system as Python floats or a
+    # stack of them as (m,) float64 columns, one per value: ``v``, the
+    # values of the ``pattern`` entries in its order, and ``y``, the n
+    # right-hand side values.  The code is ``+ - * / abs`` only, so numpy
+    # makes the same IEEE operations in the same order on every row of a
+    # column as Python does on a float, and a system gets the same bits
+    # alone and in a stack.  Each makes its loops' operations in their
+    # order; only a sum of ``abs`` values starts from its first term, not
+    # from 0.0, as an ``abs`` is never -0.0.
 
     @cached_property
     def slack_pass(self) -> Callable:
@@ -408,10 +420,10 @@ def lu_solve(a, rhs, *, _parts=None, _schedule=None):
     state, which has checked that ``a`` is strictly column dominant and
     hands on the :func:`_slack_parts` of ``a`` with the schedule as the
     private ``_parts``, so that the guard need not make them.  The guard
-    is the same, and the system is then solved as :func:`_solve_floats`
-    chooses: by the schedule's compiled ``eliminate``, with no BLAS call,
-    which gives it the bits of its row of an eliminated stack, or by
-    LAPACK.
+    is the same, and the system is then solved as ``_Schedule.eliminates``
+    chooses for one system: by the schedule's compiled ``eliminate``, with
+    no BLAS call, which gives it the bits of its row of an eliminated
+    stack, or by LAPACK.
 
     Parameters
     ----------
@@ -445,15 +457,14 @@ def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
 
     The guard is the stack's, and only what Varah's bound leaves
     uncertain goes to the exact check, on the system as an (n, n) array.
-    A ``schedule`` of at most FLOAT_ELIMINATION_MAX_OPS operations solves
-    the system by its compiled ``eliminate``; a larger one's system goes
-    to LAPACK as that array.
+    A ``schedule`` that eliminates one system solves it by its compiled
+    ``eliminate``; any other's system goes to LAPACK as that array.
     """
     slack, colsum, smin = _slack_parts(v, schedule) if parts is None else parts
     if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
         n = schedule.n
         _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
-    if schedule.size <= FLOAT_ELIMINATION_MAX_OPS:
+    if schedule.eliminates(1):
         return np.array(schedule.eliminate(v, y))
     return np.linalg.solve(_dense(v, schedule), np.array(y))
 
@@ -468,7 +479,7 @@ def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
     the integrator's (m, p) stack of the values of that
     :class:`_Schedule`'s pattern entries and ``rhs`` its (m, n)
     right-hand sides, both made for this solve, which works in them; a
-    stack of at least ``2 n^3`` strictly column dominant systems is then
+    strictly column dominant stack that ``_Schedule.eliminates`` is then
     solved by elimination without pivoting, which such systems never
     need, one elementwise operation per entry across the stack.
 

@@ -1222,14 +1222,25 @@ def _check_output_under_two_blas_kernels(*args, cores=("Haswell", "SkylakeX")):
 
 
 def test_invariance_output_does_not_depend_on_the_blas_kernel():
-    # The audit's 1000-row stacks and the 256-sample discrete tangent are
-    # dominant stacks past the elimination rule of linalg._solve_stack, so
-    # their rows get the same bits under every OpenBLAS kernel.  Solved by
-    # LAPACK, this worst_margin read 7.034373084024992e-13 under Haswell and
-    # 7.016609515630989e-13 under SkylakeX.
+    # host-vector is below the cut-off of linalg._Schedule.eliminates, so
+    # the audit's 1000-row stacks and the 256-sample discrete tangent are
+    # eliminated and their rows get the same bits under every OpenBLAS
+    # kernel.  Solved by LAPACK, this worst_margin read
+    # 7.034373084024992e-13 under Haswell and 7.016609515630989e-13 under
+    # SkylakeX.
     _check_output_under_two_blas_kernels(
         "-m", "nsfd", "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "1000", "--steps", "200",
         "--seed", "5",
+    )
+
+
+def test_the_readme_invariance_does_not_depend_on_the_blas_kernel():
+    # The README's 100 trials are a stack below 2 n^3 = 250 rows, eliminated
+    # because host-vector is below the cut-off.  While such a stack went to
+    # LAPACK, this stdout had md5 b15a641a... under Haswell and d11237c4...
+    # under SkylakeX.
+    _check_output_under_two_blas_kernels(
+        "-m", "nsfd", "invariance", "--builtin", "host-vector", "--h", "0.5", "--trials", "100", "--steps", "100",
     )
 
 

@@ -253,10 +253,10 @@ def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_networ
 def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(
     all_models, sir_network, two_coordinate_entries, rng, monkeypatch, frac
 ):
-    # A small model steps one state in Python floats and a stack in (m,)
-    # columns, by the same generated kernel, so a state gets one set of
-    # bits, alone or in a stack, and neither depends on the BLAS kernel:
-    # also where a P + Q entry reads several coordinates of x.
+    # A small model steps one state in Python floats and a stack of any
+    # size in (m,) columns, by the same generated kernel, so a state gets
+    # one set of bits, alone or in a stack, and neither depends on the BLAS
+    # kernel: also where a P + Q entry reads several coordinates of x.
     def no_lapack(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
 
@@ -264,11 +264,12 @@ def test_single_steps_have_the_bits_of_their_row_of_an_eliminated_stack(
     for model in (*all_models, sir_network, two_coordinate_entries):
         assert model._schedule.size <= FLOAT_ELIMINATION_MAX_OPS, model.name
         h = frac * step_bound(model).h_bar
-        xs = _interior_states(model, rng, max(2 * model.n**3, 2000))
-        for single, batch in ((step_forward, step_forward_batch), (step_backward, step_backward_batch)):
-            rows = batch(model, xs, h)
-            alone = np.array([single(model, x, h) for x in xs])
-            assert alone.tobytes() == rows.tobytes(), (model.name, single.__name__)
+        for m in (1, 3, 100, 249, max(2 * model.n**3, 2000)):
+            xs = _interior_states(model, rng, m)
+            for single, batch in ((step_forward, step_forward_batch), (step_backward, step_backward_batch)):
+                rows = batch(model, xs, h)
+                alone = np.array([single(model, x, h) for x in xs])
+                assert alone.tobytes() == rows.tobytes(), (model.name, m, single.__name__)
 
 
 def test_a_model_past_the_cut_off_steps_one_state_with_lapack(sir_ring_30, rng, monkeypatch):
@@ -464,18 +465,22 @@ def test_batch_step_makes_no_second_stack(host_vector, h_bars, rng, step):
     assert peak < 2.0 * m * host_vector.n**2 * 8
 
 
-@pytest.mark.parametrize("count", [100, 1000])
+@pytest.mark.parametrize("name, count", [("host_vector", 100), ("host_vector", 1000), ("sir_ring_30", 100)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(host_vector, h_bars, rng, count, sign):
+def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(request, rng, name, count, sign):
     # The step hands its stack and right-hand sides to the solve to be
     # overwritten; the answer must be the one a solve on copies gives, on
-    # both sides of the elimination rule (250 rows for n = 5).
-    xs = _interior_states(host_vector, rng, count)
-    h = 0.4 * h_bars["host-vector"]
-    values, rhs, _ = _pattern_system(host_vector, xs, sign * h)
-    want = lu_solve_batch(values.T.copy().T, rhs.T.copy().T, _schedule=host_vector._schedule)
+    # both sides of the elimination rule: host-vector's stacks are
+    # eliminated, and 100 rows of the 30-state ring, past the cut-off and
+    # below 2 n^3, go to LAPACK.
+    model = request.getfixturevalue(name)
+    assert model._schedule.eliminates(count) == (name == "host_vector")
+    xs = _interior_states(model, rng, count)
+    h = 0.4 * step_bound(model).h_bar
+    values, rhs, _ = _pattern_system(model, xs, sign * h)
+    want = lu_solve_batch(values.T.copy().T, rhs.T.copy().T, _schedule=model._schedule)
     step = step_forward_batch if sign > 0 else step_backward_batch
-    assert step(host_vector, xs, h).tobytes() == want.tobytes()
+    assert step(model, xs, h).tobytes() == want.tobytes()
 
 
 def test_trajectory_views_a_float_array_without_freezing_it():

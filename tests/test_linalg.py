@@ -185,17 +185,20 @@ def _full_pattern_solve(a, b):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
-@pytest.mark.parametrize("side", ["below", "at"])
-def test_dominant_stack_is_eliminated_from_two_n_cubed_rows(rng, monkeypatch, n, side):
-    # Below 2 n^3 rows the stack goes to LAPACK; from there on it is solved
-    # by elimination without pivoting, within a few ulps of LAPACK's answer.
-    m = 2 * n**3 - (side == "below")
+@pytest.mark.parametrize("side", ["one", "below", "at"])
+def test_a_dominant_stack_is_eliminated_as_its_schedule_says(rng, monkeypatch, n, side):
+    # A schedule at or below the cut-off eliminates a stack of any size; a
+    # larger one sends a stack below 2 n^3 rows to LAPACK and eliminates
+    # from there on, within a few ulps of LAPACK's answer.
+    small = _schedule_of(n, tuple(range(n * n))).size <= FLOAT_ELIMINATION_MAX_OPS
+    assert small == (n < 12)
+    m = {"one": 1, "below": 2 * n**3 - 1, "at": 2 * n**3}[side]
     a = _dominant_systems(rng, m, n)
     b = rng.standard_normal((m, n))
     want = np.linalg.solve(a, b[..., None])[..., 0]
     calls = _count_lapack_solves(monkeypatch)
     xs = _full_pattern_solve(a, b)
-    assert len(calls) == (side == "below")
+    assert len(calls) == (not small and side != "at")
     gap = np.abs(xs - want).max(axis=1) / np.abs(want).max(axis=1)
     assert gap.max() <= ELIMINATION_RTOL
 
