@@ -250,6 +250,8 @@ def _cmd_order(args) -> int:
 def _cmd_stability(args) -> int:
     model = _model_from_args(args)
     seed_point = np.array(_parse_x0(args.x0))
+    # Before the Newton run, so that a bad --h is an input error whatever --x0 is.
+    _check_h(args.h)
     result = find_equilibria(model, [seed_point])[0]
     # A Newton run that stopped away from an equilibrium found none: a
     # numerical failure, not an input error about a point the user never gave.

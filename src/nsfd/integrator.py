@@ -35,7 +35,8 @@ as scalar ones are.
 The explicit comparison schemes, Euler and RK4, run generated steps
 (:func:`_explicit_source`, whose code ``linalg._kernel_code`` keeps once
 per process for the models of one dimension) that call the model's
-field kernel ``_phi_kernel``: :func:`integrate` steps
+field kernel ``_f_kernel``, f(x) itself rather than phi(x, x):
+:func:`integrate` steps
 one state in Python floats, and the audit a stack on its (m,) columns
 (``model._on_rows`` of :func:`_explicit_step`), with no BLAS call and
 the same bits per row.  The trapezoidal scheme is a general split
@@ -432,20 +433,20 @@ def _explicit_source(scheme: str, n: int) -> str:
 
     ``euler(x, h)`` and ``rk4(x, h)``, for n values x and a float h, give
     the next state as a list, with the operations of ``x + h f(x)`` and of
-    the classical four-stage formula in that order, where ``f(x)`` is the
-    global ``phi(x, x)``: a model's field kernel, bound by
-    :func:`_explicit_step`.
+    the classical four-stage formula in that order, where ``f`` is the
+    global bound by :func:`_explicit_step`: a model's field kernel
+    ``_f_kernel``, which gives the bits of ``phi(x, x)`` except at the
+    edges that ``model.eval_f`` names.
     """
-    lines = [f"def {scheme}(x, h):", f"    {_unpack('x', n)}= x"]
+    lines = [f"def {scheme}(x, h):", f"    {_unpack('x', n)}= x", f"    {_unpack('a', n)}= f(x)"]
     if scheme == "euler":
-        lines.append(f"    {_unpack('f', n)}= phi(x, x)")
-        state = [f"x{i} + h * f{i}" for i in range(n)]
+        state = [f"x{i} + h * a{i}" for i in range(n)]
     else:
-        lines += ["    half = 0.5 * h", f"    {_unpack('a', n)}= phi(x, x)"]
+        lines.append("    half = 0.5 * h")
         # Each stage is the field at x + step * k, unpacked into the next letter.
         for k, step, out in (("a", "half", "b"), ("b", "half", "c"), ("c", "h", "d")):
             stage = ", ".join(f"x{i} + {step} * {k}{i}" for i in range(n))
-            lines += [f"    u = [{stage}]", f"    {_unpack(out, n)}= phi(u, u)"]
+            lines += [f"    {_unpack(out, n)}= f([{stage}])"]
         lines.append("    sixth = h / 6.0")
         state = [f"x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
     lines.append(f"    return [{', '.join(state)}]")
@@ -454,7 +455,7 @@ def _explicit_source(scheme: str, n: int) -> str:
 
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
     """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': the code of :func:`_explicit_source` with the model's field."""
-    return _kernel(_explicit_source, scheme, model.n, phi=model._phi_kernel)
+    return _kernel(_explicit_source, scheme, model.n, f=model._f_kernel)
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:

@@ -18,19 +18,23 @@ satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
 BLAS call.
 
-The field is evaluated by generated code, made for each model on its
-first use: ``phi`` as straight-line Python over the term list, the
-nonzeros of each row of L and b, with one sum for rows whose terms
-repeat or mirror each other (``MassActionModel._phi_kernel``).  Its
-source (:func:`_phi_source`) and the step kernel's
+The split field and the field are evaluated by generated code, made for
+each model on its first use: ``phi`` and ``f`` as straight-line Python
+over the term list, the nonzeros of each row of L and b, with one sum
+for rows whose terms repeat or mirror each other
+(``MassActionModel._phi_kernel`` and ``_f_kernel``, from one generator,
+:func:`_field_source`).  ``f`` sums ``L_ij x_j`` where ``phi(x, x)``
+halves the sum of ``L_ij (x_j + x_j)``, so the two have the same bits
+except where a product ``L_ij x_j`` is subnormal or a doubled value
+overflows.  The field sources and the step kernel's
 (:func:`_step_source`) are built and compiled once per process for each
 model's terms, L and b (``linalg._kernel_code``), so a model loaded
-again builds neither.
-It runs on the n Python floats of one state or on the n (m,) columns of
+again builds none of them.
+They run on the n Python floats of one state or on the n (m,) columns of
 a stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has
 the bits of its state alone, whatever the stack's size or the BLAS
 kernel.
-The integrator's explicit Euler and RK4 steps call it.
+The integrator's explicit Euler and RK4 steps call ``f``.
 """
 
 from __future__ import annotations
@@ -417,8 +421,15 @@ class MassActionModel:
     # of y and z, the list of the n values of row i, its bilinear terms
     # (c * y_j) * z_k in term order, then 0.5 * the sum of L_ij (y_j + z_j)
     # over the row's nonzeros in column order, then + b_i, each sum from
-    # its first term.  phi(x, x) is the field f(x).  A row with no terms
-    # and no L entry is the float b_i.
+    # its first term.  A row with no terms and no L entry is the float b_i.
+    # The field f(x) of n values x, _f_kernel, is made by the same rules
+    # with (c * x_j) * x_k for each bilinear term and the sum of L_ij x_j,
+    # not halved, for the L part.  Doubling and halving are exact, so f(x)
+    # has the bits of phi(x, x) wherever no product L_ij x_j is subnormal
+    # and no doubled x_j, product or partial sum overflows; at those edges
+    # phi(x, x) rounds otherwise, or overflows where f does not (for the
+    # logistic model at x = 1e308, phi(x, x) is inf - inf = NaN and f(x)
+    # is -inf).
     #
     # A mass-action reaction is a loss in one row and a gain in another, so
     # rows repeat or mirror each other's term lists, read as (c, j, k) in
@@ -432,7 +443,11 @@ class MassActionModel:
     # b_i but -0.0, and a row with b_i = -0.0 sums its own terms.
     @cached_property
     def _phi_kernel(self) -> Callable:
-        return _kernel(_phi_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes())
+        return _kernel(_field_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes(), True)
+
+    @cached_property
+    def _f_kernel(self) -> Callable:
+        return _kernel(_field_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes(), False)
 
 
 def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple) -> str:
@@ -465,11 +480,13 @@ def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple
     ])
 
 
-def _phi_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) -> str:
-    """The source of ``MassActionModel._phi_kernel`` from the model's terms, ``_linear_rows`` and b.
+def _field_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes, split: bool) -> str:
+    """The source of ``MassActionModel._phi_kernel`` (``split``) or ``_f_kernel`` from the model's terms, ``_linear_rows`` and b.
 
     b comes as bytes, as the source writes a b_i of -0.0 and the mirrored-row rule reads its sign.
     """
+    slots = ["y", "z"] if split else ["x"]
+    y, z = slots[0], slots[-1]
     rows_terms: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
     for t in bilinear:
         rows_terms[t.i].append((t.c, t.j, t.k))
@@ -483,19 +500,20 @@ def _phi_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) ->
         elif mirror in summed and not (b == 0.0 and math.copysign(1.0, b) < 0.0):
             bilinear_sum = f"0.0 - {summed[mirror]}"
         elif terms:
-            lines, total = _sum_code([f"{c!r} * y{j} * z{k}" for c, j, k in terms], f"s{i}")
+            lines, total = _sum_code([f"{c!r} * {y}{j} * {z}{k}" for c, j, k in terms], f"s{i}")
             sums += [*lines, f"    s{i} = {total}"]
             bilinear_sum = summed[terms] = f"s{i}"
         else:
             bilinear_sum = ""
-        more, linear_sum = _sum_code([f"{c!r} * (y{j} + z{j})" for j, c in lin], f"l{i}")
+        products = [f"{c!r} * ({y}{j} + {z}{j})" if split else f"{c!r} * {y}{j}" for j, c in lin]
+        more, linear_sum = _sum_code(products, f"l{i}")
         sums += more
-        half = f"0.5 * ({linear_sum})" if linear_sum else ""
-        rows.append(" + ".join(filter(None, (bilinear_sum, half, f"{b!r}"))))
+        if linear_sum:
+            linear_sum = f"0.5 * ({linear_sum})" if split else f"({linear_sum})"
+        rows.append(" + ".join(filter(None, (bilinear_sum, linear_sum, f"{b!r}"))))
     return "\n".join([
-        "def phi(y, z):",
-        f"    {_unpack('y', n)}= y",
-        f"    {_unpack('z', n)}= z",
+        f"def {'phi' if split else 'f'}({', '.join(slots)}):",
+        *(f"    {_unpack(slot, n)}= {slot}" for slot in slots),
         *sums,
         f"    return [{', '.join(rows)}]",
     ])
@@ -539,12 +557,12 @@ def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = No
     whose row r is ``phi(ys[r], zs[r])``; ``zs`` has the rank of ``ys``.
     Both run the model's generated ``_phi_kernel`` (:func:`_on_rows`), with
     no BLAS call, so a row of a stack has the bits of its state alone.
-    Without ``zs`` it is the field ``f(y) = phi(y, y)``.
+    Without ``zs`` it is the field ``f(y)``, from the model's ``_f_kernel``
+    in the same way.
     """
-    phi = model._phi_kernel
     if zs is None:
-        return _on_rows(lambda x: phi(x, x), ys)
-    return _on_rows(phi, ys, zs)
+        return _on_rows(model._f_kernel, ys)
+    return _on_rows(model._phi_kernel, ys, zs)
 
 
 def _jacobian_entries(model: MassActionModel, x: np.ndarray) -> np.ndarray:
@@ -571,8 +589,10 @@ def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
     """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b``.
 
     Both states are checked, then evaluated as vectors, with no stack
-    axis.  ``eval_phi(m, x, x)`` follows the same floating-point path as
-    :func:`eval_f` (it is the definition of it), so the two agree exactly.
+    axis.  ``eval_phi(m, x, x)`` agrees exactly with :func:`eval_f`
+    wherever no product ``L_ij x_j`` is subnormal and no doubled ``x_j``,
+    product or partial sum of the L part overflows; at those edges it
+    rounds otherwise or overflows first.
     """
     y = _check_state(model, y, "first argument")
     z = _check_state(model, z, "second argument")
@@ -580,8 +600,15 @@ def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
 
 
 def eval_f(model: MassActionModel, x) -> np.ndarray:
-    """Vector field ``f(x) = B(x, x) + L x + b``, evaluated as ``phi(x, x)``."""
-    return eval_phi(model, x, x)
+    """Vector field ``f(x) = B(x, x) + L x + b``.
+
+    The state is checked, then evaluated by the model's generated
+    ``_f_kernel``.  It agrees exactly with ``eval_phi(m, x, x)`` wherever
+    no product ``L_ij x_j`` is subnormal and no doubled ``x_j``, product or
+    partial sum of the L part overflows; at those edges ``phi(x, x)``
+    rounds otherwise, or overflows where ``f(x)`` does not.
+    """
+    return _phi_rows(model, _check_state(model, x))
 
 
 def assemble_P(model: MassActionModel, y) -> np.ndarray:

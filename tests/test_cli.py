@@ -584,8 +584,8 @@ def test_stability_newton_overflow_is_a_numerical_failure(capsys):
     [
         # the field Jacobian is singular at the seed itself
         ("0.5", "status 'singular', residual 2.500e-01"),
-        # the field overflows at the seed, and so does its Jacobian
-        ("1e308", "status 'singular', residual nan"),
+        # the field overflows to -inf at the seed, and its Jacobian overflows
+        ("1e308", "status 'singular', residual inf"),
         ("1e154", "status 'no-convergence', residual 7.889e+277"),
     ],
 )
@@ -593,6 +593,16 @@ def test_stability_without_an_equilibrium_is_a_numerical_failure(capsys, x0, end
     code, out, err = run_cli(capsys, "stability", "--builtin", "logistic", "--x0", x0, "--h", "0.1")
     assert (code, out) == (2, "")
     assert err == f"numerical failure: no equilibrium found from --x0: Newton {ending}\n"
+
+
+@pytest.mark.parametrize("x0", ["0.5", "1"])
+@pytest.mark.parametrize("h", ["-1", "inf", "0"])
+def test_stability_refuses_a_bad_h_before_the_newton_run(capsys, x0, h):
+    # 0.5 finds no equilibrium and 1 is one: a bad --h is the same input
+    # error from either
+    code, out, err = run_cli(capsys, "stability", "--builtin", "logistic", "--x0", x0, "--h", h)
+    assert (code, out) == (1, "")
+    assert err == f"error: h must be positive and finite, got {float(h)}\n"
 
 
 def test_stability_on_an_equilibrium_continuum_still_reports(capsys):

@@ -5,12 +5,15 @@ elimination schedule (``linalg._Schedule.slack_pass`` and, for a small
 model, ``linalg._Schedule.eliminate``) and from its entry formulas
 (``MassActionModel._step_kernel``), in Python floats, and a stack of
 states through the same code on its (m,) columns; a larger model's
-system goes to LAPACK.  Every model evaluates its split field and the
-explicit Euler and RK4 steps through its generated ``_phi_kernel`` in
-the same two ways.  The reference here is
+system goes to LAPACK.  Every model evaluates its split field through
+its generated ``_phi_kernel``, and its field and the explicit Euler and
+RK4 steps through its generated ``_f_kernel``, in the same two ways.
+The reference here is
 the loop form of the same code, over the same schedule tuples and term
 lists: every output must have its bits, signed zeros and errors
-included.
+included.  The field f(x) has the bits of phi(x, x) wherever no product
+``L_ij x_j`` is subnormal and no doubled value overflows, and differs
+at those edges.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ import gc
 import math
 import struct
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,11 +297,23 @@ def _interpreted_phi(model, y, z):
     return out
 
 
+def _interpreted_f(model, x):
+    """The field by loops: per row, its bilinear terms in term order, its L sum in column order, b."""
+    out = []
+    for i, b in enumerate(model.constant.tolist()):
+        parts = [t.c * x[t.j] * x[t.k] for t in model.bilinear if t.i == i]
+        lin = [c * x[j] for j, c in enumerate(model.linear[i].tolist()) if c]
+        if lin:
+            parts.append(_chain(lin))
+        out.append(_chain([*parts, b]))
+    return out
+
+
 def _interpreted_steps(model, x, h):
     """Euler's and RK4's step from x in numpy, as the formulas read, on the looped field."""
 
     def f(u):
-        return np.array(_interpreted_phi(model, u.tolist(), u.tolist()))
+        return np.array(_interpreted_f(model, u.tolist()))
 
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = f(x)
@@ -353,6 +369,12 @@ _MIRRORED = _model(
     field=(_model([[0.0]], terms=((0, 0, 0, 1.0), (0, 0, 0, 2.0**-53), (0, 0, 0, 2.0**-53))), np.ones(1), np.ones(1)),
     h=0.5,
 )
+# Row 0 adds its L sum, 2^-52, whole to its bilinear sum, 1.0, where the
+# L terms one by one would leave 1.0.
+@example(
+    field=(_model([[2.0**-53] * 2, [0.0] * 2], terms=((0, 0, 0, 1.0),)), np.ones(2), np.ones(2)),
+    h=0.5,
+)
 # Mirrored and repeated sums of NaNs, infinities and signed zeros: a NaN
 # with a payload, a negative NaN, and the NaN that inf * 0.0 makes, each
 # of whose signs unary minus would flip.
@@ -367,16 +389,72 @@ def test_the_compiled_field_matches_the_interpreted_loop(field, h):
     looped = _outcome(_interpreted_phi, model, y.tolist(), z.tolist())
     assert _outcome(model._phi_kernel, y.tolist(), z.tolist()) == looped
     assert _outcome(_phi_rows, model, y, z) == looped
-    # eval_phi and eval_f refuse a state that is not finite alike.
-    assert _outcome(eval_phi, model, y, y) == _outcome(eval_f, model, y)
+    field_looped = _outcome(_interpreted_f, model, y.tolist())
+    assert _outcome(model._f_kernel, y.tolist()) == field_looped
+    assert _outcome(_phi_rows, model, y) == field_looped
+    # eval_f gives the field of a finite state, and refuses any other as eval_phi does.
+    if np.isfinite(y).all():
+        assert _outcome(eval_f, model, y) == field_looped
+    else:
+        assert _outcome(eval_f, model, y) == ("SpecError", "state must have finite entries")
+        assert _outcome(eval_phi, model, y, y) == ("SpecError", "first argument must have finite entries")
     euler, rk4 = _interpreted_steps(model, y, h)
     assert _outcome(_on_rows, _explicit_step(model, "euler"), y, h) == euler.tobytes()
     assert _outcome(_on_rows, _explicit_step(model, "rk4"), y, h) == rk4.tobytes()
     # The same code on the columns of a stack gives each row its bits alone.
     ys, zs = np.tile(y, (3, 1)), np.tile(z, (3, 1))
     assert _outcome(_phi_rows, model, ys, zs) == looped * 3
+    assert _outcome(_phi_rows, model, ys) == field_looped * 3
     assert _outcome(_on_rows, _explicit_step(model, "euler"), ys, h) == euler.tobytes() * 3
     assert _outcome(_on_rows, _explicit_step(model, "rk4"), ys, h) == rk4.tobytes() * 3
+
+
+def _doubling_is_exact(model, x):
+    """Whether phi(x, x) doubles and halves the L part of f(x) exactly.
+
+    So it does unless a product ``L_ij x_j`` of finite factors is
+    subnormal before rounding, or a finite ``x_j``, product or partial sum
+    of a row's L sum, in f's order, overflows when doubled.
+    """
+    for terms in model._linear_rows:
+        total = None
+        for j, c in terms:
+            if math.isfinite(x[j]):
+                if not math.isfinite(2.0 * x[j]) or 0 < abs(Fraction(c) * Fraction(x[j])) < 2.0**-1022:
+                    return False
+            total = c * x[j] if total is None else total + c * x[j]
+            if math.isfinite(total) and not math.isfinite(2.0 * total):
+                return False
+    return True
+
+
+@seed(33)
+@given(field=_small_fields(), network_state=st.lists(st.floats(0.0, 10.0), min_size=30, max_size=30))
+def test_the_field_has_the_bits_of_phi_on_the_diagonal(field, network_state, sir_network, sir_ring_30):
+    # Whenever doubling and halving the L part are exact, for one state and
+    # for the rows of a stack; the network states lie in their models' box.
+    model, y, _ = field
+    cases = [(model, y.tolist()), *((m, network_state[:m.n]) for m in (sir_network, sir_ring_30))]
+    for model, x in cases:
+        if _doubling_is_exact(model, x):
+            assert _outcome(model._f_kernel, x) == _outcome(model._phi_kernel, x, x)
+            xs = np.tile(x, (2, 1))
+            assert _outcome(_phi_rows, model, xs) == _outcome(_phi_rows, model, xs, xs)
+
+
+def test_the_field_and_phi_on_the_diagonal_differ_at_the_edges():
+    # The logistic field -x^2 + x at 1e308: x + x overflows in phi(x, x),
+    # which is then -inf + inf, where f(x) is -inf + 1e308.
+    logistic, x = make_logistic(), np.array([1e308])
+    assert not _doubling_is_exact(logistic, x.tolist())
+    assert (eval_f(logistic, x).tolist(), math.isnan(eval_phi(logistic, x, x)[0])) == ([-math.inf], True)
+    # 0.3 * 1e-323 is 0.6 times the least subnormal: f rounds it to that
+    # subnormal, 5e-324, where phi(x, x) rounds 0.3 * 2e-323 to it and
+    # halves it to 0.0, a tie, to even.
+    model, x = _model([[0.3]]), np.array([1e-323])
+    assert not _doubling_is_exact(model, x.tolist())
+    assert (eval_f(model, x).tolist(), eval_phi(model, x, x).tolist()) == ([5e-324], [0.0])
+    assert _interpreted_f(model, x.tolist()) == [5e-324]
 
 
 def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_30, rng):
@@ -478,7 +556,7 @@ def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
         _on_rows(_explicit_step(model, "euler"), np.tile(x, (3, 1)), 0.1)
     assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
     assert _on_rows(_explicit_step(b, "rk4"), x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
-    assert _names(compiles) == ["phi", "rk4", "euler", "phi"]
+    assert _names(compiles) == ["f", "rk4", "euler", "f"]
 
 
 @pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
@@ -530,12 +608,14 @@ def test_a_model_loaded_again_builds_no_source_and_reuses_the_code(compiles, mon
     path = tmp_path / "host-vector.json"
     path.write_text(dump_model(make_host_vector()))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
-    names = ["phi", "rk4", "euler", "step_system", "slack_pass", "eliminate"]
+    names = ["f", "rk4", "euler", "step_system", "slack_pass", "eliminate", "phi"]
 
     def run(model):
         rk4, euler = _explicit_step(model, "rk4"), _explicit_step(model, "euler")
         out = [step_forward(model, x, 0.5), eval_f(model, x), _on_rows(rk4, x, 0.1), _on_rows(euler, x, 0.1)]
-        kernels = [model._step_kernel, model._schedule.slack_pass, model._schedule.eliminate, model._phi_kernel]
+        out.append(eval_phi(model, x, x))
+        kernels = [model._step_kernel, model._schedule.slack_pass, model._schedule.eliminate, model._f_kernel]
+        kernels.append(model._phi_kernel)
         return [v.tobytes() for v in out], [*kernels, rk4, euler]
 
     first, kernels_a = run(load_model(path))
@@ -574,12 +654,13 @@ def test_the_kernels_of_a_model_are_freed_with_it():
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
     step_forward(model, x, 0.5)
     _on_rows(_explicit_step(model, "rk4"), x, 0.1)
-    kernels = [weakref.ref(model.__dict__[name]) for name in ("_phi_kernel", "_step_kernel")]
+    eval_phi(model, x, x)
+    kernels = [weakref.ref(model.__dict__[name]) for name in ("_f_kernel", "_phi_kernel", "_step_kernel")]
     enabled = gc.isenabled()
     gc.disable()
     try:
         del model
-        assert [kernel() for kernel in kernels] == [None, None]
+        assert [kernel() for kernel in kernels] == [None, None, None]
     finally:
         if enabled:
             gc.enable()
