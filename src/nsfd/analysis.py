@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import (
-    NEWTON_MAX_ITER, Trajectory, _check_h, _damped_newton, _final_state, _horizon_steps, integrate, step_forward
+    NEWTON_MAX_ITER, NewtonDivergenceError, Trajectory, _check_h, _damped_newton, _final_state, _horizon_steps,
+    integrate, step_forward,
 )
 from .linalg import LinAlgError, SingularMatrixError, eigenvalues, fd_jacobian, lu_solve
 from .model import MassActionModel, SpecError, _check_state, eval_f, f_jacobian
@@ -278,7 +279,8 @@ def observed_order(
     all three runs.  Errors below DEGENERATE_ERROR (relative) leave the
     estimate undefined instead of producing a noise-driven exponent.  A
     reference of more than MAX_REFERENCE_STEPS steps is refused before
-    any run.
+    any run.  A numerical failure of a run is re-raised with the run's
+    name prepended: "run at h", "run at h/2" or "reference run at h/200".
     """
     if not (math.isfinite(T) and T > 0.0):
         raise SpecError(f"T must be positive and finite, got {T}")
@@ -293,9 +295,17 @@ def observed_order(
             f"{MAX_REFERENCE_STEPS}; use a larger h or a shorter horizon"
         )
     # The final states of integrate and rk4_reference, with their errors, without their orbits.
-    coarse = _final_state(model, x0, h, steps, scheme)
-    fine = _final_state(model, x0, 0.5 * h, 2 * steps, scheme)
-    ref = _final_state(model, x0, h_ref, ref_steps, "rk4")
+    finals = []
+    for name, run_h, run_steps, run_scheme in (
+        ("run at h", h, steps, scheme),
+        ("run at h/2", 0.5 * h, 2 * steps, scheme),
+        ("reference run at h/200", h_ref, ref_steps, "rk4"),
+    ):
+        try:
+            finals.append(_final_state(model, x0, run_h, run_steps, run_scheme))
+        except (LinAlgError, NewtonDivergenceError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+    coarse, fine, ref = finals
     error_h = float(np.abs(coarse - ref).max())
     error_h2 = float(np.abs(fine - ref).max())
     scale = 1.0 + float(np.abs(ref).max())

@@ -240,9 +240,11 @@ def _cmd_step_bound(args) -> int:
 
 def _cmd_order(args) -> int:
     model = _model_from_args(args)
-    est = observed_order(model, np.array(_parse_x0(args.x0)), args.t_final, args.h, scheme=args.scheme)
+    x0 = np.array(_parse_x0(args.x0))
+    est = observed_order(model, x0, args.t_final, args.h, scheme=args.scheme)
     # After the run, so that a run that fails prints only its error line.
     _check_step_size(model, args.h, args.scheme, strict=False)
+    _check_inside_domain(model, x0, strict=False)
     _emit_json({"model": model.name, **asdict(est)}, args.out)
     return 3 if args.strict and not est.defined else 0
 

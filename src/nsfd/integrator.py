@@ -32,15 +32,16 @@ invertible, for every state in the domain box whenever h stays below
 the bound computed by :func:`step_bound`.  Batch states must be finite,
 as scalar ones are.
 
-The explicit comparison schemes, Euler and RK4, run generated steps
-(:func:`_explicit_source`, whose code ``linalg._kernel_code`` keeps once
-per process for the models of one dimension) that call the model's
-field kernel ``_f_kernel``, f(x) itself rather than phi(x, x):
-:func:`integrate` steps
-one state in Python floats, and the audit a stack on its (m,) columns
-(``model._on_rows`` of :func:`_explicit_step`), with no BLAS call and
-the same bits per row.  The trapezoidal scheme is a general split
-system, solved by damped Newton.
+The explicit comparison schemes, Euler and RK4, run one generated
+kernel per model and scheme, ``step(x, h, k)`` (:func:`_explicit_source`),
+which runs k steps and writes out the rows of the model's field f(x),
+not phi(x, x), at each stage, with the bits of its field kernel
+``_f_kernel``: :func:`integrate` steps one state a step at a time in
+Python floats, the final state of a run without its orbit is one call,
+and the audit steps a stack on its (m,) columns (``model._on_rows`` of
+:func:`_explicit_step`), with no BLAS call and the same bits per row.
+The trapezoidal scheme is a general split system, solved by damped
+Newton.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from .linalg import (
     LinAlgError, SingularMatrixError, _kernel, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
 )
-from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, eval_f, f_jacobian
+from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_rows, eval_f, f_jacobian
 
 __all__ = [
     "DominanceError",
@@ -428,34 +429,47 @@ def _horizon_steps(T: float, h: float) -> int:
     return round(ratio)
 
 
-def _explicit_source(scheme: str, n: int) -> str:
-    """The source of the explicit scheme's step for n states, the same for all the models with n states.
+def _explicit_source(scheme: str, n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) -> str:
+    """The source of the run kernel of the explicit scheme, 'euler' or 'rk4', for one model's field.
 
-    ``euler(x, h)`` and ``rk4(x, h)``, for n values x and a float h, give
-    the next state as a list, with the operations of ``x + h f(x)`` and of
-    the classical four-stage formula in that order, where ``f`` is the
-    global bound by :func:`_explicit_step`: a model's field kernel
-    ``_f_kernel``, which gives the bits of ``phi(x, x)`` except at the
-    edges that ``model.eval_f`` names.
+    ``euler(x, h, k)`` and ``rk4(x, h, k)``, for n values x and a float
+    h, run k steps and give the last state as a list, with the operations
+    of ``x + h f(x)`` and of the classical four-stage formula in that order.
+    Each stage writes out the rows of the field ``f`` (``model._field_rows``,
+    with the rules of ``MassActionModel._f_kernel``, so the bits of calling
+    it) on the stage's own variables: x, then ``u = x + step * k`` for the
+    stage k before it, into the next letter.
     """
-    lines = [f"def {scheme}(x, h):", f"    {_unpack('x', n)}= x", f"    {_unpack('a', n)}= f(x)"]
+
+    def stage(inputs: str, out: str) -> list[str]:
+        sums, rows = _field_rows(bilinear, linear_rows, constant, inputs)
+        return [*sums, *(f"    {out}{i} = {row}" for i, row in enumerate(rows))]
+
+    body = stage("x", "a")
     if scheme == "euler":
-        state = [f"x{i} + h * a{i}" for i in range(n)]
+        body += [f"    x{i} = x{i} + h * a{i}" for i in range(n)]
     else:
-        lines.append("    half = 0.5 * h")
-        # Each stage is the field at x + step * k, unpacked into the next letter.
         for k, step, out in (("a", "half", "b"), ("b", "half", "c"), ("c", "h", "d")):
-            stage = ", ".join(f"x{i} + {step} * {k}{i}" for i in range(n))
-            lines += [f"    {_unpack(out, n)}= f([{stage}])"]
-        lines.append("    sixth = h / 6.0")
-        state = [f"x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
-    lines.append(f"    return [{', '.join(state)}]")
-    return "\n".join(lines)
+            body += [f"    u{i} = x{i} + {step} * {k}{i}" for i in range(n)]
+            body += stage("u", out)
+        body += [f"    x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
+    return "\n".join([
+        f"def {scheme}(x, h, k):",
+        f"    {_unpack('x', n)}= x",
+        *(["    half = 0.5 * h", "    sixth = h / 6.0"] if scheme == "rk4" else []),
+        "    for _ in range(k):",
+        *(f"    {line}" for line in body),
+        f"    return [{', '.join(f'x{i}' for i in range(n))}]",
+    ])
 
 
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
-    """``step(x, h)`` of the explicit ``scheme``, 'euler' or 'rk4': the code of :func:`_explicit_source` with the model's field."""
-    return _kernel(_explicit_source, scheme, model.n, f=model._f_kernel)
+    """``step(x, h, k)`` of the explicit ``scheme``, 'euler' or 'rk4': the model's run kernel of :func:`_explicit_source`.
+
+    Its code is keyed by the scheme and the field's inputs, as the model's
+    ``_f_kernel`` is, and compiled on its first use.
+    """
+    return _kernel(_explicit_source, scheme, model.n, model.bilinear, model._linear_rows, model.constant.tobytes())
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:
@@ -493,18 +507,23 @@ def _check_run(model: MassActionModel, x0, h: float, steps: int, scheme: str) ->
     return x, h
 
 
-def _steps(model: MassActionModel, x: np.ndarray, h: float, steps: int, scheme: str) -> Iterator:
-    """The state after each of ``steps`` steps of ``scheme`` from x, one at a time: the one stepping loop.
+def _steps(model: MassActionModel, x: np.ndarray, h: float, steps: int, scheme: str, every: bool) -> Iterator:
+    """The states of ``steps`` steps of ``scheme`` from x: the one stepping loop.
 
-    The explicit schemes step one state in Python floats, unchecked, and
-    give lists; the others give arrays, and their numerical failures are
-    re-raised with the step index prepended.
+    For a caller that keeps ``every`` state it gives the state after each
+    step.  For one that keeps only the last, an explicit scheme runs all
+    its steps in one call of its run kernel and gives the last state, and
+    the others still give the state after each step.  The explicit schemes
+    step one state in Python floats, unchecked, and give lists; the others
+    give arrays, and their numerical failures are re-raised with the step
+    index prepended.
     """
     if scheme in ("euler", "rk4"):
         kernel = _explicit_step(model, scheme)
+        stride = 1 if every else max(steps, 1)
         x = x.tolist()
-        for _ in range(steps):
-            x = kernel(x, h)
+        for _ in range(0, steps, stride):
+            x = kernel(x, h, stride)
             yield x
     else:
         trap = _trapezoidal_system(model) if scheme == "trapezoidal" else None
@@ -536,7 +555,7 @@ def integrate(model: MassActionModel, x0, h: float, steps: int, scheme: str = "n
     except (ValueError, MemoryError) as exc:
         raise SpecError("the orbit's states do not fit in memory; take fewer steps") from exc
     states[0] = x
-    for k, x in enumerate(_steps(model, x, h, steps, scheme), 1):
+    for k, x in enumerate(_steps(model, x, h, steps, scheme, True), 1):
         states[k] = x
     if not np.isfinite(states).all():
         raise _not_finite(int(np.argmin(np.isfinite(states).all(axis=1))) - 1)
@@ -546,18 +565,19 @@ def integrate(model: MassActionModel, x0, h: float, steps: int, scheme: str = "n
 def _final_state(model: MassActionModel, x0, h: float, steps: int, scheme: str) -> np.ndarray:
     """``integrate(model, x0, h, steps, scheme).final``, with its errors and warning, without the orbit.
 
-    A state that is not finite stays so under every later step: the
+    An explicit run is one call of its run kernel (:func:`_steps`).  A
+    state that is not finite stays so under every later step: the
     explicit schemes add to each component, and the others refuse such a
     state or never make one.  So a finite last state means a finite orbit,
     and only a run that ends otherwise runs again, to name the step.
     """
     start, h = _check_run(model, x0, h, steps, scheme)
     x = start
-    for x in _steps(model, start, h, steps, scheme):
+    for x in _steps(model, start, h, steps, scheme, False):
         pass
     x = np.array(x, dtype=float)
     if not np.isfinite(x).all():
-        again = _steps(model, start, h, steps, scheme)
+        again = _steps(model, start, h, steps, scheme, True)
         raise _not_finite(next(k for k, x in enumerate(again) if not np.isfinite(x).all()))
     return x
 

@@ -443,7 +443,7 @@ def invariance_audit(
     explicit = None if scheme == "nsfd" else _explicit_step(model, scheme)
     for step in range(steps + 1):
         if step:
-            xs = step_forward_batch(model, xs, h) if explicit is None else _on_rows(explicit, xs, h)
+            xs = step_forward_batch(model, xs, h) if explicit is None else _on_rows(explicit, xs, h, 1)
         margins = dom.margin(xs)
         j = int(np.argmin(margins))
         out = None

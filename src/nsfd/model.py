@@ -23,8 +23,9 @@ each model on its first use: ``phi`` and ``f`` as straight-line Python
 over the term list, the nonzeros of each row of L and b, with one sum
 for rows whose terms repeat or mirror each other
 (``MassActionModel._phi_kernel`` and ``_f_kernel``, from one generator,
-:func:`_field_source`).  ``f`` sums ``L_ij x_j`` where ``phi(x, x)``
-halves the sum of ``L_ij (x_j + x_j)``, so the two have the same bits
+:func:`_field_source`, whose rows :func:`_field_rows` writes).  ``f``
+sums ``L_ij x_j`` where ``phi(x, x)`` halves the sum of
+``L_ij (x_j + x_j)``, so the two have the same bits
 except where a product ``L_ij x_j`` is subnormal or a doubled value
 overflows.  The field sources and the step kernel's
 (:func:`_step_source`) are built and compiled once per process for each
@@ -34,7 +35,8 @@ They run on the n Python floats of one state or on the n (m,) columns of
 a stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has
 the bits of its state alone, whatever the stack's size or the BLAS
 kernel.
-The integrator's explicit Euler and RK4 steps call ``f``.
+The integrator's explicit Euler and RK4 run kernels write out the rows
+of ``f`` at each stage, from :func:`_field_rows` too.
 """
 
 from __future__ import annotations
@@ -486,8 +488,28 @@ def _field_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes, 
     b comes as bytes, as the source writes a b_i of -0.0 and the mirrored-row rule reads its sign.
     """
     slots = ["y", "z"] if split else ["x"]
-    y, z = slots[0], slots[-1]
-    rows_terms: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    sums, rows = _field_rows(bilinear, linear_rows, constant, *slots)
+    return "\n".join([
+        f"def {'phi' if split else 'f'}({', '.join(slots)}):",
+        *(f"    {_unpack(slot, n)}= {slot}" for slot in slots),
+        *sums,
+        f"    return [{', '.join(rows)}]",
+    ])
+
+
+def _field_rows(bilinear: tuple, linear_rows: tuple, constant: bytes, y: str, z: str | None = None) -> tuple:
+    """The statements and the n row expressions of the field on the variables ``y0, y1, ...``.
+
+    With ``z``, they are those of the split field phi(y, z), on ``y0, ...``
+    and ``z0, ...``.  The one place that writes the rows of a field, by
+    the rules of ``MassActionModel._phi_kernel``: for
+    :func:`_field_source`, and for each stage of the explicit schemes'
+    run kernels (``integrator._explicit_source``).  The statements, one
+    indent deep, name sums ``s<i>`` and ``l<i>``.
+    """
+    split = z is not None
+    z = z or y
+    rows_terms: list[list[tuple[float, int, int]]] = [[] for _ in linear_rows]
     for t in bilinear:
         rows_terms[t.i].append((t.c, t.j, t.k))
     # The name of the sum of each term list that a row sums itself.
@@ -511,12 +533,7 @@ def _field_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes, 
         if linear_sum:
             linear_sum = f"0.5 * ({linear_sum})" if split else f"({linear_sum})"
         rows.append(" + ".join(filter(None, (bilinear_sum, linear_sum, f"{b!r}"))))
-    return "\n".join([
-        f"def {'phi' if split else 'f'}({', '.join(slots)}):",
-        *(f"    {_unpack(slot, n)}= {slot}" for slot in slots),
-        *sums,
-        f"    return [{', '.join(rows)}]",
-    ])
+    return sums, rows
 
 
 def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:

@@ -319,13 +319,25 @@ def test_observed_order_validates_inputs(logistic):
 def test_observed_order_names_the_overflowing_step_as_integrate_does(logistic, scheme, h, step):
     # At h = 1e200 euler's second step and rk4's first overflow.  At h = 5
     # euler's steps from 0.5 grow as -5 x^2 and pass 1e308 at the tenth.
-    # The state stays non-finite to the end of the coarse run's 12 steps.
+    # The state stays non-finite to the end of the coarse run's 12 steps,
+    # and order names that run before integrate's text.
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(LinAlgError) as orbit:
             integrate(logistic, np.array([0.5]), h, 12, scheme=scheme)
         with pytest.raises(LinAlgError) as order:
             observed_order(logistic, np.array([0.5]), 12 * h, h, scheme=scheme)
-    assert str(order.value) == str(orbit.value) == f"step {step}: state is not finite"
+    assert str(orbit.value) == f"step {step}: state is not finite"
+    assert str(order.value) == f"run at h: {orbit.value}"
+
+
+def test_observed_order_names_the_reference_run_when_it_alone_fails(logistic):
+    # From 1e300 both nsfd runs finish; the RK4 reference at h/200 overflows
+    # in its first step.
+    x0 = np.array([1e300])
+    assert np.isfinite(integrate(logistic, x0, 0.05, 20).final).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinAlgError) as order:
+        observed_order(logistic, x0, 1.0, 0.1)
+    assert str(order.value) == "reference run at h/200: step 0: state is not finite"
 
 
 def test_observed_order_holds_no_orbit(logistic):

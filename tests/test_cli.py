@@ -514,6 +514,31 @@ def test_order_above_the_bound_warns_in_one_line(capsys):
     }
 
 
+@pytest.mark.parametrize("x0, margin", [("2", "-1"), ("-0.5", "-0.5")])
+def test_order_warns_when_x0_is_outside_the_domain(capsys, x0, margin):
+    # After the run, as simulate and reversibility --x0 warn; the caution
+    # only warns, so --strict still judges the estimate alone.
+    argv = ("order", "--builtin", "logistic", "--t-final", "1", "--h", "0.1", "--x0")
+    code, out, err = run_cli(capsys, *argv, x0)
+    assert code == 0
+    assert json.loads(out)["defined"] is True
+    assert err.splitlines() == [
+        f"warning: x0 lies outside the model's domain (margin {margin}); "
+        "the invariance guarantees do not cover this run"
+    ]
+    assert run_cli(capsys, *argv, x0, "--strict") == (0, out, err)
+    # a start inside, or on the boundary x = 0, stays silent
+    for x0 in ("0.5", "0"):
+        assert run_cli(capsys, *argv, x0)[::2] == (0, "")
+
+
+def test_order_names_the_run_that_fails(capsys):
+    # Both nsfd runs from 1e300 finish and the RK4 reference overflows; a
+    # run that fails prints only its error line, before any caution.
+    argv = ("order", "--builtin", "logistic", "--x0", "1e300", "--t-final", "1", "--h", "0.1")
+    assert run_cli(capsys, *argv) == (2, "", "numerical failure: reference run at h/200: step 0: state is not finite\n")
+
+
 def test_order_refuses_a_reference_beyond_its_step_limit(capsys):
     # The RK4 reference at h/200 would take 4,000,000 steps.
     argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "0.2", "--h", "1e-5")

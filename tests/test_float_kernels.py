@@ -6,9 +6,10 @@ model, ``linalg._Schedule.eliminate``) and from its entry formulas
 (``MassActionModel._step_kernel``), in Python floats, and a stack of
 states through the same code on its (m,) columns; a larger model's
 system goes to LAPACK.  Every model evaluates its split field through
-its generated ``_phi_kernel``, and its field and the explicit Euler and
-RK4 steps through its generated ``_f_kernel``, in the same two ways.
-The reference here is
+its generated ``_phi_kernel`` and its field through its generated
+``_f_kernel``, in the same two ways, and the explicit Euler and RK4
+schemes run k steps in one generated run kernel that writes out the
+rows of ``_f_kernel`` at each stage.  The reference here is
 the loop form of the same code, over the same schedule tuples and term
 lists: every output must have its bits, signed zeros and errors
 included.  The field f(x) has the bits of phi(x, x) wherever no product
@@ -31,7 +32,10 @@ from hypothesis import strategies as st
 import nsfd.integrator
 import nsfd.linalg
 from nsfd.integrator import (
+    SCHEMES,
     _check_dominance,
+    _final_state,
+    integrate,
     step_backward,
     step_backward_batch,
     step_bound,
@@ -51,7 +55,17 @@ from nsfd.linalg import (
     _slack_parts,
 )
 from nsfd.model import (
-    BilinearTerm, Domain, MassActionModel, _on_rows, _phi_rows, dump_model, eval_f, eval_phi, load_model
+    BilinearTerm,
+    Domain,
+    MassActionModel,
+    _on_rows,
+    _phi_rows,
+    dump_model,
+    eval_f,
+    eval_phi,
+    load_model,
+    model_from_dict,
+    model_to_dict,
 )
 from nsfd.models import HostVectorParameters, make_host_vector, make_logistic
 
@@ -399,14 +413,14 @@ def test_the_compiled_field_matches_the_interpreted_loop(field, h):
         assert _outcome(eval_f, model, y) == ("SpecError", "state must have finite entries")
         assert _outcome(eval_phi, model, y, y) == ("SpecError", "first argument must have finite entries")
     euler, rk4 = _interpreted_steps(model, y, h)
-    assert _outcome(_on_rows, _explicit_step(model, "euler"), y, h) == euler.tobytes()
-    assert _outcome(_on_rows, _explicit_step(model, "rk4"), y, h) == rk4.tobytes()
+    assert _outcome(_on_rows, _explicit_step(model, "euler"), y, h, 1) == euler.tobytes()
+    assert _outcome(_on_rows, _explicit_step(model, "rk4"), y, h, 1) == rk4.tobytes()
     # The same code on the columns of a stack gives each row its bits alone.
     ys, zs = np.tile(y, (3, 1)), np.tile(z, (3, 1))
     assert _outcome(_phi_rows, model, ys, zs) == looped * 3
     assert _outcome(_phi_rows, model, ys) == field_looped * 3
-    assert _outcome(_on_rows, _explicit_step(model, "euler"), ys, h) == euler.tobytes() * 3
-    assert _outcome(_on_rows, _explicit_step(model, "rk4"), ys, h) == rk4.tobytes() * 3
+    assert _outcome(_on_rows, _explicit_step(model, "euler"), ys, h, 1) == euler.tobytes() * 3
+    assert _outcome(_on_rows, _explicit_step(model, "rk4"), ys, h, 1) == rk4.tobytes() * 3
 
 
 def _doubling_is_exact(model, x):
@@ -463,10 +477,61 @@ def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_
         ys, zs = rng.uniform(0.0, 3.0, (2, 1000, model.n))
         h = 0.5 * step_bound(model).h_bar
         euler, rk4 = _explicit_step(model, "euler"), _explicit_step(model, "rk4")
-        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _on_rows(euler, ys, h), _on_rows(rk4, ys, h))
+        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _on_rows(euler, ys, h, 1), _on_rows(rk4, ys, h, 1))
         for r, (y, z) in enumerate(zip(ys, zs)):
-            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _on_rows(euler, y, h), _on_rows(rk4, y, h))
+            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _on_rows(euler, y, h, 1), _on_rows(rk4, y, h, 1))
             assert [a.tobytes() for a in alone] == [s[r].tobytes() for s in stacks]
+
+
+def _interpreted_run(model, x, h, k, scheme):
+    """k of ``_interpreted_steps``'s Euler or RK4 steps from x."""
+    for _ in range(k):
+        x = _interpreted_steps(model, x, h)[scheme == "rk4"]
+    return x
+
+
+# x' = x^2 - x overflows to inf in Euler's first step from 1e200, and its
+# field is then inf - inf, NaN; RK4 meets both in its first step.
+_OVERFLOW_THEN_NAN = _model([[-1.0]], terms=((0, 0, 0, 1.0),))
+
+
+@seed(34)
+@given(
+    field=_small_fields(),
+    h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))),
+    k=st.integers(0, 4),
+    network_state=st.lists(st.floats(0.0, 10.0), min_size=30, max_size=30),
+)
+@example(field=(_OVERFLOW_THEN_NAN, np.array([1e200]), np.ones(1)), h=1.0, k=3, network_state=[1.0] * 30)
+@example(field=(_MIRRORED, np.array([math.inf, 1.0, 0.0, 1.0]), np.ones(4)), h=1e10, k=2, network_state=[1.0] * 30)
+def test_a_run_of_k_steps_has_the_bits_of_k_single_steps_and_of_the_loops(
+    field, h, k, network_state, sir_network, sir_ring_30
+):
+    # One call of k steps, k calls of one step and k steps of the looped
+    # formulas, for one state and for the rows of a stack; the network
+    # states lie in their models' box, and h may take them far out of it.
+    model, y, _ = field
+    for model, x in ((model, y), *((m, np.array(network_state[: m.n])) for m in (sir_network, sir_ring_30))):
+        for scheme in ("euler", "rk4"):
+            run = _explicit_step(model, scheme)
+            looped = _interpreted_run(model, x, h, k, scheme).tobytes()
+            singles = x.tolist()
+            for _ in range(k):
+                singles = run(singles, h, 1)
+            assert _outcome(run, x.tolist(), h, k) == _outcome(lambda: singles) == looped
+            assert _outcome(_on_rows, run, np.tile(x, (3, 1)), h, k) == looped * 3
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_final_state_of_a_run_has_the_bits_of_its_orbit(all_models, sir_network, rng, scheme):
+    # An explicit run is one call of its run kernel, the orbit one call per step.
+    for model in (*all_models, sir_network):
+        lo, hi = model.domain.box_lower, model.domain.box_upper
+        x0 = lo + (hi - lo) * (0.05 + 0.9 * rng.random(model.n))
+        h = 0.5 * step_bound(model).h_bar
+        for steps in (0, 1, 25):
+            final = _final_state(model, x0, h, steps, scheme)
+            assert final.tobytes() == integrate(model, x0, h, steps, scheme).final.tobytes(), model.name
 
 
 def test_a_hub_row_of_thousands_of_terms_compiles(rng):
@@ -546,17 +611,21 @@ def test_two_models_with_one_pattern_share_the_schedule_kernels(compiles):
     assert _names(compiles) == ["step_system", "slack_pass", "eliminate", "step_system"]
 
 
-def test_models_of_one_dimension_share_the_explicit_step_code(compiles):
-    # Each model compiles its own field; the steps that call it are shared.
+def test_a_model_loaded_again_reuses_its_explicit_code_and_another_field_compiles_its_own(compiles):
+    # The run kernels write out the field, so two models of one size with
+    # different fields each compile their own, and calling them compiles
+    # no field kernel; a model loaded again reuses the code.
     a = make_host_vector()
     b = make_host_vector(HostVectorParameters(p=0.07))
+    again = model_from_dict(model_to_dict(a))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
-    for model in (a, b):
-        _on_rows(_explicit_step(model, "rk4"), x, 0.1)
-        _on_rows(_explicit_step(model, "euler"), np.tile(x, (3, 1)), 0.1)
-    assert _explicit_step(a, "rk4").__code__ is _explicit_step(b, "rk4").__code__
-    assert _on_rows(_explicit_step(b, "rk4"), x, 0.1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
-    assert _names(compiles) == ["f", "rk4", "euler", "f"]
+    for model in (a, b, again):
+        _on_rows(_explicit_step(model, "rk4"), x, 0.1, 1)
+        _on_rows(_explicit_step(model, "euler"), np.tile(x, (3, 1)), 0.1, 1)
+    assert _explicit_step(a, "rk4").__code__ is _explicit_step(again, "rk4").__code__
+    assert _explicit_step(a, "rk4").__code__ is not _explicit_step(b, "rk4").__code__
+    assert _on_rows(_explicit_step(b, "rk4"), x, 0.1, 1).tobytes() == _interpreted_steps(b, x, 0.1)[1].tobytes()
+    assert _names(compiles) == ["rk4", "euler", "rk4", "euler"]
 
 
 @pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
@@ -608,11 +677,11 @@ def test_a_model_loaded_again_builds_no_source_and_reuses_the_code(compiles, mon
     path = tmp_path / "host-vector.json"
     path.write_text(dump_model(make_host_vector()))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
-    names = ["f", "rk4", "euler", "step_system", "slack_pass", "eliminate", "phi"]
+    names = ["rk4", "euler", "step_system", "slack_pass", "eliminate", "f", "phi"]
 
     def run(model):
         rk4, euler = _explicit_step(model, "rk4"), _explicit_step(model, "euler")
-        out = [step_forward(model, x, 0.5), eval_f(model, x), _on_rows(rk4, x, 0.1), _on_rows(euler, x, 0.1)]
+        out = [step_forward(model, x, 0.5), eval_f(model, x), _on_rows(rk4, x, 0.1, 1), _on_rows(euler, x, 0.1, 1)]
         out.append(eval_phi(model, x, x))
         kernels = [model._step_kernel, model._schedule.slack_pass, model._schedule.eliminate, model._f_kernel]
         kernels.append(model._phi_kernel)
@@ -653,14 +722,17 @@ def test_the_kernels_of_a_model_are_freed_with_it():
     model = make_host_vector()
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
     step_forward(model, x, 0.5)
-    _on_rows(_explicit_step(model, "rk4"), x, 0.1)
+    rk4 = _explicit_step(model, "rk4")
+    _on_rows(rk4, x, 0.1, 1)
+    eval_f(model, x)
     eval_phi(model, x, x)
     kernels = [weakref.ref(model.__dict__[name]) for name in ("_f_kernel", "_phi_kernel", "_step_kernel")]
+    kernels.append(weakref.ref(rk4))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del model
-        assert [kernel() for kernel in kernels] == [None, None, None]
+        del model, rk4
+        assert [kernel() for kernel in kernels] == [None] * 4
     finally:
         if enabled:
             gc.enable()

@@ -548,7 +548,7 @@ def test_rk4_orbit_equals_a_loop_of_stacked_steps(all_models, sir_network, rng):
         traj = integrate(model, x0, 0.05, 40, scheme="rk4")
         xs = x0[None]
         for k in range(40):
-            xs = _on_rows(_explicit_step(model, "rk4"), xs, 0.05)
+            xs = _on_rows(_explicit_step(model, "rk4"), xs, 0.05, 1)
             assert traj.states[k + 1].tobytes() == xs[0].tobytes()
 
 

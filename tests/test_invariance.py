@@ -700,7 +700,7 @@ def _gathered_audit(model, dom, h, trials, steps, seed, scheme):
             elif scheme == "euler":
                 xs[live] = rows + h * _phi_rows(model, rows)
             else:
-                xs[live] = _on_rows(_explicit_step(model, "rk4"), rows, h)
+                xs[live] = _on_rows(_explicit_step(model, "rk4"), rows, h, 1)
         rows = xs[live]
         margins = dom.margin(rows)
         finite = np.isfinite(rows).all(axis=1) & np.isfinite(margins)
@@ -793,7 +793,7 @@ def _check_scan(dom, stacks):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariance, "sample_interior", lambda domain, count, seed: stacks[0])
         patch.setattr(invariance, "_explicit_step", lambda model, scheme: scheme)
-        patch.setattr(invariance, "_on_rows", lambda kernel, xs, h: next(later)[: len(xs)])
+        patch.setattr(invariance, "_on_rows", lambda kernel, xs, h, k: next(later)[: len(xs)])
         rep = invariance_audit(
             types.SimpleNamespace(domain=dom), h=1.0, trials=len(stacks[0]), steps=len(stacks) - 1, scheme="euler"
         )
