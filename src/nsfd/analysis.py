@@ -255,12 +255,20 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     return rows
 
 
-def rk4_reference(model: MassActionModel, x0, h_ref: float, T: float) -> Trajectory:
-    """Reference trajectory from the classical 4-stage explicit scheme."""
+def _run_steps(T: float, h: float) -> tuple[float, int]:
+    """The checked h and ``round(T / h)``, its steps in the horizon T; a T that holds none or too many is refused."""
     if not (math.isfinite(T) and T > 0.0):
         raise SpecError(f"T must be positive and finite, got {T}")
-    steps = max(1, _horizon_steps(T, h_ref))
-    return integrate(model, x0, h_ref, steps, scheme="rk4")
+    h = _check_h(h)
+    steps = _horizon_steps(T, h)
+    if steps < 1:
+        raise SpecError(f"horizon T={T:g} holds no step of size h={h:g}; use a smaller h or a longer horizon")
+    return h, steps
+
+
+def rk4_reference(model: MassActionModel, x0, h_ref: float, T: float) -> Trajectory:
+    """Reference trajectory from the classical 4-stage explicit scheme, over round(T / h_ref) steps."""
+    return integrate(model, x0, *_run_steps(T, h_ref), scheme="rk4")
 
 
 def observed_order(
@@ -276,16 +284,14 @@ def observed_order(
     and 2 * steps, measures both final states against the reference at
     h / 200, and reports p_hat = log2(error_h / error_h2).  When T / h
     is not an integer the horizon becomes t_effective = steps * h for
-    all three runs.  Errors below DEGENERATE_ERROR (relative) leave the
-    estimate undefined instead of producing a noise-driven exponent.  A
-    reference of more than MAX_REFERENCE_STEPS steps is refused before
-    any run.  A numerical failure of a run is re-raised with the run's
-    name prepended: "run at h", "run at h/2" or "reference run at h/200".
+    all three runs, and a T that holds no step of h is refused.  Errors
+    below DEGENERATE_ERROR (relative) leave the estimate undefined instead
+    of producing a noise-driven exponent.  A reference of more than
+    MAX_REFERENCE_STEPS steps is refused before any run.  A numerical
+    failure of a run is re-raised with the run's name prepended: "run at
+    h", "run at h/2" or "reference run at h/200".
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise SpecError(f"T must be positive and finite, got {T}")
-    h = _check_h(h)
-    steps = max(1, _horizon_steps(T, h))
+    h, steps = _run_steps(T, h)
     t_effective = steps * h
     h_ref = h / 200.0
     ref_steps = _horizon_steps(t_effective, h_ref)

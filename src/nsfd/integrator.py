@@ -33,13 +33,12 @@ the bound computed by :func:`step_bound`.  Batch states must be finite,
 as scalar ones are.
 
 The explicit comparison schemes, Euler and RK4, run one generated
-kernel per model and scheme, ``step(x, h, k)`` (:func:`_explicit_source`),
-which runs k steps and writes out the rows of the model's field f(x),
-not phi(x, x), at each stage, with the bits of its field kernel
-``_f_kernel``: :func:`integrate` steps one state a step at a time in
-Python floats, the final state of a run without its orbit is one call,
-and the audit steps a stack on its (m,) columns (``model._on_rows`` of
-:func:`_explicit_step`), with no BLAS call and the same bits per row.
+kernel per model and scheme, ``step(x, h, k)`` (:func:`_explicit_step`),
+which runs k steps and writes out the rows of the model's field f(x) at
+each stage, from the generator of its field kernel ``_f_kernel``, so
+with its bits.  :func:`integrate` steps one state a step at a time, a
+run without its orbit is one call, and the audit steps a stack on its
+(m,) columns (``model._on_rows``), with the same bits per row.
 The trapezoidal scheme is a general split system, solved by damped
 Newton.
 """
@@ -55,9 +54,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import (
-    LinAlgError, SingularMatrixError, _kernel, _slack_parts, _unpack, fd_jacobian, lu_solve, lu_solve_batch
+    LinAlgError, SingularMatrixError, _kernel, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
 )
-from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_rows, eval_f, f_jacobian
+from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_source, eval_f, f_jacobian
 
 __all__ = [
     "DominanceError",
@@ -429,47 +428,9 @@ def _horizon_steps(T: float, h: float) -> int:
     return round(ratio)
 
 
-def _explicit_source(scheme: str, n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) -> str:
-    """The source of the run kernel of the explicit scheme, 'euler' or 'rk4', for one model's field.
-
-    ``euler(x, h, k)`` and ``rk4(x, h, k)``, for n values x and a float
-    h, run k steps and give the last state as a list, with the operations
-    of ``x + h f(x)`` and of the classical four-stage formula in that order.
-    Each stage writes out the rows of the field ``f`` (``model._field_rows``,
-    with the rules of ``MassActionModel._f_kernel``, so the bits of calling
-    it) on the stage's own variables: x, then ``u = x + step * k`` for the
-    stage k before it, into the next letter.
-    """
-
-    def stage(inputs: str, out: str) -> list[str]:
-        sums, rows = _field_rows(bilinear, linear_rows, constant, inputs)
-        return [*sums, *(f"    {out}{i} = {row}" for i, row in enumerate(rows))]
-
-    body = stage("x", "a")
-    if scheme == "euler":
-        body += [f"    x{i} = x{i} + h * a{i}" for i in range(n)]
-    else:
-        for k, step, out in (("a", "half", "b"), ("b", "half", "c"), ("c", "h", "d")):
-            body += [f"    u{i} = x{i} + {step} * {k}{i}" for i in range(n)]
-            body += stage("u", out)
-        body += [f"    x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
-    return "\n".join([
-        f"def {scheme}(x, h, k):",
-        f"    {_unpack('x', n)}= x",
-        *(["    half = 0.5 * h", "    sixth = h / 6.0"] if scheme == "rk4" else []),
-        "    for _ in range(k):",
-        *(f"    {line}" for line in body),
-        f"    return [{', '.join(f'x{i}' for i in range(n))}]",
-    ])
-
-
 def _explicit_step(model: MassActionModel, scheme: str) -> Callable:
-    """``step(x, h, k)`` of the explicit ``scheme``, 'euler' or 'rk4': the model's run kernel of :func:`_explicit_source`.
-
-    Its code is keyed by the scheme and the field's inputs, as the model's
-    ``_f_kernel`` is, and compiled on its first use.
-    """
-    return _kernel(_explicit_source, scheme, model.n, model.bilinear, model._linear_rows, model.constant.tobytes())
+    """``step(x, h, k)`` of the explicit ``scheme``, 'euler' or 'rk4', from the generator of the model's ``_f_kernel``."""
+    return _kernel(_field_source, scheme, model.n, model.bilinear, model._linear_rows, model.constant.tobytes())
 
 
 def _trapezoidal_system(model: MassActionModel) -> GeneralSplitSystem:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import _check_h, _explicit_step, step_backward_batch, step_bound, step_forward_batch
-from .model import Domain, MassActionModel, SpecError, _on_rows, _phi_rows, _tight_box
+from .model import Domain, MassActionModel, SpecError, _on_rows, _tight_box
 
 __all__ = [
     "Facet",
@@ -340,7 +340,7 @@ def continuous_tangent(
     _require_compact(dom, "the continuous tangent check")
     xs = np.stack([x for x, _ in sample_boundary(dom, count, seed)])
     return _tangent_report(
-        dom, xs, _phi_rows(model, xs), tol, lambda v: v.size - 1 - np.argmax(v[::-1]), lambda v, p: v
+        dom, xs, _on_rows(model._f_kernel, xs), tol, lambda v: v.size - 1 - np.argmax(v[::-1]), lambda v, p: v
     )
 
 

@@ -361,10 +361,10 @@ def _kernel_code(generator: Callable[..., str], *args) -> CodeType:
     900-state ring's field).  Equal inputs must make equal source: a
     generator that writes a float's ``repr`` takes it in a form that tells
     -0.0 from 0.0, or writes no zero.  The code and its key outlive their
-    models, so the cache keeps the last ``KERNEL_CODE_MAX``; one CLI call
-    on one model uses at most five (of its field and step kernels, its
-    schedule's two and its Euler and RK4 run kernels), so 16 hold a few
-    models.
+    models, so the cache keeps the last ``KERNEL_CODE_MAX``.  One CLI call
+    on one model uses at most five, in ``invariance``: its field and step
+    kernels, its schedule's two and the run kernel of an explicit audit
+    scheme.  So 16 hold a few models.
     """
     module = compile(generator(*args), "<nsfd kernel>", "exec")
     return next(const for const in module.co_consts if isinstance(const, CodeType))

@@ -3,9 +3,9 @@
 A model is the vector field ``f(x) = B(x, x) + L x + b`` where the
 bilinear part B is stored as sparse coefficient triplets.  The split
 evaluator ``phi(y, z) = B(y, z) + (L/2)(y + z) + b`` satisfies
-``phi(x, x) = f(x)`` and is what the reversible integrator consumes: each
-bilinear product takes one factor from the old state and one from the new
-state, which is what makes the implicit update a linear solve.
+``phi(x, x) = f(x)`` and defines the reversible integrator: each bilinear
+product takes one factor from the old state and one from the new state,
+which is what makes the implicit update a linear solve.
 
 The two matrix views of B,
 
@@ -18,25 +18,16 @@ satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
 BLAS call.
 
-The split field and the field are evaluated by generated code, made for
-each model on its first use: ``phi`` and ``f`` as straight-line Python
-over the term list, the nonzeros of each row of L and b, with one sum
-for rows whose terms repeat or mirror each other
-(``MassActionModel._phi_kernel`` and ``_f_kernel``, from one generator,
-:func:`_field_source`, whose rows :func:`_field_rows` writes).  ``f``
-sums ``L_ij x_j`` where ``phi(x, x)`` halves the sum of
-``L_ij (x_j + x_j)``, so the two have the same bits
-except where a product ``L_ij x_j`` is subnormal or a doubled value
-overflows.  The field sources and the step kernel's
-(:func:`_step_source`) are built and compiled once per process for each
-model's terms, L and b (``linalg._kernel_code``), so a model loaded
-again builds none of them.
-They run on the n Python floats of one state or on the n (m,) columns of
-a stack (:func:`_on_rows`), with no BLAS call, so a row of a stack has
-the bits of its state alone, whatever the stack's size or the BLAS
-kernel.
-The integrator's explicit Euler and RK4 run kernels write out the rows
-of ``f`` at each stage, from :func:`_field_rows` too.
+The field ``f`` is generated code, straight-line Python over the term
+list, the nonzeros of each row of L and b (``MassActionModel._f_kernel``),
+made on the model's first use by the one generator of field code,
+:func:`_field_source`, which also writes the integrator's Euler and RK4
+run kernels.  These sources and the step kernel's (:func:`_step_source`)
+are compiled once per process for each model's terms, L and b
+(``linalg._kernel_code``).  They run on the n Python floats of one state
+or on the n (m,) columns of a stack (:func:`_on_rows`), with no BLAS
+call, so a row of a stack has the bits of its state alone.  No step
+evaluates phi: :func:`eval_phi` is a plain loop in Python floats.
 """
 
 from __future__ import annotations
@@ -44,8 +35,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -418,20 +410,13 @@ class MassActionModel:
     def _step_kernel(self) -> Callable:
         return _kernel(_step_source, self.n, self._entry_terms, self._linear_rows, tuple(self.constant.tolist()))
 
-    # The split field phi(y, z) of one pair of states in Python floats or of
-    # stacks in (m,) columns, made on its first use: for n values each
-    # of y and z, the list of the n values of row i, its bilinear terms
-    # (c * y_j) * z_k in term order, then 0.5 * the sum of L_ij (y_j + z_j)
-    # over the row's nonzeros in column order, then + b_i, each sum from
-    # its first term.  A row with no terms and no L entry is the float b_i.
-    # The field f(x) of n values x, _f_kernel, is made by the same rules
-    # with (c * x_j) * x_k for each bilinear term and the sum of L_ij x_j,
-    # not halved, for the L part.  Doubling and halving are exact, so f(x)
-    # has the bits of phi(x, x) wherever no product L_ij x_j is subnormal
-    # and no doubled x_j, product or partial sum overflows; at those edges
-    # phi(x, x) rounds otherwise, or overflows where f does not (for the
-    # logistic model at x = 1e308, phi(x, x) is inf - inf = NaN and f(x)
-    # is -inf).
+    # The field f(x) of one state in Python floats or of a stack in (m,)
+    # columns, made on its first use: for n values x, the list of the n
+    # values of row i, its bilinear terms (c * x_j) * x_k in term order,
+    # then the sum of L_ij x_j over the row's nonzeros in column order,
+    # then + b_i, each sum from its first term.  A row with no terms and no
+    # L entry is the float b_i.  The explicit schemes' run kernels write
+    # out the same rows at each stage (_field_source).
     #
     # A mass-action reaction is a loss in one row and a gain in another, so
     # rows repeat or mirror each other's term lists, read as (c, j, k) in
@@ -444,12 +429,8 @@ class MassActionModel:
     # 0.0 - s_i is +0.0: the row's closing + b_i gives its own bits for any
     # b_i but -0.0, and a row with b_i = -0.0 sums its own terms.
     @cached_property
-    def _phi_kernel(self) -> Callable:
-        return _kernel(_field_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes(), True)
-
-    @cached_property
     def _f_kernel(self) -> Callable:
-        return _kernel(_field_source, self.n, self.bilinear, self._linear_rows, self.constant.tobytes(), False)
+        return _kernel(_field_source, "f", self.n, self.bilinear, self._linear_rows, self.constant.tobytes())
 
 
 def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple) -> str:
@@ -482,33 +463,48 @@ def _step_source(n: int, entry_terms: tuple, linear_rows: tuple, constant: tuple
     ])
 
 
-def _field_source(n: int, bilinear: tuple, linear_rows: tuple, constant: bytes, split: bool) -> str:
-    """The source of ``MassActionModel._phi_kernel`` (``split``) or ``_f_kernel`` from the model's terms, ``_linear_rows`` and b.
+def _field_source(scheme: str, n: int, bilinear: tuple, linear_rows: tuple, constant: bytes) -> str:
+    """The source of a model's field kernel ``f(x)`` (``scheme`` 'f') or run kernel ``euler(x, h, k)`` or ``rk4(x, h, k)``.
 
-    b comes as bytes, as the source writes a b_i of -0.0 and the mirrored-row rule reads its sign.
+    b comes as bytes, as the source writes a b_i of -0.0 and the
+    mirrored-row rule reads its sign.  A run kernel runs k steps of
+    ``x + h f(x)`` or the classical four-stage formula and gives the last
+    state.  Each stage writes out the rows of ``f``, so its bits, on the
+    stage's variables: x, then ``u = x + step * k`` for the stage k before.
     """
-    slots = ["y", "z"] if split else ["x"]
-    sums, rows = _field_rows(bilinear, linear_rows, constant, *slots)
+
+    def stage(inputs: str, out: str) -> list[str]:
+        sums, rows = _field_rows(bilinear, linear_rows, constant, inputs)
+        return [*sums, *(f"    {out}{i} = {row}" for i, row in enumerate(rows))]
+
+    head = [f"def {scheme}(x{'' if scheme == 'f' else ', h, k'}):", f"    {_unpack('x', n)}= x"]
+    if scheme == "f":
+        sums, rows = _field_rows(bilinear, linear_rows, constant, "x")
+        return "\n".join([*head, *sums, f"    return [{', '.join(rows)}]"])
+    body = stage("x", "a")
+    if scheme == "euler":
+        body += [f"    x{i} = x{i} + h * a{i}" for i in range(n)]
+    else:
+        for k, step, out in (("a", "half", "b"), ("b", "half", "c"), ("c", "h", "d")):
+            body += [f"    u{i} = x{i} + {step} * {k}{i}" for i in range(n)]
+            body += stage("u", out)
+        body += [f"    x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
     return "\n".join([
-        f"def {'phi' if split else 'f'}({', '.join(slots)}):",
-        *(f"    {_unpack(slot, n)}= {slot}" for slot in slots),
-        *sums,
-        f"    return [{', '.join(rows)}]",
+        *head,
+        *(["    half = 0.5 * h", "    sixth = h / 6.0"] if scheme == "rk4" else []),
+        "    for _ in range(k):",
+        *(f"    {line}" for line in body),
+        f"    return [{', '.join(f'x{i}' for i in range(n))}]",
     ])
 
 
-def _field_rows(bilinear: tuple, linear_rows: tuple, constant: bytes, y: str, z: str | None = None) -> tuple:
-    """The statements and the n row expressions of the field on the variables ``y0, y1, ...``.
+def _field_rows(bilinear: tuple, linear_rows: tuple, constant: bytes, x: str) -> tuple:
+    """The statements and the n row expressions of the field on the variables ``x0, x1, ...``.
 
-    With ``z``, they are those of the split field phi(y, z), on ``y0, ...``
-    and ``z0, ...``.  The one place that writes the rows of a field, by
-    the rules of ``MassActionModel._phi_kernel``: for
-    :func:`_field_source`, and for each stage of the explicit schemes'
-    run kernels (``integrator._explicit_source``).  The statements, one
-    indent deep, name sums ``s<i>`` and ``l<i>``.
+    By the rules of ``MassActionModel._f_kernel``, for each field that
+    :func:`_field_source` writes out.  The statements, one indent deep,
+    name sums ``s<i>`` and ``l<i>``.
     """
-    split = z is not None
-    z = z or y
     rows_terms: list[list[tuple[float, int, int]]] = [[] for _ in linear_rows]
     for t in bilinear:
         rows_terms[t.i].append((t.c, t.j, t.k))
@@ -522,17 +518,14 @@ def _field_rows(bilinear: tuple, linear_rows: tuple, constant: bytes, y: str, z:
         elif mirror in summed and not (b == 0.0 and math.copysign(1.0, b) < 0.0):
             bilinear_sum = f"0.0 - {summed[mirror]}"
         elif terms:
-            lines, total = _sum_code([f"{c!r} * {y}{j} * {z}{k}" for c, j, k in terms], f"s{i}")
+            lines, total = _sum_code([f"{c!r} * {x}{j} * {x}{k}" for c, j, k in terms], f"s{i}")
             sums += [*lines, f"    s{i} = {total}"]
             bilinear_sum = summed[terms] = f"s{i}"
         else:
             bilinear_sum = ""
-        products = [f"{c!r} * ({y}{j} + {z}{j})" if split else f"{c!r} * {y}{j}" for j, c in lin]
-        more, linear_sum = _sum_code(products, f"l{i}")
+        more, linear_sum = _sum_code([f"{c!r} * {x}{j}" for j, c in lin], f"l{i}")
         sums += more
-        if linear_sum:
-            linear_sum = f"0.5 * ({linear_sum})" if split else f"({linear_sum})"
-        rows.append(" + ".join(filter(None, (bilinear_sum, linear_sum, f"{b!r}"))))
+        rows.append(" + ".join(filter(None, (bilinear_sum, linear_sum and f"({linear_sum})", f"{b!r}"))))
     return sums, rows
 
 
@@ -547,39 +540,23 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     return arr
 
 
-def _on_rows(kernel: Callable, *args) -> np.ndarray:
-    """A generated kernel of the model run on one state or on each row of a stack.
+def _on_rows(kernel: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """A generated kernel of the model run on one state or on each row of a stack, with ``args`` after it.
 
-    ``args`` are (n,) states, or (m, n) stacks, and then floats.  One state
-    runs in Python floats and gives an (n,) array.  Stacks run the same
-    code on their n contiguous (m,) columns, so that row r gets the bits of
-    its states alone, and give a C-ordered (m, n) array.  numpy's
-    floating-point warnings are off for a stack, as Python floats raise
-    none.
+    One (n,) state runs in Python floats and gives an (n,) array.  An
+    (m, n) stack runs the same code on its n contiguous (m,) columns, so
+    that row r gets the bits of its state alone, and gives a C-ordered
+    (m, n) array.  numpy's floating-point warnings are off for a stack, as
+    Python floats raise none.
     """
-    if args[0].ndim == 1:
-        return np.array(kernel(*(a.tolist() if isinstance(a, np.ndarray) else a for a in args)))
-    out = np.empty(args[0].shape)
+    if x.ndim == 1:
+        return np.array(kernel(x.tolist(), *args))
+    out = np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = kernel(*(list(np.ascontiguousarray(a.T)) if isinstance(a, np.ndarray) else a for a in args))
+        got = kernel(list(np.ascontiguousarray(x.T)), *args)
     for column, value in zip(out.T, got):
         column[...] = value
     return out
-
-
-def _phi_rows(model: MassActionModel, ys: np.ndarray, zs: np.ndarray | None = None) -> np.ndarray:
-    """Unchecked split field ``phi(y, z)``, for one state or a row stack.
-
-    ``ys`` is one (n,) state, giving an (n,) result, or an (m, n) stack,
-    whose row r is ``phi(ys[r], zs[r])``; ``zs`` has the rank of ``ys``.
-    Both run the model's generated ``_phi_kernel`` (:func:`_on_rows`), with
-    no BLAS call, so a row of a stack has the bits of its state alone.
-    Without ``zs`` it is the field ``f(y)``, from the model's ``_f_kernel``
-    in the same way.
-    """
-    if zs is None:
-        return _on_rows(model._f_kernel, ys)
-    return _on_rows(model._phi_kernel, ys, zs)
 
 
 def _jacobian_entries(model: MassActionModel, x: np.ndarray) -> np.ndarray:
@@ -603,17 +580,23 @@ def _on_pattern(model: MassActionModel, values: np.ndarray) -> np.ndarray:
 
 
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
-    """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b``.
+    """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b`` of two checked states, with no stack axis.
 
-    Both states are checked, then evaluated as vectors, with no stack
-    axis.  ``eval_phi(m, x, x)`` agrees exactly with :func:`eval_f`
-    wherever no product ``L_ij x_j`` is subnormal and no doubled ``x_j``,
-    product or partial sum of the L part overflows; at those edges it
-    rounds otherwise or overflows first.
+    A loop in Python floats, in the field kernel's order: per row, the
+    terms ``(c * y_j) * z_k``, then ``0.5 *`` the sum of ``L_ij * (y_j +
+    z_j)``, then ``b_i``.  ``eval_phi(m, x, x)`` agrees exactly with
+    :func:`eval_f` wherever no product ``L_ij x_j`` is subnormal and no
+    doubled ``x_j``, product or partial sum of the L part overflows.
     """
-    y = _check_state(model, y, "first argument")
-    z = _check_state(model, z, "second argument")
-    return _phi_rows(model, y, z)
+    y = _check_state(model, y, "first argument").tolist()
+    z = _check_state(model, z, "second argument").tolist()
+    rows: list[list[float]] = [[] for _ in range(model.n)]
+    for t in model.bilinear:
+        rows[t.i].append(t.c * y[t.j] * z[t.k])
+    for row, terms in zip(rows, model._linear_rows):
+        if terms:
+            row.append(0.5 * reduce(operator.add, [c * (y[j] + z[j]) for j, c in terms]))
+    return np.array([reduce(operator.add, [*row, b]) for row, b in zip(rows, model.constant.tolist())])
 
 
 def eval_f(model: MassActionModel, x) -> np.ndarray:
@@ -625,7 +608,7 @@ def eval_f(model: MassActionModel, x) -> np.ndarray:
     partial sum of the L part overflows; at those edges ``phi(x, x)``
     rounds otherwise, or overflows where ``f(x)`` does not.
     """
-    return _phi_rows(model, _check_state(model, x))
+    return _on_rows(model._f_kernel, _check_state(model, x))
 
 
 def assemble_P(model: MassActionModel, y) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Equilibria, eigenvalue transfer, stability rows, convergence order."""
 
 import cmath
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -313,6 +315,22 @@ def test_observed_order_validates_inputs(logistic):
         observed_order(logistic, np.array([0.5]), T=1e308, h=0.1)
     with pytest.raises(SpecError, match="too many steps"):
         rk4_reference(logistic, np.array([0.5]), 0.1, 1e308)
+
+
+@pytest.mark.parametrize("h_ref", [0.0, math.nan, math.inf, -0.1])
+def test_rk4_reference_refuses_a_bad_step_size(logistic, h_ref):
+    with pytest.raises(SpecError, match="h must be positive and finite"):
+        rk4_reference(logistic, np.array([0.5]), h_ref, 1.0)
+
+
+@pytest.mark.parametrize("T, h", [(0.01, 0.1), (0.05, 0.1), (12000.0, 1e200)])
+def test_a_horizon_that_holds_no_step_is_refused(logistic, T, h):
+    # T / h rounds to 0: no run covers the horizon asked for.
+    message = re.escape(f"horizon T={T:g} holds no step of size h={h:g}")
+    with pytest.raises(SpecError, match=message):
+        observed_order(logistic, np.array([0.5]), T, h)
+    with pytest.raises(SpecError, match=message):
+        rk4_reference(logistic, np.array([0.5]), h, T)
 
 
 @pytest.mark.parametrize("scheme, h, step", [("euler", 1e200, 1), ("rk4", 1e200, 0), ("euler", 5.0, 9)])

@@ -491,7 +491,7 @@ def test_order_json_and_band(capsys):
 
 def test_order_above_the_bound_warns_in_one_line(capsys):
     # the library's RuntimeWarning, with its source lines, must not reach stderr
-    argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "1", "--h", "5")
+    argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", "5", "--h", "5")
     done = _run_entry_point(sys.executable, "-m", "nsfd", *argv)
     assert done.returncode == 0
     assert done.stderr == "warning: h=5 is not below the safe step bound h_bar=2\n"
@@ -501,7 +501,7 @@ def test_order_above_the_bound_warns_in_one_line(capsys):
     assert done.stdout == out
     # the library still warns; the report is its estimate, unchanged
     with pytest.warns(RuntimeWarning, match="not below the safe bound"):
-        est = observed_order(make_logistic(), np.array([0.5]), 1.0, 5.0)
+        est = observed_order(make_logistic(), np.array([0.5]), 5.0, 5.0)
     assert json.loads(out) == {
         "defined": True,
         "error_h": est.error_h,
@@ -537,6 +537,15 @@ def test_order_names_the_run_that_fails(capsys):
     # run that fails prints only its error line, before any caution.
     argv = ("order", "--builtin", "logistic", "--x0", "1e300", "--t-final", "1", "--h", "0.1")
     assert run_cli(capsys, *argv) == (2, "", "numerical failure: reference run at h/200: step 0: state is not finite\n")
+
+
+@pytest.mark.parametrize("t_final, h, shown", [("0.01", "0.1", "0.1"), ("12000", "1e200", "1e+200")])
+def test_order_refuses_a_horizon_that_holds_no_step(capsys, t_final, h, shown):
+    # T / h rounds to 0 steps: an estimate would be made over some other horizon.
+    argv = ("order", "--builtin", "logistic", "--x0", "0.5", "--t-final", t_final, "--h", h)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: horizon T={t_final} holds no step of size h={shown}; use a smaller h or a longer horizon\n"
 
 
 def test_order_refuses_a_reference_beyond_its_step_limit(capsys):

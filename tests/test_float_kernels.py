@@ -5,16 +5,16 @@ elimination schedule (``linalg._Schedule.slack_pass`` and, for a small
 model, ``linalg._Schedule.eliminate``) and from its entry formulas
 (``MassActionModel._step_kernel``), in Python floats, and a stack of
 states through the same code on its (m,) columns; a larger model's
-system goes to LAPACK.  Every model evaluates its split field through
-its generated ``_phi_kernel`` and its field through its generated
-``_f_kernel``, in the same two ways, and the explicit Euler and RK4
-schemes run k steps in one generated run kernel that writes out the
-rows of ``_f_kernel`` at each stage.  The reference here is
-the loop form of the same code, over the same schedule tuples and term
-lists: every output must have its bits, signed zeros and errors
-included.  The field f(x) has the bits of phi(x, x) wherever no product
-``L_ij x_j`` is subnormal and no doubled value overflows, and differs
-at those edges.
+system goes to LAPACK.  Every model evaluates its field through its
+generated ``_f_kernel``, in the same two ways, and the explicit Euler
+and RK4 schemes run k steps in one generated run kernel that writes out
+the rows of ``_f_kernel`` at each stage, from the same generator.  The
+reference here is the loop form of the same code, over the same schedule
+tuples and term lists: every output must have its bits, signed zeros and
+errors included.  The split field ``eval_phi`` is such a loop itself and
+compiles nothing; it must have the bits of the reference loop too.  The
+field f(x) has the bits of phi(x, x) wherever no product ``L_ij x_j`` is
+subnormal and no doubled value overflows, and differs at those edges.
 """
 
 import dataclasses
@@ -59,7 +59,6 @@ from nsfd.model import (
     Domain,
     MassActionModel,
     _on_rows,
-    _phi_rows,
     dump_model,
     eval_f,
     eval_phi,
@@ -400,25 +399,25 @@ _MIRRORED = _model(
 @example(field=(_MIRRORED, np.array([0.0, 1.0, -0.0, 0.0]), np.array([0.0, 1.0, 1.0, 0.0])), h=0.5)
 def test_the_compiled_field_matches_the_interpreted_loop(field, h):
     model, y, z = field
-    looped = _outcome(_interpreted_phi, model, y.tolist(), z.tolist())
-    assert _outcome(model._phi_kernel, y.tolist(), z.tolist()) == looped
-    assert _outcome(_phi_rows, model, y, z) == looped
     field_looped = _outcome(_interpreted_f, model, y.tolist())
     assert _outcome(model._f_kernel, y.tolist()) == field_looped
-    assert _outcome(_phi_rows, model, y) == field_looped
+    assert _outcome(_on_rows, model._f_kernel, y) == field_looped
     # eval_f gives the field of a finite state, and refuses any other as eval_phi does.
     if np.isfinite(y).all():
         assert _outcome(eval_f, model, y) == field_looped
     else:
         assert _outcome(eval_f, model, y) == ("SpecError", "state must have finite entries")
-        assert _outcome(eval_phi, model, y, y) == ("SpecError", "first argument must have finite entries")
+        assert _outcome(eval_phi, model, y, z) == ("SpecError", "first argument must have finite entries")
+    # eval_phi has the bits of the loop on finite states: these, with each
+    # infinity taken to the largest float of its sign and a NaN to 0.0.
+    finite = [np.nan_to_num(v) for v in (y, z)]
+    assert _outcome(eval_phi, model, *finite) == _outcome(_interpreted_phi, model, *(v.tolist() for v in finite))
     euler, rk4 = _interpreted_steps(model, y, h)
     assert _outcome(_on_rows, _explicit_step(model, "euler"), y, h, 1) == euler.tobytes()
     assert _outcome(_on_rows, _explicit_step(model, "rk4"), y, h, 1) == rk4.tobytes()
     # The same code on the columns of a stack gives each row its bits alone.
-    ys, zs = np.tile(y, (3, 1)), np.tile(z, (3, 1))
-    assert _outcome(_phi_rows, model, ys, zs) == looped * 3
-    assert _outcome(_phi_rows, model, ys) == field_looped * 3
+    ys = np.tile(y, (3, 1))
+    assert _outcome(_on_rows, model._f_kernel, ys) == field_looped * 3
     assert _outcome(_on_rows, _explicit_step(model, "euler"), ys, h, 1) == euler.tobytes() * 3
     assert _outcome(_on_rows, _explicit_step(model, "rk4"), ys, h, 1) == rk4.tobytes() * 3
 
@@ -445,15 +444,14 @@ def _doubling_is_exact(model, x):
 @seed(33)
 @given(field=_small_fields(), network_state=st.lists(st.floats(0.0, 10.0), min_size=30, max_size=30))
 def test_the_field_has_the_bits_of_phi_on_the_diagonal(field, network_state, sir_network, sir_ring_30):
-    # Whenever doubling and halving the L part are exact, for one state and
-    # for the rows of a stack; the network states lie in their models' box.
+    # Whenever doubling and halving the L part are exact.  eval_phi takes
+    # finite states only: each infinity of the random state goes to the
+    # largest float of its sign.  The network states lie in their models' box.
     model, y, _ = field
-    cases = [(model, y.tolist()), *((m, network_state[:m.n]) for m in (sir_network, sir_ring_30))]
+    cases = [(model, np.nan_to_num(y)), *((m, np.array(network_state[:m.n])) for m in (sir_network, sir_ring_30))]
     for model, x in cases:
-        if _doubling_is_exact(model, x):
-            assert _outcome(model._f_kernel, x) == _outcome(model._phi_kernel, x, x)
-            xs = np.tile(x, (2, 1))
-            assert _outcome(_phi_rows, model, xs) == _outcome(_phi_rows, model, xs, xs)
+        if _doubling_is_exact(model, x.tolist()):
+            assert _outcome(eval_f, model, x) == _outcome(eval_phi, model, x, x)
 
 
 def test_the_field_and_phi_on_the_diagonal_differ_at_the_edges():
@@ -474,12 +472,12 @@ def test_the_field_and_phi_on_the_diagonal_differ_at_the_edges():
 def test_a_row_of_a_stack_has_the_bits_of_its_state_alone(sir_network, sir_ring_30, rng):
     # Rows of S_p and I_p sum four bilinear terms here, and three in sir_network.
     for model in (sir_network, sir_ring_30):
-        ys, zs = rng.uniform(0.0, 3.0, (2, 1000, model.n))
+        ys = rng.uniform(0.0, 3.0, (1000, model.n))
         h = 0.5 * step_bound(model).h_bar
-        euler, rk4 = _explicit_step(model, "euler"), _explicit_step(model, "rk4")
-        stacks = (_phi_rows(model, ys, zs), _phi_rows(model, ys), _on_rows(euler, ys, h, 1), _on_rows(rk4, ys, h, 1))
-        for r, (y, z) in enumerate(zip(ys, zs)):
-            alone = (_phi_rows(model, y, z), _phi_rows(model, y), _on_rows(euler, y, h, 1), _on_rows(rk4, y, h, 1))
+        kernels = [(model._f_kernel,), (_explicit_step(model, "euler"), h, 1), (_explicit_step(model, "rk4"), h, 1)]
+        stacks = [_on_rows(kernel, ys, *args) for kernel, *args in kernels]
+        for r, y in enumerate(ys):
+            alone = [_on_rows(kernel, y, *args) for kernel, *args in kernels]
             assert [a.tobytes() for a in alone] == [s[r].tobytes() for s in stacks]
 
 
@@ -542,8 +540,8 @@ def test_a_hub_row_of_thousands_of_terms_compiles(rng):
     linear = np.diag(np.full(n, -1.0))
     linear[0] = rng.uniform(0.1, 1.0, n)
     model = _model(linear, rng.uniform(0.0, 1.0, n).tolist(), terms)
-    y, z = rng.uniform(0.0, 1.0, (2, n)).tolist()
-    assert model._phi_kernel(y, z) == _interpreted_phi(model, y, z)
+    x = rng.uniform(0.0, 1.0, n).tolist()
+    assert model._f_kernel(x) == _interpreted_f(model, x)
 
 
 @pytest.fixture
@@ -640,26 +638,26 @@ def test_a_zero_of_either_sign_in_b_gets_the_kernels_of_its_own_bits(compiles, s
     ]
     y = [0.0, 1.0]
     for model in models:
-        assert _outcome(model._phi_kernel, y, y) == _outcome(_interpreted_phi, model, y, y)
+        assert _outcome(model._f_kernel, y) == _outcome(_interpreted_f, model, y)
         x = np.array([0.5, -0.0])
         for h in (0.5, -0.5):
             mats, rhs, _ = _interpreted_system(model, x, h)
             values = [mats[e] for e in model._schedule.pattern]
             assert _outcome(model._step_kernel, x.tolist(), h) == _outcome(lambda: (values, rhs))
-    assert models[0]._phi_kernel.__code__ is not models[1]._phi_kernel.__code__
+    assert models[0]._f_kernel.__code__ is not models[1]._f_kernel.__code__
     assert models[0]._step_kernel.__code__ is models[1]._step_kernel.__code__
-    assert _names(compiles) == ["phi", "step_system", "phi"]
+    assert _names(compiles) == ["f", "step_system", "f"]
 
 
 def test_mirrored_and_repeated_rows_share_one_sum_in_the_field_source(compiles, sir_network):
-    dataclasses.replace(_MIRRORED)._phi_kernel
+    dataclasses.replace(_MIRRORED)._f_kernel
     # Row 3 ends in -0.0, so it sums its own terms.
     assert compiles[-1].splitlines()[-2:] == [
-        "    s3 = -1.5 * y0 * z1 + 3.0 * y2 * z2",
+        "    s3 = -1.5 * x0 * x1 + 3.0 * x2 * x2",
         "    return [s0 + 0.5, 0.0 - s0 + 0.0, s0 + 0.25, s3 + -0.0]",
     ]
     # The infection terms of S_p come back negated, as the same rates, in I_p.
-    dataclasses.replace(sir_network)._phi_kernel
+    dataclasses.replace(sir_network)._f_kernel
     rows = compiles[-1].rsplit("return [", 1)[1].split(", ")
     assert [rows[3 * p + 1].startswith(f"0.0 - s{3 * p} + ") for p in range(4)] == [True] * 4
 
@@ -671,20 +669,18 @@ def test_a_model_loaded_again_builds_no_source_and_reuses_the_code(compiles, mon
     # is made again, so its kernels come from the code cache too.
     built = []
     for module, name in ((nsfd.linalg, "_unpack"), (nsfd.linalg, "_sum_code"), (nsfd.model, "_unpack"),
-                         (nsfd.model, "_sum_code"), (nsfd.integrator, "_unpack")):
+                         (nsfd.model, "_sum_code")):
         helper = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, helper=helper: built.append(args) or helper(*args))
     path = tmp_path / "host-vector.json"
     path.write_text(dump_model(make_host_vector()))
     x = np.array([4.0, 2.0, 3.0, 1.0, 1.0])
-    names = ["rk4", "euler", "step_system", "slack_pass", "eliminate", "f", "phi"]
+    names = ["rk4", "euler", "step_system", "slack_pass", "eliminate", "f"]
 
     def run(model):
         rk4, euler = _explicit_step(model, "rk4"), _explicit_step(model, "euler")
         out = [step_forward(model, x, 0.5), eval_f(model, x), _on_rows(rk4, x, 0.1, 1), _on_rows(euler, x, 0.1, 1)]
-        out.append(eval_phi(model, x, x))
         kernels = [model._step_kernel, model._schedule.slack_pass, model._schedule.eliminate, model._f_kernel]
-        kernels.append(model._phi_kernel)
         return [v.tobytes() for v in out], [*kernels, rk4, euler]
 
     first, kernels_a = run(load_model(path))
@@ -699,20 +695,28 @@ def test_a_model_loaded_again_builds_no_source_and_reuses_the_code(compiles, mon
     assert first == again
 
 
+def test_eval_phi_compiles_nothing(compiles, sir_network):
+    # A copy: the session's model may hold a field kernel.
+    model = dataclasses.replace(sir_network)
+    x = np.full(model.n, 0.5)
+    eval_phi(model, x, 2.0 * x)
+    assert compiles == [] and "_f_kernel" not in model.__dict__
+
+
 def test_a_changed_coefficient_compiles_new_code(compiles):
     a = make_host_vector()
     b = make_host_vector(HostVectorParameters(p=0.07))
-    assert a._phi_kernel.__code__ is not b._phi_kernel.__code__
-    assert _names(compiles) == ["phi", "phi"]
+    assert a._f_kernel.__code__ is not b._f_kernel.__code__
+    assert _names(compiles) == ["f", "f"]
 
 
 def test_the_code_cache_keeps_at_most_its_bound(compiles):
     for r in range(1, KERNEL_CODE_MAX + 4):
-        make_logistic(r=float(r))._phi_kernel
+        make_logistic(r=float(r))._f_kernel
     assert len(compiles) == KERNEL_CODE_MAX + 3
     assert _kernel_code.cache_info().currsize == KERNEL_CODE_MAX
     # The oldest source was dropped, so it compiles again.
-    make_logistic(r=1.0)._phi_kernel
+    make_logistic(r=1.0)._f_kernel
     assert len(compiles) == KERNEL_CODE_MAX + 4
 
 
@@ -725,14 +729,13 @@ def test_the_kernels_of_a_model_are_freed_with_it():
     rk4 = _explicit_step(model, "rk4")
     _on_rows(rk4, x, 0.1, 1)
     eval_f(model, x)
-    eval_phi(model, x, x)
-    kernels = [weakref.ref(model.__dict__[name]) for name in ("_f_kernel", "_phi_kernel", "_step_kernel")]
+    kernels = [weakref.ref(model.__dict__[name]) for name in ("_f_kernel", "_step_kernel")]
     kernels.append(weakref.ref(rk4))
     enabled = gc.isenabled()
     gc.disable()
     try:
         del model, rk4
-        assert [kernel() for kernel in kernels] == [None] * 4
+        assert [kernel() for kernel in kernels] == [None] * 3
     finally:
         if enabled:
             gc.enable()

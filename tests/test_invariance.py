@@ -34,7 +34,7 @@ from nsfd.invariance import (
     sample_boundary,
     sample_interior,
 )
-from nsfd.model import Constraint, Domain, MassActionModel, SpecError, _on_rows, _phi_rows, eval_f
+from nsfd.model import Constraint, Domain, MassActionModel, SpecError, _on_rows, eval_f
 from nsfd.models import HostVectorParameters, make_host_vector
 
 ACTIVITY_TOL = 1e-12
@@ -698,7 +698,7 @@ def _gathered_audit(model, dom, h, trials, steps, seed, scheme):
             if scheme == "nsfd":
                 xs[live] = step_forward_batch(model, rows, h)
             elif scheme == "euler":
-                xs[live] = rows + h * _phi_rows(model, rows)
+                xs[live] = rows + h * _on_rows(model._f_kernel, rows)
             else:
                 xs[live] = _on_rows(_explicit_step(model, "rk4"), rows, h, 1)
         rows = xs[live]

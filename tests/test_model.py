@@ -34,7 +34,7 @@ from nsfd.model import (
     validate,
     _box_pass,
     _check_state,
-    _phi_rows,
+    _on_rows,
 )
 
 JAC_ATOL = 1e-7
@@ -260,17 +260,14 @@ def test_eval_phi_diagonal_equals_field(all_models, rng):
 
 def test_single_state_field_equals_the_one_row_stack(all_models, sir_network, rng):
     # a vector runs the field kernel on Python floats, a stack on its
-    # columns; the bits must be those of row 0 of the (1, n) stack, with and
-    # without a second slot
+    # columns; the bits must be those of row 0 of the (1, n) stack
     for model in (*all_models, sir_network):
         for _ in range(50):
-            scale = 10.0 ** rng.uniform(-3.0, 3.0)
-            y, z = scale * rng.normal(size=(2, model.n))
-            for args in ((y,), (y, z)):
-                vector = _phi_rows(model, *args)
-                stacked = _phi_rows(model, *(a[None] for a in args))
-                assert vector.shape == (model.n,)
-                assert vector.tobytes() == stacked[0].tobytes()
+            x = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=model.n)
+            vector = _on_rows(model._f_kernel, x)
+            stacked = _on_rows(model._f_kernel, x[None])
+            assert vector.shape == (model.n,)
+            assert vector.tobytes() == stacked[0].tobytes()
 
 
 def test_eval_f_rejects_wrong_length(logistic):
@@ -282,8 +279,7 @@ def test_eval_f_rejects_wrong_length(logistic):
 
 def test_slot_matrices_reproduce_bilinear_part(all_models, sir_network, rng):
     # the slot matrices sum term by term, and eval_phi each row's terms in
-    # term order in the model's generated field kernel; the two agree up to
-    # summation order
+    # term order; the two agree up to summation order
     for model in (*all_models, sir_network):
         ys = _random_states(model, rng, 10)
         zs = _random_states(model, rng, 10)
