@@ -214,8 +214,9 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
     SpecError
         If x_bar is not an equilibrium to the required residual.
     LinAlgError
-        If a predicted step-map eigenvalue is not finite, which happens
-        only when h * lambda overflows.
+        If the field Jacobian at x_bar is not finite, as when a sum of its
+        coefficients overflows, or if a predicted step-map eigenvalue is
+        not finite, which happens only when h * lambda overflows.
     EigenConvergenceError
         Propagated from the eigensolver.
     """
@@ -226,7 +227,10 @@ def stability_report(model: MassActionModel, x_bar, h: float) -> list[StabilityR
             f"x_bar is not an equilibrium: ||f||={fnorm:.3e} exceeds the tolerance"
         )
     h = _check_h(h)
-    lams = eigenvalues(f_jacobian(model, x))
+    jacobian = f_jacobian(model, x)
+    if not np.isfinite(jacobian).all():
+        raise LinAlgError("the field Jacobian is not finite at the equilibrium")
+    lams = eigenvalues(jacobian)
     step_jac = fd_jacobian(lambda v: step_forward(model, v, h), x)
     mus_measured = eigenvalues(step_jac)
     mus_predicted = np.array([mu_of_lambda(lam, h) for lam in lams])

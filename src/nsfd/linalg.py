@@ -86,20 +86,14 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _abs_parts(a, schedule=None):
+def _abs_parts(a):
     """``|a[j, j]|`` and ``sum_{i != j} |a[i, j]|`` per column, from one ``abs`` pass.
 
     Works on a square matrix or on an (m, n, n) stack of them; both
     results have shape ``a.shape[:-1]``.  The diagonal is read through a
     strided view of the flattened ``abs`` values and zeroed in place
-    before the column sums, which add the rows in order.  With a
-    ``schedule``, ``a`` holds the values of its pattern entries, one
-    system's list of Python floats or a stack's (m, p) array, and the
-    pass is the schedule's compiled ``slack_pass``, which returns the
-    slacks and 1-norms of :func:`_slack_parts` instead.
+    before the column sums, which add the rows in order.
     """
-    if schedule is not None:
-        return schedule.slack_pass(a if isinstance(a, list) else a.T)
     n = a.shape[-1]
     flat = np.abs(a, order="C").reshape(*a.shape[:-2], n * n)
     diag = flat[..., :: n + 1].copy()
@@ -117,15 +111,17 @@ def _slack_parts(a, schedule=None) -> tuple:
     slack is NaN.  A matrix is strictly column diagonally dominant iff
     its smallest slack is positive.  These are the parts the solve guard
     certifies from, so a caller that has already made them for its own
-    check hands them on to :func:`lu_solve`.  With a ``schedule``, as in
-    :func:`_abs_parts`, one system's slacks and 1-norms are lists of
+    check hands them on to :func:`lu_solve`.  With a ``schedule``, ``a``
+    holds the values of its pattern entries, one system's list of Python
+    floats or a stack's (m, p) array, and the one pass is the schedule's
+    compiled ``slack_pass``: one system's slacks and 1-norms are lists of
     Python floats, and a stack's are (m, n) arrays.
     """
     if schedule is None:
         diag, off = _abs_parts(a)
         slack = diag - off
         return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
-    slack, colsum = _abs_parts(a, schedule)
+    slack, colsum = schedule.slack_pass(a if isinstance(a, list) else a.T)
     if isinstance(a, list):
         return slack, colsum, math.nan if any(map(math.isnan, slack)) else min(slack)
     slack = np.array(slack).T

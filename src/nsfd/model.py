@@ -14,9 +14,9 @@ The two matrix views of B,
 
 satisfy ``P(y) @ z = Q(z) @ y = B(y, z)``, and the field Jacobian is
 ``P(x) + Q(x) + L``.  Its entries are encoded once, from the term list
-(``MassActionModel._entry_terms``): the step's kernel and the numpy sums
-of :func:`f_jacobian` add ``x_j * c_j`` over them in one order, with no
-BLAS call.
+(``MassActionModel._entry_terms``): the step's kernel and the Python
+float sums of :func:`f_jacobian` add ``x_j * c_j`` over them in one
+order, with no BLAS call.
 
 The field ``f`` is generated code, straight-line Python over the term
 list, the nonzeros of each row of L and b (``MassActionModel._f_kernel``),
@@ -308,40 +308,23 @@ class MassActionModel:
         if not isinstance(self.name, str) or not self.name:
             raise SpecError("model name must be a nonempty string")
 
-    # Term index arrays for the slot matrices; cached because the model is
-    # immutable.
+    # The one table of S(x): the entries of I - h S(x) that can be nonzero,
+    # in order (the diagonal, the nonzeros of L and the entries of P(x) +
+    # Q(x) that some term touches, joined by a set, as np.union1d's first
+    # call costs about 1 MB of memory), each as (flat entry, its identity
+    # entry, its L entry, its (j, c_j) terms with c_j != 0 in coordinate
+    # order), so that x_j * c_j summed over the terms is its P(x) + Q(x)
+    # value.  Each c_j sums from 0.0, first the P contributions c of the
+    # terms (i, j, k, c) to entry (i, k) in term order, then their Q
+    # contributions to (i, j) at k.  An entry whose coefficients cancel
+    # stays, with no terms.
     @cached_property
-    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ti = np.array([t.i for t in self.bilinear], dtype=np.intp)
-        tj = np.array([t.j for t in self.bilinear], dtype=np.intp)
-        tk = np.array([t.k for t in self.bilinear], dtype=np.intp)
-        tc = np.array([t.c for t in self.bilinear], dtype=float)
-        return ti, tj, tk, tc
-
-    # The flat entries of P(x) + Q(x) that some term touches, each with the
-    # coefficient c_j of every coordinate j that it reads, so that its value
-    # is the sum of x_j * c_j; every other entry is zero.  Each c_j sums
-    # from 0.0, first the P contributions c of the terms (i, j, k, c) to
-    # entry (i, k) in term order, then their Q contributions to (i, j) at
-    # k.  An entry whose coefficients cancel stays.
-    @cached_property
-    def _pq_map(self) -> dict[int, dict[int, float]]:
-        pq: dict[int, dict[int, float]] = {}
+    def _entry_terms(self) -> tuple[tuple[int, float, float, tuple[tuple[int, float], ...]], ...]:
         n, terms = self.n, self.bilinear
+        pq: dict[int, dict[int, float]] = {}
         for e, j, c in [(t.i * n + t.k, t.j, t.c) for t in terms] + [(t.i * n + t.j, t.k, t.c) for t in terms]:
             coefs = pq.setdefault(e, {})
             coefs[j] = coefs.get(j, 0.0) + c
-        return pq
-
-    # The one encoding of S(x): the entries of I - h S(x) that can be
-    # nonzero, in order (the diagonal, the nonzeros of L and the entries of
-    # _pq_map, joined by a set, as np.union1d's first call costs about 1 MB
-    # of memory), each as (flat entry, its identity entry, its L entry, its
-    # (j, c_j) terms of _pq_map with c_j != 0 in coordinate order), so that
-    # x_j * c_j summed over the terms is its P(x) + Q(x) value.
-    @cached_property
-    def _entry_terms(self) -> tuple[tuple[int, float, float, tuple[tuple[int, float], ...]], ...]:
-        n, pq = self.n, self._pq_map
         pattern = sorted(set(range(0, n * n, n + 1)).union(np.flatnonzero(self.linear).tolist(), pq))
         return tuple(
             (e, float(e % (n + 1) == 0), lin, tuple((j, c) for j, c in sorted(pq.get(e, {}).items()) if c))
@@ -353,16 +336,6 @@ class MassActionModel:
     @cached_property
     def _schedule(self) -> _Schedule:
         return _schedule_of(self.n, tuple(e for e, *_ in self._entry_terms))
-
-    # _entry_terms in numpy, for the sums of _jacobian_entries: the pattern
-    # position, coordinate and coefficient of every term, entry by entry,
-    # then each entry's flat index and L value.
-    @cached_property
-    def _entry_arrays(self) -> tuple[np.ndarray, ...]:
-        terms = [(p, j, c) for p, (*_, entry) in enumerate(self._entry_terms) for j, c in entry]
-        pos, var, coef = np.array(terms, dtype=float).reshape(-1, 3).T
-        entries, lin = np.array([(e, value) for e, _, value, _ in self._entry_terms]).T
-        return pos.astype(np.intp), var.astype(np.intp), coef, entries.astype(np.intp), lin
 
     # Row i of L as its (j, L[i, j]) nonzeros in column order, as np.nonzero
     # gives them, without a pass over the zeros of L: the right-hand side of
@@ -559,26 +532,6 @@ def _on_rows(kernel: Callable, x: np.ndarray, *args) -> np.ndarray:
     return out
 
 
-def _jacobian_entries(model: MassActionModel, x: np.ndarray) -> np.ndarray:
-    """Unchecked values of the field Jacobian ``P(x) + Q(x) + L`` of one (n,) state at the entries of ``_entry_terms``.
-
-    Each entry sums ``x_j * c_j`` over its ``_entry_terms`` from 0.0, in
-    coordinate order, then adds its L value: the sums of ``_step_kernel``,
-    made by ``np.bincount``, which adds its weights one by one in their
-    order, with no BLAS call.  The caller turns numpy's floating-point
-    warnings off, as Python floats raise none.
-    """
-    pos, var, coef, _, lin = model._entry_arrays
-    return np.bincount(pos, x[var] * coef, len(lin)) + lin
-
-
-def _on_pattern(model: MassActionModel, values: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix with ``values`` at the entries of ``model._entry_terms``, in order, and zeros elsewhere."""
-    out = np.zeros(model.n * model.n)
-    out[model._entry_arrays[3]] = values
-    return out.reshape(model.n, model.n)
-
-
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:
     """Split field ``phi(y, z) = B(y, z) + (L/2)(y + z) + b`` of two checked states, with no stack axis.
 
@@ -611,32 +564,46 @@ def eval_f(model: MassActionModel, x) -> np.ndarray:
     return _on_rows(model._f_kernel, _check_state(model, x))
 
 
+def _slot_matrix(n: int, products) -> np.ndarray:
+    """The (n, n) matrix whose flat entry e sums the values of the ``(e, value)`` pairs from 0.0, in their order.
+
+    The sums are in Python floats, so one that overflows is quiet.
+    """
+    sums: dict[int, float] = {}
+    for e, value in products:
+        sums[e] = sums.get(e, 0.0) + value
+    out = np.zeros(n * n)
+    out[list(sums)] = list(sums.values())
+    return out.reshape(n, n)
+
+
 def assemble_P(model: MassActionModel, y) -> np.ndarray:
-    """First-slot matrix: ``P(y)[i, k] = sum c * y[j]`` over terms (i, j, k, c)."""
-    y = _check_state(model, y)
-    ti, tj, tk, tc = model._term_arrays
-    out = np.zeros((model.n, model.n))
-    np.add.at(out, (ti, tk), tc * y[tj])
-    return out
+    """First-slot matrix: ``P(y)[i, k] = sum c * y[j]`` over terms (i, j, k, c), in term order."""
+    y = _check_state(model, y).tolist()
+    return _slot_matrix(model.n, [(t.i * model.n + t.k, t.c * y[t.j]) for t in model.bilinear])
 
 
 def assemble_Q(model: MassActionModel, z) -> np.ndarray:
-    """Second-slot matrix: ``Q(z)[i, j] = sum c * z[k]`` over terms (i, j, k, c)."""
-    z = _check_state(model, z)
-    ti, tj, tk, tc = model._term_arrays
-    out = np.zeros((model.n, model.n))
-    np.add.at(out, (ti, tj), tc * z[tk])
-    return out
+    """Second-slot matrix: ``Q(z)[i, j] = sum c * z[k]`` over terms (i, j, k, c), in term order."""
+    z = _check_state(model, z).tolist()
+    return _slot_matrix(model.n, [(t.i * model.n + t.j, t.c * z[t.k]) for t in model.bilinear])
 
 
 def f_jacobian(model: MassActionModel, x) -> np.ndarray:
-    """Analytic field Jacobian ``P(x) + Q(x) + L``, from :func:`_jacobian_entries`.
+    """Analytic field Jacobian ``P(x) + Q(x) + L``, zero off the entries of ``_entry_terms``.
 
-    A sum that overflows, or meets infinities of both signs, is quiet.
+    Each entry sums ``x_j * c_j`` over its terms from 0.0, in coordinate
+    order, then adds its L value, as ``_step_kernel`` does, in Python
+    floats: a sum that overflows, or meets infinities of both signs, is quiet.
     """
-    x = _check_state(model, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _on_pattern(model, _jacobian_entries(model, x))
+    x = _check_state(model, x).tolist()
+    out = np.zeros(model.n * model.n)
+    for e, _, lin, terms in model._entry_terms:
+        s = 0.0
+        for j, c in terms:
+            s += x[j] * c
+        out[e] = s + lin
+    return out.reshape(model.n, model.n)
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,11 @@ def two_coordinate_entries():
 def _touched_map(model):
     """(entries, G): the flat entries of P(x) + Q(x) that some term touches, and the map with ``x @ G`` their values.
 
-    The dense (n, len(entries)) map that the model's ``_pq_map`` replaced,
-    built by ``np.add.at`` from the term list: the P contributions of the
-    terms in term order, then their Q contributions, each from 0.0.  It
-    is the reference for ``_entry_terms``.
+    The dense (n, len(entries)) map of the coefficients that
+    ``MassActionModel._entry_terms`` builds in a dict, built by
+    ``np.add.at`` from the term list: the P contributions of the terms in
+    term order, then their Q contributions, each from 0.0.  It is the
+    reference for ``_entry_terms``.
     """
     ti, tj, tk, tc = (np.array([getattr(t, name) for t in model.bilinear]) for name in "ijkc")
     cols = {}
@@ -159,3 +160,19 @@ def _touched_map(model):
 @pytest.fixture(scope="session")
 def touched_map():
     return _touched_map
+
+
+def _coordinate_order_jacobians(model, xs, touched_map):
+    """The field Jacobians of the rows of ``xs``, each P + Q entry summed over its coordinates in order.
+
+    The entries and their coefficients come from the term list, through
+    the ``np.add.at`` map of ``touched_map``.
+    """
+    entries, g = touched_map(model)
+    touched = np.zeros((len(xs), len(entries)))
+    for j in range(model.n):
+        for col in np.flatnonzero(g[j]):
+            touched[:, col] += xs[:, j] * g[j, col]
+    out = np.zeros((len(xs), model.n * model.n))
+    out[:, entries] = touched
+    return out.reshape(-1, model.n, model.n) + model.linear

@@ -23,7 +23,7 @@ from nsfd.analysis import (
 from nsfd.integrator import integrate
 from nsfd.linalg import LinAlgError, eigenvalues
 from nsfd.model import SpecError
-from nsfd.models import host_vector_dfe
+from nsfd.models import host_vector_dfe, make_logistic
 
 MU_ATOL = 1e-12
 MU_MEASURED_ATOL = 1e-6
@@ -249,6 +249,15 @@ def test_stability_refuses_an_overflowing_prediction(logistic, monkeypatch):
     monkeypatch.setattr(analysis, "eigenvalues", scaled)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinAlgError, match="not finite"):
         stability_report(logistic, np.array([1.0]), 4.0)
+
+
+def test_stability_refuses_a_non_finite_field_jacobian(monkeypatch):
+    # x = 1 is an equilibrium, where the entry's coefficient -r/K, taken
+    # once from P and once from Q, overflows to -inf; the eigensolver is
+    # never reached
+    monkeypatch.setattr(analysis, "eigenvalues", None)
+    with pytest.raises(LinAlgError, match="^the field Jacobian is not finite at the equilibrium$"):
+        stability_report(make_logistic(r=1e308), np.array([1.0]), 0.1)
 
 
 def test_rk4_reference_logistic_closed_form(logistic):

@@ -639,6 +639,23 @@ def test_stability_refuses_a_bad_h_before_the_newton_run(capsys, x0, h):
     assert err == f"error: h must be positive and finite, got {float(h)}\n"
 
 
+@pytest.mark.parametrize("source", ["builtin", "model"])
+def test_stability_refuses_a_non_finite_field_jacobian(tmp_path, capsys, source):
+    # the entry coefficient -r/K, taken from P and from Q, overflows to
+    # -inf at x = 1; two terms of -1e308 on one entry overflow so too, and
+    # x = 0 reads 0 * -inf
+    if source == "builtin":
+        argv = ["--builtin", "logistic", "--param", "r=1e308", "--x0", "1"]
+    else:
+        path = tmp_path / "overflowing.json"
+        terms = (BilinearTerm(0, 0, 0, -1e308),) * 2
+        path.write_text(dump_model(MassActionModel(1, terms, [[0.0]], [0.0], Domain((True,)), ("x",))))
+        argv = ["--model", str(path), "--x0", "0"]
+    code, out, err = run_cli(capsys, "stability", *argv, "--h", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: the field Jacobian is not finite at the equilibrium\n"
+
+
 def test_stability_on_an_equilibrium_continuum_still_reports(capsys):
     # every (S, 0) is an equilibrium: Newton reports 'singular' at residual 0
     code, out, err = run_cli(capsys, "stability", "--builtin", "si", "--x0", "1,0", "--h", "0.1")

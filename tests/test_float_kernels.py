@@ -29,6 +29,7 @@ import pytest
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
+from conftest import _coordinate_order_jacobians
 import nsfd.integrator
 import nsfd.linalg
 from nsfd.integrator import (
@@ -59,9 +60,12 @@ from nsfd.model import (
     Domain,
     MassActionModel,
     _on_rows,
+    assemble_P,
+    assemble_Q,
     dump_model,
     eval_f,
     eval_phi,
+    f_jacobian,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -264,6 +268,34 @@ def test_the_entry_terms_match_the_dense_map(
     # sir_ring_30, and four in seeded_network.
     for model in (*all_models, sir_network, sir_ring_30, seeded_network, two_coordinate_entries):
         assert repr(model._entry_terms) == repr(_touched_entry_terms(model, touched_map)), model.name
+
+
+def _added_at_slot_matrices(model, x):
+    """P(x) and Q(x) by ``np.add.at`` over the term list's index arrays, each entry from 0.0 in term order."""
+    ti, tj, tk = (np.array([getattr(t, name) for t in model.bilinear], dtype=np.intp) for name in "ijk")
+    tc = np.array([t.c for t in model.bilinear], dtype=float)
+    p, q = np.zeros((model.n, model.n)), np.zeros((model.n, model.n))
+    np.add.at(p, (ti, tk), tc * x[tj])
+    np.add.at(q, (ti, tj), tc * x[tk])
+    return p, q
+
+
+@seed(36)
+@given(step=_small_steps())
+@example(step=(_OVERFLOWING, np.array([0.5])))
+@example(step=(_OVERFLOWING, np.array([0.0])))
+# Each product of P and of Q is 1e308, and their sum overflows.
+@example(step=(_model([[0.0]], terms=((0, 0, 0, 1e308),) * 2), np.array([1.0])))
+def test_the_jacobian_and_slot_matrices_keep_their_bits_and_stay_quiet(step, touched_map):
+    # pyproject turns numpy's RuntimeWarnings into errors: the functions
+    # under test run with the warnings on, the numpy references without
+    model, x = step
+    jacobian, p, q = f_jacobian(model, x), assemble_P(model, x), assemble_Q(model, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _coordinate_order_jacobians(model, x[None], touched_map)[0]
+        expected_p, expected_q = _added_at_slot_matrices(model, x)
+    assert jacobian.tobytes() == expected.tobytes()
+    assert (p.tobytes(), q.tobytes()) == (expected_p.tobytes(), expected_q.tobytes())
 
 
 @pytest.mark.parametrize("step, sign", [(step_forward, 1.0), (step_backward, -1.0)])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
+from conftest import _coordinate_order_jacobians
 from nsfd.integrator import (
     DEFAULT_H_MAX,
     SCHEMES,
@@ -208,22 +209,6 @@ def test_batch_scalar_step_size_matches_per_row_bits(all_models, sir_network, rn
         shared = step(model, xs, h)
         per_row = step(model, xs, np.full(len(xs), h))
         assert shared.tobytes() == per_row.tobytes(), model.name
-
-
-def _coordinate_order_jacobians(model, xs, touched_map):
-    """The field Jacobians of the rows of ``xs``, each P + Q entry summed over its coordinates in order.
-
-    The entries and their coefficients come from the term list, through
-    the ``np.add.at`` map of ``touched_map``.
-    """
-    entries, g = touched_map(model)
-    touched = np.zeros((len(xs), len(entries)))
-    for j in range(model.n):
-        for col in np.flatnonzero(g[j]):
-            touched[:, col] += xs[:, j] * g[j, col]
-    out = np.zeros((len(xs), model.n * model.n))
-    out[:, entries] = touched
-    return out.reshape(-1, model.n, model.n) + model.linear
 
 
 def test_stack_systems_match_the_jacobian_expression_bits(all_models, sir_network, touched_map, rng):
