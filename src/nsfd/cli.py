@@ -30,9 +30,11 @@ from .integrator import (
     _check_h,
     _horizon_steps,
     integrate,
-    step_bound,
-    step_forward_batch,
+    step_backward,
     step_backward_batch,
+    step_bound,
+    step_forward,
+    step_forward_batch,
 )
 from .invariance import (
     AUDIT_SCHEMES,
@@ -332,21 +334,25 @@ def _cmd_invariance(args) -> int:
 def _cmd_reversibility(args) -> int:
     model = _model_from_args(args)
     seed = _default_seed(args.seed)
+    # x0 steps alone, in Python floats, so its errors read as simulate's; samples step as one stack.
     if args.x0 is not None:
-        xs = np.array(_parse_x0(args.x0))[None, :]
-        trials = 1
+        xs = np.array(_parse_x0(args.x0))
+        trials, forward, backward = 1, step_forward, step_backward
     else:
         trials = _check_count(args.trials, "--trials")
         xs = sample_interior(model.domain, trials, seed)
+        forward, backward = step_forward_batch, step_backward_batch
     h = _check_h(args.h)
-    if args.x0 is not None:
-        # As one state, so that a bad x0 is reported as simulate reports it.
-        _check_state(model, xs[0])
-    ys = step_forward_batch(model, xs, h)
-    back = step_backward_batch(model, ys, h)
+    ys = forward(model, xs, h)
+    # The backward step would refuse a state that is not finite as an input.
+    if not np.isfinite(ys).all():
+        row = int(np.argmin(np.isfinite(ys).all(axis=-1)))
+        raise LinAlgError(f"forward step{f' of batch state {row}' if trials > 1 else ''}: state is not finite")
+    back = backward(model, ys, h)
     if args.x0 is not None:
         # After the run, so that a run that fails prints only its error line.
-        _check_inside_domain(model, xs[0], args.strict)
+        _check_inside_domain(model, xs, args.strict)
+    xs, back = np.atleast_2d(xs, back)
     residuals = np.abs(back - xs).max(axis=1)
     relative = residuals / (1.0 + np.abs(xs).max(axis=1))
     worst = int(np.argmax(relative))

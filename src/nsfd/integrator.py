@@ -54,7 +54,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import (
-    LinAlgError, SingularMatrixError, _kernel, _slack_parts, fd_jacobian, lu_solve, lu_solve_batch
+    LinAlgError, SingularMatrixError, _kernel, fd_jacobian, lu_solve, lu_solve_batch
 )
 from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_source, eval_f, f_jacobian
 
@@ -184,14 +184,14 @@ def _pattern_system(model: MassActionModel, x, h) -> tuple:
     sides are laid out entries first, the values broadcast where no term
     touches an entry, and returned as (m, p) and (m, n) views of that.
     The slacks come from the schedule's one compiled ``abs`` pass
-    (``linalg._slack_parts``), for the dominance check and the solve
+    (``_Schedule.slack_parts``), for the dominance check and the solve
     guard.  For a stack, numpy's floating-point warnings are off, as
     Python floats raise none: an overflow is caught by the check or the
     guard, as for one state.
     """
     if x.ndim == 1:
         values, rhs = model._step_kernel(x.tolist(), h)
-        parts = _slack_parts(values, model._schedule)
+        parts = model._schedule.slack_parts(values)
     else:
         values, rhs = np.empty((len(model._schedule.pattern), len(x))), np.empty(x.shape[::-1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,7 +199,7 @@ def _pattern_system(model: MassActionModel, x, h) -> tuple:
                 for row, value in zip(out, got):
                     row[...] = value
             values, rhs = values.T, rhs.T
-            parts = _slack_parts(values, model._schedule)
+            parts = model._schedule.slack_parts(values)
     _check_dominance(model, parts, h)
     return values, rhs, parts
 
@@ -476,8 +476,9 @@ def _steps(model: MassActionModel, x: np.ndarray, h: float, steps: int, scheme: 
     its steps in one call of its run kernel and gives the last state, and
     the others still give the state after each step.  The explicit schemes
     step one state in Python floats, unchecked, and give lists; the others
-    give arrays, and their numerical failures are re-raised with the step
-    index prepended.
+    give arrays, their numerical failures are re-raised with the step
+    index prepended, and an nsfd state that is not finite fails the next
+    step as ``_not_finite`` of the step that made it.
     """
     if scheme in ("euler", "rk4"):
         kernel = _explicit_step(model, scheme)
@@ -493,6 +494,8 @@ def _steps(model: MassActionModel, x: np.ndarray, h: float, steps: int, scheme: 
                 x = step_forward(model, x, h) if trap is None else step_implicit_general(trap, x, h)
             except (LinAlgError, NewtonDivergenceError) as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
+            except SpecError as exc:  # the start was checked: the last step overflowed
+                raise _not_finite(k - 1) from exc
             yield x
 
 
@@ -505,9 +508,10 @@ def integrate(model: MassActionModel, x0, h: float, steps: int, scheme: str = "n
 
     Emits a RuntimeWarning when the reversible scheme is asked to run at
     h at or above its safe bound.  Numerical failures are re-raised with
-    the step index prepended.  The explicit schemes step unchecked, so
-    the orbit is checked once at the end: a state that is not finite,
-    from an overflow, raises LinAlgError naming the step that made it.
+    the step index prepended.  A state that is not finite, from an
+    overflow, raises LinAlgError naming the step that made it: the orbit
+    is checked at the end, as the explicit schemes step unchecked, and an
+    nsfd run stops at the next step, which would refuse it as an input.
     A step count whose states cannot be held raises SpecError.
     """
     x, h = _check_run(model, x0, h, steps, scheme)

@@ -10,19 +10,20 @@ which leaves out the operations on entries that stay zero, and such a
 system is solved by Gaussian elimination without pivoting instead when
 its schedule makes at most FLOAT_ELIMINATION_MAX_OPS operations, alone
 or in a stack of any size, or when it is one of a stack of at least
-``2 n^3``.  One predicate, ``_Schedule.eliminates``, makes this choice
-for :func:`_solve_floats` and :func:`_solve_stack`.  Both eliminations
-run the same straight-line code, made once per schedule
+``2 n^3``.  Dense systems go through :func:`_solve_stack`, and pattern
+systems, one or a stack, through :func:`_solve_pattern`, where the one
+predicate ``_Schedule.eliminates`` makes this choice.  The elimination
+runs the same straight-line code, made once per schedule
 (``_Schedule.slack_pass`` and ``_Schedule.eliminate``, each on its first
 use) from the one cache of generated code (:func:`_kernel_code`): on
 Python floats for one system, and on the stack's (m,) columns, one
 elementwise operation across the stack for each operation of the
-schedule.  Neither calls BLAS, so their bits depend on neither the
-stack's size nor the BLAS kernel, and a system gets the same bits alone
-as in a stack.  The guard's usual case costs
-one ``abs`` pass and a few reductions: Varah's bound certifies a
-strictly column dominant stack at once, and the exact condition number
-is computed only for what it leaves uncertain.  The integrator makes
+schedule.  It calls no BLAS, so its bits depend on neither the stack's
+size nor the BLAS kernel, and a system gets the same bits alone as in a
+stack.  The guard's usual case costs one ``abs`` pass and a few
+reductions: Varah's bound certifies a strictly column dominant stack at
+once, and the exact condition number is computed only for what it
+leaves uncertain.  The integrator makes
 that pass, the schedule's ``slack_pass``, for its own dominance check
 and hands it on to the solve, so a step makes it once.
 Eigenvalues come from LAPACK ``geev`` through ``np.linalg.eigvals``.
@@ -86,107 +87,96 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _abs_parts(a):
-    """``|a[j, j]|`` and ``sum_{i != j} |a[i, j]|`` per column, from one ``abs`` pass.
+def _slack_parts(a: np.ndarray) -> tuple:
+    """Column slacks, column 1-norms and the smallest slack of a matrix or a stack.
 
-    Works on a square matrix or on an (m, n, n) stack of them; both
-    results have shape ``a.shape[:-1]``.  The diagonal is read through a
-    strided view of the flattened ``abs`` values and zeroed in place
-    before the column sums, which add the rows in order.
+    The slack ``|a[j, j]| - sum_{i != j} |a[i, j]|`` and the 1-norm
+    ``sum_i |a[i, j]|`` have shape ``a.shape[:-1]`` and come from one
+    ``abs`` pass: the diagonal is read through a strided view of the
+    flattened ``abs`` values and zeroed in place before the column sums,
+    which add the rows in order; the 1-norm is formed in the diagonal's
+    buffer.  The smallest slack is inf for an empty stack, and NaN when a
+    slack is NaN; it is positive iff every matrix is strictly column
+    diagonally dominant.  The solve guard certifies from these parts.
     """
     n = a.shape[-1]
     flat = np.abs(a, order="C").reshape(*a.shape[:-2], n * n)
     diag = flat[..., :: n + 1].copy()
     flat[..., :: n + 1] = 0.0
-    return diag, np.add.reduce(flat.reshape(a.shape), -2)
+    off = np.add.reduce(flat.reshape(a.shape), -2)
+    slack = diag - off
+    return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
 
 
-def _slack_parts(a, schedule=None) -> tuple:
-    """Column slacks, column 1-norms and the smallest slack of a matrix or a stack.
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a[k] @ x[k] = b[k]`` by one LAPACK ``gesv`` call, behind the guard.
 
-    The slack ``|a[j, j]| - sum_{i != j} |a[i, j]|`` and the 1-norm
-    ``sum_i |a[i, j]|`` come from one :func:`_abs_parts` pass and have
-    shape ``a.shape[:-1]``; the 1-norm is formed in the diagonal's own
-    buffer.  The smallest slack is inf for an empty stack, and NaN when a
-    slack is NaN.  A matrix is strictly column diagonally dominant iff
-    its smallest slack is positive.  These are the parts the solve guard
-    certifies from, so a caller that has already made them for its own
-    check hands them on to :func:`lu_solve`.  With a ``schedule``, ``a``
-    holds the values of its pattern entries, one system's list of Python
-    floats or a stack's (m, p) array, and the one pass is the schedule's
-    compiled ``slack_pass``: one system's slacks and 1-norms are lists of
-    Python floats, and a stack's are (m, n) arrays.
+    ``a`` is one (n, n) system or an (m, n, n) stack, and ``b`` the
+    matching vector or (m, n) stack.  Each system must have reciprocal
+    1-norm condition at least PIVOT_RTOL.  Varah's bound certifies most of
+    them without an inverse: a strictly column dominant ``a`` has
+    ``||a^-1||_1 <= 1 / min slack``, so ``min slack / ||a||_1`` bounds the
+    reciprocal condition from below.  One test over the whole stack, the
+    smallest slack against the largest 1-norm, certifies the usual case.
+    Otherwise :func:`_check_condition` takes the bound system by system,
+    and only the systems it leaves below PIVOT_RTOL, zero and non-finite
+    matrices among them, get the exact inverse-based check.
     """
-    if schedule is None:
-        diag, off = _abs_parts(a)
-        slack = diag - off
-        return slack, np.add(diag, off, out=diag), slack.min(initial=np.inf)
-    slack, colsum = schedule.slack_pass(a if isinstance(a, list) else a.T)
-    if isinstance(a, list):
-        return slack, colsum, math.nan if any(map(math.isnan, slack)) else min(slack)
-    slack = np.array(slack).T
-    return slack, np.array(colsum).T, slack.min(initial=np.inf)
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray, parts=None, schedule=None) -> np.ndarray:
-    """Solve ``a[k] @ x[k] = b[k]`` over a stack of systems.
-
-    ``a`` is one (n, n) system or an (m, n, n) stack, ``b`` the matching
-    vector or (m, n) stack, and ``parts`` the :func:`_slack_parts` of ``a``
-    when the caller has them, made here otherwise.  With a ``schedule``,
-    ``a`` is the (m, p) stack of the values of its pattern entries and ``b``
-    an (m, n) stack, each the transpose of a contiguous array that the
-    caller made for this solve and that the elimination works in.  A stack
-    of m strictly column dominant systems is solved by the compiled
-    ``eliminate`` of ``schedule`` when ``schedule.eliminates(m)``, one
-    elementwise operation over the stack's (m,) columns at a time, so that
-    each row gets the bits of its system solved alone; every other system
-    or stack goes to one LAPACK ``gesv`` call.  On strictly column dominant
-    systems partial pivoting would never swap rows, every multiplier is at
-    most 1 in size and the growth factor at most 2 (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., Thm 3.4.3), so the elimination is as stable as
-    LAPACK.  Each system must have reciprocal 1-norm condition at least
-    PIVOT_RTOL.  Varah's bound certifies most of them without an inverse: a
-    strictly column dominant ``a`` has ``||a^-1||_1 <= 1 / min slack``, so
-    ``min slack / ||a||_1`` bounds the reciprocal condition from below.  One
-    test over the whole stack, the smallest slack against the largest
-    1-norm, certifies the usual case.  Otherwise the bound is taken system
-    by system, and only the systems it leaves below PIVOT_RTOL, zero and
-    non-finite matrices among them, get the exact inverse-based check.
-    """
-    slack, colsum, smin = _slack_parts(a, schedule) if parts is None else parts
+    slack, colsum, smin = _slack_parts(a)
     # smin < inf keeps a stack whose every diagonal is infinite, where the
     # ratio is inf / inf, from certifying itself; it also means the stack
     # is not empty, so colsum has a maximum.
     if not (0.0 < smin < np.inf and smin >= PIVOT_RTOL * colsum.max()):
-        dense = _dense(a, schedule)
-        _check_condition(dense.reshape(-1, *dense.shape[-2:]), slack, colsum)
+        _check_condition(a, slack, colsum)
     if b.ndim == 1:
         return np.linalg.solve(a, b)
-    if schedule is not None and smin > 0.0 and schedule.eliminates(len(b)):
-        # Python floats raise no warning, nor do their columns: a non-finite
-        # system that the guard passed solves to the single step's values.
-        with np.errstate(over="ignore", invalid="ignore"):
-            schedule.eliminate(list(a.T), list(b.T))
-        return b
     # The explicit trailing axis keeps b a stack of vectors under both the
     # numpy 1.x and 2.x broadcasting rules of solve.  A single vector is
     # one under both, and numpy solves it as it is with less overhead.
-    return np.linalg.solve(_dense(a, schedule), b[..., None])[..., 0]
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def _dense(a, schedule):
-    """``a`` as matrices: itself, or with a ``schedule`` the (n, n) matrix of one system's p floats or the (m, n, n) stack of an (m, p) stack."""
-    if schedule is None:
-        return a
-    n = schedule.n
-    if isinstance(a[0], float):
-        out = np.zeros(n * n)
-        out[schedule.index] = a
-        return out.reshape(n, n)
-    out = np.zeros((len(a), n * n))
-    out[:, schedule.index] = a
-    return out.reshape(-1, n, n)
+def _solve_pattern(v, y, parts, schedule: _Schedule) -> np.ndarray:
+    """Solve the systems of a ``schedule`` given by the values of its pattern entries: the integrator's solve.
+
+    ``v`` is one system's list of Python floats, in the order of
+    ``schedule.pattern``, and ``y`` its n right-hand side values; or ``v``
+    is an (m, p) stack of them and ``y`` its (m, n) right-hand sides, each
+    the transpose of a contiguous array made for this solve, which works
+    in it.  ``parts`` are the ``schedule.slack_parts`` of ``v``, made here
+    when the caller has none.  The guard is :func:`_solve_stack`'s.
+    Strictly column dominant systems that ``schedule.eliminates`` are
+    solved by its compiled ``eliminate``, with no BLAS call: one system in
+    Python floats, and a stack in place on its (m,) columns, so that each
+    row gets the bits of its system alone.  Such systems need no pivoting:
+    every multiplier is at most 1 in size and the growth factor at most 2
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., Thm 3.4.3).  All
+    others go to one LAPACK ``gesv`` call on their :func:`_dense` matrices.
+    """
+    one = isinstance(y, list)
+    slack, colsum, smin = schedule.slack_parts(v) if parts is None else parts
+    if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * (max(colsum) if one else colsum.max())):
+        _check_condition(_dense(v, schedule), slack, colsum)
+    if smin > 0.0 and schedule.eliminates(1 if one else len(y)):
+        if one:
+            return np.array(schedule.eliminate(v, y))
+        # Python floats raise no warning, nor do their columns: a non-finite
+        # system that the guard passed solves to the single step's values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            schedule.eliminate(list(v.T), list(y.T))
+        return y
+    if one:
+        return np.linalg.solve(_dense(v, schedule), np.array(y))
+    return np.linalg.solve(_dense(v, schedule), y[..., None])[..., 0]
+
+
+def _dense(values, schedule: _Schedule) -> np.ndarray:
+    """The (n, n) matrix of one system's p pattern values, or the (m, n, n) stack of an (m, p) stack of them."""
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-1]
+    out = np.zeros(lead + (schedule.n**2,))
+    out.T[schedule.index] = values.T  # for one system, faster than out[..., schedule.index]
+    return out.reshape(lead + (schedule.n, schedule.n))
 
 
 class _Schedule:
@@ -262,6 +252,19 @@ class _Schedule:
         """
         return self.size <= FLOAT_ELIMINATION_MAX_OPS or m >= 2 * self.n**3
 
+    def slack_parts(self, v) -> tuple:
+        """The :func:`_slack_parts` of the systems whose pattern values are ``v``, from one ``slack_pass``.
+
+        For one system's list of Python floats, the slacks and 1-norms are
+        lists of Python floats; for an (m, p) stack, (m, n) arrays.
+        """
+        if isinstance(v, list):
+            slack, colsum = self.slack_pass(v)
+            return slack, colsum, math.nan if any(map(math.isnan, slack)) else min(slack)
+        slack, colsum = self.slack_pass(v.T)
+        slack = np.array(slack).T
+        return slack, np.array(colsum).T, slack.min(initial=np.inf)
+
     # The loops over ``columns``, ``forward`` and ``backward`` as straight
     # code, each made on its first use: a model above the cut-off runs the
     # slack pass on every step and the elimination only on a stack of at
@@ -277,7 +280,7 @@ class _Schedule:
 
     @cached_property
     def slack_pass(self) -> Callable:
-        """``slack_pass(v)``: the lists of the n slacks and 1-norms of :func:`_slack_parts`."""
+        """``slack_pass(v)``: the lists of the n slacks and 1-norms of :meth:`slack_parts`."""
         return _kernel(_slack_pass_source, self.n, self.pattern)
 
     @cached_property
@@ -366,13 +369,13 @@ def _kernel_code(generator: Callable[..., str], *args) -> CodeType:
     return next(const for const in module.co_consts if isinstance(const, CodeType))
 
 
-def _kernel(generator: Callable[..., str], *args, **names) -> FunctionType:
-    """The function of :func:`_kernel_code`, with globals of its own: inf and nan, for generated floats, and ``names``.
+def _kernel(generator: Callable[..., str], *args) -> FunctionType:
+    """The function of :func:`_kernel_code`, with globals of its own: inf and nan, for generated floats.
 
     They do not hold the function, so it is freed with its model by
     reference counting alone, not left in a cycle for the collector.
     """
-    return FunctionType(_kernel_code(generator, *args), {"inf": math.inf, "nan": math.nan, **names})
+    return FunctionType(_kernel_code(generator, *args), {"inf": math.inf, "nan": math.nan})
 
 
 @lru_cache(maxsize=8)
@@ -381,16 +384,17 @@ def _schedule_of(n: int, pattern: tuple[int, ...]) -> _Schedule:
     return _Schedule(n, pattern)
 
 
-def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> None:
-    """The guard's slow path, over an (m, n, n) stack.
+def _check_condition(a: np.ndarray, slack, colsum) -> None:
+    """The guard's slow path, over one (n, n) system or an (m, n, n) stack, and the slacks and 1-norms of its parts.
 
     Raises SingularMatrixError for the first system whose reciprocal
     1-norm condition is below PIVOT_RTOL or undefined (NaN).
     """
     n = a.shape[-1]
-    norms = colsum.reshape(-1, n).max(axis=-1, initial=0.0)
+    a = a.reshape(-1, n, n)
+    norms = np.reshape(colsum, (-1, n)).max(axis=-1, initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = slack.reshape(-1, n).min(axis=-1, initial=np.inf) / norms
+        rcond = np.reshape(slack, (-1, n)).min(axis=-1, initial=np.inf) / norms
     unsure = np.flatnonzero(~(rcond >= PIVOT_RTOL))
     if not unsure.size:
         return
@@ -409,18 +413,11 @@ def _check_condition(a: np.ndarray, slack: np.ndarray, colsum: np.ndarray) -> No
 
 
 def lu_solve(a, rhs, *, _parts=None, _schedule=None):
-    """Solve ``a @ x = rhs`` with LAPACK ``gesv``, or over an elimination schedule.
+    """Solve ``a @ x = rhs`` with LAPACK ``gesv``.
 
-    With the private ``_schedule``, ``a`` is the list of the system's
-    values of that :class:`_Schedule`'s pattern entries, in Python
-    floats, and ``rhs`` a list of n floats: the integrator's step of one
-    state, which has checked that ``a`` is strictly column dominant and
-    hands on the :func:`_slack_parts` of ``a`` with the schedule as the
-    private ``_parts``, so that the guard need not make them.  The guard
-    is the same, and the system is then solved as ``_Schedule.eliminates``
-    chooses for one system: by the schedule's compiled ``eliminate``, with
-    no BLAS call, which gives it the bits of its row of an eliminated
-    stack, or by LAPACK.
+    ``_parts`` and ``_schedule`` are private: with them, ``a`` and ``rhs``
+    are the lists of one system of the integrator, solved by
+    :func:`_solve_pattern`.
 
     Parameters
     ----------
@@ -440,7 +437,7 @@ def lu_solve(a, rhs, *, _parts=None, _schedule=None):
         condition number is below ``PIVOT_RTOL``.
     """
     if _schedule is not None:
-        return _solve_floats(a, rhs, _parts, _schedule)
+        return _solve_pattern(a, rhs, _parts, _schedule)
     a = _as_square(a)
     n = a.shape[0]
     b = np.asarray(rhs, dtype=float)
@@ -449,36 +446,15 @@ def lu_solve(a, rhs, *, _parts=None, _schedule=None):
     return _solve_stack(a, b)
 
 
-def _solve_floats(v: list, y: list, parts, schedule: _Schedule) -> np.ndarray:
-    """:func:`_solve_stack` for one strictly column dominant system in Python floats.
-
-    The guard is the stack's, and only what Varah's bound leaves
-    uncertain goes to the exact check, on the system as an (n, n) array.
-    A ``schedule`` that eliminates one system solves it by its compiled
-    ``eliminate``; any other's system goes to LAPACK as that array.
-    """
-    slack, colsum, smin = _slack_parts(v, schedule) if parts is None else parts
-    if not (0.0 < smin < math.inf and smin >= PIVOT_RTOL * max(colsum)):
-        n = schedule.n
-        _check_condition(_dense([v], schedule), np.reshape(slack, (1, n)), np.reshape(colsum, (1, n)))
-    if schedule.eliminates(1):
-        return np.array(schedule.eliminate(v, y))
-    return np.linalg.solve(_dense(v, schedule), np.array(y))
-
-
 def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
     """Solve a stack of square systems ``a[m] @ x[m] = rhs[m]``.
 
     One pass over the whole stack, so that audits over thousands of
     states cost no Python loop over them: one stacked LAPACK ``gesv``
-    call, and ``a`` and ``rhs`` are left unchanged.  ``_schedule`` and
-    ``_parts`` are private, as in :func:`lu_solve`: with them, ``a`` is
-    the integrator's (m, p) stack of the values of that
-    :class:`_Schedule`'s pattern entries and ``rhs`` its (m, n)
-    right-hand sides, both made for this solve, which works in them; a
-    strictly column dominant stack that ``_Schedule.eliminates`` is then
-    solved by elimination without pivoting, which such systems never
-    need, one elementwise operation per entry across the stack.
+    call, and ``a`` and ``rhs`` are left unchanged.  ``_parts`` and
+    ``_schedule`` are private, as in :func:`lu_solve`: with them, ``a`` and
+    ``rhs`` are the integrator's stacks, solved by :func:`_solve_pattern`,
+    which works in them.
 
     Parameters
     ----------
@@ -496,7 +472,7 @@ def lu_solve_batch(a, rhs, *, _parts=None, _schedule=None):
         its batch index.
     """
     if _schedule is not None:
-        return _solve_stack(a, rhs, _parts, _schedule)
+        return _solve_pattern(a, rhs, _parts, _schedule)
     a = np.asarray(a, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

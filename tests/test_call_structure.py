@@ -15,6 +15,7 @@ import pytest
 
 import nsfd.integrator
 import nsfd.linalg
+from nsfd.cli import main
 from nsfd.integrator import integrate
 from nsfd.invariance import discrete_tangent, invariance_audit
 
@@ -83,9 +84,16 @@ def test_each_step_makes_one_abs_pass(request, count, monkeypatch, model_name, n
         return slack_pass(*args)
 
     monkeypatch.setitem(schedule.__dict__, "slack_pass", counted)
-    dense = count(nsfd.linalg, "_abs_parts")
+    dense = count(nsfd.linalg, "_slack_parts")
     getattr(nsfd.integrator, name)(model, x, 0.5)
     assert (passes["calls"], dense["calls"]) == (1, 0)
+
+
+def test_reversibility_at_x0_steps_one_state_with_two_scalar_solves(count, capsys):
+    scalar = count(nsfd.linalg, "lu_solve")
+    batch = count(nsfd.linalg, "lu_solve_batch")
+    assert main(["reversibility", "--builtin", "host-vector", "--x0", "9,0.5,9,0.5,0", "--h", "0.5"]) == 0
+    assert (scalar["calls"], batch["calls"]) == (2, 0)
 
 
 def test_discrete_tangent_solves_one_batch_without_the_forward_batch(host_vector, count):

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -925,6 +926,40 @@ def test_reversibility_non_finite_x0_exits_one(capsys, x0):
     assert out == ""
     assert err.startswith("error:") and "finite" in err
     assert "numerical failure" not in err
+
+
+# x' = x: from 1e308 the first nsfd step at h = 1 overflows to inf.
+GROW = {
+    "name": "grow", "dim": 1, "labels": ["x"], "bilinear": [], "linear": [[1.0]], "constant": [0.0],
+    "domain": {"nonnegative": True, "constraints": []},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        *[(("simulate", "--steps", steps), "step 0: state is not finite") for steps in ("1", "2", "3")],
+        (("order", "--t-final", "2"), "run at h: step 0: state is not finite"),
+        (("reversibility",), "forward step: state is not finite"),
+    ],
+)
+def test_an_overflowing_nsfd_step_is_a_numerical_failure_that_names_it(tmp_path, capsys, argv, failure):
+    # The step after the overflow would refuse its start as an input error;
+    # the failure is the overflowing step's, as with one step.
+    path = tmp_path / "grow.json"
+    path.write_text(json.dumps(GROW))
+    argv = (*argv, "--model", str(path), "--x0", "1e308", "--h", "1")
+    assert run_cli(capsys, *argv) == (2, "", f"numerical failure: {failure}\n")
+
+
+def test_reversibility_names_the_sample_whose_forward_step_overflows(tmp_path, capsys):
+    # Samples up to the cap 1.7e308 step to 1.5 x / 0.5, which overflows
+    # from 1.2e308 on.
+    path = tmp_path / "grow.json"
+    path.write_text(json.dumps({**GROW, "domain": {"nonnegative": True, "constraints": [{"normal": [1.0], "bound": 1.7e308}]}}))
+    code, out, err = run_cli(capsys, "reversibility", "--model", str(path), "--h", "1", "--trials", "20")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"numerical failure: forward step of batch state \d+: state is not finite\n", err)
 
 
 def test_reversibility_seed_from_environment(capsys, monkeypatch):

@@ -53,7 +53,6 @@ from nsfd.linalg import (
     _dense,
     _kernel_code,
     _schedule_of,
-    _slack_parts,
 )
 from nsfd.model import (
     BilinearTerm,
@@ -190,6 +189,7 @@ def _small_steps(draw):
     return _model(np.reshape(linear, (n, n)), constant, terms), np.array(x)
 
 
+@pytest.mark.deep
 @seed(29)
 @given(
     step=_small_steps(),
@@ -224,7 +224,7 @@ def test_the_compiled_step_matches_the_interpreted_loops(step, h, backward, touc
     assert _outcome(model._step_kernel, x.tolist(), signed) == _outcome(lambda: (values, rhs))
     slack_pass, eliminate = model._schedule.slack_pass, model._schedule.eliminate
     assert _outcome(slack_pass, values) == _outcome(lambda: parts[:2])
-    assert _outcome(_slack_parts, values, model._schedule) == _outcome(lambda: parts)
+    assert _outcome(model._schedule.slack_parts, values) == _outcome(lambda: parts)
     assert _outcome(eliminate, values, list(rhs)) == _outcome(_interpreted_eliminate, mats, rhs, model._schedule)
     stepper, batch = (step_backward, step_backward_batch) if backward else (step_forward, step_forward_batch)
     alone = _outcome(_interpreted_step, model, x, signed)
@@ -280,6 +280,7 @@ def _added_at_slot_matrices(model, x):
     return p, q
 
 
+@pytest.mark.deep
 @seed(36)
 @given(step=_small_steps())
 @example(step=(_OVERFLOWING, np.array([0.5])))
@@ -407,6 +408,7 @@ _MIRRORED = _model(
 )
 
 
+@pytest.mark.deep
 @seed(31)
 @given(field=_small_fields(), h=st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-200, 1e10))))
 # Row 0 sums its terms to 1.0 in term order and to 1 + 2^-52 from the right.
@@ -473,6 +475,7 @@ def _doubling_is_exact(model, x):
     return True
 
 
+@pytest.mark.deep
 @seed(33)
 @given(field=_small_fields(), network_state=st.lists(st.floats(0.0, 10.0), min_size=30, max_size=30))
 def test_the_field_has_the_bits_of_phi_on_the_diagonal(field, network_state, sir_network, sir_ring_30):
@@ -525,6 +528,7 @@ def _interpreted_run(model, x, h, k, scheme):
 _OVERFLOW_THEN_NAN = _model([[-1.0]], terms=((0, 0, 0, 1.0),))
 
 
+@pytest.mark.deep
 @seed(34)
 @given(
     field=_small_fields(),

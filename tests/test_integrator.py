@@ -554,6 +554,29 @@ def test_trapezoidal_overflow_is_a_numerical_failure(logistic):
             integrate(logistic, np.array([1e200]), 1.0, 3, scheme="trapezoidal")
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_an_nsfd_overflow_names_its_step(steps):
+    # x' = x: from 1e308 the first step at h = 1 overflows to inf, and the
+    # next one would refuse that state as an input error
+    grow = MassActionModel(
+        n=1, bilinear=(), linear=[[1.0]], constant=[0.0], domain=Domain(nonnegative=(True,), constraints=()),
+        labels=("x",),
+    )
+    with pytest.raises(LinAlgError, match="^step 0: state is not finite$"):
+        integrate(grow, np.array([1e308]), 1.0, steps)
+
+
+@pytest.mark.parametrize("name", ["host_vector", "sir_ring_30"])
+def test_an_empty_stack_steps_to_an_empty_stack(request, name):
+    # host-vector's stacks are eliminated, and the ring's, below 2 n^3
+    # rows, go to LAPACK; both end as the dense solve of no systems does
+    model = request.getfixturevalue(name)
+    assert model._schedule.eliminates(0) == (name == "host_vector")
+    for step in (step_forward_batch, step_backward_batch):
+        assert step(model, np.empty((0, model.n)), 0.5).shape == (0, model.n)
+    assert lu_solve_batch(np.empty((0, 3, 3)), np.empty((0, 3))).shape == (0, 3)
+
+
 def test_integrate_refuses_a_step_count_numpy_cannot_hold(logistic):
     # far above 2**63 bytes, so numpy refuses it before allocating anything
     with pytest.raises(SpecError, match="do not fit in memory"):

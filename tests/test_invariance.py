@@ -169,6 +169,7 @@ def _capped_domains(draw):
     return Domain(nonnegative=(True,) * n, constraints=tuple(caps))
 
 
+@pytest.mark.deep
 @seed(11)
 @given(dom=_capped_domains(), draw_seed=st.integers(0, 2**32 - 1))
 def test_samples_lie_inside_and_on_their_facets(dom, draw_seed):
@@ -839,12 +840,14 @@ def _scan_specs(draw):
     return normals, bounds, draw(st.integers(1, 250)), draw(st.integers(0, 5)), weights, draw(st.integers(0, 2**32 - 1))
 
 
+@pytest.mark.deep
 @seed(37)
 @given(_scan_specs())
 def test_the_fast_scan_matches_the_full_scan(spec):
     _check_scan(*_scan_case(*spec))
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize(
     "weights, covered",
     [

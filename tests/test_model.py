@@ -90,6 +90,7 @@ def _zero_one_domains_and_stacks(draw):
     return Domain(nonnegative=tuple(flags), constraints=caps), np.array(rows)
 
 
+@pytest.mark.deep
 @seed(23)
 @given(_zero_one_domains_and_stacks())
 def test_domain_margin_matches_python_floats_bit_for_bit(case):
@@ -196,6 +197,7 @@ def _mixed_sign_domains(draw):
     return Domain(nonnegative=tuple(flags), constraints=tuple(caps))
 
 
+@pytest.mark.deep
 @seed(17)
 @given(dom=_mixed_sign_domains())
 def test_box_upper_matches_the_looped_reference(dom):
@@ -205,6 +207,7 @@ def test_box_upper_matches_the_looped_reference(dom):
     assert dom.box_upper.tobytes() == expected.tobytes()
 
 
+@pytest.mark.deep
 def test_box_upper_takes_the_bounds_that_only_a_second_pass_gives():
     # x_0 - x_1 <= 0.5 bounds x_0 only once x_1 <= 0.5 has bounded x_1
     dom = Domain((True, True), (Constraint((1.0, -1.0), 0.5), Constraint((0.0, 1.0), 0.5)))
