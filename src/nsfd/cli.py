@@ -389,12 +389,12 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", metavar="PATH", help="model spec JSON file")
     group.add_argument("--builtin", metavar="NAME", help=f"built-in model: {', '.join(BUILTIN_NAMES)}")
+    _add_param(p)
+
+
+def _add_param(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a built-in parameter (repeatable)",
+        "--param", action="append", default=[], metavar="NAME=VALUE", help="override a built-in parameter (repeatable)"
     )
 
 
@@ -402,8 +402,8 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
-def _add_strict(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strict", action="store_true", help="exit 3 when violations are found")
+def _add_strict(p: argparse.ArgumentParser, help_text: str = "exit 3 when violations are found") -> None:
+    p.add_argument("--strict", action="store_true", help=help_text)
 
 
 # Built on the first main call, not at import, and then reused: it holds
@@ -424,11 +424,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--t-final", type=float, help="integrate to this time (steps rounded)")
     p.add_argument("--scheme", choices=SCHEMES, default="nsfd")
     p.add_argument("--precision", type=int, default=17, help="significant digits (default 17)")
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse, with exit 1, an x0 outside the domain or an h not below the safe bound",
-    )
+    _add_strict(p, "refuse, with exit 1, an x0 outside the domain or an h not below the safe bound")
     _add_out(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -473,23 +469,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="default NSFD_SEED or 0")
     p.add_argument("--x0", help="check this single state instead of sampling")
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 3 when violations are found; refuse, with exit 1, an x0 outside the domain",
-    )
+    _add_strict(p, "exit 3 when violations are found; refuse, with exit 1, an x0 outside the domain")
     _add_out(p)
     p.set_defaults(func=_cmd_reversibility)
 
     p = sub.add_parser("export-model", help="write a built-in model as spec JSON")
     p.add_argument("--builtin", required=True, metavar="NAME", help=f"one of: {', '.join(BUILTIN_NAMES)}")
-    p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a built-in parameter (repeatable)",
-    )
+    _add_param(p)
     _add_out(p)
     p.set_defaults(func=_cmd_export_model)
 

@@ -19,10 +19,13 @@ state and of a stack (:func:`_pattern_system`): the model's
 ``_step_kernel``, made on its first step, gives their values and the
 right-hand side, on the n Python floats of one state or on the n (m,)
 columns of a stack, with the same operations in the same order, so a
-row of a stack has the bits of its state stepped alone.  No assembly
-calls BLAS.  The solve (``linalg.lu_solve`` or ``lu_solve_batch`` with
-the elimination schedule of the pattern, ``model._schedule``) picks
-elimination or LAPACK by ``_Schedule.eliminates``.  A batch with one step
+row of a stack has the bits of its state stepped alone.  A stack's
+system is laid out by ``model._on_rows``, the one stack layout, and its
+solution comes in its right-hand side's.  No assembly calls BLAS.  One
+call, :func:`_solve_step`, solves a state by ``linalg.lu_solve`` and a
+stack by ``lu_solve_batch``, on the elimination schedule of the pattern,
+``model._schedule``, which picks elimination or LAPACK by
+``_Schedule.eliminates``.  A batch with one step
 size shares it as a float.  The step checks that the system is strictly
 column diagonally dominant, from the step's one ``abs`` pass over the
 matrices, and the solve guard certifies from the same pass instead of
@@ -37,8 +40,8 @@ kernel per model and scheme, ``step(x, h, k)`` (:func:`_explicit_step`),
 which runs k steps and writes out the rows of the model's field f(x) at
 each stage, from the generator of its field kernel ``_f_kernel``, so
 with its bits.  :func:`integrate` steps one state a step at a time, a
-run without its orbit is one call, and the audit steps a stack on its
-(m,) columns (``model._on_rows``), with the same bits per row.
+run without its orbit is one call, and the audit steps a stack through
+``model._on_rows``, with the same bits per row.
 The trapezoidal scheme is a general split system, solved by damped
 Newton.
 """
@@ -53,10 +56,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (
-    LinAlgError, SingularMatrixError, _kernel, fd_jacobian, lu_solve, lu_solve_batch
+from .linalg import LinAlgError, SingularMatrixError, _kernel, fd_jacobian, lu_solve, lu_solve_batch
+from .model import (
+    GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_source, _on_rows, eval_f, f_jacobian
 )
-from .model import GeneralSplitSystem, MassActionModel, SpecError, _check_state, _field_source, eval_f, f_jacobian
 
 __all__ = [
     "DominanceError",
@@ -179,27 +182,15 @@ def _pattern_system(model: MassActionModel, x, h) -> tuple:
     a float ``h`` shared by every row or an (m,) array of them.  One state
     runs the kernel in Python floats and gets lists: the values of the
     pattern entries, in its order, and the n right-hand side values.  A
-    stack runs the same code on its n contiguous (m,) columns, so every
-    row gets the bits that it gets alone; its values and right-hand
-    sides are laid out entries first, the values broadcast where no term
-    touches an entry, and returned as (m, p) and (m, n) views of that.
-    The slacks come from the schedule's one compiled ``abs`` pass
-    (``_Schedule.slack_parts``), for the dominance check and the solve
-    guard.  For a stack, numpy's floating-point warnings are off, as
-    Python floats raise none: an overflow is caught by the check or the
-    guard, as for one state.
+    stack runs it through ``model._on_rows``, where the stack layout
+    lives, and gets them as (m, p) and (m, n) views of entries-first
+    arrays, each row with the bits it gets alone.  The slacks come from
+    the schedule's one compiled ``abs`` pass (``_Schedule.slack_parts``),
+    for the dominance check and the solve guard; :func:`_solve_step` runs
+    it on a stack with numpy's floating-point warnings off.
     """
-    if x.ndim == 1:
-        values, rhs = model._step_kernel(x.tolist(), h)
-        parts = model._schedule.slack_parts(values)
-    else:
-        values, rhs = np.empty((len(model._schedule.pattern), len(x))), np.empty(x.shape[::-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for out, got in zip((values, rhs), model._step_kernel(list(np.ascontiguousarray(x.T)), h)):
-                for row, value in zip(out, got):
-                    row[...] = value
-            values, rhs = values.T, rhs.T
-            parts = model._schedule.slack_parts(values)
+    values, rhs = model._step_kernel(x.tolist(), h) if x.ndim == 1 else _on_rows(model._step_kernel, x, h)
+    parts = model._schedule.slack_parts(values)
     _check_dominance(model, parts, h)
     return values, rhs, parts
 
@@ -235,7 +226,7 @@ def step_forward(model: MassActionModel, x, h: float) -> np.ndarray:
         When the solve matrix is not strictly column diagonally dominant
         at this state, which signals h at or above the safe regime.
     """
-    return _solve_one(model, _check_state(model, x), _check_h(h))
+    return _solve_step(model, _check_state(model, x), _check_h(h))
 
 
 def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
@@ -244,13 +235,22 @@ def step_backward(model: MassActionModel, x, h: float) -> np.ndarray:
     Solves ``(I + h S(x)) y = (I - (h/2) L) x - h b``; composing it with
     the forward step returns the starting state up to round-off.
     """
-    return _solve_one(model, _check_state(model, x), -_check_h(h))
+    return _solve_step(model, _check_state(model, x), -_check_h(h))
 
 
-def _solve_one(model: MassActionModel, x: np.ndarray, h: float) -> np.ndarray:
-    """The step of one checked state, with signed h, from its system in Python floats."""
-    values, rhs, parts = _pattern_system(model, x, h)
-    return lu_solve(values, rhs, _parts=parts, _schedule=model._schedule)
+def _solve_step(model: MassActionModel, x: np.ndarray, h) -> np.ndarray:
+    """The step of one checked state or stack, with signed h: its system, then ``lu_solve`` or ``lu_solve_batch``.
+
+    A stack's system is made with numpy's floating-point warnings off, as
+    Python floats raise none: an overflow is caught by the dominance check
+    or the solve guard, as for one state.
+    """
+    if x.ndim == 1:
+        values, rhs, parts = _pattern_system(model, x, h)
+        return lu_solve(values, rhs, _parts=parts, _schedule=model._schedule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, rhs, parts = _pattern_system(model, x, h)
+    return lu_solve_batch(values, rhs, _parts=parts, _schedule=model._schedule)
 
 
 def _batch_states(model: MassActionModel, xs) -> np.ndarray:
@@ -284,15 +284,13 @@ def step_forward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     million scalar solves would dominate the runtime.
     """
     xs = _batch_states(model, xs)
-    values, rhs, parts = _pattern_system(model, xs, _batch_h(h, xs.shape[0]))
-    return lu_solve_batch(values, rhs, _parts=parts, _schedule=model._schedule)
+    return _solve_step(model, xs, _batch_h(h, xs.shape[0]))
 
 
 def step_backward_batch(model: MassActionModel, xs, h) -> np.ndarray:
     """Vectorized :func:`step_backward` over rows of ``xs``."""
     xs = _batch_states(model, xs)
-    values, rhs, parts = _pattern_system(model, xs, -_batch_h(h, xs.shape[0]))
-    return lu_solve_batch(values, rhs, _parts=parts, _schedule=model._schedule)
+    return _solve_step(model, xs, -_batch_h(h, xs.shape[0]))
 
 
 def _norm_inf(v: np.ndarray) -> float:

@@ -77,7 +77,8 @@ class Facet:
 class TangentReport:
     """Boundary check summary.
 
-    violations holds (point, facet index, value) triples; the facet
+    violations holds (point, facet index, value) triples, one per
+    violating (point, facet) pair, as equal samples repeat one; the facet
     index refers to the order of :func:`facets`.  For the continuous
     check a violation is a facet value above the tolerance and
     worst_value is the largest value (want <= 0); for the discrete
@@ -178,19 +179,18 @@ def _draw(normals, bounds, box, rng: np.random.Generator, count: int, where: str
     for c, (u, bound) in enumerate(zip(normals, bounds)):
         if np.any(u < 0.0):
             continue
-        support = u > 0.0
-        coords = np.flatnonzero(support)
+        coords = np.flatnonzero(u > 0.0)
         # Log of the box's volume over the simplex's; a zero bound gives inf.
         with np.errstate(all="ignore"):
             gain = math.lgamma(coords.size + 1) - np.log(bound / u[coords] / box[coords]).sum()
         in_box = bool(np.all(bound / u[coords] <= box[coords]))
-        caps[c] = (support, gain, in_box, (coords, bound / u[coords], coords.size + 1))
+        caps[c] = (frozenset(coords.tolist()), gain, in_box, (coords, bound / u[coords], coords.size + 1))
     chosen: list[int] = []
     for c, (support, gain, in_box, _) in caps.items():
-        if in_box and not any(np.any(caps[b][0] & support) for b in chosen):
+        if in_box and all(caps[b][0].isdisjoint(support) for b in chosen):
             chosen.append(c)
     for c, (support, gain, in_box, _) in caps.items():
-        rivals = [b for b in chosen if np.any(caps[b][0] & support)]
+        rivals = [b for b in chosen if not caps[b][0].isdisjoint(support)]
         total = sum(caps[b][1] for b in rivals)
         if not in_box and (gain > total if rivals else gain >= 0.0):
             chosen = [b for b in chosen if b not in rivals] + [c]
@@ -314,14 +314,15 @@ def _tangent_report(
     tolerance = TANGENT_TOL * float(size.max()) if tol is None else float(tol)
     worst = pick(values)
     bad = np.flatnonzero(excess(values, ps) > tolerance)
+    # Equal samples give one violating (point, facet) pair, listed at its first entry.
+    first: dict = {}
+    for p, fi, v in zip(ps[bad].tolist(), fis[bad].tolist(), values[bad].tolist()):
+        first.setdefault((xs[p].tobytes(), fi), (_freeze_point(xs[p]), fi, v))
     return TangentReport(
         samples=xs.shape[0],
         worst_value=float(values[worst]),
         worst_point=_freeze_point(xs[ps[worst]]),
-        violations=tuple(
-            (_freeze_point(xs[p]), fi, v)
-            for p, fi, v in zip(ps[bad].tolist(), fis[bad].tolist(), values[bad].tolist())
-        ),
+        violations=tuple(first.values()),
         tolerance=tolerance,
     )
 
@@ -383,11 +384,7 @@ def _exits(xs: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A row exits when its margin is below ``-MEMBERSHIP_SLACK (1 + |x|)``,
     with |x| the largest size of its finite entries.
     """
-    # max |x_i| per row, taken column by column: a reduction over each
-    # short row would loop over n entries at a time.
-    size = np.abs(xs[:, 0])
-    for col in xs.T[1:]:
-        np.maximum(size, np.abs(col), out=size)
+    size = np.abs(xs).max(axis=1)
     # Rows are sanitized only when some margin or row size is not finite.
     if not (np.isfinite(margins).all() and np.isfinite(size).all()):
         finite = np.isfinite(xs).all(axis=1) & np.isfinite(margins)

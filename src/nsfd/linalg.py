@@ -143,8 +143,8 @@ def _solve_pattern(v, y, parts, schedule: _Schedule) -> np.ndarray:
     ``schedule.pattern``, and ``y`` its n right-hand side values; or ``v``
     is an (m, p) stack of them and ``y`` its (m, n) right-hand sides, each
     the transpose of a contiguous array made for this solve, which works
-    in it.  ``parts`` are the ``schedule.slack_parts`` of ``v``, made here
-    when the caller has none.  The guard is :func:`_solve_stack`'s.
+    in it and solves a stack into ``y``.  ``parts``, the slack parts of
+    ``v``, are made here if not given; the guard is :func:`_solve_stack`'s.
     Strictly column dominant systems that ``schedule.eliminates`` are
     solved by its compiled ``eliminate``, with no BLAS call: one system in
     Python floats, and a stack in place on its (m,) columns, so that each
@@ -167,7 +167,8 @@ def _solve_pattern(v, y, parts, schedule: _Schedule) -> np.ndarray:
         return y
     if one:
         return np.linalg.solve(_dense(v, schedule), np.array(y))
-    return np.linalg.solve(_dense(v, schedule), y[..., None])[..., 0]
+    y[...] = np.linalg.solve(_dense(v, schedule), y[..., None])[..., 0]
+    return y
 
 
 def _dense(values, schedule: _Schedule) -> np.ndarray:

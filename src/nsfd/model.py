@@ -25,9 +25,11 @@ made on the model's first use by the one generator of field code,
 run kernels.  These sources and the step kernel's (:func:`_step_source`)
 are compiled once per process for each model's terms, L and b
 (``linalg._kernel_code``).  They run on the n Python floats of one state
-or on the n (m,) columns of a stack (:func:`_on_rows`), with no BLAS
-call, so a row of a stack has the bits of its state alone.  No step
-evaluates phi: :func:`eval_phi` is a plain loop in Python floats.
+or on the n (m,) columns of a stack, with no BLAS call, so a row of a
+stack has the bits of its state alone.  The stack layout lives in one
+place, :func:`_on_rows`, which runs every kernel on a stack and gives
+(m, k) views of entries-first (k, m) arrays.  No step evaluates phi:
+:func:`eval_phi` is a plain loop in Python floats.
 """
 
 from __future__ import annotations
@@ -137,7 +139,11 @@ def _box_pass(normals: np.ndarray, bounds: np.ndarray, lo: np.ndarray, hi: np.nd
     """
     with np.errstate(all="ignore"):
         least = np.where(normals > 0.0, normals * lo, np.where(normals < 0.0, normals * hi, 0.0))
-        others = np.where(np.eye(lo.size, dtype=bool), 0.0, least[:, None, :]).sum(axis=2)
+        # Each cap's other terms, over its nonzeros only, summed from 0.0 in coordinate order.
+        others = np.zeros(normals.shape)
+        for row, u, terms in zip(others, normals, least):
+            coords = np.flatnonzero(u)
+            row[coords] = reduce(operator.add, np.where(np.eye(coords.size, dtype=bool), 0.0, terms[coords]).T, 0.0)
         cut = (bounds[:, None] - others) / normals
     # Of equal bounds, such as 0.0 and -0.0, the box's or the earliest cap's is taken.
     lower = np.vstack([lo, np.where(normals < 0.0, cut, -np.inf)])
@@ -513,23 +519,28 @@ def _check_state(model: MassActionModel, x, what: str = "state") -> np.ndarray:
     return arr
 
 
-def _on_rows(kernel: Callable, x: np.ndarray, *args) -> np.ndarray:
+def _on_rows(kernel: Callable, x: np.ndarray, *args) -> np.ndarray | tuple[np.ndarray, ...]:
     """A generated kernel of the model run on one state or on each row of a stack, with ``args`` after it.
 
-    One (n,) state runs in Python floats and gives an (n,) array.  An
-    (m, n) stack runs the same code on its n contiguous (m,) columns, so
-    that row r gets the bits of its state alone, and gives a C-ordered
-    (m, n) array.  numpy's floating-point warnings are off for a stack, as
-    Python floats raise none.
+    The one runner, and the one layout of a stack, for the field, Euler,
+    RK4 and step kernels.  One (n,) state runs in Python floats and gives
+    an (n,) array.  An (m, n) stack runs the same code on its n contiguous
+    (m,) columns, so that row r gets the bits of its state alone, with
+    numpy's floating-point warnings off, as Python floats raise none.  Each
+    list of k values that the kernel returns becomes the (m, k) view of
+    one entries-first (k, m) array, a float filling its row where no term
+    touches an entry; the step kernel's two lists give a tuple of two.
     """
     if x.ndim == 1:
         return np.array(kernel(x.tolist(), *args))
-    out = np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         got = kernel(list(np.ascontiguousarray(x.T)), *args)
-    for column, value in zip(out.T, got):
-        column[...] = value
-    return out
+    lists = got if isinstance(got, tuple) else (got,)
+    stacks = tuple(np.empty((len(values), len(x))) for values in lists)
+    for out, values in zip(stacks, lists):
+        for row, value in zip(out, values):
+            row[...] = value
+    return tuple(out.T for out in stacks) if isinstance(got, tuple) else stacks[0].T
 
 
 def eval_phi(model: MassActionModel, y, z) -> np.ndarray:

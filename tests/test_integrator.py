@@ -468,6 +468,48 @@ def test_batch_step_solving_its_own_system_in_place_keeps_the_bits(request, rng,
     assert step(model, xs, h).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["host_vector", "sir_ring_30"])
+def test_every_stack_is_the_view_of_an_entries_first_array(request, rng, name):
+    # The one stack layout (model._on_rows): an (m, k) stack is the view of a
+    # C-ordered (k, m) array, so the next step reads its columns without a
+    # copy.  host-vector's step stacks are eliminated, the ring's go to LAPACK.
+    model = request.getfixturevalue(name)
+    assert model._schedule.eliminates(7) == (name == "host_vector")
+    xs = _interior_states(model, rng, 7)
+    h = 0.4 * step_bound(model).h_bar
+    stacks = [
+        step_forward_batch(model, xs, h),
+        step_backward_batch(model, xs, h),
+        _on_rows(model._f_kernel, xs),
+        _on_rows(_explicit_step(model, "euler"), xs, h, 1),
+        _on_rows(_explicit_step(model, "rk4"), xs, h, 1),
+        *_pattern_system(model, xs, h)[:2],
+    ]
+    for out in stacks:
+        assert out.shape[0] == 7
+        assert out.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "linear",
+    [
+        [[0.0, 1e308], [1e308, 0.0]],
+        # inf on the diagonal and -inf off it: the slack pass takes inf - inf
+        [[-1e308, 1e308], [1e308, -1e308]],
+    ],
+)
+def test_an_overflowing_stack_raises_dominance_error_without_a_warning(linear):
+    # One state's system overflows quietly in Python floats; a stack's is made
+    # and checked with numpy's warnings off, so the dominance check reports it.
+    model = MassActionModel(
+        n=2, bilinear=(), linear=linear, constant=np.zeros(2), domain=Domain((True, True)), labels=("a", "b")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DominanceError, match="batch state 0"):
+            step_forward_batch(model, np.array([[1e308, 1e308], [1.0, 1.0]]), 10.0)
+
+
 def test_trajectory_views_a_float_array_without_freezing_it():
     states = np.zeros((3, 2))
     traj = Trajectory(h=0.1, states=states, scheme="nsfd")

@@ -612,6 +612,24 @@ def test_tangent_reports_match_the_looped_reference(host_vector, sir_network, na
         assert np.array_equal(rep.worst_point, all_rep.violations[p][0])
 
 
+def test_a_tangent_report_lists_each_violating_point_and_facet_once():
+    # x' = x on [0, 1.7e308]: the cap's face is one point, drawn for half of
+    # the samples, where the field points outward and the backward image
+    # lies inside.  The pair is one violation, not 128.
+    grow = MassActionModel(
+        n=1,
+        bilinear=(),
+        linear=[[1.0]],
+        constant=[0.0],
+        domain=Domain((True,), (Constraint((1.0,), 1.7e308),)),
+        labels=("x",),
+    )
+    for report in (continuous_tangent(grow), discrete_tangent(grow, h=1.0)):
+        assert report.samples == 256
+        assert [(x.tolist(), fi) for x, fi, _ in report.violations] == [([1.7e308], 1)]
+        assert not report.passed
+
+
 def test_tangent_ties_go_to_the_last_largest_and_the_first_smallest_value():
     # A zero field ties every facet value at 0: the continuous check reports
     # the last sample, the discrete check the first.

@@ -228,6 +228,21 @@ def test_box_upper_takes_the_bounds_that_only_a_second_pass_gives():
     assert report.h_bar == 2.0
 
 
+def test_box_upper_sums_each_cap_over_its_nonzeros_only(metapop_sir):
+    # A 60-patch ring has n = 180 and 60 caps of 3 nonzeros each: a (caps,
+    # n, n) array of each cap's other terms would take 15.6 MB on each pass.
+    ring = metapop_sir(tuple(((p, 0.02), ((p + 1) % 60, 0.01)) for p in range(60)), mu=0.1)
+    dom = Domain(ring.domain.nonnegative, ring.domain.constraints)
+    tracemalloc.start()
+    try:
+        upper = dom.box_upper
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(upper, np.full(180, 10.0))
+    assert peak < 2e6
+
+
 def test_box_pass_bounds_each_coordinate_from_the_given_box_at_once():
     # -x_0 + x_1 <= -0.5 on [0, 1]^2 gives x_0 >= 0.5 and x_1 <= 0.5, and
     # x_0 + x_1 <= 1.2 gives x_0, x_1 <= 1.2 from lo = 0, not from the new
